@@ -27,7 +27,7 @@ from .manifold import (
     procrustes_rotation,
     subspace_distance,
 )
-from .metrics import ErrorReport, error_at_time, mean_error, probe
+from .metrics import ErrorReport, error_at_time, mean_error
 from .pod import (
     InnerProduct,
     PODBasis,

@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, pipeline
 from .errors import (
     ConfigError,
@@ -40,6 +42,19 @@ _NUMERICAL = (
 )
 
 
+# flags shared by several commands; each command takes only those it honours
+_FLAGS = {
+    "--config": dict(required=True, help="study configuration JSON"),
+    "--out": dict(default="out", help="working directory"),
+    "--jobs": dict(type=int, default=1, help="worker threads for per-parameter fan-out"),
+    "--q": dict(type=int, default=None, help="POD truncation order (default: config q)"),
+    "--weights": dict(choices=["lagrange", "idw"], default=None,
+                      help="weight scheme (default: config weights.kind)"),
+    "--neighbors": dict(type=int, default=None,
+                        help="nearest trained viscosities weighted (default: config)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="baryrom",
@@ -49,37 +64,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default="out", help="working directory")
-    common.add_argument("--jobs", type=int, default=1, help="worker threads for per-parameter fan-out")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed recorded for randomized test harnesses; the pipeline itself is deterministic")
+    def command(name, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
 
-    online = argparse.ArgumentParser(add_help=False)
-    online.add_argument("--method", choices=list(pipeline.METHODS), default="barycentric")
-    online.add_argument("--weights", choices=["lagrange", "idw"], default=None)
-    online.add_argument("--neighbors", type=int, default=None)
-    online.add_argument("--q", type=int, default=None)
-    online.add_argument("--tol", type=float, default=None)
+    command("generate", "run the high-fidelity solver per viscosity",
+            "--config", "--out", "--jobs")
 
-    p = sub.add_parser("generate", parents=[common], help="run the high-fidelity solver per viscosity")
-    p.add_argument("--config", required=True)
+    command("offline", "build POD bases and the tensor archive", "--out", "--jobs", "--q")
 
-    p = sub.add_parser("offline", parents=[common, online], help="build POD bases and the tensor archive")
-
-    p = sub.add_parser("predict", parents=[common, online], help="online prediction at one viscosity")
+    p = command("predict", "online prediction at one viscosity",
+                "--out", "--weights", "--neighbors")
     p.add_argument("--nu", type=float, required=True)
+    p.add_argument("--method", choices=list(pipeline.METHODS), default="barycentric")
+    p.add_argument("--tol", type=float, default=None,
+                   help="barycenter stopping tolerance (default: config tol)")
     p.add_argument("--ic", choices=list(pipeline.IC_MODES), default="weighted")
     p.add_argument("--allow-nonconverged", action="store_true")
 
-    p = sub.add_parser("compare", parents=[common, online],
-                       help="errors of both interpolated models vs the truth-POD floor")
+    p = command("compare", "errors of both interpolated models vs the truth-POD floor",
+                "--out", "--weights", "--neighbors")
     p.add_argument("--targets", default=None,
                    help="comma-separated viscosities (default: config test_nu)")
 
-    p = sub.add_parser("bench", parents=[common, online],
-                       help="median update vs direct-projection time across mesh sizes")
-    p.add_argument("--config", required=True)
+    p = command("bench", "median update vs direct-projection time across mesh sizes",
+                "--config", "--out", "--jobs", "--q")
     p.add_argument("--sizes", default="2000,20000", help="comma-separated mesh sizes")
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--nu", type=float, default=None,
@@ -144,7 +155,7 @@ def _cmd_bench(args) -> int:
     if nu is None:
         lo, hi = min(cfg.trained_nu), max(cfg.trained_nu)
         nu = 0.5 * (lo + hi)
-    rows = []
+    studies = []
     for nx in sizes:
         size_dir = Path(args.out) / f"bench_nx{nx}"
         size_cfg = pipeline.config_from_dict({**cfg.to_dict(), "grid": {
@@ -154,12 +165,13 @@ def _cmd_bench(args) -> int:
         manifest = pipeline.read_manifest(size_dir / "manifest.json")
         if "offline" not in manifest:
             pipeline.run_offline(size_dir, jobs=args.jobs, q=args.q)
-        study = pipeline.load_study(size_dir)
-        t_update, t_direct = pipeline.bench_update(study, nu, reps=args.reps)
-        rows.append(["barycentric_update", nx, t_update])
-        rows.append(["direct_projection", nx, t_direct])
-    write_csv(Path(args.out) / "bench.csv", ["method", "nx", "median_s"],
-              [[r[0], r[1], float(r[2])] for r in rows])
+        studies.append(pipeline.load_study(size_dir))
+    t_update, t_direct = pipeline.bench_update(studies, nu, reps=args.reps)
+    rows = []
+    for j, nx in enumerate(sizes):
+        rows.append(["barycentric_update", nx, float(np.median(t_update[:, j]))])
+        rows.append(["direct_projection", nx, float(np.median(t_direct[:, j]))])
+    write_csv(Path(args.out) / "bench.csv", ["method", "nx", "median_s"], rows)
     for r in rows:
         print(f"{r[0]} nx={r[1]} median={r[2]:.6e}s")
     print(f"wrote bench.csv under {args.out}")

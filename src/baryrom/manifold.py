@@ -155,9 +155,10 @@ def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
     Parameters
     ----------
     bases : sequence of (N, q) full-rank arrays
-    weights : sequence of reals summing to 1 (entries may be negative,
-        as polynomial extrapolation produces; zero-weight inputs are
-        skipped and reported with identity rotations)
+    weights : sequence of reals summing to 1, to roundoff relative to
+        sum |w_k| (entries may be negative, as polynomial extrapolation
+        produces; zero-weight inputs are skipped and reported with
+        identity rotations)
     init : index into ``bases`` or an explicit (N, q) starting matrix
 
     Raises
@@ -174,7 +175,7 @@ def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(mats),):
         raise ShapeMismatchError("one weight per basis required")
-    if abs(w.sum() - 1.0) > 1e-12:
+    if abs(w.sum() - 1.0) > 1e-12 * max(1.0, np.abs(w).sum()):
         raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
     if isinstance(init, (int, np.integer)):
         phi = mats[int(init)].copy()

@@ -1,4 +1,4 @@
-"""Weighted-L2 error percentages and point probes."""
+"""Weighted-L2 error percentages and deterministic CSV output."""
 
 from __future__ import annotations
 
@@ -66,16 +66,6 @@ def error_report(ref: SnapshotMatrix, approx: SnapshotMatrix, ip: InnerProduct,
     )
 
 
-def probe(traj: SnapshotMatrix, points) -> np.ndarray:
-    """Per-time values at the given grid indices, one column per probe."""
-    points = list(points)
-    n = traj.values.shape[0]
-    for p in points:
-        if not 0 <= int(p) < n:
-            raise IndexError(f"probe index {p} outside grid of {n} points")
-    return traj.values[np.asarray(points, dtype=int), :].T.copy()
-
-
 def format_float(x: float) -> str:
     return f"{x:.17g}"
 
@@ -90,12 +80,3 @@ def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def write_probe_csv(path, traj: SnapshotMatrix, points):
-    table = probe(traj, points)
-    header = ["t"] + [f"value{i + 1}" for i in range(table.shape[1])]
-    rows = [
-        [float(traj.times[j])] + [float(v) for v in table[j]]
-        for j in range(table.shape[0])
-    ]
-    write_csv(path, header, rows)

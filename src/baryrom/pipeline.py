@@ -6,7 +6,8 @@ predict  -> weights, barycenter, cheap operator update, reduced solve,
             field reconstruction (or the tangent-interpolation baseline)
 compare  -> mean errors of both interpolated models and the truth-POD
             floor against the stored high-fidelity runs
-bench    -> median wall-clock of the cheap update vs direct projection
+bench    -> wall-clock of the cheap update vs direct projection, with the
+            mesh sizes timed in alternation rep by rep
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +47,7 @@ from .rom import (
     update_reduced_model,
 )
 from .solver import Grid1D, SolverConfig, run
-from .weights import WeightScheme, WeightVector, evaluate_weights, select_neighbors
+from .weights import KINDS, WeightScheme, WeightVector, evaluate_weights, select_neighbors
 
 METHODS = ("barycentric", "itsgm")
 IC_MODES = ("truth", "weighted")
@@ -93,26 +95,37 @@ class StudyConfig:
         }
 
 
+def _weight_kind(kind: str) -> str:
+    """Canonical weight-scheme name; ``idw`` is accepted for inverse distance."""
+    kind = "inverse_distance" if kind == "idw" else kind
+    if kind not in KINDS:
+        raise ConfigError(f"unknown weight kind {kind!r}")
+    return kind
+
+
 def config_from_dict(doc: dict) -> StudyConfig:
+    """StudyConfig from its JSON form; absent keys keep the StudyConfig default."""
+    base = StudyConfig().to_dict()
     try:
-        grid = doc.get("grid", {})
-        wts = doc.get("weights", {})
+        grid = {**base["grid"], **doc.get("grid", {})}
+        wts = {**base["weights"], **doc.get("weights", {})}
+        d = {**base, **doc}
         cfg = StudyConfig(
-            grid_n=int(grid.get("n", 256)),
-            grid_length=float(grid.get("length", 2.0 * np.pi)),
-            dt=float(doc.get("dt", 1e-3)),
-            steps=int(doc.get("steps", 995)),
-            save_every=int(doc.get("save_every", 5)),
-            transient=int(doc.get("transient", 300)),
-            initial=doc.get("initial", "two_mode"),
-            trained_nu=[float(v) for v in doc.get("trained_nu", [0.05, 0.07, 0.09, 0.11])],
-            test_nu=[float(v) for v in doc.get("test_nu", [0.06, 0.08, 0.10])],
-            q=int(doc.get("q", 7)),
-            weights_kind=str(wts.get("kind", "lagrange")),
-            weights_power=float(wts.get("power", 2.0)),
-            weights_neighbors=int(wts.get("neighbors", 3)),
-            tol=float(doc.get("tol", 1e-10)),
-            max_iter=int(doc.get("max_iter", 100)),
+            grid_n=int(grid["n"]),
+            grid_length=float(grid["length"]),
+            dt=float(d["dt"]),
+            steps=int(d["steps"]),
+            save_every=int(d["save_every"]),
+            transient=int(d["transient"]),
+            initial=d["initial"],
+            trained_nu=[float(v) for v in d["trained_nu"]],
+            test_nu=[float(v) for v in d["test_nu"]],
+            q=int(d["q"]),
+            weights_kind=_weight_kind(str(wts["kind"])),
+            weights_power=float(wts["power"]),
+            weights_neighbors=int(wts["neighbors"]),
+            tol=float(d["tol"]),
+            max_iter=int(d["max_iter"]),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad configuration value: {exc}") from exc
@@ -124,10 +137,6 @@ def config_from_dict(doc: dict) -> StudyConfig:
         raise ConfigError("viscosities must be positive")
     if cfg.q < 1:
         raise ConfigError("q must be >= 1")
-    if cfg.weights_kind not in ("lagrange", "idw", "inverse_distance"):
-        raise ConfigError(f"unknown weight kind {cfg.weights_kind!r}")
-    if cfg.weights_kind == "idw":
-        cfg.weights_kind = "inverse_distance"
     return cfg
 
 
@@ -260,8 +269,7 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
         archive_path,
         {
             "M": ct.M, "R": ct.R, "Cbar": ct.Cbar, "C": ct.C,
-            "F_conv": ct.F_conv, "F_diff": ct.F_diff, "F_body": ct.F_body,
-            "params": ct.params,
+            "F_conv": ct.F_conv, "F_diff": ct.F_diff, "params": ct.params,
         },
         {"q": cfg.q, "nx": grid.n, "dx": grid.dx},
     )
@@ -318,26 +326,22 @@ def load_study(outdir) -> Study:
     arrays, meta = read_archive(check_file(outdir, off["archive"]))
     ct = CrossGalerkinTensors(
         M=arrays["M"], R=arrays["R"], Cbar=arrays["Cbar"], C=arrays["C"],
-        F_conv=arrays["F_conv"], F_diff=arrays["F_diff"], F_body=arrays["F_body"],
-        params=arrays["params"],
+        F_conv=arrays["F_conv"], F_diff=arrays["F_diff"], params=arrays["params"],
     )
     if int(meta["q"]) != cfg.q or ct.q != cfg.q:
         raise DataIntegrityError("archive truncation order disagrees with the config")
     return Study(outdir, manifest, cfg, grid, ip, mean, bases, ics, ct)
 
 
-def study_weights(study: Study, nu: float, kind=None, power=None, neighbors=None) -> WeightVector:
+def study_weights(study: Study, nu: float, kind=None, neighbors=None) -> WeightVector:
     """Weights over all trained nodes: the chosen scheme on the nearest
     neighbors, zero elsewhere."""
     params = study.params
-    kind = kind or study.cfg.weights_kind
-    if kind == "idw":
-        kind = "inverse_distance"
-    power = study.cfg.weights_power if power is None else float(power)
+    kind = _weight_kind(kind) if kind else study.cfg.weights_kind
     m = study.cfg.weights_neighbors if neighbors is None else int(neighbors)
     m = min(m, params.size)
     sel = select_neighbors(params, nu, m)
-    local = evaluate_weights(WeightScheme(kind, params[sel], power), nu)
+    local = evaluate_weights(WeightScheme(kind, params[sel], study.cfg.weights_power), nu)
     full = np.zeros(params.size)
     full[sel] = local.values
     return WeightVector(values=full, target=float(nu))
@@ -347,22 +351,31 @@ def nearest_index(params, nu: float) -> int:
     return select_neighbors(params, nu, 1)[0]
 
 
+def _barycenter(study: Study, w: WeightVector, nu: float, tol=None):
+    """Karcher barycenter of the trained bases, started at the node nearest nu."""
+    return karcher_barycenter(
+        [b.modes for b in study.bases], w.values,
+        tol=study.cfg.tol if tol is None else float(tol),
+        max_iter=study.cfg.max_iter, init=nearest_index(study.params, nu),
+    )
+
+
 def predict(study: Study, nu: float, method: str = "barycentric",
             ic_mode: str = "weighted", allow_nonconverged: bool = False,
-            kind=None, power=None, neighbors=None, tol=None, max_iter=None):
+            kind=None, neighbors=None, tol=None):
     """Online stage at one viscosity.
 
     Returns (trajectory, reconstruction, report) where the report is a
     JSON-ready dict with the interpolation diagnostics and timings.
     """
+    if not (np.isfinite(nu) and nu > 0):
+        raise ConfigError(f"viscosity must be positive and finite, got {nu!r}")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if ic_mode not in IC_MODES:
         raise ValueError(f"ic_mode must be one of {IC_MODES}, got {ic_mode!r}")
     cfg = study.cfg
-    tol = cfg.tol if tol is None else float(tol)
-    max_iter = cfg.max_iter if max_iter is None else int(max_iter)
-    w = study_weights(study, nu, kind=kind, power=power, neighbors=neighbors)
+    w = study_weights(study, nu, kind=kind, neighbors=neighbors)
     t0_run = study.manifest["runs"][0]["t0"] if study.manifest.get("runs") else 0.0
     report = {
         "nu": nu,
@@ -377,10 +390,7 @@ def predict(study: Study, nu: float, method: str = "barycentric",
     if method == "barycentric":
         t = timer()
         try:
-            bary = karcher_barycenter(
-                [b.modes for b in study.bases], w.values, tol=tol,
-                max_iter=max_iter, init=nearest_index(study.params, nu),
-            )
+            bary = _barycenter(study, w, nu, tol)
         except NotConvergedError as exc:
             if not allow_nonconverged:
                 raise
@@ -488,27 +498,29 @@ def write_compare_outputs(outdir, rows, reports):
         write_csv(outdir / f"errors_time_nu{_nu_tag(nu)}.csv", ["t"] + methods, rows_t)
 
 
-def bench_update(study: Study, nu: float, reps: int = 20):
-    """Median seconds of the cheap update vs direct projection at one mesh."""
-    w = study_weights(study, nu)
-    bary = karcher_barycenter(
-        [b.modes for b in study.bases], w.values, tol=study.cfg.tol,
-        max_iter=study.cfg.max_iter, init=nearest_index(study.params, nu),
-    )
-    basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
-    timer = time.perf_counter
+def _timed_alternating(fns, reps: int) -> np.ndarray:
+    """(reps, len(fns)) seconds per call, the calls alternating within each
+    rep (reversed on odd reps) so a drift in machine speed hits all alike."""
+    for fn in fns:  # warm caches
+        fn()
+    times = np.empty((reps, len(fns)))
+    for r in range(reps):
+        for j in (range(len(fns)) if r % 2 == 0 else reversed(range(len(fns)))):
+            t = time.perf_counter()
+            fns[j]()
+            times[r, j] = time.perf_counter() - t
+    return times
 
-    update_reduced_model(study.tensors, w, bary.rotations, nu)  # warm caches
-    t_update = []
-    for _ in range(reps):
-        t = timer()
-        update_reduced_model(study.tensors, w, bary.rotations, nu)
-        t_update.append(timer() - t)
 
-    direct_project(basis, study.mean, study.ip, study.grid.gradient, nu)
-    t_direct = []
-    for _ in range(reps):
-        t = timer()
-        direct_project(basis, study.mean, study.ip, study.grid.gradient, nu)
-        t_direct.append(timer() - t)
-    return float(np.median(t_update)), float(np.median(t_direct))
+def bench_update(studies, nu: float, reps: int = 20):
+    """Seconds of the cheap update and of direct projection, one (reps,
+    len(studies)) array each, the studies timed in alternation."""
+    updates, directs = [], []
+    for study in studies:
+        w = study_weights(study, nu)
+        bary = _barycenter(study, w, nu)
+        basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
+        updates.append(partial(update_reduced_model, study.tensors, w, bary.rotations, nu))
+        directs.append(partial(direct_project, basis, study.mean, study.ip,
+                               study.grid.gradient, nu))
+    return _timed_alternating(updates, reps), _timed_alternating(directs, reps)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ShapeMismatchError, SingularMassError
+from .errors import DivergedSolutionError, ShapeMismatchError, SingularMassError
 from .pod import InnerProduct, PODBasis, SnapshotMatrix
 from .weights import WeightVector
 
@@ -35,7 +35,7 @@ class CrossGalerkinTensors:
     Shapes: M, R, Cbar are (Np, Np, q, q); C is (Np, Np, Np, q, q, q)
     indexed [h, k, n, s, i, j]; the forcing pieces are (Np, q).  F_diff
     is the part multiplied by the online viscosity, F_conv the
-    mean-convection part, F_body the body-force part (zero without one).
+    mean-convection part.
     """
 
     M: np.ndarray
@@ -44,7 +44,6 @@ class CrossGalerkinTensors:
     C: np.ndarray
     F_conv: np.ndarray
     F_diff: np.ndarray
-    F_body: np.ndarray
     params: np.ndarray
 
     @property
@@ -136,9 +135,8 @@ def assemble_cross_tensors(bases, mean, ip: InnerProduct, grad_op) -> CrossGaler
     for k in range(np_):
         F_diff[k] = -(dmats[k].T @ wdmean)
         F_conv[k] = -(mats[k].T @ wconv)
-    F_body = np.zeros((np_, q))
 
-    return CrossGalerkinTensors(M, R, Cbar, C, F_conv, F_diff, F_body, params)
+    return CrossGalerkinTensors(M, R, Cbar, C, F_conv, F_diff, params)
 
 
 def update_reduced_model(
@@ -158,37 +156,21 @@ def update_reduced_model(
     Q = [np.asarray(r, dtype=float) for r in rotations]
     if len(Q) != np_ or any(r.shape != (q, q) for r in Q):
         raise ShapeMismatchError(f"{np_} rotations of shape ({q},{q}) required")
-    active = [k for k in range(np_) if wv[k] != 0.0]
+    a = np.flatnonzero(wv)
+    P = wv[a, None, None] * np.stack(Q)[a]  # P_k = w_k Q_k over the active bases
+    pair = np.ix_(a, a)
 
-    M = np.zeros((q, q))
-    R = np.zeros((q, q))
-    Cbar = np.zeros((q, q))
-    for h in active:
-        for k in active:
-            whk = wv[h] * wv[k]
-            M += whk * (Q[h].T @ ct.M[h, k] @ Q[k])
-            R += whk * (Q[h].T @ ct.R[h, k] @ Q[k])
-            Cbar += whk * (Q[h].T @ ct.Cbar[h, k] @ Q[k])
+    def conjugate(blocks):
+        return np.einsum("hai,hkab,kbj->ij", P, blocks[pair], P, optimize=True)
 
-    C = np.zeros((q, q, q))
-    for n in active:
-        for h in active:
-            for k in active:
-                # rotate the derivative index first, then conjugate each slab
-                d = np.tensordot(Q[n], ct.C[h, k, n], axes=(0, 0))  # (e, i, j)
-                coeff = wv[n] * wv[h] * wv[k]
-                for e in range(q):
-                    C[e] += coeff * (Q[h].T @ d[e] @ Q[k])
-
-    F = np.zeros(q)
-    for k in active:
-        F += wv[k] * (Q[k].T @ (ct.F_body[k] + ct.F_conv[k] + nu * ct.F_diff[k]))
-
-    return ReducedModel(M=M, R=R, Cbar=Cbar, C=C, F=F, nu=float(nu))
+    C = np.einsum("nse,hai,kbj,hknsab->eij", P, P, P, ct.C[np.ix_(a, a, a)],
+                  optimize=True)
+    F = np.einsum("kai,ka->i", P, ct.F_conv[a] + nu * ct.F_diff[a])
+    return ReducedModel(M=conjugate(ct.M), R=conjugate(ct.R), Cbar=conjugate(ct.Cbar),
+                        C=C, F=F, nu=float(nu))
 
 
-def direct_project(basis, mean, ip: InnerProduct, grad_op, nu: float,
-                   body_force=None) -> ReducedModel:
+def direct_project(basis, mean, ip: InnerProduct, grad_op, nu: float) -> ReducedModel:
     """Galerkin projection onto an explicit basis by straight quadrature.
 
     This is the mesh-sized computation the cheap update replaces; it is
@@ -211,8 +193,6 @@ def direct_project(basis, mean, ip: InnerProduct, grad_op, nu: float,
     Cbar = phi.T @ ip.apply(mean[:, None] * dphi + dmean[:, None] * phi)
     C = np.einsum("xi,xj,xe->eij", wphi, phi, dphi, optimize=True)
     F = -nu * (dphi.T @ ip.apply(dmean)) - phi.T @ ip.apply(mean * dmean)
-    if body_force is not None:
-        F = F + phi.T @ ip.apply(np.asarray(body_force, dtype=float))
     return ReducedModel(M=M, R=R, Cbar=Cbar, C=C, F=F, nu=float(nu))
 
 
@@ -222,7 +202,9 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
 
     The mass matrix is Cholesky-factored once; every stage is one
     factored solve.  States are recorded at step multiples of
-    ``record_every`` (step 0 included).
+    ``record_every`` (step 0 included).  A state that overflows raises
+    DivergedSolutionError: the factored solve rejects a non-finite
+    right-hand side, and the recorded states are checked once at the end.
     """
     alpha0 = np.asarray(alpha0, dtype=float)
     q = model.M.shape[0]
@@ -250,16 +232,22 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     times[0] = t0
     a = alpha0.copy()
     rec = 0
-    for s in range(1, steps + 1):
-        k1 = rhs(a)
-        k2 = rhs(a + 0.5 * dt * k1)
-        k3 = rhs(a + 0.5 * dt * k2)
-        k4 = rhs(a + dt * k3)
-        a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if s % record_every == 0:
-            rec += 1
-            alphas[rec] = a
-            times[rec] = t0 + s * dt
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+            for s in range(1, steps + 1):
+                k1 = rhs(a)
+                k2 = rhs(a + 0.5 * dt * k1)
+                k3 = rhs(a + 0.5 * dt * k2)
+                k4 = rhs(a + dt * k3)
+                a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if s % record_every == 0:
+                    rec += 1
+                    alphas[rec] = a
+                    times[rec] = t0 + s * dt
+    except ValueError as exc:  # cho_solve's check_finite
+        raise DivergedSolutionError(f"reduced state diverged at step {s}: {exc}") from exc
+    if not np.isfinite(alphas).all():
+        raise DivergedSolutionError("reduced state diverged to a non-finite value")
     return ReducedTrajectory(times=times, alphas=alphas)
 
 

@@ -160,28 +160,33 @@ def test_c5_trained_point_consistency(study):
 
 
 def test_c6_online_update_scaling(tmp_path_factory):
+    # the two mesh sizes are timed in alternation rep by rep, so a drift in
+    # machine speed on a shared box hits both medians alike
     t0 = time.perf_counter()
     out_root = tmp_path_factory.mktemp("bench")
     base = pipeline.StudyConfig().to_dict()
     base.update({"steps": 200, "transient": 100, "save_every": 5, "test_nu": []})
-    medians = {}
+    studies = []
     for nx in (2000, 20000):
         cfg = pipeline.config_from_dict({**base, "grid": {"n": nx,
                                                           "length": base["grid"]["length"]}})
         out = out_root / f"nx{nx}"
         pipeline.run_generate(cfg, out)
         pipeline.run_offline(out)
-        medians[nx] = pipeline.bench_update(pipeline.load_study(out), nu=0.08,
-                                            reps=30)
-    ratio_update = medians[20000][0] / medians[2000][0]
-    ratio_direct = medians[20000][1] / medians[2000][1]
+        studies.append(pipeline.load_study(out))
+    t_update, t_direct = pipeline.bench_update(studies, nu=0.08, reps=100)
+    med_u, med_d = np.median(t_update, axis=0), np.median(t_direct, axis=0)
+    iqr_u, iqr_d = (np.subtract(*np.percentile(t, [75, 25], axis=0))
+                    for t in (t_update, t_direct))
+    ratio_update = med_u[1] / med_u[0]
+    ratio_direct = med_d[1] / med_d[0]
     elapsed = time.perf_counter() - t0
     ok = ratio_update < 1.5 and ratio_direct > 5.0 and elapsed < 120.0
     report(6, "online-update-scaling", ok,
            f"update ratio {ratio_update:.2f} (<1.5), direct ratio "
-           f"{ratio_direct:.2f} (>5), {elapsed:.1f}s; medians update "
-           f"{medians[2000][0]:.2e}/{medians[20000][0]:.2e}s, direct "
-           f"{medians[2000][1]:.2e}/{medians[20000][1]:.2e}s")
+           f"{ratio_direct:.2f} (>5), {elapsed:.1f}s; median (IQR) update "
+           f"{med_u[0]:.2e} ({iqr_u[0]:.1e}) / {med_u[1]:.2e} ({iqr_u[1]:.1e}) s, "
+           f"direct {med_d[0]:.2e} ({iqr_d[0]:.1e}) / {med_d[1]:.2e} ({iqr_d[1]:.1e}) s")
 
 
 def test_c7_solver_verification():

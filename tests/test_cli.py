@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 
 from baryrom import InnerProduct, SnapshotMatrix, compute_pod, mean_error
 from baryrom.cli import main
-from baryrom.io import read_archive, read_manifest, read_matrix
+from baryrom.io import (
+    read_archive,
+    read_manifest,
+    read_matrix,
+    sha256_file,
+    write_archive,
+    write_manifest,
+)
 from baryrom import pipeline
 
 SMALL_CONFIG = {
@@ -98,6 +106,20 @@ def test_offline_rerun_deterministic(workdir, tmp_path):
     assert main(["generate", "--config", str(cfg_path), "--out", str(out2)]) == 0
     assert main(["offline", "--out", str(out2)]) == 0
     assert (out / "tensors.arc").read_bytes() == (out2 / "tensors.arc").read_bytes()
+
+
+def test_archive_with_extra_arrays_still_loads(workdir, tmp_path):
+    # archives written before F_body was dropped carry it as an extra array
+    _, _, out = workdir
+    old = tmp_path / "old"
+    shutil.copytree(out, old)
+    arrays, meta = read_archive(old / "tensors.arc")
+    write_archive(old / "tensors.arc",
+                  {**arrays, "F_body": np.zeros_like(arrays["F_diff"])}, meta)
+    manifest = read_manifest(old / "manifest.json")
+    manifest["offline"]["archive"]["sha256"] = sha256_file(old / "tensors.arc")
+    write_manifest(old / "manifest.json", manifest)
+    assert main(["predict", "--out", str(old), "--nu", "0.08"]) == 0
 
 
 def test_predict_untrained_smoke(workdir):
@@ -282,3 +304,29 @@ def test_bench_command(workdir, tmp_path):
     assert methods == {"barycentric_update", "direct_projection"}
     for line in lines[1:]:
         assert float(line.split(",")[2]) > 0
+
+
+def test_far_extrapolation_is_a_numerical_failure(workdir):
+    # Lagrange weights at nu=3.0 sum to 1 only to ~1e-12 absolute (sum |w| ~ 4e4)
+    _, _, out = workdir
+    assert main(["predict", "--out", str(out), "--nu", "3.0"]) == 3
+
+
+@pytest.mark.parametrize("nu", ["0", "-0.05"])
+def test_nonpositive_viscosity_is_a_config_error(workdir, nu):
+    _, _, out = workdir
+    assert main(["predict", "--out", str(out), "--nu", nu,
+                 "--allow-nonconverged"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--nu", "0.08", "--q", "3"],
+    ["compare", "--tol", "1e-8"],
+    ["offline", "--method", "itsgm"],
+    ["generate", "--config", "c.json", "--seed", "1"],
+    ["predict", "--nu", "0.08", "--jobs", "2"],
+])
+def test_flag_a_command_does_not_honour_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

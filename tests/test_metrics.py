@@ -8,9 +8,8 @@ from baryrom import (
     ZeroReferenceError,
     error_at_time,
     mean_error,
-    probe,
 )
-from baryrom.metrics import error_report, format_float, write_csv, write_probe_csv
+from baryrom.metrics import error_report, format_float, write_csv
 
 UNIT = InnerProduct(1.0)
 
@@ -108,48 +107,22 @@ def test_error_report_structure(rng):
     assert all(e >= 0 for _, e in rep.per_time)
 
 
-# ------------------------------------------------------------------ probes
-
-def test_probe_every_index_recovers_trajectory(rng):
-    t = traj(rng.standard_normal((5, 7)))
-    table = probe(t, range(5))
-    np.testing.assert_array_equal(table.T, t.values)
-
-
-def test_probe_constant_rows_for_mean_only():
-    t = traj(np.tile(np.array([[1.0], [2.0]]), (1, 4)))
-    table = probe(t, [0, 1])
-    assert np.ptp(table, axis=0).max() == 0.0
-
-
-def test_probe_values_are_direct_entries(rng):
-    t = traj(rng.standard_normal((6, 3)))
-    table = probe(t, [4, 0])
-    np.testing.assert_array_equal(table[:, 0], t.values[4])
-    np.testing.assert_array_equal(table[:, 1], t.values[0])
-
-
-def test_probe_index_out_of_range(rng):
-    t = traj(rng.standard_normal((4, 2)))
-    with pytest.raises(IndexError):
-        probe(t, [4])
-
-
 # --------------------------------------------------------------------- csv
 
 def test_csv_format_and_determinism(tmp_path, rng):
-    t = traj(rng.standard_normal((4, 3)))
+    table = rng.standard_normal((3, 2))
+    rows = [[float(t)] + [float(v) for v in row] for t, row in enumerate(table)]
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    write_probe_csv(p1, t, [0, 2])
-    write_probe_csv(p2, t, [0, 2])
+    write_csv(p1, ["t", "value1", "value2"], rows)
+    write_csv(p2, ["t", "value1", "value2"], rows)
     assert p1.read_bytes() == p2.read_bytes()
     lines = p1.read_text().strip().split("\n")
     assert lines[0] == "t,value1,value2"
     assert len(lines) == 4
     # 17 significant digits round-trip float64 exactly
     v = float(lines[1].split(",")[1])
-    assert v == t.values[0, 0]
+    assert v == table[0, 0]
 
 
 def test_format_float_17_digits():

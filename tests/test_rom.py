@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from baryrom import (
+    DivergedSolutionError,
     Grid1D,
     InnerProduct,
     ReducedModel,
@@ -87,7 +88,6 @@ def test_assembly_matches_quadrature_oracle(rng):
     np.testing.assert_allclose(ct.C, C, atol=1e-12)
     np.testing.assert_allclose(ct.F_conv, Fc, atol=1e-12)
     np.testing.assert_allclose(ct.F_diff, Fd, atol=1e-12)
-    np.testing.assert_allclose(ct.F_body, 0.0, atol=0.0)
 
 
 def test_single_basis_mass_is_identity(rng):
@@ -167,7 +167,7 @@ def test_update_touches_no_mesh_sized_array(rng):
     grid, ip, mean, bases = make_setup(rng, nx=200, q=3, count=3)
     ct = assemble_cross_tensors(bases, mean, ip, grid.gradient)
     small = {len(bases), 3}
-    for name in ("M", "R", "Cbar", "C", "F_conv", "F_diff", "F_body"):
+    for name in ("M", "R", "Cbar", "C", "F_conv", "F_diff"):
         arr = getattr(ct, name)
         assert set(arr.shape) <= small, f"{name} leaks mesh-sized data: {arr.shape}"
     assert ct.params.shape == (len(bases),)
@@ -216,6 +216,14 @@ def test_integrate_singular_mass():
     model.M = np.zeros((2, 2))
     with pytest.raises(SingularMassError):
         integrate_rom(model, np.zeros(2), dt=0.1, steps=1)
+
+
+def test_integrate_negative_diffusion_diverges():
+    model = zero_model(2)
+    model.R = -100.0 * np.eye(2)  # anti-diffusion: every step multiplies a by ~640
+    with pytest.raises(DivergedSolutionError):
+        integrate_rom(model, np.array([1.0, -1.0]), dt=0.1, steps=1000,
+                      record_every=10)
 
 
 def test_integrate_record_every():
