@@ -23,7 +23,7 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # pragma: no cover - numba is the optional "fast" extra
     HAVE_NUMBA = False
 
 _FALSY = ("", "0", "false", "no", "off")

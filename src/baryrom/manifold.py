@@ -175,7 +175,7 @@ def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(mats),):
         raise ShapeMismatchError("one weight per basis required")
-    if abs(w.sum() - 1.0) > 1e-12 * max(1.0, np.abs(w).sum()):
+    if not abs(w.sum() - 1.0) <= 1e-12 * max(1.0, np.abs(w).sum()):  # nan fails too
         raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
     if isinstance(init, (int, np.integer)):
         phi = mats[int(init)].copy()

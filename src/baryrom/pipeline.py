@@ -376,6 +376,9 @@ def predict(study: Study, nu: float, method: str = "barycentric",
         raise ValueError(f"ic_mode must be one of {IC_MODES}, got {ic_mode!r}")
     cfg = study.cfg
     w = study_weights(study, nu, kind=kind, neighbors=neighbors)
+    if not np.isfinite(w.values).all():
+        raise ConfigError(f"viscosity {nu!r} lies too far outside the trained range "
+                          "for its interpolation weights to be finite")
     t0_run = study.manifest["runs"][0]["t0"] if study.manifest.get("runs") else 0.0
     report = {
         "nu": nu,
@@ -392,7 +395,8 @@ def predict(study: Study, nu: float, method: str = "barycentric",
         try:
             bary = _barycenter(study, w, nu, tol)
         except NotConvergedError as exc:
-            if not allow_nonconverged:
+            # an iterate that overflowed is no usable approximation
+            if not (allow_nonconverged and np.isfinite(exc.result.final_gradient_norm)):
                 raise
             bary = exc.result
         report["timings"]["barycenter_s"] = timer() - t
@@ -404,7 +408,9 @@ def predict(study: Study, nu: float, method: str = "barycentric",
         t = timer()
         model = update_reduced_model(study.tensors, w, bary.rotations, nu)
         report["timings"]["update_s"] = timer() - t
+        t = timer()
         basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
+        report["timings"]["combined_basis_s"] = timer() - t
     else:
         t = timer()
         sel = [k for k in range(study.params.size) if w.values[k] != 0.0]
@@ -417,6 +423,7 @@ def predict(study: Study, nu: float, method: str = "barycentric",
         model = direct_project(basis, study.mean, study.ip, study.grid.gradient, nu)
         report["timings"]["projection_s"] = timer() - t
 
+    t = timer()
     if ic_mode == "truth":
         truth = load_snapshots(study.outdir, study.manifest, nu)
         u0 = truth.values[:, 0]
@@ -428,12 +435,18 @@ def predict(study: Study, nu: float, method: str = "barycentric",
                 u0 += wk * study.ics[k]
         t0 = float(t0_run)
     alpha0 = initial_condition(basis, study.mean, study.ip, u0)
+    report["timings"]["initial_condition_s"] = timer() - t
 
     t = timer()
     traj = integrate_rom(model, alpha0, cfg.dt, cfg.steps,
                          record_every=cfg.save_every, t0=t0)
     report["timings"]["integrate_s"] = timer() - t
+    # roundoff amplification bound of the folded M^-1; M is finite SPD once
+    # the integrator has factored it
+    report["mass_condition"] = float(np.linalg.cond(model.M))
+    t = timer()
     recon = reconstruct_field(basis, study.mean, traj, param=nu)
+    report["timings"]["lift_s"] = timer() - t
     return traj, recon, report
 
 

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from baryrom import InnerProduct, SnapshotMatrix, compute_pod, mean_error
 from baryrom.cli import main
@@ -129,6 +131,10 @@ def test_predict_untrained_smoke(workdir):
     report = json.loads((pdir / "report.json").read_text())
     assert report["barycenter"]["converged"]
     assert report["barycenter"]["final_gradient_norm"] <= 1e-10
+    assert set(report["timings"]) == {"barycenter_s", "update_s", "combined_basis_s",
+                                      "initial_condition_s", "integrate_s", "lift_s"}
+    assert all(v >= 0 for v in report["timings"].values())
+    assert 1.0 <= report["mass_condition"] < 1e3
     field = read_matrix(pdir / "field.mat")
     assert field.shape == (64, 31)
     assert np.all(np.isfinite(field))
@@ -161,7 +167,9 @@ def test_predict_itsgm_dispatch(workdir):
     report = json.loads(
         (out / "predict_nu0.08_itsgm" / "report.json").read_text())
     assert report["method"] == "itsgm"
-    assert "interpolation_s" in report["timings"]
+    assert set(report["timings"]) == {"interpolation_s", "projection_s",
+                                      "initial_condition_s", "integrate_s", "lift_s"}
+    assert 1.0 <= report["mass_condition"] < 1e3
 
 
 def test_predict_deterministic_csv(workdir):
@@ -330,3 +338,28 @@ def test_flag_a_command_does_not_honour_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+NU_EDGES = [0.0, -0.0, -0.05, -np.inf, np.inf, np.nan, 1e300, -1e300, 5e-324,
+            0.05, 0.08, 0.11, 3.0, 1e60, 1e100]
+
+
+def with_edge_examples(test):
+    """Always run every edge viscosity, with and without --allow-nonconverged."""
+    for nu in NU_EDGES:
+        for allow in (False, True):
+            test = example(nu=nu, allow_nonconverged=allow)(test)
+    return test
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@with_edge_examples
+@given(nu=st.one_of(st.floats(0.05, 0.11), st.floats(allow_nan=True, allow_infinity=True)),
+       allow_nonconverged=st.booleans())
+def test_predict_exit_code_is_documented_for_any_viscosity(workdir, nu,
+                                                          allow_nonconverged):
+    _, _, out = workdir
+    argv = ["predict", "--out", str(out), f"--nu={nu!r}"]  # "=": "-1e-05" is no flag
+    if allow_nonconverged:
+        argv.append("--allow-nonconverged")
+    assert main(argv) in {0, 2, 3, 4}

@@ -275,6 +275,9 @@ def test_barycenter_validates_weights(rng):
     bases = close_family(rng, 20, 2, 2)
     with pytest.raises(ValueError):
         karcher_barycenter(bases, [0.5, 0.6], init=0)
+    for overflowed in ([np.inf, -np.inf], [np.nan, 1.0]):  # their sum is nan
+        with pytest.raises(ValueError, match="must sum to 1"):
+            karcher_barycenter(bases, overflowed, init=0)
     with pytest.raises(ShapeMismatchError):
         karcher_barycenter(bases, [1.0], init=0)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,52 @@ def test_integrate_negative_diffusion_diverges():
     with pytest.raises(DivergedSolutionError):
         integrate_rom(model, np.array([1.0, -1.0]), dt=0.1, steps=1000,
                       record_every=10)
+    # overflow past float64 takes ~110 steps: the run stops at the first
+    # recorded state after that instead of stepping on to the end
+    with pytest.raises(DivergedSolutionError, match=r"by step \d+") as exc:
+        integrate_rom(model, np.array([1.0, -1.0]), dt=0.1, steps=10**6,
+                      record_every=10)
+    step = int(re.search(r"by step (\d+)", str(exc.value)).group(1))
+    assert step <= 200
+
+
+def rk4_reference(model, a0, dt, steps):
+    """Textbook RK4 that solves M k = F - nu R a - Cbar a - sum_e a_e C[e] a
+    at every stage; the oracle for the folded operators."""
+    def rhs(a):
+        quad = sum(a[e] * (model.C[e] @ a) for e in range(a.size))
+        return np.linalg.solve(model.M, model.F - model.nu * (model.R @ a)
+                               - model.Cbar @ a - quad)
+
+    a = np.array(a0, dtype=float)
+    out = [a]
+    for _ in range(steps):
+        k1 = rhs(a)
+        k2 = rhs(a + 0.5 * dt * k1)
+        k3 = rhs(a + 0.5 * dt * k2)
+        k4 = rhs(a + dt * k3)
+        a = a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(a)
+    return np.array(out)
+
+
+def test_integrate_folded_operators_match_solve_oracle(rng):
+    # M far from identity, R and Cbar non-symmetric and C not symmetric in
+    # (e, j): a transposed or unfolded operator shows up in the trajectory
+    q = 5
+    g = rng.standard_normal((q, q))
+    M = g @ g.T + 0.5 * np.eye(q)
+    C = 0.3 * rng.standard_normal((q, q, q))
+    assert np.abs(C - C.transpose(2, 1, 0)).max() > 0.1
+    model = ReducedModel(M=M, R=rng.standard_normal((q, q)),
+                         Cbar=rng.standard_normal((q, q)), C=C,
+                         F=rng.standard_normal(q), nu=0.3)
+    a0 = rng.standard_normal(q)
+    traj = integrate_rom(model, a0, dt=1e-3, steps=200)
+    ref = rk4_reference(model, a0, dt=1e-3, steps=200)
+    assert np.abs(traj.alphas - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the oracle must see all three operators move the state
+    assert np.abs(ref[-1] - a0).max() > 1e-2
 
 
 def test_integrate_record_every():
