@@ -42,11 +42,34 @@ _NUMERICAL = (
 )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _float_list(text: str) -> list:
+    return [float(v) for v in text.split(",") if v]
+
+
+def _int_list(text: str) -> list:
+    return [int(v) for v in text.split(",") if v]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with a single stderr line."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 # flags shared by several commands; each command takes only those it honours
 _FLAGS = {
     "--config": dict(required=True, help="study configuration JSON"),
     "--out": dict(default="out", help="working directory"),
-    "--jobs": dict(type=int, default=1, help="worker threads for per-parameter fan-out"),
+    "--jobs": dict(type=_positive_int, default=1,
+                   help="worker threads for per-parameter fan-out"),
     "--q": dict(type=int, default=None, help="POD truncation order (default: config q)"),
     "--weights": dict(choices=["lagrange", "idw"], default=None,
                       help="weight scheme (default: config weights.kind)"),
@@ -56,7 +79,7 @@ _FLAGS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="baryrom",
         description="Parametric reduced-order models from barycentric "
                     "interpolation of POD subspaces",
@@ -86,13 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("compare", "errors of both interpolated models vs the truth-POD floor",
                 "--out", "--weights", "--neighbors")
-    p.add_argument("--targets", default=None,
+    p.add_argument("--targets", type=_float_list, default=None,
                    help="comma-separated viscosities (default: config test_nu)")
 
     p = command("bench", "median update vs direct-projection time across mesh sizes",
                 "--config", "--out", "--jobs", "--q")
-    p.add_argument("--sizes", default="2000,20000", help="comma-separated mesh sizes")
-    p.add_argument("--reps", type=int, default=20)
+    p.add_argument("--sizes", type=_int_list, default="2000,20000",
+                   help="comma-separated mesh sizes")
+    p.add_argument("--reps", type=_positive_int, default=20)
     p.add_argument("--nu", type=float, default=None,
                    help="update target (default: midpoint of the trained range)")
     return parser
@@ -135,10 +159,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_compare(args) -> int:
     study = pipeline.load_study(args.out)
-    targets = None
-    if args.targets:
-        targets = [float(v) for v in args.targets.split(",") if v]
-    rows, reports = pipeline.compare(study, targets, kind=args.weights,
+    rows, reports = pipeline.compare(study, args.targets or None, kind=args.weights,
                                      neighbors=args.neighbors)
     pipeline.write_compare_outputs(args.out, rows, reports)
     print("nu barycentric itsgm truth_pod")
@@ -150,13 +171,12 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = pipeline.load_config(args.config)
-    sizes = [int(v) for v in args.sizes.split(",") if v]
     nu = args.nu
     if nu is None:
         lo, hi = min(cfg.trained_nu), max(cfg.trained_nu)
         nu = 0.5 * (lo + hi)
     studies = []
-    for nx in sizes:
+    for nx in args.sizes:
         size_dir = Path(args.out) / f"bench_nx{nx}"
         size_cfg = pipeline.config_from_dict({**cfg.to_dict(), "grid": {
             "n": nx, "length": cfg.grid_length}})
@@ -168,7 +188,7 @@ def _cmd_bench(args) -> int:
         studies.append(pipeline.load_study(size_dir))
     t_update, t_direct = pipeline.bench_update(studies, nu, reps=args.reps)
     rows = []
-    for j, nx in enumerate(sizes):
+    for j, nx in enumerate(args.sizes):
         rows.append(["barycentric_update", nx, float(np.median(t_update[:, j]))])
         rows.append(["direct_projection", nx, float(np.median(t_direct[:, j]))])
     write_csv(Path(args.out) / "bench.csv", ["method", "nx", "median_s"], rows)

@@ -188,16 +188,18 @@ def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
     active = [k for k in range(len(mats)) if w[k] != 0.0]
     rotations = [np.eye(q) for _ in mats]
     gnorm = np.inf
-    for sweep in range(1, max_iter + 1):
-        for k in active:
-            rotations[k] = procrustes_rotation(phi, mats[k])
-        candidate = np.zeros(shape)
-        for k in active:
-            candidate += w[k] * (mats[k] @ rotations[k])
-        gnorm = float(np.linalg.norm(phi - candidate))
-        if gnorm <= tol:
-            return BarycenterResult(phi, rotations, sweep, gnorm, True)
-        phi = candidate
+    # an iterate overflowed by far extrapolation fails the tolerance below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweep in range(1, max_iter + 1):
+            for k in active:
+                rotations[k] = procrustes_rotation(phi, mats[k])
+            candidate = np.zeros(shape)
+            for k in active:
+                candidate += w[k] * (mats[k] @ rotations[k])
+            gnorm = float(np.linalg.norm(phi - candidate))
+            if gnorm <= tol:
+                return BarycenterResult(phi, rotations, sweep, gnorm, True)
+            phi = candidate
 
     result = BarycenterResult(phi, rotations, max_iter, gnorm, False)
     raise NotConvergedError(

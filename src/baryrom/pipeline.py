@@ -15,14 +15,14 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DataIntegrityError, NotConvergedError
+from .errors import ConfigError, DataIntegrityError, NotConvergedError, ShapeMismatchError
 from .io import (
     check_file,
     read_archive,
@@ -34,7 +34,8 @@ from .io import (
     write_matrix,
 )
 from .manifold import itsgm_interpolate, karcher_barycenter, orthonormalize
-from .metrics import error_report, mean_error, write_csv
+# mean_error stays bound here: perfbench's Tracer wraps every name in its TRACED
+from .metrics import error_report, mean_error, write_csv  # noqa: F401
 from .pod import InnerProduct, PODBasis, SnapshotMatrix, compute_pod, global_mean
 from .rom import (
     CrossGalerkinTensors,
@@ -46,7 +47,7 @@ from .rom import (
     reconstruct_field,
     update_reduced_model,
 )
-from .solver import Grid1D, SolverConfig, run
+from .solver import Grid1D, SolverConfig, initial_profile, run
 from .weights import KINDS, WeightScheme, WeightVector, evaluate_weights, select_neighbors
 
 METHODS = ("barycentric", "itsgm")
@@ -73,6 +74,10 @@ class StudyConfig:
 
     def grid(self) -> Grid1D:
         return Grid1D(self.grid_n, self.grid_length)
+
+    def solver_config(self, nu: float) -> SolverConfig:
+        return SolverConfig(nu=nu, dt=self.dt, steps=self.steps, initial=self.initial,
+                            save_every=self.save_every, transient=self.transient)
 
     def to_dict(self) -> dict:
         return {
@@ -127,16 +132,18 @@ def config_from_dict(doc: dict) -> StudyConfig:
             tol=float(d["tol"]),
             max_iter=int(d["max_iter"]),
         )
-    except (TypeError, ValueError) as exc:
+        grid = cfg.grid()
+        for nu in cfg.trained_nu + cfg.test_nu:
+            initial_profile(cfg.solver_config(nu), grid)
+    except (TypeError, ValueError, ShapeMismatchError) as exc:
         raise ConfigError(f"bad configuration value: {exc}") from exc
     if not cfg.trained_nu and cfg.test_nu:
         raise ConfigError("test_nu given without any trained_nu")
     if len(set(cfg.trained_nu)) != len(cfg.trained_nu):
         raise ConfigError("trained_nu values must be distinct")
-    if any(v <= 0 for v in cfg.trained_nu + cfg.test_nu):
-        raise ConfigError("viscosities must be positive")
-    if cfg.q < 1:
-        raise ConfigError("q must be >= 1")
+    n_snapshots = cfg.steps // cfg.save_every + 1
+    if not 1 <= cfg.q <= n_snapshots:
+        raise ConfigError(f"q must lie in 1..{n_snapshots}, the snapshots per run")
     return cfg
 
 
@@ -167,11 +174,7 @@ def run_generate(cfg: StudyConfig, outdir, jobs: int = 1, backend=None) -> dict:
 
     def one(task):
         nu, role = task
-        scfg = SolverConfig(
-            nu=nu, dt=cfg.dt, steps=cfg.steps, initial=cfg.initial,
-            save_every=cfg.save_every, transient=cfg.transient,
-        )
-        snap = run(scfg, grid, backend=backend)
+        snap = run(cfg.solver_config(nu), grid, backend=backend)
         path = outdir / f"snap_nu{_nu_tag(nu)}.mat"
         write_matrix(path, snap.values)
         return {
@@ -184,11 +187,8 @@ def run_generate(cfg: StudyConfig, outdir, jobs: int = 1, backend=None) -> dict:
             "n_snapshots": int(snap.values.shape[1]),
         }
 
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(one, tasks))
-    else:
-        runs = [one(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        runs = list(pool.map(one, tasks))
 
     manifest = {
         "version": __version__,
@@ -219,9 +219,8 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
     """Build mean field, POD bases, initial states and the tensor archive."""
     outdir = Path(outdir)
     manifest = read_manifest(outdir / "manifest.json")
-    cfg = config_from_dict(manifest["config"])
-    if q is not None:
-        cfg.q = int(q)
+    cfg = config_from_dict(manifest["config"] if q is None
+                           else {**manifest["config"], "q": q})
     grid = cfg.grid()
     ip = InnerProduct(grid.dx)
 
@@ -234,11 +233,8 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
         )
         return compute_pod(fluct, ip, cfg.q)
 
-    if jobs > 1 and len(trained) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            bases = list(pool.map(one_pod, trained))
-    else:
-        bases = [one_pod(s) for s in trained]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        bases = list(pool.map(one_pod, trained))
 
     ct = assemble_cross_tensors(bases, mean, ip, grid.gradient)
 
@@ -265,14 +261,7 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
         })
 
     archive_path = outdir / "tensors.arc"
-    write_archive(
-        archive_path,
-        {
-            "M": ct.M, "R": ct.R, "Cbar": ct.Cbar, "C": ct.C,
-            "F_conv": ct.F_conv, "F_diff": ct.F_diff, "params": ct.params,
-        },
-        {"q": cfg.q, "nx": grid.n, "dx": grid.dx},
-    )
+    write_archive(archive_path, vars(ct), {"q": cfg.q, "nx": grid.n, "dx": grid.dx})
 
     manifest["config"] = cfg.to_dict()
     manifest["offline"] = {
@@ -324,10 +313,7 @@ def load_study(outdir) -> Study:
         ))
     ics = [read_matrix(check_file(outdir, entry))[:, 0] for entry in off["ics"]]
     arrays, meta = read_archive(check_file(outdir, off["archive"]))
-    ct = CrossGalerkinTensors(
-        M=arrays["M"], R=arrays["R"], Cbar=arrays["Cbar"], C=arrays["C"],
-        F_conv=arrays["F_conv"], F_diff=arrays["F_diff"], params=arrays["params"],
-    )
+    ct = CrossGalerkinTensors(*(arrays[f.name] for f in fields(CrossGalerkinTensors)))
     if int(meta["q"]) != cfg.q or ct.q != cfg.q:
         raise DataIntegrityError("archive truncation order disagrees with the config")
     return Study(outdir, manifest, cfg, grid, ip, mean, bases, ics, ct)
@@ -450,9 +436,9 @@ def predict(study: Study, nu: float, method: str = "barycentric",
     return traj, recon, report
 
 
-def truth_pod_baseline(study: Study, nu: float):
+def truth_pod_baseline(study: Study, truth: SnapshotMatrix) -> SnapshotMatrix:
     """ROM built from the target's own truth snapshots: the accuracy floor."""
-    truth = load_snapshots(study.outdir, study.manifest, nu)
+    nu = truth.param
     fluct = SnapshotMatrix(
         values=truth.values - study.mean[:, None], times=truth.times, param=nu
     )
@@ -473,22 +459,18 @@ def compare(study: Study, targets=None, kind=None, neighbors=None):
     """
     cfg = study.cfg
     targets = list(cfg.test_nu) if targets is None else [float(v) for v in targets]
+    methods = (*METHODS, "truth_pod")
     rows = []
     reports = {}
     for nu in targets:
         truth = load_snapshots(study.outdir, study.manifest, nu)
-        _, rec_b, _ = predict(study, nu, method="barycentric", ic_mode="truth",
-                              kind=kind, neighbors=neighbors)
-        _, rec_i, _ = predict(study, nu, method="itsgm", ic_mode="truth",
-                              kind=kind, neighbors=neighbors)
-        rec_t = truth_pod_baseline(study, nu)
-        e_b = mean_error(truth, rec_b, study.ip)
-        e_i = mean_error(truth, rec_i, study.ip)
-        e_t = mean_error(truth, rec_t, study.ip)
+        for method in methods:  # one reconstruction held at a time
+            rec = (truth_pod_baseline(study, truth) if method == "truth_pod" else
+                   predict(study, nu, method=method, ic_mode="truth",
+                           kind=kind, neighbors=neighbors)[1])
+            reports[(nu, method)] = error_report(truth, rec, study.ip, method)
+        e_b, e_i, e_t = (reports[(nu, m)].mean for m in methods)
         rows.append([nu, e_b, e_i, e_t, e_b / e_i if e_i > 0 else np.inf])
-        reports[(nu, "barycentric")] = error_report(truth, rec_b, study.ip, "barycentric")
-        reports[(nu, "itsgm")] = error_report(truth, rec_i, study.ip, "itsgm")
-        reports[(nu, "truth_pod")] = error_report(truth, rec_t, study.ip, "truth_pod")
     return rows, reports
 
 
@@ -504,10 +486,8 @@ def write_compare_outputs(outdir, rows, reports):
         by_nu.setdefault(nu, {})[method] = rep
     for nu, reps in by_nu.items():
         methods = sorted(reps)
-        times = [t for t, _ in reps[methods[0]].per_time]
-        rows_t = []
-        for j, t in enumerate(times):
-            rows_t.append([float(t)] + [float(reps[m].per_time[j][1]) for m in methods])
+        rows_t = [[t] + [reps[m].per_time[j][1] for m in methods]
+                  for j, (t, _) in enumerate(reps[methods[0]].per_time)]
         write_csv(outdir / f"errors_time_nu{_nu_tag(nu)}.csv", ["t"] + methods, rows_t)
 
 

@@ -88,9 +88,10 @@ def assemble_cross_tensors(bases, mean, ip: InnerProduct, grad_op) -> CrossGaler
     ``grad_op`` maps stacked fields (N, k) to their spatial derivative.
     Diffusion blocks are the gradient-gradient inner products (the
     integrated-by-parts form, exact on a periodic domain); convection
-    blocks use the advective form against the shared mean field.  The
-    mass grid is symmetric across (h, k), so only its upper triangle is
-    computed and the rest mirrored.
+    blocks use the advective form against the shared mean field.  Each
+    block family is one product of the stacked bases Phi = [Phi_1 ...
+    Phi_Np] (column h*q + i is mode i of basis h); the quadratic blocks
+    take one product per h, so only one basis's pair products are held.
     """
     mats = _mode_matrices(bases)
     np_, (nx, q) = len(mats), mats[0].shape
@@ -101,41 +102,27 @@ def assemble_cross_tensors(bases, mean, ip: InnerProduct, grad_op) -> CrossGaler
         [b.param if isinstance(b, PODBasis) else np.nan for b in bases], dtype=float
     )
 
-    dmats = [grad_op(m) for m in mats]
-    wmats = [ip.apply(m) for m in mats]
+    phi = np.hstack(mats)
+    dphi = grad_op(phi)
+    wphi = ip.apply(phi)
     dmean = grad_op(mean)
 
-    M = np.empty((np_, np_, q, q))
-    R = np.empty((np_, np_, q, q))
-    Cbar = np.empty((np_, np_, q, q))
-    for h in range(np_):
-        for k in range(h, np_):
-            M[h, k] = mats[h].T @ wmats[k]
-            if k > h:
-                M[k, h] = M[h, k].T
-        for k in range(np_):
-            R[h, k] = dmats[h].T @ ip.apply(dmats[k])
-            Cbar[h, k] = mats[h].T @ ip.apply(
-                mean[:, None] * dmats[k] + dmean[:, None] * mats[k]
-            )
+    def block_grid(a, b):  # a.T @ b of stacked bases -> blocks [h, k, i, j]
+        return (a.T @ b).reshape(np_, q, np_, q).transpose(0, 2, 1, 3)
 
+    M = block_grid(phi, wphi)
+    R = block_grid(dphi, ip.apply(dphi))
+    Cbar = block_grid(phi, ip.apply(mean[:, None] * dphi + dmean[:, None] * phi))
+
+    # C[h,k,n][s,i,j] = sum_x w phi^h_i phi^k_j (d phi^n_s)
     C = np.empty((np_, np_, np_, q, q, q))
+    pairs = np.empty((nx, q, np_ * q))  # reused, so one h's products are held at a time
     for h in range(np_):
-        for k in range(np_):
-            for n in range(np_):
-                # C[h,k,n][s,i,j] = sum_x w phi^h_i phi^k_j (d phi^n_s)
-                C[h, k, n] = np.einsum(
-                    "xi,xj,xs->sij", wmats[h], mats[k], dmats[n], optimize=True
-                )
+        np.multiply(wphi[:, h * q:(h + 1) * q, None], phi[:, None, :], out=pairs)
+        C[h] = np.moveaxis((dphi.T @ pairs.reshape(nx, -1)).reshape(np_, q, q, np_, q), 3, 0)
 
-    F_conv = np.empty((np_, q))
-    F_diff = np.empty((np_, q))
-    wdmean = ip.apply(dmean)
-    wconv = ip.apply(mean * dmean)
-    for k in range(np_):
-        F_diff[k] = -(dmats[k].T @ wdmean)
-        F_conv[k] = -(mats[k].T @ wconv)
-
+    F_diff = -(dphi.T @ ip.apply(dmean)).reshape(np_, q)
+    F_conv = -(phi.T @ ip.apply(mean * dmean)).reshape(np_, q)
     return CrossGalerkinTensors(M, R, Cbar, C, F_conv, F_diff, params)
 
 
@@ -163,11 +150,13 @@ def update_reduced_model(
     def conjugate(blocks):
         return np.einsum("hai,hkab,kbj->ij", P, blocks[pair], P, optimize=True)
 
-    C = np.einsum("nse,hai,kbj,hknsab->eij", P, P, P, ct.C[np.ix_(a, a, a)],
-                  optimize=True)
-    F = np.einsum("kai,ka->i", P, ct.F_conv[a] + nu * ct.F_diff[a])
-    return ReducedModel(M=conjugate(ct.M), R=conjugate(ct.R), Cbar=conjugate(ct.Cbar),
-                        C=C, F=F, nu=float(nu))
+    # far extrapolation can overflow the operators; integrate_rom reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = np.einsum("nse,hai,kbj,hknsab->eij", P, P, P, ct.C[np.ix_(a, a, a)],
+                      optimize=True)
+        F = np.einsum("kai,ka->i", P, ct.F_conv[a] + nu * ct.F_diff[a])
+        return ReducedModel(M=conjugate(ct.M), R=conjugate(ct.R),
+                            Cbar=conjugate(ct.Cbar), C=C, F=F, nu=float(nu))
 
 
 def direct_project(basis, mean, ip: InnerProduct, grad_op, nu: float) -> ReducedModel:

@@ -52,9 +52,10 @@ def evaluate_weights(scheme: WeightScheme, target: float) -> WeightVector:
     if hit.size:
         values[hit[0]] = 1.0
     elif scheme.kind == "lagrange":
-        for k in range(nodes.size):
-            others = np.delete(nodes, k)
-            values[k] = np.prod((target - others) / (nodes[k] - others))
+        with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
+            for k in range(nodes.size):
+                others = np.delete(nodes, k)
+                values[k] = np.prod((target - others) / (nodes[k] - others))
     else:
         inv = np.abs(target - nodes) ** (-scheme.power)
         values = inv / inv.sum()

@@ -1,5 +1,6 @@
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,7 +155,7 @@ def test_predict_trained_node_matches_truth_pod(workdir):
     expected = np.zeros(4)
     expected[1] = 1.0
     np.testing.assert_array_equal(w, expected)
-    rec_t = pipeline.truth_pod_baseline(study, nu)
+    rec_t = pipeline.truth_pod_baseline(study, truth)
     e_pred = mean_error(truth, rec, study.ip)
     e_pod = mean_error(truth, rec_t, study.ip)
     assert abs(e_pred - e_pod) < 1e-6
@@ -340,6 +341,36 @@ def test_flag_a_command_does_not_honour_is_a_usage_error(argv):
     assert exc.value.code == 2
 
 
+MALFORMED_INPUT = [  # (argv, config overrides); "{out}" is a copy of the study
+    (["compare", "--out", "{out}", "--targets", "abc"], {}),
+    (["bench", "--config", "{cfg}", "--out", "{out}", "--sizes", "abc"], {}),
+    (["bench", "--config", "{cfg}", "--out", "{out}", "--sizes", "4"], {}),
+    (["bench", "--config", "{cfg}", "--out", "{out}", "--sizes", "64", "--reps", "0"], {}),
+    (["offline", "--out", "{out}", "--q", "0"], {}),
+    (["offline", "--out", "{out}", "--q", "99"], {}),
+    (["generate", "--config", "{cfg}", "--out", "{out}", "--jobs", "-3"], {}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"initial": "foo"}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"steps": 3}),  # 1 snapshot < q
+]
+
+
+@pytest.mark.parametrize("argv, config", MALFORMED_INPUT)
+def test_malformed_input_exits_2_with_one_line(workdir, tmp_path, capsys, argv, config):
+    _, _, out = workdir
+    study = tmp_path / "study"
+    shutil.copytree(out, study)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**SMALL_CONFIG, **config}))
+    argv = [a.format(out=study, cfg=cfg_path) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 NU_EDGES = [0.0, -0.0, -0.05, -np.inf, np.inf, np.nan, 1e300, -1e300, 5e-324,
             0.05, 0.08, 0.11, 3.0, 1e60, 1e100]
 
@@ -362,4 +393,7 @@ def test_predict_exit_code_is_documented_for_any_viscosity(workdir, nu,
     argv = ["predict", "--out", str(out), f"--nu={nu!r}"]  # "=": "-1e-05" is no flag
     if allow_nonconverged:
         argv.append("--allow-nonconverged")
-    assert main(argv) in {0, 2, 3, 4}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) in {0, 2, 3, 4}
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

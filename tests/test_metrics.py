@@ -107,6 +107,23 @@ def test_error_report_structure(rng):
     assert all(e >= 0 for _, e in rep.per_time)
 
 
+def test_error_report_per_time_matches_column_loop(rng):
+    ref = traj(rng.standard_normal((6, 5)) + 3.0)
+    approx = traj(ref.values + 0.1 * rng.standard_normal((6, 5)))
+    ip = InnerProduct(rng.uniform(0.5, 1.5, size=6))
+    rep = error_report(ref, approx, ip)
+    expected = [error_at_time(ref.values[:, j], approx.values[:, j], ip) for j in range(5)]
+    np.testing.assert_allclose([e for _, e in rep.per_time], expected, rtol=1e-12)
+    assert [t for t, _ in rep.per_time] == list(ref.times)
+    assert rep.mean == pytest.approx(mean_error(ref, approx, ip), rel=1e-12)
+
+
+def test_error_report_zero_reference_column_raises():
+    values = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0]])
+    with pytest.raises(ZeroReferenceError):
+        error_report(traj(values), traj(values + 1.0), UNIT)
+
+
 # --------------------------------------------------------------------- csv
 
 def test_csv_format_and_determinism(tmp_path, rng):

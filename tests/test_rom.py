@@ -80,8 +80,9 @@ def naive_blocks(bases, mean, weight, grad):
     return M, R, Cb, C, Fc, Fd
 
 
-def test_assembly_matches_quadrature_oracle(rng):
-    grid, ip, mean, bases = make_setup(rng)
+@pytest.mark.parametrize("count, q", [(2, 2), (3, 2), (2, 3)])
+def test_assembly_matches_quadrature_oracle(rng, count, q):
+    grid, ip, mean, bases = make_setup(rng, q=q, count=count)
     ct = assemble_cross_tensors(bases, mean, ip, grid.gradient)
     M, R, Cb, C, Fc, Fd = naive_blocks(bases, mean, grid.dx, grid.gradient)
     np.testing.assert_allclose(ct.M, M, atol=1e-12)
