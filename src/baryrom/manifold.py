@@ -25,7 +25,6 @@ from .errors import (
     ShapeMismatchError,
     SingularOverlapError,
 )
-from .weights import WeightScheme, evaluate_weights
 
 RANK_TOL = 1e-12
 OVERLAP_TOL = 1e-12
@@ -159,7 +158,7 @@ def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
         sum |w_k| (entries may be negative, as polynomial extrapolation
         produces; zero-weight inputs are skipped and reported with
         identity rotations)
-    init : index into ``bases`` or an explicit (N, q) starting matrix
+    init : index into ``bases`` of the starting iterate
 
     Raises
     ------
@@ -175,14 +174,12 @@ def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(mats),):
         raise ShapeMismatchError("one weight per basis required")
-    if not abs(w.sum() - 1.0) <= 1e-12 * max(1.0, np.abs(w).sum()):  # nan fails too
-        raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-    if isinstance(init, (int, np.integer)):
-        phi = mats[int(init)].copy()
-    else:
-        phi = _as_representative(init, "init").copy()
-        if phi.shape != shape:
-            raise ShapeMismatchError("init shape does not match bases")
+    with np.errstate(over="ignore"):  # an overflowed scale is rejected below
+        scale = np.abs(w).sum()
+    # a finite scale rules out nan/inf weights before the signed sum, which would warn
+    if not (scale < np.inf and abs(w.sum() - 1.0) <= 1e-12 * max(1.0, scale)):
+        raise ValueError(f"weights must sum to 1, got {w.tolist()}")
+    phi = mats[int(init)].copy()
 
     q = shape[1]
     active = [k for k in range(len(mats)) if w[k] != 0.0]
@@ -209,19 +206,19 @@ def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
     )
 
 
-def itsgm_interpolate(bases, params, target, ref_index):
+def itsgm_interpolate(bases, weights, ref_index):
     """Grassmann tangent-space interpolation of orthonormal bases.
 
     Each subspace is lifted to the tangent space at the reference with
     the arctan of the principal-angle singular values, the lifted
-    velocities are combined entrywise with Lagrange weights at ``target``,
+    velocities are combined entrywise with ``weights`` (one per basis),
     and the combination is mapped back through the cos/sin geodesic
     formula.  Returns a matrix with orthonormal columns.
     """
     mats = [_as_representative(b, f"bases[{i}]") for i, b in enumerate(bases)]
-    params = np.asarray(params, dtype=float)
-    if params.shape != (len(mats),):
-        raise ShapeMismatchError("one parameter per basis required")
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (len(mats),):
+        raise ShapeMismatchError("one weight per basis required")
     shape = mats[0].shape
     q = shape[1]
     for i, m in enumerate(mats):
@@ -252,7 +249,6 @@ def itsgm_interpolate(bases, params, target, ref_index):
         u, s, vt = np.linalg.svd(lifted, full_matrices=False)
         velocities.append((u * np.arctan(s)) @ vt)
 
-    w = evaluate_weights(WeightScheme("lagrange", params), target).values
     combined = np.zeros(shape)
     for wk, xi in zip(w, velocities):
         combined += wk * xi

@@ -164,7 +164,7 @@ def _nu_tag(nu: float) -> str:
     return f"{nu:g}"
 
 
-def run_generate(cfg: StudyConfig, outdir, jobs: int = 1, backend=None) -> dict:
+def run_generate(cfg: StudyConfig, outdir, jobs: int = 1) -> dict:
     """Run the high-fidelity solver per viscosity and write snapshots."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -174,7 +174,7 @@ def run_generate(cfg: StudyConfig, outdir, jobs: int = 1, backend=None) -> dict:
 
     def one(task):
         nu, role = task
-        snap = run(cfg.solver_config(nu), grid, backend=backend)
+        snap = run(cfg.solver_config(nu), grid)
         path = outdir / f"snap_nu{_nu_tag(nu)}.mat"
         write_matrix(path, snap.values)
         return {
@@ -401,9 +401,8 @@ def predict(study: Study, nu: float, method: str = "barycentric",
         t = timer()
         sel = [k for k in range(study.params.size) if w.values[k] != 0.0]
         ortho = [orthonormalize(study.bases[k].modes) for k in sel]
-        sel_params = study.params[sel]
-        ref_local = int(np.argmin(np.abs(sel_params - nu)))
-        basis = itsgm_interpolate(ortho, sel_params, nu, ref_local)
+        ref_local = int(np.argmin(np.abs(study.params[sel] - nu)))
+        basis = itsgm_interpolate(ortho, w.values[sel], ref_local)
         report["timings"]["interpolation_s"] = timer() - t
         t = timer()
         model = direct_project(basis, study.mean, study.ip, study.grid.gradient, nu)

@@ -44,7 +44,6 @@ class CrossGalerkinTensors:
     C: np.ndarray
     F_conv: np.ndarray
     F_diff: np.ndarray
-    params: np.ndarray
 
     @property
     def n_bases(self) -> int:
@@ -98,9 +97,6 @@ def assemble_cross_tensors(bases, mean, ip: InnerProduct, grad_op) -> CrossGaler
     mean = np.asarray(mean, dtype=float)
     if mean.shape != (nx,):
         raise ShapeMismatchError(f"mean length {mean.shape} != basis rows {nx}")
-    params = np.array(
-        [b.param if isinstance(b, PODBasis) else np.nan for b in bases], dtype=float
-    )
 
     phi = np.hstack(mats)
     dphi = grad_op(phi)
@@ -123,7 +119,7 @@ def assemble_cross_tensors(bases, mean, ip: InnerProduct, grad_op) -> CrossGaler
 
     F_diff = -(dphi.T @ ip.apply(dmean)).reshape(np_, q)
     F_conv = -(phi.T @ ip.apply(mean * dmean)).reshape(np_, q)
-    return CrossGalerkinTensors(M, R, Cbar, C, F_conv, F_diff, params)
+    return CrossGalerkinTensors(M, R, Cbar, C, F_conv, F_diff)
 
 
 def update_reduced_model(

@@ -11,19 +11,23 @@ skew form 0.5*u*u_x + 0.25*(u^2)_x with central differences, which keeps
 the discrete mean of u exactly constant.  The very first step has no
 u^{n-2}; it reuses u^{n-1}, degrading that one step to explicit Euler
 convection.
+
+The implicit system is circulant, so it is solved exactly by
+diagonalization in Fourier space: one rfft, a division by the symbol of
+I - nu*dt*L and one irfft per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import DivergedSolutionError, ShapeMismatchError
 from .pod import SnapshotMatrix
 
 INITIAL_PROFILES = ("sine", "two_mode")
+DIVERGENCE_CAP = 1e6
 
 
 @dataclass
@@ -90,64 +94,72 @@ def initial_profile(cfg: SolverConfig, grid: Grid1D) -> np.ndarray:
     return u0.copy()
 
 
-def resolve_backend(backend=None) -> str:
-    """Pick 'numba' or 'numpy'; None follows BARYROM_NO_NUMBA / availability."""
-    if backend is None:
-        return "numba" if _kernels.numba_enabled() else "numpy"
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"backend must be 'numba' or 'numpy', got {backend!r}")
-    if backend == "numba" and not _kernels.HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
-    return backend
+def resolve_backend() -> str:
+    """Name of the one solver implementation, the numpy FFT loop.
+
+    Kept so that benchmark reports can record the backend in their
+    environment line (``perfbench/run.py`` imports it).
+    """
+    return "numpy"
+
+
+def diffusion_symbol(n, r):
+    """Fourier symbol of I - r*(shift - 2 + shift^-1) on rfft frequencies."""
+    k = np.arange(n // 2 + 1)
+    return 1.0 + 4.0 * r * np.sin(np.pi * k / n) ** 2
+
+
+def _convection(v, inv2dx):
+    # split skew form: 0.5*v*dv/dx + 0.25*d(v*v)/dx, central differences
+    vp = np.roll(v, -1)
+    vm = np.roll(v, 1)
+    return (0.5 * v * (vp - vm) + 0.25 * (vp * vp - vm * vm)) * inv2dx
 
 
 class Stepper:
-    """Holds the per-(grid, nu, dt) solver precomputation for one backend."""
+    """Holds the per-(grid, nu, dt) solver precomputation."""
 
-    def __init__(self, cfg: SolverConfig, grid: Grid1D, backend=None):
+    def __init__(self, cfg: SolverConfig, grid: Grid1D):
         self.cfg = cfg
         self.grid = grid
-        self.backend = resolve_backend(backend)
-        self.r = cfg.nu * cfg.dt / grid.dx**2
-        if self.backend == "numba":
-            self._factor = _kernels.thomas_factor(grid.n, self.r)
-        else:
-            self._symbol = _kernels.diffusion_symbol(grid.n, self.r)
+        self._symbol = diffusion_symbol(grid.n, cfg.nu * cfg.dt / grid.dx**2)
 
     def advance(self, u, u_prev, nsteps):
         """Advance nsteps; returns (u, u_prev). Chunked calls compose
         exactly: advance(a)+advance(b) equals advance(a+b) bitwise."""
-        cfg, grid = self.cfg, self.grid
-        if self.backend == "numba":
-            w, m, z, denom, rb = self._factor
-            u, u_prev, status = _kernels.advance_nb(
-                u, u_prev, nsteps, cfg.dt, grid.dx, self.r,
-                w, m, z, denom, rb, cfg.convection, _kernels.DIVERGENCE_CAP,
-            )
-        else:
-            u, u_prev, status = _kernels.advance_np(
-                u, u_prev, nsteps, cfg.dt, grid.dx, self._symbol,
-                cfg.convection, _kernels.DIVERGENCE_CAP,
-            )
-        if status:
-            raise DivergedSolutionError(
-                f"solution exceeded {_kernels.DIVERGENCE_CAP:.0e} at substep "
-                f"{status} (nu={cfg.nu}, dt={cfg.dt})"
-            )
-        return u, u_prev
+        cfg = self.cfg
+        dt, ahat, conv_on = cfg.dt, self._symbol, cfg.convection
+        u = u.copy()
+        up = u_prev.copy()
+        n = u.size
+        inv2dx = 1.0 / (2.0 * self.grid.dx)
+        for step in range(nsteps):
+            if conv_on:
+                rhs = u - dt * (1.5 * _convection(u, inv2dx) - 0.5 * _convection(up, inv2dx))
+            else:
+                rhs = u.copy()
+            unew = np.fft.irfft(np.fft.rfft(rhs) / ahat, n=n)
+            up = u
+            u = unew
+            if np.max(np.abs(u)) > DIVERGENCE_CAP:
+                raise DivergedSolutionError(
+                    f"solution exceeded {DIVERGENCE_CAP:.0e} at substep "
+                    f"{step + 1} (nu={cfg.nu}, dt={cfg.dt})"
+                )
+        return u, up
 
 
-def step(u_nm1, u_nm2, cfg: SolverConfig, grid: Grid1D, backend=None) -> np.ndarray:
+def step(u_nm1, u_nm2, cfg: SolverConfig, grid: Grid1D) -> np.ndarray:
     """One time step from states at n-1 and n-2 (pass u_nm2 = u_nm1 to boot)."""
     u_nm1 = np.asarray(u_nm1, dtype=float)
     u_nm2 = np.asarray(u_nm2, dtype=float)
     if u_nm1.shape != (grid.n,) or u_nm2.shape != (grid.n,):
         raise ShapeMismatchError("state length does not match the grid")
-    u, _ = Stepper(cfg, grid, backend).advance(u_nm1, u_nm2, 1)
+    u, _ = Stepper(cfg, grid).advance(u_nm1, u_nm2, 1)
     return u
 
 
-def run(cfg: SolverConfig, grid: Grid1D, backend=None) -> SnapshotMatrix:
+def run(cfg: SolverConfig, grid: Grid1D) -> SnapshotMatrix:
     """Integrate from the initial profile and collect snapshots.
 
     The first ``transient`` steps are discarded; the state entering the
@@ -155,7 +167,7 @@ def run(cfg: SolverConfig, grid: Grid1D, backend=None) -> SnapshotMatrix:
     state up to ``steps`` further steps.  Deterministic: identical
     configurations produce bitwise-identical snapshot matrices.
     """
-    stepper = Stepper(cfg, grid, backend)
+    stepper = Stepper(cfg, grid)
     u = initial_profile(cfg, grid)
     up = u.copy()
     if cfg.transient:

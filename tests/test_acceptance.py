@@ -253,8 +253,9 @@ def test_c9_itsgm_node_reproduction(study):
     mats = [orthonormalize(b.modes) for b in study.bases]
     params = study.params
     worst = 0.0
+    scheme = WeightScheme("lagrange", params)
     for k, nu in enumerate(params):
-        out = itsgm_interpolate(mats, params, nu, ref_index=0)
+        out = itsgm_interpolate(mats, evaluate_weights(scheme, nu).values, ref_index=0)
         worst = max(worst, subspace_distance(out, mats[k]))
     report(9, "itsgm-node-reproduction", worst < 1e-8,
            f"max subspace distance {worst:.3e}")

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from baryrom import InnerProduct, SnapshotMatrix, compute_pod, mean_error
+from baryrom import (
+    InnerProduct,
+    SnapshotMatrix,
+    compute_pod,
+    itsgm_interpolate,
+    mean_error,
+    orthonormalize,
+)
 from baryrom.cli import main
 from baryrom.io import (
     read_archive,
@@ -112,13 +119,14 @@ def test_offline_rerun_deterministic(workdir, tmp_path):
 
 
 def test_archive_with_extra_arrays_still_loads(workdir, tmp_path):
-    # archives written before F_body was dropped carry it as an extra array
+    # older archives carry F_body and the trained viscosities as extra arrays
     _, _, out = workdir
     old = tmp_path / "old"
     shutil.copytree(out, old)
     arrays, meta = read_archive(old / "tensors.arc")
-    write_archive(old / "tensors.arc",
-                  {**arrays, "F_body": np.zeros_like(arrays["F_diff"])}, meta)
+    extra = {"F_body": np.zeros_like(arrays["F_diff"]),
+             "params": np.array(SMALL_CONFIG["trained_nu"])}
+    write_archive(old / "tensors.arc", {**arrays, **extra}, meta)
     manifest = read_manifest(old / "manifest.json")
     manifest["offline"]["archive"]["sha256"] = sha256_file(old / "tensors.arc")
     write_manifest(old / "manifest.json", manifest)
@@ -171,6 +179,24 @@ def test_predict_itsgm_dispatch(workdir):
     assert set(report["timings"]) == {"interpolation_s", "projection_s",
                                       "initial_condition_s", "integrate_s", "lift_s"}
     assert 1.0 <= report["mass_condition"] < 1e3
+
+
+def test_itsgm_predict_follows_weight_kind(workdir):
+    _, _, out = workdir
+    study = pipeline.load_study(out)
+    nu = 0.08
+    # the truth IC keeps the weights out of the initial state
+    lag = pipeline.predict(study, nu, method="itsgm", ic_mode="truth")[1].values
+    field = pipeline.predict(study, nu, method="itsgm", ic_mode="truth", kind="idw")[1].values
+    assert np.max(np.abs(field - lag)) > 1e-6 * np.max(np.abs(lag))
+    # the predicted field lies in the subspace interpolated with the IDW weights
+    w = pipeline.study_weights(study, nu, kind="idw")
+    sel = np.flatnonzero(w.values)
+    ref = int(np.argmin(np.abs(study.params[sel] - nu)))
+    basis = itsgm_interpolate([orthonormalize(study.bases[k].modes) for k in sel],
+                              w.values[sel], ref_index=ref)
+    fluct = field - study.mean[:, None]
+    assert np.linalg.norm(fluct - basis @ (basis.T @ fluct)) < 1e-10 * np.linalg.norm(fluct)
 
 
 def test_predict_deterministic_csv(workdir):

@@ -8,7 +8,9 @@ from baryrom import (
     RankDeficientError,
     ShapeMismatchError,
     SingularOverlapError,
+    WeightScheme,
     distance,
+    evaluate_weights,
     exp_map,
     itsgm_interpolate,
     karcher_barycenter,
@@ -17,6 +19,10 @@ from baryrom import (
     subspace_distance,
 )
 from conftest import close_family
+
+
+def lagrange(params, target):
+    return evaluate_weights(WeightScheme("lagrange", params), target).values
 
 
 def col(*vals):
@@ -275,7 +281,8 @@ def test_barycenter_validates_weights(rng):
     bases = close_family(rng, 20, 2, 2)
     with pytest.raises(ValueError):
         karcher_barycenter(bases, [0.5, 0.6], init=0)
-    for overflowed in ([np.inf, -np.inf], [np.nan, 1.0]):  # their sum is nan
+    # sums that are nan, or that overflow although each weight is finite
+    for overflowed in ([np.inf, -np.inf], [np.nan, 1.0], [1e308, -1e308]):
         with pytest.raises(ValueError, match="must sum to 1"):
             karcher_barycenter(bases, overflowed, init=0)
     with pytest.raises(ShapeMismatchError):
@@ -287,7 +294,7 @@ def test_barycenter_validates_weights(rng):
 def test_itsgm_target_at_reference(rng):
     bases = [orthonormalize(b) for b in close_family(rng, 40, 4, 3)]
     params = [0.1, 0.2, 0.3]
-    out = itsgm_interpolate(bases, params, 0.2, ref_index=1)
+    out = itsgm_interpolate(bases, lagrange(params, 0.2), ref_index=1)
     assert subspace_distance(out, bases[1]) < 1e-10
     np.testing.assert_allclose(out.T @ out, np.eye(4), atol=1e-10)
 
@@ -296,14 +303,14 @@ def test_itsgm_node_reproduction(rng):
     bases = [orthonormalize(b) for b in close_family(rng, 50, 5, 4)]
     params = [0.05, 0.07, 0.09, 0.11]
     for k in range(4):
-        out = itsgm_interpolate(bases, params, params[k], ref_index=0)
+        out = itsgm_interpolate(bases, lagrange(params, params[k]), ref_index=0)
         assert subspace_distance(out, bases[k]) < 1e-8
 
 
 def test_itsgm_single_basis_constant(rng):
     basis = orthonormalize(rng.standard_normal((30, 3)))
     for target in (0.0, 0.5, 2.0):
-        out = itsgm_interpolate([basis], [1.0], target, ref_index=0)
+        out = itsgm_interpolate([basis], lagrange([1.0], target), ref_index=0)
         assert subspace_distance(out, basis) < 1e-10
 
 
@@ -311,4 +318,4 @@ def test_itsgm_requires_orthonormal_columns(rng):
     bad = 2.0 * orthonormalize(rng.standard_normal((20, 2)))
     good = orthonormalize(rng.standard_normal((20, 2)))
     with pytest.raises(ValueError):
-        itsgm_interpolate([bad, good], [0.0, 1.0], 0.5, ref_index=0)
+        itsgm_interpolate([bad, good], lagrange([0.0, 1.0], 0.5), ref_index=0)

@@ -10,10 +10,7 @@ from baryrom import (
     run,
     step,
 )
-from baryrom.solver import Stepper, resolve_backend
-from baryrom._kernels import HAVE_NUMBA
-
-BACKENDS = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
+from baryrom.solver import Stepper
 
 
 def periodic_laplacian_dense(n, dx):
@@ -27,17 +24,15 @@ def periodic_laplacian_dense(n, dx):
 
 # ------------------------------------------------------------- single step
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_constant_state_is_fixed_point(backend):
+def test_constant_state_is_fixed_point():
     grid = Grid1D(32, 1.0)
     cfg = SolverConfig(nu=0.2, dt=0.01, steps=1)
     u = np.full(32, 3.7)
-    out = step(u, u, cfg, grid, backend=backend)
+    out = step(u, u, cfg, grid)
     np.testing.assert_allclose(out, u, atol=1e-13)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_implicit_solve_matches_dense_oracle(backend):
+def test_implicit_solve_matches_dense_oracle():
     # diffusion only: one step must solve (I - nu dt L) u = u_old exactly
     n, nu, dt = 16, 0.3, 0.01
     grid = Grid1D(n, 1.0)
@@ -46,12 +41,11 @@ def test_implicit_solve_matches_dense_oracle(backend):
     rng = np.random.default_rng(0)
     for _ in range(5):
         u = rng.standard_normal(n)
-        np.testing.assert_allclose(step(u, u, cfg, grid, backend=backend),
+        np.testing.assert_allclose(step(u, u, cfg, grid),
                                    np.linalg.solve(A, u), atol=1e-13)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_full_step_matches_dense_oracle(backend):
+def test_full_step_matches_dense_oracle():
     # with convection: rhs = u - dt*(1.5 N(u1) - 0.5 N(u2)), skew form
     n, nu, dt = 24, 0.05, 0.002
     grid = Grid1D(n, 2 * np.pi)
@@ -67,7 +61,7 @@ def test_full_step_matches_dense_oracle(backend):
         return (0.5 * v * (vp - vm) + 0.25 * (vp**2 - vm**2)) / (2 * grid.dx)
 
     rhs = u1 - dt * (1.5 * conv(u1) - 0.5 * conv(u2))
-    np.testing.assert_allclose(step(u1, u2, cfg, grid, backend=backend),
+    np.testing.assert_allclose(step(u1, u2, cfg, grid),
                                np.linalg.solve(A, rhs), atol=1e-13)
 
 
@@ -135,23 +129,21 @@ def test_spatial_second_order():
 
 # --------------------------------------------------------------- invariants
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_momentum_conservation(backend):
+def test_momentum_conservation():
     grid = Grid1D(128, 2 * np.pi)
     cfg = SolverConfig(nu=0.05, dt=1e-3, steps=200, save_every=1)
-    snap = run(cfg, grid, backend=backend)
+    snap = run(cfg, grid)
     means = snap.values.mean(axis=0)
     assert np.max(np.abs(np.diff(means))) < 1e-12
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_diffusion_never_amplifies(backend):
+def test_diffusion_never_amplifies():
     grid = Grid1D(64, 1.0)
     cfg = SolverConfig(nu=0.4, dt=0.05, steps=1, convection=False)
     rng = np.random.default_rng(3)
     for _ in range(10):
         u = rng.standard_normal(64)
-        out = step(u, u, cfg, grid, backend=backend)
+        out = step(u, u, cfg, grid)
         assert np.linalg.norm(out) <= np.linalg.norm(u) * (1 + 1e-14)
 
 
@@ -173,30 +165,12 @@ def test_run_strong_damping_reaches_uniform_state():
     assert np.max(np.abs(final - final.mean())) < 1e-6
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_run_is_deterministic(backend):
+def test_run_is_deterministic():
     grid = Grid1D(48, 2 * np.pi)
     cfg = SolverConfig(nu=0.07, dt=1e-3, steps=60, save_every=10, transient=15)
-    a = run(cfg, grid, backend=backend)
-    b = run(cfg, grid, backend=backend)
+    a = run(cfg, grid)
+    b = run(cfg, grid)
     assert a.values.tobytes() == b.values.tobytes()
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
-def test_backends_agree():
-    grid = Grid1D(96, 2 * np.pi)
-    cfg = SolverConfig(nu=0.06, dt=1e-3, steps=300, save_every=60, transient=40)
-    a = run(cfg, grid, backend="numba")
-    b = run(cfg, grid, backend="numpy")
-    np.testing.assert_allclose(a.values, b.values, rtol=1e-10, atol=1e-12)
-
-
-def test_backend_env_flag(monkeypatch):
-    monkeypatch.setenv("BARYROM_NO_NUMBA", "1")
-    assert resolve_backend() == "numpy"
-    monkeypatch.setenv("BARYROM_NO_NUMBA", "0")
-    if HAVE_NUMBA:
-        assert resolve_backend() == "numba"
 
 
 def test_chunked_advance_composes_exactly():
