@@ -20,6 +20,7 @@ from .manifold import (
     BarycenterResult,
     distance,
     exp_map,
+    gram_barycenter,
     itsgm_interpolate,
     karcher_barycenter,
     log_map,
@@ -41,6 +42,7 @@ from .rom import (
     ReducedModel,
     ReducedTrajectory,
     assemble_cross_tensors,
+    block_initial_condition,
     combined_basis,
     direct_project,
     initial_condition,

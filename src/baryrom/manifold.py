@@ -8,6 +8,13 @@ the inverse map aligns the target onto the base with the orthogonal
 Procrustes rotation of their overlap.  The weighted Karcher barycenter of
 several points is found with a plain fixed-point sweep on that alignment.
 
+Every iterate of that sweep is a combination Phi = sum_h Phi_h B_h of the
+inputs with q-by-q blocks B_h, so the sweep can also run on the inputs'
+Gram blocks G_hk = Phi_h^T Phi_k alone: the overlap with input k is
+Phi^T Phi_k = sum_h B_h^T G_hk, and ||Phi||_F^2 = sum_hk tr(B_h^T G_hk B_k).
+``gram_barycenter`` does that, touching no array the size of the mesh;
+``karcher_barycenter`` runs on the N-by-q inputs and is its oracle.
+
 A Grassmann tangent-space interpolation (the classical ITSGM baseline,
 operating on orthonormal representatives with arctan/cos/sin of principal
 angles) is provided for comparison runs.
@@ -15,6 +22,7 @@ angles) is provided for comparison runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,12 +135,18 @@ def subspace_distance(a, b):
 class BarycenterResult:
     """Outcome of the fixed-point barycenter iteration.
 
-    representative : the iterate at which the gradient norm was certified;
+    representative : the iterate at which the gradient norm was certified,
+                     an (N, q) matrix from ``karcher_barycenter`` and its
+                     (Np, q, q) blocks B_h from ``gram_barycenter``;
     rotations      : alignments of each input onto the representative
                      (identity for zero-weight inputs);
     iterations     : number of fixed-point sweeps performed, counting the
                      sweep that certified convergence;
-    final_gradient_norm : ||phi - sum_k w_k phi_k Q_k||_F at the result.
+    final_gradient_norm : ||phi - sum_k w_k phi_k Q_k||_F at the result;
+    gradient_norms : that norm after every sweep (``gram_barycenter`` only);
+    min_overlap_ratio : smallest sigma_min / sigma_max over every overlap
+                     the sweeps factored; near 0, an alignment is close to
+                     not being unique (``gram_barycenter`` only).
     """
 
     representative: np.ndarray
@@ -140,6 +154,28 @@ class BarycenterResult:
     iterations: int = 0
     final_gradient_norm: float = np.inf
     converged: bool = False
+    gradient_norms: list = field(default_factory=list)
+    min_overlap_ratio: float = np.nan
+
+
+def _checked_weights(weights, count):
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (count,):
+        raise ShapeMismatchError("one weight per basis required")
+    with np.errstate(over="ignore"):  # an overflowed scale is rejected below
+        scale = np.abs(w).sum()
+    # a finite scale rules out nan/inf weights before the signed sum, which would warn
+    if not (scale < np.inf and abs(w.sum() - 1.0) <= 1e-12 * max(1.0, scale)):
+        raise ValueError(f"weights must sum to 1, got {w.tolist()}")
+    return w
+
+
+def _stalled(result, tol):
+    return NotConvergedError(
+        f"barycenter fixed point stalled at gradient norm {result.final_gradient_norm:.3e} "
+        f"after {result.iterations} sweeps (tol {tol:.1e})",
+        result,
+    )
 
 
 def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
@@ -171,14 +207,7 @@ def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
     for i, m in enumerate(mats):
         if m.shape != shape:
             raise ShapeMismatchError(f"bases[{i}] shape {m.shape} != {shape}")
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(mats),):
-        raise ShapeMismatchError("one weight per basis required")
-    with np.errstate(over="ignore"):  # an overflowed scale is rejected below
-        scale = np.abs(w).sum()
-    # a finite scale rules out nan/inf weights before the signed sum, which would warn
-    if not (scale < np.inf and abs(w.sum() - 1.0) <= 1e-12 * max(1.0, scale)):
-        raise ValueError(f"weights must sum to 1, got {w.tolist()}")
+    w = _checked_weights(weights, len(mats))
     phi = mats[int(init)].copy()
 
     q = shape[1]
@@ -198,12 +227,61 @@ def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
                 return BarycenterResult(phi, rotations, sweep, gnorm, True)
             phi = candidate
 
-    result = BarycenterResult(phi, rotations, max_iter, gnorm, False)
-    raise NotConvergedError(
-        f"barycenter fixed point stalled at gradient norm {gnorm:.3e} "
-        f"after {max_iter} sweeps (tol {tol:.1e})",
-        result,
-    )
+    raise _stalled(BarycenterResult(phi, rotations, max_iter, gnorm, False), tol)
+
+
+def gram_barycenter(gram, weights, tol=1e-10, max_iter=100, init=0):
+    """``karcher_barycenter`` run on the inputs' Gram blocks alone.
+
+    ``gram`` is (Np, Np, q, q) with gram[h, k] = G_hk = Phi_h^T Phi_k.  The
+    iterate is held as blocks B_h, Phi = sum_h Phi_h B_h: it starts at
+    B_init = I (all other blocks zero) and each sweep sets B_k = w_k Q_k.
+    The overlaps of one sweep are one product, sum_h B_h^T G_hk for every
+    active k, and one stacked SVD.  The gradient norm is the Gram
+    quadratic form of the block differences D = B_old - B_new,
+    sqrt(sum_hk tr(D_h^T G_hk D_k)), so it keeps its accuracy as it
+    approaches zero.  Sweeps, rotations, stopping rule and errors are
+    those of ``karcher_barycenter``; the result's ``representative`` is the
+    certified iterate's (Np, q, q) blocks.
+    """
+    G = np.asarray(gram, dtype=float)
+    np_, q = G.shape[0], G.shape[-1]
+    if G.shape != (np_, np_, q, q):
+        raise ShapeMismatchError(f"Gram blocks must be (Np, Np, q, q), got {G.shape}")
+    w = _checked_weights(weights, np_)
+    active = np.flatnonzero(w)
+    w_active = w[active, None, None]
+    stacked = G.transpose(0, 2, 1, 3).reshape(np_ * q, np_ * q)  # Gram of [Phi_1 ... Phi_Np]
+    cols = stacked.reshape(np_ * q, np_, q)[:, active].transpose(1, 0, 2)  # G_hk, active k
+    B = np.zeros((np_, q, q))
+    B[int(init)] = np.eye(q)
+    rotations = np.tile(np.eye(q), (np_, 1, 1))
+    norms = []
+    ratio = np.inf
+    gnorm = np.inf
+    # far extrapolation can overflow the overlaps; that fails the tolerance below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweep in range(1, max_iter + 1):
+            u, s, vt = np.linalg.svd(B.reshape(np_ * q, q).T @ cols)
+            worst = float(np.min(s[:, -1] / s[:, 0]))  # nan for a zero overlap
+            if not worst > OVERLAP_TOL:
+                raise SingularOverlapError(
+                    "overlap of representatives is numerically singular"
+                )
+            ratio = min(ratio, worst)
+            rotations[active] = (u @ vt).transpose(0, 2, 1)
+            candidate = np.zeros_like(B)
+            candidate[active] = w_active * rotations[active]
+            d = B - candidate
+            quad = float(np.vdot(d, stacked @ d.reshape(np_ * q, q)))  # nan only from inf - inf
+            gnorm = math.inf if math.isnan(quad) else math.sqrt(max(quad, 0.0))
+            norms.append(gnorm)
+            if gnorm <= tol:
+                return BarycenterResult(B, list(rotations), sweep, gnorm, True, norms, ratio)
+            B = candidate
+
+    result = BarycenterResult(B, list(rotations), max_iter, gnorm, False, norms, ratio)
+    raise _stalled(result, tol)
 
 
 def itsgm_interpolate(bases, weights, ref_index):

@@ -2,12 +2,13 @@
 
 generate -> snapshot matrices per trained/test viscosity + manifest
 offline  -> shared mean, per-parameter POD bases, cross-Galerkin archive
-predict  -> weights, barycenter, cheap operator update, reduced solve,
-            field reconstruction (or the tangent-interpolation baseline)
+predict  -> weights, barycenter, cheap operator update and initial
+            coordinates (all q-sized), reduced solve, field
+            reconstruction (or the tangent-interpolation baseline)
 compare  -> mean errors of both interpolated models and the truth-POD
             floor against the stored high-fidelity runs
-bench    -> wall-clock of the cheap update vs direct projection, with the
-            mesh sizes timed in alternation rep by rep
+bench    -> wall-clock of the q-sized online path vs direct projection,
+            with the mesh sizes timed in alternation rep by rep
 """
 
 from __future__ import annotations
@@ -33,13 +34,21 @@ from .io import (
     write_manifest,
     write_matrix,
 )
-from .manifold import itsgm_interpolate, karcher_barycenter, orthonormalize
+# karcher_barycenter stays bound here, though predict runs gram_barycenter: perfbench
+# traces it and checks the update against the basis it gives
+from .manifold import (  # noqa: F401
+    gram_barycenter,
+    itsgm_interpolate,
+    karcher_barycenter,
+    orthonormalize,
+)
 # mean_error stays bound here: perfbench's Tracer wraps every name in its TRACED
 from .metrics import error_report, mean_error, write_csv  # noqa: F401
 from .pod import InnerProduct, PODBasis, SnapshotMatrix, compute_pod, global_mean
 from .rom import (
     CrossGalerkinTensors,
     assemble_cross_tensors,
+    block_initial_condition,
     combined_basis,
     direct_project,
     initial_condition,
@@ -133,9 +142,10 @@ def config_from_dict(doc: dict) -> StudyConfig:
             max_iter=int(d["max_iter"]),
         )
         grid = cfg.grid()
+        cfg.solver_config(1.0)  # checks dt and the step counts even with no viscosities
         for nu in cfg.trained_nu + cfg.test_nu:
             initial_profile(cfg.solver_config(nu), grid)
-    except (TypeError, ValueError, ShapeMismatchError) as exc:
+    except (TypeError, ValueError, OverflowError, ShapeMismatchError) as exc:
         raise ConfigError(f"bad configuration value: {exc}") from exc
     if not cfg.trained_nu and cfg.test_nu:
         raise ConfigError("test_nu given without any trained_nu")
@@ -164,6 +174,16 @@ def _nu_tag(nu: float) -> str:
     return f"{nu:g}"
 
 
+def _fan_out(fn, items, jobs: int) -> list:
+    """[fn(x) for x in items]: in the calling thread when jobs == 1, which
+    keeps a worker thread's own heap out of the peak memory, else on
+    ``jobs`` worker threads."""
+    if jobs == 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_generate(cfg: StudyConfig, outdir, jobs: int = 1) -> dict:
     """Run the high-fidelity solver per viscosity and write snapshots."""
     outdir = Path(outdir)
@@ -187,8 +207,7 @@ def run_generate(cfg: StudyConfig, outdir, jobs: int = 1) -> dict:
             "n_snapshots": int(snap.values.shape[1]),
         }
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        runs = list(pool.map(one, tasks))
+    runs = _fan_out(one, tasks, jobs)
 
     manifest = {
         "version": __version__,
@@ -233,8 +252,7 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
         )
         return compute_pod(fluct, ip, cfg.q)
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        bases = list(pool.map(one_pod, trained))
+    bases = _fan_out(one_pod, trained, jobs)
 
     ct = assemble_cross_tensors(bases, mean, ip, grid.gradient)
 
@@ -276,7 +294,14 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
 
 @dataclass
 class Study:
-    """Everything the online stage needs, loaded from offline outputs."""
+    """Everything the online stage needs, loaded from offline outputs.
+
+    ``gram`` holds the Gram blocks G_hk = Phi_h^T Phi_k of the trained
+    bases, (Np, Np, q, q), and ``ic_coords`` the coordinates of the stored
+    initial states, ic_coords[h, :, j] = Phi_h^T W (ics[j] - mean), (Np, q,
+    Np).  With them and the tensor archive, a barycentric prediction reads
+    no mesh-sized array until it lifts its trajectory.
+    """
 
     outdir: Path
     manifest: dict
@@ -287,6 +312,8 @@ class Study:
     bases: list
     ics: list
     tensors: CrossGalerkinTensors
+    gram: np.ndarray
+    ic_coords: np.ndarray
 
     @property
     def params(self) -> np.ndarray:
@@ -316,7 +343,16 @@ def load_study(outdir) -> Study:
     ct = CrossGalerkinTensors(*(arrays[f.name] for f in fields(CrossGalerkinTensors)))
     if int(meta["q"]) != cfg.q or ct.q != cfg.q:
         raise DataIntegrityError("archive truncation order disagrees with the config")
-    return Study(outdir, manifest, cfg, grid, ip, mean, bases, ics, ct)
+    assert ip.is_uniform  # M_hk = dx G_hk only under a scalar quadrature weight
+    gram = ct.M / ip.weight
+    ic_coords = _coords(bases, mean, ip, np.column_stack(ics))
+    return Study(outdir, manifest, cfg, grid, ip, mean, bases, ics, ct, gram, ic_coords)
+
+
+def _coords(bases, mean, ip: InnerProduct, fields) -> np.ndarray:
+    """c[h, :, j] = Phi_h^T W (fields[:, j] - mean), shape (Np, q, m)."""
+    phi = np.hstack([b.modes for b in bases])
+    return (phi.T @ ip.apply(fields - mean[:, None])).reshape(len(bases), -1, fields.shape[1])
 
 
 def study_weights(study: Study, nu: float, kind=None, neighbors=None) -> WeightVector:
@@ -338,18 +374,29 @@ def nearest_index(params, nu: float) -> int:
 
 
 def _barycenter(study: Study, w: WeightVector, nu: float, tol=None):
-    """Karcher barycenter of the trained bases, started at the node nearest nu."""
-    return karcher_barycenter(
-        [b.modes for b in study.bases], w.values,
+    """Karcher barycenter of the trained bases, started at the node nearest
+    nu, run on their Gram blocks."""
+    return gram_barycenter(
+        study.gram, w.values,
         tol=study.cfg.tol if tol is None else float(tol),
         max_iter=study.cfg.max_iter, init=nearest_index(study.params, nu),
     )
 
 
+def _blocks(w: WeightVector, rotations) -> np.ndarray:
+    """B_h = w_h Q_h: the interpolated basis is sum_h Phi_h B_h."""
+    return w.values[:, None, None] * np.stack(rotations)
+
+
 def predict(study: Study, nu: float, method: str = "barycentric",
             ic_mode: str = "weighted", allow_nonconverged: bool = False,
-            kind=None, neighbors=None, tol=None):
+            kind=None, neighbors=None, tol=None, truth: SnapshotMatrix | None = None):
     """Online stage at one viscosity.
+
+    ``ic_mode="truth"`` starts from the first state of the stored run at
+    nu: ``truth`` when given, else the run read from disk.  Up to the lift,
+    the barycentric method does q-sized work only: barycenter, operator
+    update and, with the weighted initial state, its coordinates.
 
     Returns (trajectory, reconstruction, report) where the report is a
     JSON-ready dict with the interpolation diagnostics and timings.
@@ -365,7 +412,6 @@ def predict(study: Study, nu: float, method: str = "barycentric",
     if not np.isfinite(w.values).all():
         raise ConfigError(f"viscosity {nu!r} lies too far outside the trained range "
                           "for its interpolation weights to be finite")
-    t0_run = study.manifest["runs"][0]["t0"] if study.manifest.get("runs") else 0.0
     report = {
         "nu": nu,
         "method": method,
@@ -390,13 +436,12 @@ def predict(study: Study, nu: float, method: str = "barycentric",
             "iterations": bary.iterations,
             "final_gradient_norm": bary.final_gradient_norm,
             "converged": bary.converged,
+            "gradient_norms": bary.gradient_norms,
+            "min_overlap_ratio": bary.min_overlap_ratio,
         }
         t = timer()
         model = update_reduced_model(study.tensors, w, bary.rotations, nu)
         report["timings"]["update_s"] = timer() - t
-        t = timer()
-        basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
-        report["timings"]["combined_basis_s"] = timer() - t
     else:
         t = timer()
         sel = [k for k in range(study.params.size) if w.values[k] != 0.0]
@@ -410,16 +455,18 @@ def predict(study: Study, nu: float, method: str = "barycentric",
 
     t = timer()
     if ic_mode == "truth":
-        truth = load_snapshots(study.outdir, study.manifest, nu)
-        u0 = truth.values[:, 0]
+        truth = load_snapshots(study.outdir, study.manifest, nu) if truth is None else truth
         t0 = float(truth.times[0])
     else:
-        u0 = np.zeros(study.grid.n)
-        for k, wk in enumerate(w.values):
-            if wk != 0.0:
-                u0 += wk * study.ics[k]
-        t0 = float(t0_run)
-    alpha0 = initial_condition(basis, study.mean, study.ip, u0)
+        t0 = float(study.manifest["runs"][0]["t0"]) if study.manifest.get("runs") else 0.0
+    if method == "barycentric":
+        coords = (_coords(study.bases, study.mean, study.ip, truth.values[:, :1])[..., 0]
+                  if ic_mode == "truth" else study.ic_coords @ w.values)
+        alpha0 = block_initial_condition(model.M, _blocks(w, bary.rotations), coords)
+    else:
+        u0 = (truth.values[:, 0] if ic_mode == "truth" else
+              sum(wk * ic for wk, ic in zip(w.values, study.ics) if wk != 0.0))
+        alpha0 = initial_condition(basis, study.mean, study.ip, u0)
     report["timings"]["initial_condition_s"] = timer() - t
 
     t = timer()
@@ -430,6 +477,8 @@ def predict(study: Study, nu: float, method: str = "barycentric",
     # the integrator has factored it
     report["mass_condition"] = float(np.linalg.cond(model.M))
     t = timer()
+    if method == "barycentric":
+        basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
     recon = reconstruct_field(basis, study.mean, traj, param=nu)
     report["timings"]["lift_s"] = timer() - t
     return traj, recon, report
@@ -466,7 +515,7 @@ def compare(study: Study, targets=None, kind=None, neighbors=None):
         for method in methods:  # one reconstruction held at a time
             rec = (truth_pod_baseline(study, truth) if method == "truth_pod" else
                    predict(study, nu, method=method, ic_mode="truth",
-                           kind=kind, neighbors=neighbors)[1])
+                           kind=kind, neighbors=neighbors, truth=truth)[1])
             reports[(nu, method)] = error_report(truth, rec, study.ip, method)
         e_b, e_i, e_t = (reports[(nu, m)].mean for m in methods)
         rows.append([nu, e_b, e_i, e_t, e_b / e_i if e_i > 0 else np.inf])
@@ -504,15 +553,28 @@ def _timed_alternating(fns, reps: int) -> np.ndarray:
     return times
 
 
+def _online_update(study: Study, nu: float):
+    """The q-sized online path of a barycentric prediction: weights,
+    barycenter, operator update and the weighted initial coordinates."""
+    w = study_weights(study, nu)
+    bary = _barycenter(study, w, nu)
+    model = update_reduced_model(study.tensors, w, bary.rotations, nu)
+    alpha0 = block_initial_condition(model.M, _blocks(w, bary.rotations),
+                                     study.ic_coords @ w.values)
+    return model, alpha0
+
+
 def bench_update(studies, nu: float, reps: int = 20):
-    """Seconds of the cheap update and of direct projection, one (reps,
-    len(studies)) array each, the studies timed in alternation."""
+    """Seconds of the whole q-sized online path (weights, barycenter,
+    update, initial coordinates) and of direct projection onto the
+    interpolated basis, one (reps, len(studies)) array each, the studies
+    timed in alternation."""
     updates, directs = [], []
     for study in studies:
         w = study_weights(study, nu)
         bary = _barycenter(study, w, nu)
         basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
-        updates.append(partial(update_reduced_model, study.tensors, w, bary.rotations, nu))
+        updates.append(partial(_online_update, study, nu))
         directs.append(partial(direct_project, basis, study.mean, study.ip,
                                study.grid.gradient, nu))
     return _timed_alternating(updates, reps), _timed_alternating(directs, reps)

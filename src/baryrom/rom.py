@@ -14,6 +14,15 @@ block B^{hk} has rows from basis h and columns from basis k, so the
 online conjugation is Q_h^T B^{hk} Q_k; the quadratic blocks C^{hkn}
 carry their derivative-side index s from basis n, contracted online with
 column e of Q_n.
+
+Online, the interpolated basis is never formed: it is Phi = sum_h Phi_h
+B_h with q-by-q blocks B_h = w_h Q_h (the weights times the barycenter's
+rotations), and every online quantity is a contraction of those blocks
+with stored q-sized coordinates.  On the uniform grid the Gram blocks
+G_hk = Phi_h^T Phi_k the barycenter needs are the mass blocks M^{hk}
+divided by the cell size, and the initial state's coordinates are
+sum_h B_h^T c_h with c_h = Phi_h^T W (u0 - mean).  Only the lift to the
+mesh (``reconstruct_field``) forms Phi.
 """
 
 from __future__ import annotations
@@ -254,7 +263,9 @@ def reconstruct_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> Sna
         )
     if mean.shape != (phi.shape[0],):
         raise ShapeMismatchError("mean length does not match basis rows")
-    values = mean[:, None] + phi @ traj.alphas.T
+    # one GEMM, [phi | mean] @ [alphas^T; 1], so the field is the only mesh-sized result
+    alphas = np.vstack([traj.alphas.T, np.ones(traj.alphas.shape[0])])
+    values = np.hstack([phi, mean[:, None]]) @ alphas
     return SnapshotMatrix(values=values, times=traj.times.copy(), param=param)
 
 
@@ -267,6 +278,16 @@ def initial_condition(basis, mean, ip: InnerProduct, u0) -> np.ndarray:
         raise ShapeMismatchError("field length does not match basis rows")
     gram = phi.T @ ip.apply(phi)
     return np.linalg.solve(gram, phi.T @ ip.apply(u0 - mean))
+
+
+def block_initial_condition(mass, blocks, coords) -> np.ndarray:
+    """``initial_condition`` for the basis sum_h Phi_h B_h, from q-sized data.
+
+    ``mass`` is that basis's reduced mass matrix, ``blocks`` the (Np, q, q)
+    B_h and ``coords`` the (Np, q) c_h = Phi_h^T W (u0 - mean); the
+    coordinates solve mass alpha0 = sum_h B_h^T c_h.
+    """
+    return np.linalg.solve(mass, np.einsum("hai,ha->i", blocks, coords))
 
 
 def combined_basis(bases, weights, rotations) -> np.ndarray:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import shutil
 import warnings
@@ -10,9 +12,13 @@ from hypothesis import strategies as st
 
 from baryrom import (
     InnerProduct,
+    NotConvergedError,
     SnapshotMatrix,
+    combined_basis,
     compute_pod,
+    initial_condition,
     itsgm_interpolate,
+    karcher_barycenter,
     mean_error,
     orthonormalize,
 )
@@ -140,7 +146,7 @@ def test_predict_untrained_smoke(workdir):
     report = json.loads((pdir / "report.json").read_text())
     assert report["barycenter"]["converged"]
     assert report["barycenter"]["final_gradient_norm"] <= 1e-10
-    assert set(report["timings"]) == {"barycenter_s", "update_s", "combined_basis_s",
+    assert set(report["timings"]) == {"barycenter_s", "update_s",
                                       "initial_condition_s", "integrate_s", "lift_s"}
     assert all(v >= 0 for v in report["timings"].values())
     assert 1.0 <= report["mass_condition"] < 1e3
@@ -423,3 +429,203 @@ def test_predict_exit_code_is_documented_for_any_viscosity(workdir, nu,
         warnings.simplefilter("always")
         assert main(argv) in {0, 2, 3, 4}
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# ------------------------------------------------ the q-sized online path
+
+def test_predict_reports_barycenter_health_at_a_trained_node(workdir):
+    _, _, out = workdir
+    assert main(["predict", "--out", str(out), "--nu", "0.07"]) == 0
+    report = json.loads((out / "predict_nu0.07_barycentric" / "report.json").read_text())
+    health = report["barycenter"]
+    assert health["iterations"] == 1
+    assert health["gradient_norms"] == [pytest.approx(0.0, abs=1e-10)]
+    assert health["min_overlap_ratio"] == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("nu", [0.06, 0.08, 0.1, 0.045, 0.12])
+def test_study_barycenter_matches_karcher_oracle(workdir, nu):
+    _, _, out = workdir
+    study = pipeline.load_study(out)
+    modes = [b.modes for b in study.bases]
+    w = pipeline.study_weights(study, nu)
+    init = pipeline.nearest_index(study.params, nu)
+    oracle = karcher_barycenter(modes, w.values, tol=1e-12, init=init)
+    fast = pipeline.gram_barycenter(study.gram, w.values, tol=1e-12, init=init)
+    assert fast.iterations == oracle.iterations
+    for a, b in zip(oracle.rotations, fast.rotations):
+        np.testing.assert_allclose(b, a, rtol=0, atol=1e-10)
+    rep = sum(m @ blk for m, blk in zip(modes, fast.representative))
+    assert np.linalg.norm(rep - oracle.representative) <= 1e-10 * np.linalg.norm(rep)
+
+
+def test_study_barycenter_far_extrapolation_matches_oracle_sweep_by_sweep(workdir):
+    _, _, out = workdir
+    study = pipeline.load_study(out)
+    modes = [b.modes for b in study.bases]
+    w = pipeline.study_weights(study, 0.5)
+    for sweeps in (1, 3):
+        results = []
+        for fn, arg in ((karcher_barycenter, modes), (pipeline.gram_barycenter, study.gram)):
+            with pytest.raises(NotConvergedError) as info:
+                fn(arg, w.values, tol=0.0, max_iter=sweeps, init=3)
+            results.append(info.value.result)
+        oracle, fast = results
+        for a, b in zip(oracle.rotations, fast.rotations):
+            np.testing.assert_allclose(b, a, rtol=0, atol=1e-10)
+        rep = sum(m @ blk for m, blk in zip(modes, fast.representative))
+        assert np.linalg.norm(rep - oracle.representative) <= 1e-10 * np.linalg.norm(rep)
+        assert fast.final_gradient_norm == pytest.approx(oracle.final_gradient_norm,
+                                                         rel=1e-10)
+
+
+@pytest.mark.parametrize("ic_mode", pipeline.IC_MODES)
+def test_predict_initial_state_matches_projection_oracle(workdir, ic_mode):
+    _, _, out = workdir
+    study = pipeline.load_study(out)
+    for nu in (0.08, 0.07) if ic_mode == "truth" else (0.08, 0.06, 0.115):  # stored runs
+        traj, _, _ = pipeline.predict(study, nu, ic_mode=ic_mode)
+        w = pipeline.study_weights(study, nu)
+        bary = karcher_barycenter([b.modes for b in study.bases], w.values,
+                                  init=pipeline.nearest_index(study.params, nu))
+        basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
+        u0 = (pipeline.load_snapshots(out, study.manifest, nu).values[:, 0]
+              if ic_mode == "truth" else sum(wk * ic for wk, ic in zip(w.values, study.ics)))
+        oracle = initial_condition(basis, study.mean, study.ip, u0)
+        assert np.linalg.norm(traj.alphas[0] - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+class _Untouchable:
+    """Stands in for a mesh-sized array; any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"predict touched a mesh-sized array ({name})")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("predict touched a mesh-sized array")
+
+    def __getitem__(self, key):
+        raise AssertionError("predict touched a mesh-sized array")
+
+    def __iter__(self):
+        raise AssertionError("predict touched a mesh-sized array")
+
+
+class _Reached(Exception):
+    pass
+
+
+def test_predict_reaches_the_reduced_solve_without_mesh_sized_arrays(workdir, monkeypatch):
+    import dataclasses
+
+    _, _, out = workdir
+    study = pipeline.load_study(out)
+    meshless = dataclasses.replace(
+        study, mean=_Untouchable(), ics=_Untouchable(),
+        bases=[dataclasses.replace(b, modes=_Untouchable()) for b in study.bases])
+
+    def sentinel(model, alpha0, *args, **kwargs):
+        assert np.asarray(alpha0).shape == (study.cfg.q,)
+        raise _Reached
+
+    monkeypatch.setattr(pipeline, "integrate_rom", sentinel)
+    for nu in (0.08, 0.05, 0.12):
+        with pytest.raises(_Reached):
+            pipeline.predict(meshless, nu)
+
+
+def test_compare_reads_each_truth_run_once(workdir, monkeypatch):
+    _, _, out = workdir
+    study = pipeline.load_study(out)
+    reads = []
+    load = pipeline.load_snapshots
+
+    def counted(*args, **kwargs):
+        reads.append(args[2])
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_snapshots", counted)
+    pipeline.compare(study, targets=[0.08, 0.09])
+    assert reads == [0.08, 0.09]
+    truth = load(out, study.manifest, 0.08)
+    reads.clear()
+    for method in pipeline.METHODS:
+        given = pipeline.predict(study, 0.08, method=method, ic_mode="truth", truth=truth)
+        assert reads == []
+        read = pipeline.predict(study, 0.08, method=method, ic_mode="truth")
+        assert reads == [0.08]
+        reads.clear()
+        np.testing.assert_array_equal(given[0].alphas, read[0].alphas)
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_fan_out_runs_in_the_calling_thread_only_for_one_job(workdir, tmp_path,
+                                                             monkeypatch, jobs):
+    import threading
+
+    _, cfg_path, _ = workdir
+    threads = set()
+    solve, pod = pipeline.run, pipeline.compute_pod
+
+    def record(fn):
+        def call(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(pipeline, "run", record(solve))
+    monkeypatch.setattr(pipeline, "compute_pod", record(pod))
+    out = tmp_path / "o"
+    assert main(["generate", "--config", str(cfg_path), "--out", str(out),
+                 "--jobs", str(jobs)]) == 0
+    assert main(["offline", "--out", str(out), "--jobs", str(jobs)]) == 0
+    assert (threads == {threading.get_ident()}) == (jobs == 1)
+
+
+# ------------------------------------------------------ config documents
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3000), st.text(max_size=6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["sine", "two_mode", "lagrange", "idw", "inverse_distance", "1e3"]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8,
+)
+_CONFIG_KEYS = list(pipeline.StudyConfig().to_dict()) + ["n", "length", "kind", "power",
+                                                         "neighbors", "extra"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(doc={"grid": {"n": 1e300}})
+@example(doc={"save_every": 0, "trained_nu": [], "test_nu": []})
+@example(doc={"weights": {"neighbors": float("inf")}})
+@given(doc=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON_VALUES, max_size=5)
+       | st.fixed_dictionaries({}, optional={
+           "grid": st.dictionaries(st.sampled_from(["n", "length"]), _JSON_SCALARS),
+           "weights": st.dictionaries(st.sampled_from(["kind", "power", "neighbors"]),
+                                      _JSON_SCALARS),
+           "steps": _JSON_SCALARS, "save_every": _JSON_SCALARS, "q": _JSON_SCALARS,
+           "dt": _JSON_SCALARS, "transient": _JSON_SCALARS, "max_iter": _JSON_SCALARS,
+           "trained_nu": st.lists(_JSON_SCALARS, max_size=4),
+           "test_nu": st.lists(_JSON_SCALARS, max_size=3),
+       }))
+def test_config_documents_parse_or_exit_2(tmp_path_factory, doc):
+    try:
+        cfg = pipeline.config_from_dict(doc)
+    except pipeline.ConfigError:
+        cfg = None
+    if cfg is not None:
+        assert isinstance(cfg, pipeline.StudyConfig)
+        return
+    root = tmp_path_factory.mktemp("cfg")
+    path = root / "config.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["generate", "--config", str(path), "--out", str(root / "o")])
+    assert code == 2
+    assert len(err.getvalue().splitlines()) == 1 and "Traceback" not in err.getvalue()

@@ -12,6 +12,7 @@ from baryrom import (
     distance,
     evaluate_weights,
     exp_map,
+    gram_barycenter,
     itsgm_interpolate,
     karcher_barycenter,
     log_map,
@@ -277,16 +278,102 @@ def test_barycenter_not_converged_carries_iterate(rng):
     assert res.final_gradient_norm > 1e-14
 
 
-def test_barycenter_validates_weights(rng):
-    bases = close_family(rng, 20, 2, 2)
+def gram_blocks(bases):
+    """G_hk = Phi_h^T Phi_k as (Np, Np, q, q)."""
+    return np.array([[a.T @ b for b in bases] for a in bases])
+
+
+def on_gram(bases, w, **kw):
+    """gram_barycenter on the Gram blocks of ``bases``, with the N-by-q
+    representative sum_h Phi_h B_h put back in place of the blocks."""
+    def lifted(res):
+        res.representative = sum(b @ blk for b, blk in zip(bases, res.representative))
+        return res
+
+    try:
+        return lifted(gram_barycenter(gram_blocks(bases), w, **kw))
+    except NotConvergedError as exc:
+        lifted(exc.result)
+        raise
+
+
+def check_weight_validation(barycenter, bases):
     with pytest.raises(ValueError):
-        karcher_barycenter(bases, [0.5, 0.6], init=0)
+        barycenter(bases, [0.5, 0.6], init=0)
     # sums that are nan, or that overflow although each weight is finite
     for overflowed in ([np.inf, -np.inf], [np.nan, 1.0], [1e308, -1e308]):
         with pytest.raises(ValueError, match="must sum to 1"):
-            karcher_barycenter(bases, overflowed, init=0)
+            barycenter(bases, overflowed, init=0)
     with pytest.raises(ShapeMismatchError):
-        karcher_barycenter(bases, [1.0], init=0)
+        barycenter(bases, [1.0], init=0)
+
+
+def test_barycenter_validates_weights(rng):
+    check_weight_validation(karcher_barycenter, close_family(rng, 20, 2, 2))
+
+
+def test_gram_barycenter_validates_weights(rng):
+    check_weight_validation(on_gram, close_family(rng, 20, 2, 2))
+
+
+@pytest.mark.parametrize("barycenter", [karcher_barycenter, on_gram], ids=["karcher", "gram"])
+def test_barycenter_singular_overlap(barycenter):
+    # the second input is orthogonal to the starting iterate
+    with pytest.raises(SingularOverlapError):
+        barycenter([col(1.0, 0.0, 0.0), col(0.0, 1.0, 0.0)], [0.5, 0.5], init=0)
+
+
+def assert_same_barycenter(oracle, res, bases):
+    assert res.iterations == oracle.iterations
+    assert res.converged == oracle.converged
+    assert len(res.gradient_norms) == res.iterations
+    assert res.gradient_norms[-1] == res.final_gradient_norm
+    for a, b in zip(oracle.rotations, res.rotations):
+        np.testing.assert_allclose(b, a, rtol=0, atol=1e-10)
+    scale = np.linalg.norm(oracle.representative)
+    assert np.linalg.norm(res.representative - oracle.representative) <= 1e-10 * scale
+    assert abs(res.final_gradient_norm - oracle.final_gradient_norm) <= 1e-10 * max(1.0, scale)
+
+
+GRAM_CASES = {  # name -> (bases from rng, weights, init)
+    "interpolation": (lambda rng: close_family(rng, 60, 5, 4), [0.1, 0.4, 0.3, 0.2], 1),
+    "delta": (lambda rng: close_family(rng, 40, 4, 3), [0.0, 1.0, 0.0], 0),
+    "zero-weight-init": (lambda rng: close_family(rng, 40, 4, 3), [0.0, 0.5, 0.5], 0),
+    "extrapolation": (lambda rng: close_family(rng, 50, 3, 4), [2.4, -2.1, 1.0, -0.3], 0),
+    "scaled": (lambda rng: close_family(rng, 30, 3, 3, scale=7.0), [0.6, 0.55, -0.15], 2),
+    "random": (lambda rng: [rng.standard_normal((30, 3)) for _ in range(3)],
+               [0.5, 0.3, 0.2], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(GRAM_CASES))
+def test_gram_barycenter_matches_karcher_oracle(rng, case):
+    make, w, init = GRAM_CASES[case]
+    bases = make(rng)
+    oracle = karcher_barycenter(bases, w, tol=1e-12, init=init)
+    assert_same_barycenter(oracle, on_gram(bases, w, tol=1e-12, init=init), bases)
+
+
+def test_gram_barycenter_far_extrapolation_matches_oracle_sweep_by_sweep(rng):
+    # Lagrange weights far outside the nodes: the fixed point does not
+    # settle, so both are stopped after the same number of sweeps
+    bases = close_family(rng, 50, 4, 3, spread=0.05)
+    w = lagrange([0.05, 0.07, 0.09], 0.4)
+    for sweeps in (1, 2, 4):
+        with pytest.raises(NotConvergedError) as oracle:
+            karcher_barycenter(bases, w, tol=0.0, max_iter=sweeps, init=2)
+        with pytest.raises(NotConvergedError) as fast:
+            on_gram(bases, w, tol=0.0, max_iter=sweeps, init=2)
+        assert_same_barycenter(oracle.value.result, fast.value.result, bases)
+
+
+def test_gram_barycenter_health_at_a_node(rng):
+    bases = [orthonormalize(b) for b in close_family(rng, 40, 4, 3)]
+    res = gram_barycenter(gram_blocks(bases), [0.0, 1.0, 0.0], init=1)
+    assert res.iterations == 1
+    assert res.gradient_norms == [pytest.approx(0.0, abs=1e-10)]
+    assert res.min_overlap_ratio == pytest.approx(1.0, abs=1e-10)
+    np.testing.assert_allclose(res.representative[1], np.eye(4), atol=1e-10)
 
 
 # ------------------------------------------------------------------ itsgm

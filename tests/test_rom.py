@@ -14,6 +14,7 @@ from baryrom import (
     SnapshotMatrix,
     WeightVector,
     assemble_cross_tensors,
+    block_initial_condition,
     combined_basis,
     compute_pod,
     direct_project,
@@ -350,6 +351,32 @@ def test_initial_condition_least_squares_residual_orthogonal(rng):
     alpha = initial_condition(bases[0], mean, ip, u0)
     resid = (u0 - mean) - bases[0] @ alpha
     assert np.max(np.abs(bases[0].T @ ip.apply(resid))) < 1e-10
+
+
+def test_reconstruct_matches_mean_plus_modes(rng):
+    grid, ip, mean, bases = make_setup(rng, nx=500, q=5)
+    traj = ReducedTrajectory(times=np.arange(40.0), alphas=rng.standard_normal((40, 5)))
+    rec = reconstruct_field(bases[0], mean, traj, param=0.3)
+    expected = mean[:, None] + bases[0] @ traj.alphas.T
+    assert np.max(np.abs(rec.values - expected)) <= 1e-14 * np.max(np.abs(expected))
+    assert rec.param == 0.3 and rec.times is not traj.times
+
+
+def test_block_initial_condition_matches_projection_oracle(rng):
+    grid, ip, mean, bases = make_setup(rng, nx=80, q=3, count=3)
+    ct = assemble_cross_tensors(bases, mean, ip, grid.gradient)
+    phi = np.hstack(bases)
+    ics = mean[:, None] + rng.standard_normal((grid.n, 3))
+    for w in ([0.2, 0.5, 0.3], [0.0, 1.0, 0.0], [1.6, -0.9, 0.3]):
+        res = karcher_barycenter(bases, w, init=int(np.argmax(w)))
+        model = update_reduced_model(ct, WeightVector(np.array(w), 0.0), res.rotations, 0.07)
+        blocks = np.array(w)[:, None, None] * np.stack(res.rotations)
+        oracle_basis = combined_basis(bases, w, res.rotations)
+        for u0 in (ics @ w, ics[:, 0]):
+            coords = (phi.T @ ip.apply(u0 - mean)).reshape(3, 3)
+            oracle = initial_condition(oracle_basis, mean, ip, u0)
+            alpha0 = block_initial_condition(model.M, blocks, coords)
+            assert relative_gap(alpha0, oracle) < 1e-10
 
 
 def test_reconstruct_shape_mismatch(rng):
