@@ -48,7 +48,9 @@ from .rom import (
     initial_condition,
     integrate_rom,
     reconstruct_field,
+    stacked,
     update_reduced_model,
+    weighted_rotations,
 )
 from .solver import Grid1D, SolverConfig, initial_profile, run, step
 from .weights import WeightScheme, WeightVector, evaluate_weights, select_neighbors

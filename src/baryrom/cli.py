@@ -49,6 +49,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
+    return value
+
+
 def _float_list(text: str) -> list:
     return [float(v) for v in text.split(",") if v]
 
@@ -73,7 +80,7 @@ _FLAGS = {
     "--q": dict(type=int, default=None, help="POD truncation order (default: config q)"),
     "--weights": dict(choices=["lagrange", "idw"], default=None,
                       help="weight scheme (default: config weights.kind)"),
-    "--neighbors": dict(type=int, default=None,
+    "--neighbors": dict(type=_positive_int, default=None,
                         help="nearest trained viscosities weighted (default: config)"),
 }
 
@@ -102,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--out", "--weights", "--neighbors")
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--method", choices=list(pipeline.METHODS), default="barycentric")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_tolerance, default=None,
                    help="barycenter stopping tolerance (default: config tol)")
     p.add_argument("--ic", choices=list(pipeline.IC_MODES), default="weighted")
     p.add_argument("--allow-nonconverged", action="store_true")

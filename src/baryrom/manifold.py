@@ -8,10 +8,11 @@ the inverse map aligns the target onto the base with the orthogonal
 Procrustes rotation of their overlap.  The weighted Karcher barycenter of
 several points is found with a plain fixed-point sweep on that alignment.
 
-Every iterate of that sweep is a combination Phi = sum_h Phi_h B_h of the
-inputs with q-by-q blocks B_h, so the sweep can also run on the inputs'
-Gram blocks G_hk = Phi_h^T Phi_k alone: the overlap with input k is
-Phi^T Phi_k = sum_h B_h^T G_hk, and ||Phi||_F^2 = sum_hk tr(B_h^T G_hk B_k).
+Every iterate of that sweep is a combination Phi = [Phi_1 ... Phi_Np] S
+of the inputs with an (Np q)-by-q coefficient matrix S, so the sweep can
+also run on the Gram matrix G = [Phi_1 ... Phi_Np]^T [Phi_1 ... Phi_Np]
+of the stacked inputs alone: the overlap with input k is Phi^T Phi_k =
+S^T G_k for the k-th column block G_k of G, and ||Phi||_F^2 = tr(S^T G S).
 ``gram_barycenter`` does that, touching no array the size of the mesh;
 ``karcher_barycenter`` runs on the N-by-q inputs and is its oracle.
 
@@ -137,7 +138,8 @@ class BarycenterResult:
 
     representative : the iterate at which the gradient norm was certified,
                      an (N, q) matrix from ``karcher_barycenter`` and its
-                     (Np, q, q) blocks B_h from ``gram_barycenter``;
+                     (Np q, q) coefficients S from ``gram_barycenter``, the
+                     iterate being [Phi_1 ... Phi_Np] S;
     rotations      : alignments of each input onto the representative
                      (identity for zero-weight inputs);
     iterations     : number of fixed-point sweeps performed, counting the
@@ -230,31 +232,31 @@ def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
     raise _stalled(BarycenterResult(phi, rotations, max_iter, gnorm, False), tol)
 
 
-def gram_barycenter(gram, weights, tol=1e-10, max_iter=100, init=0):
-    """``karcher_barycenter`` run on the inputs' Gram blocks alone.
+def gram_barycenter(gram, weights, q, tol=1e-10, max_iter=100, init=0):
+    """``karcher_barycenter`` run on the inputs' Gram matrix alone.
 
-    ``gram`` is (Np, Np, q, q) with gram[h, k] = G_hk = Phi_h^T Phi_k.  The
-    iterate is held as blocks B_h, Phi = sum_h Phi_h B_h: it starts at
-    B_init = I (all other blocks zero) and each sweep sets B_k = w_k Q_k.
-    The overlaps of one sweep are one product, sum_h B_h^T G_hk for every
-    active k, and one stacked SVD.  The gradient norm is the Gram
-    quadratic form of the block differences D = B_old - B_new,
-    sqrt(sum_hk tr(D_h^T G_hk D_k)), so it keeps its accuracy as it
-    approaches zero.  Sweeps, rotations, stopping rule and errors are
-    those of ``karcher_barycenter``; the result's ``representative`` is the
-    certified iterate's (Np, q, q) blocks.
+    ``gram`` is the (Np q)-by-(Np q) Gram matrix of the stacked inputs
+    [Phi_1 ... Phi_Np], each q columns wide.  The iterate is held as its
+    coefficients S, Phi = [Phi_1 ... Phi_Np] S: it starts with the identity
+    in block row ``init`` (all else zero) and each sweep sets block row k
+    to w_k Q_k.  The overlaps of one sweep are one product, S^T G_k for
+    every active k, and one stacked SVD.  The gradient norm is the Gram
+    quadratic form of the difference D = S_old - S_new, sqrt(tr(D^T G D)),
+    so it keeps its accuracy as it approaches zero.  Sweeps, rotations,
+    stopping rule and errors are those of ``karcher_barycenter``; the
+    result's ``representative`` is the certified iterate's S.
     """
     G = np.asarray(gram, dtype=float)
-    np_, q = G.shape[0], G.shape[-1]
-    if G.shape != (np_, np_, q, q):
-        raise ShapeMismatchError(f"Gram blocks must be (Np, Np, q, q), got {G.shape}")
+    n = G.shape[0] if G.ndim == 2 else -1
+    if G.shape != (n, n) or q < 1 or n % q:
+        raise ShapeMismatchError(f"Gram matrix must be square in blocks of {q}, got {G.shape}")
+    np_ = n // q
     w = _checked_weights(weights, np_)
     active = np.flatnonzero(w)
     w_active = w[active, None, None]
-    stacked = G.transpose(0, 2, 1, 3).reshape(np_ * q, np_ * q)  # Gram of [Phi_1 ... Phi_Np]
-    cols = stacked.reshape(np_ * q, np_, q)[:, active].transpose(1, 0, 2)  # G_hk, active k
-    B = np.zeros((np_, q, q))
-    B[int(init)] = np.eye(q)
+    cols = G.reshape(n, np_, q)[:, active].transpose(1, 0, 2)  # G_k, active k
+    S = np.zeros((n, q))
+    S[int(init) * q:(int(init) + 1) * q] = np.eye(q)
     rotations = np.tile(np.eye(q), (np_, 1, 1))
     norms = []
     ratio = np.inf
@@ -262,7 +264,7 @@ def gram_barycenter(gram, weights, tol=1e-10, max_iter=100, init=0):
     # far extrapolation can overflow the overlaps; that fails the tolerance below
     with np.errstate(over="ignore", invalid="ignore"):
         for sweep in range(1, max_iter + 1):
-            u, s, vt = np.linalg.svd(B.reshape(np_ * q, q).T @ cols)
+            u, s, vt = np.linalg.svd(S.T @ cols)
             worst = float(np.min(s[:, -1] / s[:, 0]))  # nan for a zero overlap
             if not worst > OVERLAP_TOL:
                 raise SingularOverlapError(
@@ -270,17 +272,17 @@ def gram_barycenter(gram, weights, tol=1e-10, max_iter=100, init=0):
                 )
             ratio = min(ratio, worst)
             rotations[active] = (u @ vt).transpose(0, 2, 1)
-            candidate = np.zeros_like(B)
-            candidate[active] = w_active * rotations[active]
-            d = B - candidate
-            quad = float(np.vdot(d, stacked @ d.reshape(np_ * q, q)))  # nan only from inf - inf
+            candidate = np.zeros_like(S)
+            candidate.reshape(np_, q, q)[active] = w_active * rotations[active]
+            d = S - candidate
+            quad = float(np.vdot(d, G @ d))  # nan only from inf - inf
             gnorm = math.inf if math.isnan(quad) else math.sqrt(max(quad, 0.0))
             norms.append(gnorm)
             if gnorm <= tol:
-                return BarycenterResult(B, list(rotations), sweep, gnorm, True, norms, ratio)
-            B = candidate
+                return BarycenterResult(S, list(rotations), sweep, gnorm, True, norms, ratio)
+            S = candidate
 
-    result = BarycenterResult(B, list(rotations), max_iter, gnorm, False, norms, ratio)
+    result = BarycenterResult(S, list(rotations), max_iter, gnorm, False, norms, ratio)
     raise _stalled(result, tol)
 
 

@@ -54,7 +54,9 @@ from .rom import (
     initial_condition,
     integrate_rom,
     reconstruct_field,
+    stacked,
     update_reduced_model,
+    weighted_rotations,
 )
 from .solver import Grid1D, SolverConfig, initial_profile, run
 from .weights import KINDS, WeightScheme, WeightVector, evaluate_weights, select_neighbors
@@ -141,6 +143,10 @@ def config_from_dict(doc: dict) -> StudyConfig:
             tol=float(d["tol"]),
             max_iter=int(d["max_iter"]),
         )
+        if cfg.weights_neighbors < 1 or cfg.max_iter < 1:
+            raise ValueError("weights.neighbors and max_iter must be >= 1")
+        if not (0.0 < cfg.weights_power < np.inf and 0.0 <= cfg.tol < np.inf):
+            raise ValueError("weights.power must be > 0 and tol >= 0, both finite")
         grid = cfg.grid()
         cfg.solver_config(1.0)  # checks dt and the step counts even with no viscosities
         for nu in cfg.trained_nu + cfg.test_nu:
@@ -296,11 +302,11 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
 class Study:
     """Everything the online stage needs, loaded from offline outputs.
 
-    ``gram`` holds the Gram blocks G_hk = Phi_h^T Phi_k of the trained
-    bases, (Np, Np, q, q), and ``ic_coords`` the coordinates of the stored
-    initial states, ic_coords[h, :, j] = Phi_h^T W (ics[j] - mean), (Np, q,
-    Np).  With them and the tensor archive, a barycentric prediction reads
-    no mesh-sized array until it lifts its trajectory.
+    ``gram`` holds the Gram matrix of the stacked trained bases [Phi_1 ...
+    Phi_Np], (Np q, Np q), and ``ic_coords`` the coordinates of the stored
+    initial states, ic_coords[:, j] = [Phi_1 ... Phi_Np]^T W (ics[j] -
+    mean), (Np q, Np).  With them and the tensor archive, a barycentric
+    prediction reads no mesh-sized array until it lifts its trajectory.
     """
 
     outdir: Path
@@ -343,21 +349,22 @@ def load_study(outdir) -> Study:
     ct = CrossGalerkinTensors(*(arrays[f.name] for f in fields(CrossGalerkinTensors)))
     if int(meta["q"]) != cfg.q or ct.q != cfg.q:
         raise DataIntegrityError("archive truncation order disagrees with the config")
-    assert ip.is_uniform  # M_hk = dx G_hk only under a scalar quadrature weight
-    gram = ct.M / ip.weight
+    gram = stacked(ct.M) / ip.weight
     ic_coords = _coords(bases, mean, ip, np.column_stack(ics))
     return Study(outdir, manifest, cfg, grid, ip, mean, bases, ics, ct, gram, ic_coords)
 
 
 def _coords(bases, mean, ip: InnerProduct, fields) -> np.ndarray:
-    """c[h, :, j] = Phi_h^T W (fields[:, j] - mean), shape (Np, q, m)."""
-    phi = np.hstack([b.modes for b in bases])
-    return (phi.T @ ip.apply(fields - mean[:, None])).reshape(len(bases), -1, fields.shape[1])
+    """c[:, j] = [Phi_1 ... Phi_Np]^T W (fields[:, j] - mean), shape (Np q, m)."""
+    return np.hstack([b.modes for b in bases]).T @ ip.apply(fields - mean[:, None])
 
 
 def study_weights(study: Study, nu: float, kind=None, neighbors=None) -> WeightVector:
     """Weights over all trained nodes: the chosen scheme on the nearest
-    neighbors, zero elsewhere."""
+    neighbors, zero elsewhere.  A viscosity that is not positive and
+    finite, or whose weights overflow, is a ConfigError."""
+    if not (np.isfinite(nu) and nu > 0):
+        raise ConfigError(f"viscosity must be positive and finite, got {nu!r}")
     params = study.params
     kind = _weight_kind(kind) if kind else study.cfg.weights_kind
     m = study.cfg.weights_neighbors if neighbors is None else int(neighbors)
@@ -366,6 +373,9 @@ def study_weights(study: Study, nu: float, kind=None, neighbors=None) -> WeightV
     local = evaluate_weights(WeightScheme(kind, params[sel], study.cfg.weights_power), nu)
     full = np.zeros(params.size)
     full[sel] = local.values
+    if not np.isfinite(full).all():
+        raise ConfigError(f"viscosity {nu!r} lies too far outside the trained range "
+                          "for its interpolation weights to be finite")
     return WeightVector(values=full, target=float(nu))
 
 
@@ -375,17 +385,12 @@ def nearest_index(params, nu: float) -> int:
 
 def _barycenter(study: Study, w: WeightVector, nu: float, tol=None):
     """Karcher barycenter of the trained bases, started at the node nearest
-    nu, run on their Gram blocks."""
+    nu, run on their Gram matrix."""
     return gram_barycenter(
-        study.gram, w.values,
+        study.gram, w.values, study.cfg.q,
         tol=study.cfg.tol if tol is None else float(tol),
         max_iter=study.cfg.max_iter, init=nearest_index(study.params, nu),
     )
-
-
-def _blocks(w: WeightVector, rotations) -> np.ndarray:
-    """B_h = w_h Q_h: the interpolated basis is sum_h Phi_h B_h."""
-    return w.values[:, None, None] * np.stack(rotations)
 
 
 def predict(study: Study, nu: float, method: str = "barycentric",
@@ -401,17 +406,12 @@ def predict(study: Study, nu: float, method: str = "barycentric",
     Returns (trajectory, reconstruction, report) where the report is a
     JSON-ready dict with the interpolation diagnostics and timings.
     """
-    if not (np.isfinite(nu) and nu > 0):
-        raise ConfigError(f"viscosity must be positive and finite, got {nu!r}")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if ic_mode not in IC_MODES:
         raise ValueError(f"ic_mode must be one of {IC_MODES}, got {ic_mode!r}")
     cfg = study.cfg
     w = study_weights(study, nu, kind=kind, neighbors=neighbors)
-    if not np.isfinite(w.values).all():
-        raise ConfigError(f"viscosity {nu!r} lies too far outside the trained range "
-                          "for its interpolation weights to be finite")
     report = {
         "nu": nu,
         "method": method,
@@ -460,9 +460,10 @@ def predict(study: Study, nu: float, method: str = "barycentric",
     else:
         t0 = float(study.manifest["runs"][0]["t0"]) if study.manifest.get("runs") else 0.0
     if method == "barycentric":
-        coords = (_coords(study.bases, study.mean, study.ip, truth.values[:, :1])[..., 0]
+        coords = (_coords(study.bases, study.mean, study.ip, truth.values[:, :1])[:, 0]
                   if ic_mode == "truth" else study.ic_coords @ w.values)
-        alpha0 = block_initial_condition(model.M, _blocks(w, bary.rotations), coords)
+        alpha0 = block_initial_condition(model.M, weighted_rotations(w, bary.rotations),
+                                         coords)
     else:
         u0 = (truth.values[:, 0] if ic_mode == "truth" else
               sum(wk * ic for wk, ic in zip(w.values, study.ics) if wk != 0.0))
@@ -559,7 +560,7 @@ def _online_update(study: Study, nu: float):
     w = study_weights(study, nu)
     bary = _barycenter(study, w, nu)
     model = update_reduced_model(study.tensors, w, bary.rotations, nu)
-    alpha0 = block_initial_condition(model.M, _blocks(w, bary.rotations),
+    alpha0 = block_initial_condition(model.M, weighted_rotations(w, bary.rotations),
                                      study.ic_coords @ w.values)
     return model, alpha0
 

@@ -16,41 +16,17 @@ from .errors import RankTooSmallError, ShapeMismatchError
 
 
 class InnerProduct:
-    """Discrete weighted L2 inner product with a scalar or diagonal weight.
-
-    A scalar weight is the uniform quadrature cell size; a vector weight
-    covers nonuniform grids.  All weights must be positive.
-    """
+    """Discrete weighted L2 inner product with a scalar weight, the uniform
+    quadrature cell size.  The weight must be positive and finite."""
 
     def __init__(self, weight):
-        w = np.asarray(weight, dtype=float)
-        if w.ndim == 0:
-            if w <= 0:
-                raise ValueError("scalar weight must be positive")
-            self.weight = float(w)
-        elif w.ndim == 1:
-            if w.size == 0 or np.any(w <= 0):
-                raise ValueError("diagonal weight entries must be positive")
-            self.weight = w
-        else:
-            raise ValueError("weight must be a scalar or a 1-D vector")
-
-    @property
-    def is_uniform(self):
-        return np.ndim(self.weight) == 0
+        self.weight = float(weight)
+        if not 0.0 < self.weight < np.inf:
+            raise ValueError(f"weight must be positive and finite, got {self.weight}")
 
     def apply(self, a):
         """Multiply a field (N,) or stacked fields (N, k) by the weight."""
-        a = np.asarray(a, dtype=float)
-        if self.is_uniform:
-            return self.weight * a
-        if a.shape[0] != self.weight.size:
-            raise ShapeMismatchError(
-                f"field length {a.shape[0]} != weight length {self.weight.size}"
-            )
-        if a.ndim == 1:
-            return self.weight * a
-        return self.weight[:, None] * a
+        return self.weight * np.asarray(a, dtype=float)
 
     def dot(self, a, b):
         return float(np.sum(self.apply(a) * np.asarray(b, dtype=float)))

@@ -9,19 +9,18 @@ sweeps cheap.  ``direct_project`` assembles the same operators by
 straight quadrature against an explicit basis and exists as the oracle
 the cheap update is checked against.
 
-Index conventions (fixed by requiring update == direct projection):
-block B^{hk} has rows from basis h and columns from basis k, so the
-online conjugation is Q_h^T B^{hk} Q_k; the quadratic blocks C^{hkn}
-carry their derivative-side index s from basis n, contracted online with
-column e of Q_n.
+Index conventions (fixed by requiring update == direct projection): the
+archive's block B^{hk} has rows from basis h and columns from basis k;
+``stacked`` lays the blocks out as the (Np q)-by-(Np q) operator of the
+stacked bases [Phi_1 ... Phi_Np], row h*q + i being mode i of basis h.
+The quadratic blocks C^{hkn} carry their derivative-side index from n.
 
-Online, the interpolated basis is never formed: it is Phi = sum_h Phi_h
-B_h with q-by-q blocks B_h = w_h Q_h (the weights times the barycenter's
-rotations), and every online quantity is a contraction of those blocks
-with stored q-sized coordinates.  On the uniform grid the Gram blocks
-G_hk = Phi_h^T Phi_k the barycenter needs are the mass blocks M^{hk}
-divided by the cell size, and the initial state's coordinates are
-sum_h B_h^T c_h with c_h = Phi_h^T W (u0 - mean).  Only the lift to the
+Online, the interpolated basis is never formed: it is [Phi_1 ... Phi_Np] S
+with S = [w_1 Q_1; ...; w_Np Q_Np] (``weighted_rotations``), and every
+reduced operator is S^T A S for a stacked operator A.  On the uniform grid
+the stacked bases' Gram matrix, which the barycenter needs, is the stacked
+mass matrix over the cell size, and the initial coordinates solve M alpha0
+= S^T c with c = [Phi_1 ... Phi_Np]^T W (u0 - mean).  Only the lift to the
 mesh (``reconstruct_field``) forms Phi.
 """
 
@@ -131,37 +130,48 @@ def assemble_cross_tensors(bases, mean, ip: InnerProduct, grad_op) -> CrossGaler
     return CrossGalerkinTensors(M, R, Cbar, C, F_conv, F_diff)
 
 
+def stacked(blocks) -> np.ndarray:
+    """(Np, Np, q, q) blocks [h, k] as the (Np q)-by-(Np q) operator of the
+    stacked bases [Phi_1 ... Phi_Np]."""
+    np_, q = blocks.shape[0], blocks.shape[-1]
+    return blocks.transpose(0, 2, 1, 3).reshape(np_ * q, np_ * q)
+
+
+def weighted_rotations(w, rotations) -> np.ndarray:
+    """S = [w_1 Q_1; ...; w_Np Q_Np], (Np q)-by-q: the interpolated basis
+    sum_h w_h Phi_h Q_h is [Phi_1 ... Phi_Np] S."""
+    wv = np.asarray(w.values if isinstance(w, WeightVector) else w, dtype=float)
+    Q = np.asarray(rotations, dtype=float)
+    if Q.ndim != 3 or Q.shape[1] != Q.shape[2] or wv.shape != Q.shape[:1]:
+        raise ShapeMismatchError("one weight and one q-by-q rotation per basis required")
+    return (wv[:, None, None] * Q).reshape(-1, Q.shape[2])
+
+
 def update_reduced_model(
     ct: CrossGalerkinTensors, w: WeightVector, rotations, nu: float
 ) -> ReducedModel:
     """Rebuild the reduced operators for new weights/rotations/viscosity.
 
-    Implements the weighted conjugation sums over the stored blocks; the
-    cost depends only on q and the number of trained bases, never on the
-    mesh.  ``rotations`` must be the alignments returned by the
-    barycenter run for the same weights.
+    Each operator is the stacked archive operator conjugated by S =
+    ``weighted_rotations(w, rotations)``; the quadratic term contracts S on
+    its derivative side first.  The cost depends only on q and the number
+    of trained bases, never on the mesh.  ``rotations`` must be the
+    alignments returned by the barycenter run for the same weights.
     """
-    wv = np.asarray(w.values if isinstance(w, WeightVector) else w, dtype=float)
     np_, q = ct.n_bases, ct.q
-    if wv.shape != (np_,):
-        raise ShapeMismatchError(f"{np_} weights required, got {wv.shape}")
-    Q = [np.asarray(r, dtype=float) for r in rotations]
-    if len(Q) != np_ or any(r.shape != (q, q) for r in Q):
-        raise ShapeMismatchError(f"{np_} rotations of shape ({q},{q}) required")
-    a = np.flatnonzero(wv)
-    P = wv[a, None, None] * np.stack(Q)[a]  # P_k = w_k Q_k over the active bases
-    pair = np.ix_(a, a)
-
-    def conjugate(blocks):
-        return np.einsum("hai,hkab,kbj->ij", P, blocks[pair], P, optimize=True)
-
+    n = np_ * q
+    S = weighted_rotations(w, rotations)
+    if S.shape != (n, q):
+        raise ShapeMismatchError(f"{np_} weights and rotations of shape ({q},{q}) required")
+    # rows (n, s) on the derivative side, columns the pair (h, a), (k, b)
+    Ct = ct.C.transpose(2, 3, 0, 4, 1, 5).reshape(n, n * n)
     # far extrapolation can overflow the operators; integrate_rom reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        C = np.einsum("nse,hai,kbj,hknsab->eij", P, P, P, ct.C[np.ix_(a, a, a)],
-                      optimize=True)
-        F = np.einsum("kai,ka->i", P, ct.F_conv[a] + nu * ct.F_diff[a])
-        return ReducedModel(M=conjugate(ct.M), R=conjugate(ct.R),
-                            Cbar=conjugate(ct.Cbar), C=C, F=F, nu=float(nu))
+        return ReducedModel(
+            M=S.T @ stacked(ct.M) @ S, R=S.T @ stacked(ct.R) @ S,
+            Cbar=S.T @ stacked(ct.Cbar) @ S,
+            C=S.T @ (S.T @ Ct).reshape(q, n, n) @ S,
+            F=S.T @ (ct.F_conv + nu * ct.F_diff).ravel(), nu=float(nu))
 
 
 def direct_project(basis, mean, ip: InnerProduct, grad_op, nu: float) -> ReducedModel:
@@ -280,14 +290,14 @@ def initial_condition(basis, mean, ip: InnerProduct, u0) -> np.ndarray:
     return np.linalg.solve(gram, phi.T @ ip.apply(u0 - mean))
 
 
-def block_initial_condition(mass, blocks, coords) -> np.ndarray:
-    """``initial_condition`` for the basis sum_h Phi_h B_h, from q-sized data.
+def block_initial_condition(mass, S, coords) -> np.ndarray:
+    """``initial_condition`` for the basis [Phi_1 ... Phi_Np] S, from q-sized data.
 
-    ``mass`` is that basis's reduced mass matrix, ``blocks`` the (Np, q, q)
-    B_h and ``coords`` the (Np, q) c_h = Phi_h^T W (u0 - mean); the
-    coordinates solve mass alpha0 = sum_h B_h^T c_h.
+    ``mass`` is that basis's reduced mass matrix, ``S`` the (Np q)-by-q
+    ``weighted_rotations`` and ``coords`` the (Np q) c = [Phi_1 ...
+    Phi_Np]^T W (u0 - mean); the coordinates solve mass alpha0 = S^T c.
     """
-    return np.linalg.solve(mass, np.einsum("hai,ha->i", blocks, coords))
+    return np.linalg.solve(mass, S.T @ coords)
 
 
 def combined_basis(bases, weights, rotations) -> np.ndarray:

@@ -383,6 +383,21 @@ MALFORMED_INPUT = [  # (argv, config overrides); "{out}" is a copy of the study
     (["generate", "--config", "{cfg}", "--out", "{out}", "--jobs", "-3"], {}),
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"initial": "foo"}),
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"steps": 3}),  # 1 snapshot < q
+    (["predict", "--out", "{out}", "--nu", "0.08", "--neighbors", "0"], {}),
+    (["predict", "--out", "{out}", "--nu", "0.08", "--neighbors", "-2"], {}),
+    (["compare", "--out", "{out}", "--neighbors", "0"], {}),
+    (["predict", "--out", "{out}", "--nu", "0.08", "--tol=-1e-10"], {}),
+    (["predict", "--out", "{out}", "--nu", "0.08", "--tol", "nan"], {}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"weights": {"neighbors": 0}}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"weights": {"power": 0.0}}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"weights": {"power": -2.0}}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"max_iter": 0}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"tol": -1e-10}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"tol": float("nan")}),
+    (["bench", "--config", "{cfg}", "--out", "{out}", "--sizes", "64", "--nu", "nan"], {}),
+    (["bench", "--config", "{cfg}", "--out", "{out}", "--sizes", "64", "--nu", "inf"], {}),
+    (["bench", "--config", "{cfg}", "--out", "{out}", "--sizes", "64", "--nu", "1e300"], {}),
+    (["bench", "--config", "{cfg}", "--out", "{out}", "--sizes", "64", "--nu=-0.05"], {}),
 ]
 
 
@@ -451,11 +466,11 @@ def test_study_barycenter_matches_karcher_oracle(workdir, nu):
     w = pipeline.study_weights(study, nu)
     init = pipeline.nearest_index(study.params, nu)
     oracle = karcher_barycenter(modes, w.values, tol=1e-12, init=init)
-    fast = pipeline.gram_barycenter(study.gram, w.values, tol=1e-12, init=init)
+    fast = pipeline.gram_barycenter(study.gram, w.values, study.cfg.q, tol=1e-12, init=init)
     assert fast.iterations == oracle.iterations
     for a, b in zip(oracle.rotations, fast.rotations):
         np.testing.assert_allclose(b, a, rtol=0, atol=1e-10)
-    rep = sum(m @ blk for m, blk in zip(modes, fast.representative))
+    rep = np.hstack(modes) @ fast.representative
     assert np.linalg.norm(rep - oracle.representative) <= 1e-10 * np.linalg.norm(rep)
 
 
@@ -466,14 +481,15 @@ def test_study_barycenter_far_extrapolation_matches_oracle_sweep_by_sweep(workdi
     w = pipeline.study_weights(study, 0.5)
     for sweeps in (1, 3):
         results = []
-        for fn, arg in ((karcher_barycenter, modes), (pipeline.gram_barycenter, study.gram)):
+        for fn, args in ((karcher_barycenter, (modes, w.values)),
+                         (pipeline.gram_barycenter, (study.gram, w.values, study.cfg.q))):
             with pytest.raises(NotConvergedError) as info:
-                fn(arg, w.values, tol=0.0, max_iter=sweeps, init=3)
+                fn(*args, tol=0.0, max_iter=sweeps, init=3)
             results.append(info.value.result)
         oracle, fast = results
         for a, b in zip(oracle.rotations, fast.rotations):
             np.testing.assert_allclose(b, a, rtol=0, atol=1e-10)
-        rep = sum(m @ blk for m, blk in zip(modes, fast.representative))
+        rep = np.hstack(modes) @ fast.representative
         assert np.linalg.norm(rep - oracle.representative) <= 1e-10 * np.linalg.norm(rep)
         assert fast.final_gradient_norm == pytest.approx(oracle.final_gradient_norm,
                                                          rel=1e-10)

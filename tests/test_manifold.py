@@ -278,20 +278,21 @@ def test_barycenter_not_converged_carries_iterate(rng):
     assert res.final_gradient_norm > 1e-14
 
 
-def gram_blocks(bases):
-    """G_hk = Phi_h^T Phi_k as (Np, Np, q, q)."""
-    return np.array([[a.T @ b for b in bases] for a in bases])
+def stacked_gram(bases):
+    """Gram matrix of the stacked bases [Phi_1 ... Phi_Np]."""
+    phi = np.hstack(bases)
+    return phi.T @ phi
 
 
 def on_gram(bases, w, **kw):
-    """gram_barycenter on the Gram blocks of ``bases``, with the N-by-q
-    representative sum_h Phi_h B_h put back in place of the blocks."""
+    """gram_barycenter on the stacked Gram matrix of ``bases``, with the
+    N-by-q representative [Phi_1 ... Phi_Np] S put back in place of S."""
     def lifted(res):
-        res.representative = sum(b @ blk for b, blk in zip(bases, res.representative))
+        res.representative = np.hstack(bases) @ res.representative
         return res
 
     try:
-        return lifted(gram_barycenter(gram_blocks(bases), w, **kw))
+        return lifted(gram_barycenter(stacked_gram(bases), w, bases[0].shape[1], **kw))
     except NotConvergedError as exc:
         lifted(exc.result)
         raise
@@ -369,11 +370,11 @@ def test_gram_barycenter_far_extrapolation_matches_oracle_sweep_by_sweep(rng):
 
 def test_gram_barycenter_health_at_a_node(rng):
     bases = [orthonormalize(b) for b in close_family(rng, 40, 4, 3)]
-    res = gram_barycenter(gram_blocks(bases), [0.0, 1.0, 0.0], init=1)
+    res = gram_barycenter(stacked_gram(bases), [0.0, 1.0, 0.0], 4, init=1)
     assert res.iterations == 1
     assert res.gradient_norms == [pytest.approx(0.0, abs=1e-10)]
     assert res.min_overlap_ratio == pytest.approx(1.0, abs=1e-10)
-    np.testing.assert_allclose(res.representative[1], np.eye(4), atol=1e-10)
+    np.testing.assert_allclose(res.representative[4:8], np.eye(4), atol=1e-10)
 
 
 # ------------------------------------------------------------------ itsgm

@@ -77,7 +77,7 @@ def test_mean_error_formula_recomputation(rng):
     # independent loop over instants, no shared code path
     ref = traj(rng.standard_normal((6, 5)) + 3.0)
     approx = traj(ref.values + 0.1 * rng.standard_normal((6, 5)))
-    ip = InnerProduct(rng.uniform(0.5, 1.5, size=6))
+    ip = InnerProduct(0.7)
     num = den = 0.0
     for j in range(5):
         d = ref.values[:, j] - approx.values[:, j]
@@ -110,7 +110,7 @@ def test_error_report_structure(rng):
 def test_error_report_per_time_matches_column_loop(rng):
     ref = traj(rng.standard_normal((6, 5)) + 3.0)
     approx = traj(ref.values + 0.1 * rng.standard_normal((6, 5)))
-    ip = InnerProduct(rng.uniform(0.5, 1.5, size=6))
+    ip = InnerProduct(0.7)
     rep = error_report(ref, approx, ip)
     expected = [error_at_time(ref.values[:, j], approx.values[:, j], ip) for j in range(5)]
     np.testing.assert_allclose([e for _, e in rep.per_time], expected, rtol=1e-12)

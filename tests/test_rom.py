@@ -370,12 +370,12 @@ def test_block_initial_condition_matches_projection_oracle(rng):
     for w in ([0.2, 0.5, 0.3], [0.0, 1.0, 0.0], [1.6, -0.9, 0.3]):
         res = karcher_barycenter(bases, w, init=int(np.argmax(w)))
         model = update_reduced_model(ct, WeightVector(np.array(w), 0.0), res.rotations, 0.07)
-        blocks = np.array(w)[:, None, None] * np.stack(res.rotations)
+        S = np.vstack([wk * r for wk, r in zip(w, res.rotations)])
         oracle_basis = combined_basis(bases, w, res.rotations)
         for u0 in (ics @ w, ics[:, 0]):
-            coords = (phi.T @ ip.apply(u0 - mean)).reshape(3, 3)
+            coords = phi.T @ ip.apply(u0 - mean)
             oracle = initial_condition(oracle_basis, mean, ip, u0)
-            alpha0 = block_initial_condition(model.M, blocks, coords)
+            alpha0 = block_initial_condition(model.M, S, coords)
             assert relative_gap(alpha0, oracle) < 1e-10
 
 
