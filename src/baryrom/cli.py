@@ -149,7 +149,9 @@ def _cmd_predict(args) -> int:
         allow_nonconverged=args.allow_nonconverged,
         kind=args.weights, neighbors=args.neighbors, tol=args.tol,
     )
-    outdir = Path(args.out) / f"predict_nu{pipeline._nu_tag(args.nu)}_{args.method}"
+    # truth-IC runs get their own directory, so they never overwrite a weighted one
+    suffix = "_truth" if args.ic == "truth" else ""
+    outdir = Path(args.out) / f"predict_nu{pipeline._nu_tag(args.nu)}_{args.method}{suffix}"
     outdir.mkdir(parents=True, exist_ok=True)
     q = traj.alphas.shape[1]
     write_csv(
@@ -182,6 +184,7 @@ def _cmd_bench(args) -> int:
     if nu is None:
         lo, hi = min(cfg.trained_nu), max(cfg.trained_nu)
         nu = 0.5 * (lo + hi)
+    pipeline.check_viscosity(nu)  # before any size is generated
     studies = []
     for nx in args.sizes:
         size_dir = Path(args.out) / f"bench_nx{nx}"

@@ -359,12 +359,17 @@ def _coords(bases, mean, ip: InnerProduct, fields) -> np.ndarray:
     return np.hstack([b.modes for b in bases]).T @ ip.apply(fields - mean[:, None])
 
 
+def check_viscosity(nu: float) -> None:
+    """A viscosity that is not positive and finite is a ConfigError."""
+    if not (np.isfinite(nu) and nu > 0):
+        raise ConfigError(f"viscosity must be positive and finite, got {nu!r}")
+
+
 def study_weights(study: Study, nu: float, kind=None, neighbors=None) -> WeightVector:
     """Weights over all trained nodes: the chosen scheme on the nearest
     neighbors, zero elsewhere.  A viscosity that is not positive and
     finite, or whose weights overflow, is a ConfigError."""
-    if not (np.isfinite(nu) and nu > 0):
-        raise ConfigError(f"viscosity must be positive and finite, got {nu!r}")
+    check_viscosity(nu)
     params = study.params
     kind = _weight_kind(kind) if kind else study.cfg.weights_kind
     m = study.cfg.weights_neighbors if neighbors is None else int(neighbors)

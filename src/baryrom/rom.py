@@ -22,6 +22,11 @@ the stacked bases' Gram matrix, which the barycenter needs, is the stacked
 mass matrix over the cell size, and the initial coordinates solve M alpha0
 = S^T c with c = [Phi_1 ... Phi_Np]^T W (u0 - mean).  Only the lift to the
 mesh (``reconstruct_field``) forms Phi.
+
+The reduced solve (``integrate_rom``) folds M^-1 into one stacked
+q-by-(1 + q + q^2) operator G = [f | -L | -Chat], pre-scaled by dt/2 and
+dt, so every RK4 stage is one product of a stage operator with a
+preallocated z = [1; a; vec(a outer a)].
 """
 
 from __future__ import annotations
@@ -207,9 +212,20 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     The mass matrix is Cholesky-factored once and folded into the
     operators before the step loop: f = M^-1 F, L = M^-1 (nu R + Cbar) and
     Chat = M^-1 C laid out as a q-by-q^2 matrix, Chat[i, e*q + j] =
-    (M^-1 C[e])[i, j].  Every stage is then f - L a - Chat (a outer a),
-    with no solve.  States are recorded at step multiples of
-    ``record_every`` (step 0 included).  Each recorded state is checked
+    (M^-1 C[e])[i, j].  They are stacked into the q-by-(1 + q + q^2)
+    operator G = [f | -L | -Chat], so the right-hand side at a state a is
+    the single product G z with z = [1; a; vec(a outer a)], vec index
+    e*q + j holding a_e a_j.  G is scaled once into the stage operators
+    (dt/2) G and dt G, and each stage writes its scaled slope K_i into a
+    preallocated (4, q) array: the stage state a + K_{i-1} and its outer
+    product go into one of four preallocated z vectors, then one product
+    fills K_i (K_1, K_2 with (dt/2) G; K_3, K_4 with dt G).  A step ends
+    with a += [1/3, 2/3, 1/3, 1/6] K, the classical weights dt/6 [1, 2, 2,
+    1] over those scalings.  No array is allocated inside the step loop,
+    so a step is about a dozen small numpy calls.
+
+    States are recorded (as copies) at step multiples of ``record_every``,
+    step 0 included, at times t0 + s*dt.  Each recorded state is checked
     for finiteness, so a run that overflows raises DivergedSolutionError
     at the first recorded step past the blow-up, not after ``steps``.
     """
@@ -232,24 +248,42 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     f = fold(model.F)
     L = fold(model.nu * model.R + model.Cbar)
     Chat = fold(model.C.transpose(1, 0, 2).reshape(q, q * q))
+    G = np.hstack([f[:, None], -L, -Chat])
+    half, full = (0.5 * dt) * G, dt * G
 
-    def rhs(a):
-        return f - L @ a - Chat @ (a[:, None] * a).ravel()  # (a outer a)[e*q + j]
+    # z_i = [1; a_i; vec(a_i outer a_i)]; a_i and zz_i are views into Z, and
+    # z_1's a-part is the state itself, advanced in place.  The outer product
+    # is the (q,1)(1,q) product of a_i's column and row views: one term per
+    # entry, so the same values as a_i[:, None] * a_i from a cheaper call.
+    Z = np.empty((4, 1 + q + q * q))
+    Z[:, 0] = 1.0
+    A = Z[:, 1:1 + q]
+    K = np.empty((4, q))
+    dK = np.empty(q)
+    wts = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
+    views = [(A[i], A[i][:, None], A[i][None, :], Z[i, 1 + q:].reshape(q, q), Z[i], K[i])
+             for i in range(4)]
+    a, a_col, a_row, zz, z, k = views[0]
+    a[:] = alpha0
+    # stages 2-4: (previous scaled slope, stage views, stage operator)
+    stages = [(K[i - 1], *views[i], op) for i, op in zip((1, 2, 3), (half, full, full))]
 
     n_rec = steps // record_every
     alphas = np.empty((n_rec + 1, q))
     times = np.empty(n_rec + 1)
     alphas[0] = alpha0
     times[0] = t0
-    a = alpha0.copy()
     rec = 0
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
         for s in range(1, steps + 1):
-            k1 = rhs(a)
-            k2 = rhs(a + 0.5 * dt * k1)
-            k3 = rhs(a + 0.5 * dt * k2)
-            k4 = rhs(a + dt * k3)
-            a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            a_col.dot(a_row, zz)
+            half.dot(z, k)
+            for k_prev, a_i, col_i, row_i, zz_i, z_i, k_i, op in stages:
+                np.add(a, k_prev, a_i)
+                col_i.dot(row_i, zz_i)
+                op.dot(z_i, k_i)
+            wts.dot(K, dK)
+            np.add(a, dK, a)
             if s % record_every == 0:
                 if not np.isfinite(a).all():
                     raise DivergedSolutionError(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from baryrom import orthonormalize
+from baryrom import orthonormalize, pipeline
 
 
 def random_full_rank(rng, n, q):
@@ -19,3 +19,12 @@ def close_family(rng, n, q, count, spread=0.15, scale=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture(scope="session")
+def default_study(tmp_path_factory):
+    """Default Burgers study: 4 trained viscosities, 3 untrained targets."""
+    out = tmp_path_factory.mktemp("default_study")
+    pipeline.run_generate(pipeline.StudyConfig(), out)
+    pipeline.run_offline(out)
+    return pipeline.load_study(out)

@@ -41,13 +41,8 @@ def report(num, name, ok, detail):
 
 
 @pytest.fixture(scope="session")
-def study(tmp_path_factory):
-    """Default Burgers study: 4 trained viscosities, 3 untrained targets."""
-    out = tmp_path_factory.mktemp("acceptance")
-    cfg = pipeline.StudyConfig()
-    pipeline.run_generate(cfg, out)
-    pipeline.run_offline(out)
-    return pipeline.load_study(out)
+def study(default_study):
+    return default_study
 
 
 def test_c1_geometry_roundtrip():

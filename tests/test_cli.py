@@ -142,7 +142,7 @@ def test_archive_with_extra_arrays_still_loads(workdir, tmp_path):
 def test_predict_untrained_smoke(workdir):
     _, _, out = workdir
     assert main(["predict", "--out", str(out), "--nu", "0.08", "--ic", "truth"]) == 0
-    pdir = out / "predict_nu0.08_barycentric"
+    pdir = out / "predict_nu0.08_barycentric_truth"
     report = json.loads((pdir / "report.json").read_text())
     assert report["barycenter"]["converged"]
     assert report["barycenter"]["final_gradient_norm"] <= 1e-10
@@ -180,7 +180,7 @@ def test_predict_itsgm_dispatch(workdir):
     assert main(["predict", "--out", str(out), "--nu", "0.08", "--ic", "truth",
                  "--method", "itsgm"]) == 0
     report = json.loads(
-        (out / "predict_nu0.08_itsgm" / "report.json").read_text())
+        (out / "predict_nu0.08_itsgm_truth" / "report.json").read_text())
     assert report["method"] == "itsgm"
     assert set(report["timings"]) == {"interpolation_s", "projection_s",
                                       "initial_condition_s", "integrate_s", "lift_s"}
@@ -207,13 +207,25 @@ def test_itsgm_predict_follows_weight_kind(workdir):
 
 def test_predict_deterministic_csv(workdir):
     _, _, out = workdir
-    pdir = out / "predict_nu0.08_barycentric"
+    pdir = out / "predict_nu0.08_barycentric_truth"
     main(["predict", "--out", str(out), "--nu", "0.08", "--ic", "truth"])
     first = (pdir / "trajectory.csv").read_bytes()
     field1 = (pdir / "field.mat").read_bytes()
     main(["predict", "--out", str(out), "--nu", "0.08", "--ic", "truth"])
     assert (pdir / "trajectory.csv").read_bytes() == first
     assert (pdir / "field.mat").read_bytes() == field1
+
+
+def test_predict_ic_modes_write_separate_outputs(workdir):
+    _, _, out = workdir
+    for ic in ("weighted", "truth"):
+        assert main(["predict", "--out", str(out), "--nu", "0.08", "--ic", ic]) == 0
+    dirs = {"weighted": out / "predict_nu0.08_barycentric",
+            "truth": out / "predict_nu0.08_barycentric_truth"}
+    for ic, pdir in dirs.items():
+        assert json.loads((pdir / "report.json").read_text())["ic_mode"] == ic
+    assert ((dirs["weighted"] / "trajectory.csv").read_bytes()
+            != (dirs["truth"] / "trajectory.csv").read_bytes())
 
 
 def test_compare_outputs(workdir):
@@ -345,6 +357,15 @@ def test_bench_command(workdir, tmp_path):
     assert methods == {"barycentric_update", "direct_projection"}
     for line in lines[1:]:
         assert float(line.split(",")[2]) > 0
+
+
+@pytest.mark.parametrize("nu", ["nan", "-0.05"])
+def test_bench_checks_viscosity_before_building(workdir, tmp_path, nu):
+    _, cfg_path, _ = workdir
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(cfg_path), "--out", str(out),
+                 "--sizes", "64", "--nu", nu]) == 2
+    assert not (out / "bench_nx64").exists()
 
 
 def test_far_extrapolation_is_a_numerical_failure(workdir):

@@ -24,6 +24,7 @@ from baryrom import (
     reconstruct_field,
     update_reduced_model,
 )
+from baryrom import pipeline
 from conftest import close_family
 
 
@@ -273,6 +274,36 @@ def test_integrate_folded_operators_match_solve_oracle(rng):
     assert np.abs(traj.alphas - ref).max() <= 1e-12 * np.abs(ref).max()
     # the oracle must see all three operators move the state
     assert np.abs(ref[-1] - a0).max() > 1e-2
+
+
+@pytest.mark.parametrize("nu", [0.052, 0.083, 0.108])
+def test_integrate_matches_solve_oracle_on_default_study(default_study, nu):
+    # the stacked stage operators against textbook stages with a solve in
+    # each, on the barycentric operators of the default nx=256, q=7 study
+    model, a0 = pipeline._online_update(default_study, nu)
+    cfg = default_study.cfg
+    assert a0.shape == (7,)
+    traj = integrate_rom(model, a0, cfg.dt, cfg.steps)
+    ref = rk4_reference(model, a0, cfg.dt, cfg.steps)
+    assert np.abs(traj.alphas - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_integrate_records_copies_at_exact_times(default_study):
+    model, a0 = pipeline._online_update(default_study, 0.083)
+    a0_before = a0.copy()
+    dt, steps, t0 = default_study.cfg.dt, 203, 0.37
+    traj = integrate_rom(model, a0, dt, steps, record_every=5, t0=t0)
+    np.testing.assert_array_equal(a0, a0_before)
+    np.testing.assert_array_equal(traj.times,
+                                  [t0 + s * dt for s in range(0, steps + 1, 5)])
+    ref = rk4_reference(model, a0, dt, steps)[::5]
+    assert np.abs(traj.alphas - ref).max() <= 1e-12 * np.abs(ref).max()
+    # a second call, from another state, leaves the first result alone
+    first = traj.alphas.copy()
+    other = integrate_rom(model, 0.5 * a0, dt, steps, record_every=5, t0=t0)
+    np.testing.assert_array_equal(traj.alphas, first)
+    assert not np.shares_memory(traj.alphas, other.alphas)
+    assert np.abs(other.alphas - first).max() > 1e-3 * np.abs(first).max()
 
 
 def test_integrate_record_every():
