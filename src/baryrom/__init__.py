@@ -20,7 +20,7 @@ from .manifold import (
     BarycenterResult,
     distance,
     exp_map,
-    gram_barycenter,
+    gram_coordinates,
     itsgm_interpolate,
     karcher_barycenter,
     log_map,

@@ -8,13 +8,12 @@ the inverse map aligns the target onto the base with the orthogonal
 Procrustes rotation of their overlap.  The weighted Karcher barycenter of
 several points is found with a plain fixed-point sweep on that alignment.
 
-Every iterate of that sweep is a combination Phi = [Phi_1 ... Phi_Np] S
-of the inputs with an (Np q)-by-q coefficient matrix S, so the sweep can
-also run on the Gram matrix G = [Phi_1 ... Phi_Np]^T [Phi_1 ... Phi_Np]
-of the stacked inputs alone: the overlap with input k is Phi^T Phi_k =
-S^T G_k for the k-th column block G_k of G, and ||Phi||_F^2 = tr(S^T G S).
-``gram_barycenter`` does that, touching no array the size of the mesh;
-``karcher_barycenter`` runs on the N-by-q inputs and is its oracle.
+The sweep reads the inputs only through their inner products, so it runs
+as well on any coordinates that keep those: ``gram_coordinates`` builds
+such coordinates from the Gram matrix G = [Phi_1 ... Phi_Np]^T [Phi_1 ...
+Phi_Np] of the stacked inputs alone, (Np q)-by-q each, and the online
+stage runs ``karcher_barycenter`` on them without touching an array the
+size of the mesh.
 
 A Grassmann tangent-space interpolation (the classical ITSGM baseline,
 operating on orthonormal representatives with arctan/cos/sin of principal
@@ -44,8 +43,8 @@ def _as_representative(m, name="matrix"):
     if m.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got ndim={m.ndim}")
     n, q = m.shape
-    if not (n > q >= 1):
-        raise ShapeMismatchError(f"{name} must be tall (N > q >= 1), got {m.shape}")
+    if not (n >= q >= 1):
+        raise ShapeMismatchError(f"{name} must have N >= q >= 1, got {m.shape}")
     return m
 
 
@@ -137,18 +136,16 @@ class BarycenterResult:
     """Outcome of the fixed-point barycenter iteration.
 
     representative : the iterate at which the gradient norm was certified,
-                     an (N, q) matrix from ``karcher_barycenter`` and its
-                     (Np q, q) coefficients S from ``gram_barycenter``, the
-                     iterate being [Phi_1 ... Phi_Np] S;
+                     in the coordinates of the inputs;
     rotations      : alignments of each input onto the representative
                      (identity for zero-weight inputs);
     iterations     : number of fixed-point sweeps performed, counting the
                      sweep that certified convergence;
     final_gradient_norm : ||phi - sum_k w_k phi_k Q_k||_F at the result;
-    gradient_norms : that norm after every sweep (``gram_barycenter`` only);
+    gradient_norms : that norm after every sweep;
     min_overlap_ratio : smallest sigma_min / sigma_max over every overlap
                      the sweeps factored; near 0, an alignment is close to
-                     not being unique (``gram_barycenter`` only).
+                     not being unique.
     """
 
     representative: np.ndarray
@@ -187,11 +184,13 @@ def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
     iterate with its Procrustes rotation and replaces the iterate by the
     weighted sum of the aligned inputs; the gradient norm of the
     underlying weighted squared-distance objective is exactly the
-    Frobenius distance between iterate and that weighted sum.
+    Frobenius distance between iterate and that weighted sum.  The
+    overlaps of one sweep are one stacked product and one stacked SVD.
 
     Parameters
     ----------
-    bases : sequence of (N, q) full-rank arrays
+    bases : sequence of (n, q) full-rank arrays, n >= q: the inputs on
+        the mesh, or their ``gram_coordinates``
     weights : sequence of reals summing to 1, to roundoff relative to
         sum |w_k| (entries may be negative, as polynomial extrapolation
         produces; zero-weight inputs are skipped and reported with
@@ -210,61 +209,19 @@ def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
         if m.shape != shape:
             raise ShapeMismatchError(f"bases[{i}] shape {m.shape} != {shape}")
     w = _checked_weights(weights, len(mats))
-    phi = mats[int(init)].copy()
-
-    q = shape[1]
-    active = [k for k in range(len(mats)) if w[k] != 0.0]
-    rotations = [np.eye(q) for _ in mats]
-    gnorm = np.inf
-    # an iterate overflowed by far extrapolation fails the tolerance below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sweep in range(1, max_iter + 1):
-            for k in active:
-                rotations[k] = procrustes_rotation(phi, mats[k])
-            candidate = np.zeros(shape)
-            for k in active:
-                candidate += w[k] * (mats[k] @ rotations[k])
-            gnorm = float(np.linalg.norm(phi - candidate))
-            if gnorm <= tol:
-                return BarycenterResult(phi, rotations, sweep, gnorm, True)
-            phi = candidate
-
-    raise _stalled(BarycenterResult(phi, rotations, max_iter, gnorm, False), tol)
-
-
-def gram_barycenter(gram, weights, q, tol=1e-10, max_iter=100, init=0):
-    """``karcher_barycenter`` run on the inputs' Gram matrix alone.
-
-    ``gram`` is the (Np q)-by-(Np q) Gram matrix of the stacked inputs
-    [Phi_1 ... Phi_Np], each q columns wide.  The iterate is held as its
-    coefficients S, Phi = [Phi_1 ... Phi_Np] S: it starts with the identity
-    in block row ``init`` (all else zero) and each sweep sets block row k
-    to w_k Q_k.  The overlaps of one sweep are one product, S^T G_k for
-    every active k, and one stacked SVD.  The gradient norm is the Gram
-    quadratic form of the difference D = S_old - S_new, sqrt(tr(D^T G D)),
-    so it keeps its accuracy as it approaches zero.  Sweeps, rotations,
-    stopping rule and errors are those of ``karcher_barycenter``; the
-    result's ``representative`` is the certified iterate's S.
-    """
-    G = np.asarray(gram, dtype=float)
-    n = G.shape[0] if G.ndim == 2 else -1
-    if G.shape != (n, n) or q < 1 or n % q:
-        raise ShapeMismatchError(f"Gram matrix must be square in blocks of {q}, got {G.shape}")
-    np_ = n // q
-    w = _checked_weights(weights, np_)
     active = np.flatnonzero(w)
+    q = shape[1]
+    stack = np.hstack([mats[k] for k in active])  # [Phi_k], active k
     w_active = w[active, None, None]
-    cols = G.reshape(n, np_, q)[:, active].transpose(1, 0, 2)  # G_k, active k
-    S = np.zeros((n, q))
-    S[int(init) * q:(int(init) + 1) * q] = np.eye(q)
-    rotations = np.tile(np.eye(q), (np_, 1, 1))
+    phi = mats[int(init)].copy()
+    rotations = np.tile(np.eye(q), (len(mats), 1, 1))
     norms = []
     ratio = np.inf
     gnorm = np.inf
-    # far extrapolation can overflow the overlaps; that fails the tolerance below
+    # far extrapolation can overflow the iterate; that fails the tolerance below
     with np.errstate(over="ignore", invalid="ignore"):
         for sweep in range(1, max_iter + 1):
-            u, s, vt = np.linalg.svd(S.T @ cols)
+            u, s, vt = np.linalg.svd((phi.T @ stack).reshape(q, -1, q).transpose(1, 0, 2))
             worst = float(np.min(s[:, -1] / s[:, 0]))  # nan for a zero overlap
             if not worst > OVERLAP_TOL:
                 raise SingularOverlapError(
@@ -272,18 +229,38 @@ def gram_barycenter(gram, weights, q, tol=1e-10, max_iter=100, init=0):
                 )
             ratio = min(ratio, worst)
             rotations[active] = (u @ vt).transpose(0, 2, 1)
-            candidate = np.zeros_like(S)
-            candidate.reshape(np_, q, q)[active] = w_active * rotations[active]
-            d = S - candidate
-            quad = float(np.vdot(d, G @ d))  # nan only from inf - inf
-            gnorm = math.inf if math.isnan(quad) else math.sqrt(max(quad, 0.0))
+            candidate = stack @ (w_active * rotations[active]).reshape(-1, q)
+            gnorm = float(np.linalg.norm(phi - candidate))
+            gnorm = math.inf if math.isnan(gnorm) else gnorm  # nan from an overflowed iterate
             norms.append(gnorm)
             if gnorm <= tol:
-                return BarycenterResult(S, list(rotations), sweep, gnorm, True, norms, ratio)
-            S = candidate
+                return BarycenterResult(phi, list(rotations), sweep, gnorm, True, norms, ratio)
+            phi = candidate
 
-    result = BarycenterResult(S, list(rotations), max_iter, gnorm, False, norms, ratio)
+    result = BarycenterResult(phi, list(rotations), max_iter, gnorm, False, norms, ratio)
     raise _stalled(result, tol)
+
+
+def gram_coordinates(gram, q):
+    """Coordinates R_1 ... R_Np of inputs known only by their Gram matrix.
+
+    ``gram`` is the (Np q)-by-(Np q) Gram matrix G of the stacked inputs
+    [Phi_1 ... Phi_Np], each q columns wide.  With G = V diag(lam) V^T,
+    R = diag(sqrt(lam)) V^T has R^T R = G (eigenvalues that roundoff makes
+    negative count as zero), so its q-column blocks R_k have R_h^T R_k =
+    Phi_h^T Phi_k: they are the inputs in an orthonormal frame of their
+    joint span.  ``karcher_barycenter`` on them sweeps, rotates and
+    measures gradient norms as on the inputs, with (Np q)-row arrays in
+    place of N-row ones; its representative is R S for the iterate
+    [Phi_1 ... Phi_Np] S.
+    """
+    G = np.asarray(gram, dtype=float)
+    n = G.shape[0] if G.ndim == 2 else -1
+    if G.shape != (n, n) or q < 1 or n % q:
+        raise ShapeMismatchError(f"Gram matrix must be square in blocks of {q}, got {G.shape}")
+    lam, vecs = np.linalg.eigh(G)
+    frame = np.sqrt(np.clip(lam, 0.0, None))[:, None] * vecs.T
+    return [frame[:, k:k + q] for k in range(0, n, q)]
 
 
 def itsgm_interpolate(bases, weights, ref_index):

@@ -34,14 +34,7 @@ from .io import (
     write_manifest,
     write_matrix,
 )
-# karcher_barycenter stays bound here, though predict runs gram_barycenter: perfbench
-# traces it and checks the update against the basis it gives
-from .manifold import (  # noqa: F401
-    gram_barycenter,
-    itsgm_interpolate,
-    karcher_barycenter,
-    orthonormalize,
-)
+from .manifold import gram_coordinates, itsgm_interpolate, karcher_barycenter, orthonormalize
 # mean_error stays bound here: perfbench's Tracer wraps every name in its TRACED
 from .metrics import error_report, mean_error, write_csv  # noqa: F401
 from .pod import InnerProduct, PODBasis, SnapshotMatrix, compute_pod, global_mean
@@ -302,11 +295,14 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
 class Study:
     """Everything the online stage needs, loaded from offline outputs.
 
-    ``gram`` holds the Gram matrix of the stacked trained bases [Phi_1 ...
-    Phi_Np], (Np q, Np q), and ``ic_coords`` the coordinates of the stored
+    ``frame`` holds the trained bases in ``gram_coordinates``, one (Np q,
+    q) block each, from the Gram matrix of the stacked bases [Phi_1 ...
+    Phi_Np], and ``ic_coords`` the coordinates of the stored
     initial states, ic_coords[:, j] = [Phi_1 ... Phi_Np]^T W (ics[j] -
     mean), (Np q, Np).  With them and the tensor archive, a barycentric
     prediction reads no mesh-sized array until it lifts its trajectory.
+    ``ortho`` holds the orthonormalized trained bases the ITSGM baseline
+    interpolates, made once here rather than in every prediction.
     """
 
     outdir: Path
@@ -318,8 +314,9 @@ class Study:
     bases: list
     ics: list
     tensors: CrossGalerkinTensors
-    gram: np.ndarray
+    frame: list
     ic_coords: np.ndarray
+    ortho: list
 
     @property
     def params(self) -> np.ndarray:
@@ -349,9 +346,10 @@ def load_study(outdir) -> Study:
     ct = CrossGalerkinTensors(*(arrays[f.name] for f in fields(CrossGalerkinTensors)))
     if int(meta["q"]) != cfg.q or ct.q != cfg.q:
         raise DataIntegrityError("archive truncation order disagrees with the config")
-    gram = stacked(ct.M) / ip.weight
+    frame = gram_coordinates(stacked(ct.M) / ip.weight, cfg.q)
     ic_coords = _coords(bases, mean, ip, np.column_stack(ics))
-    return Study(outdir, manifest, cfg, grid, ip, mean, bases, ics, ct, gram, ic_coords)
+    ortho = [orthonormalize(b.modes) for b in bases]
+    return Study(outdir, manifest, cfg, grid, ip, mean, bases, ics, ct, frame, ic_coords, ortho)
 
 
 def _coords(bases, mean, ip: InnerProduct, fields) -> np.ndarray:
@@ -390,9 +388,9 @@ def nearest_index(params, nu: float) -> int:
 
 def _barycenter(study: Study, w: WeightVector, nu: float, tol=None):
     """Karcher barycenter of the trained bases, started at the node nearest
-    nu, run on their Gram matrix."""
-    return gram_barycenter(
-        study.gram, w.values, study.cfg.q,
+    nu, run on their Gram coordinates."""
+    return karcher_barycenter(
+        study.frame, w.values,
         tol=study.cfg.tol if tol is None else float(tol),
         max_iter=study.cfg.max_iter, init=nearest_index(study.params, nu),
     )
@@ -450,7 +448,7 @@ def predict(study: Study, nu: float, method: str = "barycentric",
     else:
         t = timer()
         sel = [k for k in range(study.params.size) if w.values[k] != 0.0]
-        ortho = [orthonormalize(study.bases[k].modes) for k in sel]
+        ortho = [study.ortho[k] for k in sel]
         ref_local = int(np.argmin(np.abs(study.params[sel] - nu)))
         basis = itsgm_interpolate(ortho, w.values[sel], ref_local)
         report["timings"]["interpolation_s"] = timer() - t

@@ -251,22 +251,23 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     G = np.hstack([f[:, None], -L, -Chat])
     half, full = (0.5 * dt) * G, dt * G
 
-    # z_i = [1; a_i; vec(a_i outer a_i)]; a_i and zz_i are views into Z, and
-    # z_1's a-part is the state itself, advanced in place.  The outer product
-    # is the (q,1)(1,q) product of a_i's column and row views: one term per
-    # entry, so the same values as a_i[:, None] * a_i from a cheaper call.
+    # z_i = [1; a_i; vec(a_i outer a_i)] is row i of Z; a[i] and zz[i] are views
+    # into it, and a[0] is the state itself, advanced in place.  The outer
+    # product is the (q,1)(1,q) product of a[i]'s column and row views: one
+    # term per entry, so the same values as a[i][:, None] * a[i] from a cheaper
+    # call.  The views are made once, here, not in the step loop.
     Z = np.empty((4, 1 + q + q * q))
     Z[:, 0] = 1.0
-    A = Z[:, 1:1 + q]
     K = np.empty((4, q))
     dK = np.empty(q)
     wts = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
-    views = [(A[i], A[i][:, None], A[i][None, :], Z[i, 1 + q:].reshape(q, q), Z[i], K[i])
-             for i in range(4)]
-    a, a_col, a_row, zz, z, k = views[0]
-    a[:] = alpha0
-    # stages 2-4: (previous scaled slope, stage views, stage operator)
-    stages = [(K[i - 1], *views[i], op) for i, op in zip((1, 2, 3), (half, full, full))]
+    z, k = list(Z), list(K)
+    a = [z_i[1:1 + q] for z_i in z]
+    col = [a_i[:, None] for a_i in a]
+    row = [a_i[None, :] for a_i in a]
+    zz = [z_i[1 + q:].reshape(q, q) for z_i in z]
+    state = a[0]
+    state[:] = alpha0
 
     n_rec = steps // record_every
     alphas = np.empty((n_rec + 1, q))
@@ -276,20 +277,25 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     rec = 0
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
         for s in range(1, steps + 1):
-            a_col.dot(a_row, zz)
-            half.dot(z, k)
-            for k_prev, a_i, col_i, row_i, zz_i, z_i, k_i, op in stages:
-                np.add(a, k_prev, a_i)
-                col_i.dot(row_i, zz_i)
-                op.dot(z_i, k_i)
+            col[0].dot(row[0], zz[0])
+            half.dot(z[0], k[0])
+            np.add(state, k[0], a[1])
+            col[1].dot(row[1], zz[1])
+            half.dot(z[1], k[1])
+            np.add(state, k[1], a[2])
+            col[2].dot(row[2], zz[2])
+            full.dot(z[2], k[2])
+            np.add(state, k[2], a[3])
+            col[3].dot(row[3], zz[3])
+            full.dot(z[3], k[3])
             wts.dot(K, dK)
-            np.add(a, dK, a)
+            np.add(state, dK, state)
             if s % record_every == 0:
-                if not np.isfinite(a).all():
+                if not np.isfinite(state).all():
                     raise DivergedSolutionError(
                         f"reduced state diverged to a non-finite value by step {s}")
                 rec += 1
-                alphas[rec] = a
+                alphas[rec] = state
                 times[rec] = t0 + s * dt
     if not np.isfinite(alphas).all():
         raise DivergedSolutionError("reduced state diverged to a non-finite value")

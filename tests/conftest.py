@@ -22,9 +22,9 @@ def rng():
 
 
 @pytest.fixture(scope="session")
-def default_study(tmp_path_factory):
+def study(tmp_path_factory):
     """Default Burgers study: 4 trained viscosities, 3 untrained targets."""
-    out = tmp_path_factory.mktemp("default_study")
+    out = tmp_path_factory.mktemp("study")
     pipeline.run_generate(pipeline.StudyConfig(), out)
     pipeline.run_offline(out)
     return pipeline.load_study(out)

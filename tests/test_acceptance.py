@@ -8,7 +8,6 @@ run with ``pytest tests/test_acceptance.py -v -s`` to see them.
 import time
 
 import numpy as np
-import pytest
 
 from baryrom import (
     Grid1D,
@@ -38,11 +37,6 @@ from baryrom import pipeline
 def report(num, name, ok, detail):
     print(f"[ACCEPTANCE] C{num} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num} ({name}) failed: {detail}"
-
-
-@pytest.fixture(scope="session")
-def study(default_study):
-    return default_study
 
 
 def test_c1_geometry_roundtrip():

@@ -479,6 +479,14 @@ def test_predict_reports_barycenter_health_at_a_trained_node(workdir):
     assert health["min_overlap_ratio"] == pytest.approx(1.0, abs=1e-10)
 
 
+def assert_same_representative(oracle, fast, modes, frame):
+    """The mesh and Gram-coordinate representatives have the same inner
+    products with every trained basis, so they are the same barycenter."""
+    want = np.hstack(modes).T @ oracle.representative
+    got = np.hstack(frame).T @ fast.representative
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("nu", [0.06, 0.08, 0.1, 0.045, 0.12])
 def test_study_barycenter_matches_karcher_oracle(workdir, nu):
     _, _, out = workdir
@@ -487,12 +495,11 @@ def test_study_barycenter_matches_karcher_oracle(workdir, nu):
     w = pipeline.study_weights(study, nu)
     init = pipeline.nearest_index(study.params, nu)
     oracle = karcher_barycenter(modes, w.values, tol=1e-12, init=init)
-    fast = pipeline.gram_barycenter(study.gram, w.values, study.cfg.q, tol=1e-12, init=init)
+    fast = karcher_barycenter(study.frame, w.values, tol=1e-12, init=init)
     assert fast.iterations == oracle.iterations
     for a, b in zip(oracle.rotations, fast.rotations):
         np.testing.assert_allclose(b, a, rtol=0, atol=1e-10)
-    rep = np.hstack(modes) @ fast.representative
-    assert np.linalg.norm(rep - oracle.representative) <= 1e-10 * np.linalg.norm(rep)
+    assert_same_representative(oracle, fast, modes, study.frame)
 
 
 def test_study_barycenter_far_extrapolation_matches_oracle_sweep_by_sweep(workdir):
@@ -502,16 +509,14 @@ def test_study_barycenter_far_extrapolation_matches_oracle_sweep_by_sweep(workdi
     w = pipeline.study_weights(study, 0.5)
     for sweeps in (1, 3):
         results = []
-        for fn, args in ((karcher_barycenter, (modes, w.values)),
-                         (pipeline.gram_barycenter, (study.gram, w.values, study.cfg.q))):
+        for bases in (modes, study.frame):
             with pytest.raises(NotConvergedError) as info:
-                fn(*args, tol=0.0, max_iter=sweeps, init=3)
+                karcher_barycenter(bases, w.values, tol=0.0, max_iter=sweeps, init=3)
             results.append(info.value.result)
         oracle, fast = results
         for a, b in zip(oracle.rotations, fast.rotations):
             np.testing.assert_allclose(b, a, rtol=0, atol=1e-10)
-        rep = np.hstack(modes) @ fast.representative
-        assert np.linalg.norm(rep - oracle.representative) <= 1e-10 * np.linalg.norm(rep)
+        assert_same_representative(oracle, fast, modes, study.frame)
         assert fast.final_gradient_norm == pytest.approx(oracle.final_gradient_norm,
                                                          rel=1e-10)
 

@@ -4,6 +4,7 @@ import scipy.optimize
 from scipy.spatial.transform import Rotation
 
 from baryrom import (
+    BarycenterResult,
     NotConvergedError,
     RankDeficientError,
     ShapeMismatchError,
@@ -12,11 +13,12 @@ from baryrom import (
     distance,
     evaluate_weights,
     exp_map,
-    gram_barycenter,
+    gram_coordinates,
     itsgm_interpolate,
     karcher_barycenter,
     log_map,
     orthonormalize,
+    procrustes_rotation,
     subspace_distance,
 )
 from conftest import close_family
@@ -236,8 +238,6 @@ def test_barycenter_hand_fixed_point():
 
 
 def test_barycenter_stationarity_recomputed(rng):
-    from baryrom import procrustes_rotation
-
     bases = close_family(rng, 60, 5, 4)
     w = np.array([0.1, 0.4, 0.3, 0.2])
     res = karcher_barycenter(bases, w, tol=1e-12, init=1)
@@ -285,14 +285,18 @@ def stacked_gram(bases):
 
 
 def on_gram(bases, w, **kw):
-    """gram_barycenter on the stacked Gram matrix of ``bases``, with the
-    N-by-q representative [Phi_1 ... Phi_Np] S put back in place of S."""
+    """karcher_barycenter on the gram_coordinates of ``bases``, with its
+    representative R S lifted back to [Phi_1 ... Phi_Np] S (R is invertible
+    for these full-rank stacks)."""
+    frame = gram_coordinates(stacked_gram(bases), bases[0].shape[1])
+
     def lifted(res):
-        res.representative = np.hstack(bases) @ res.representative
+        res.representative = np.hstack(bases) @ np.linalg.solve(np.hstack(frame),
+                                                                res.representative)
         return res
 
     try:
-        return lifted(gram_barycenter(stacked_gram(bases), w, bases[0].shape[1], **kw))
+        return lifted(karcher_barycenter(frame, w, **kw))
     except NotConvergedError as exc:
         lifted(exc.result)
         raise
@@ -324,6 +328,24 @@ def test_barycenter_singular_overlap(barycenter):
         barycenter([col(1.0, 0.0, 0.0), col(0.0, 1.0, 0.0)], [0.5, 0.5], init=0)
 
 
+def karcher_reference(bases, w, tol, max_iter=100, init=0):
+    """The fixed-point sweep written out basis by basis, one Procrustes
+    rotation at a time: the oracle for the stacked sweep."""
+    phi = bases[init].copy()
+    rotations = [np.eye(phi.shape[1]) for _ in bases]
+    for sweep in range(1, max_iter + 1):
+        candidate = np.zeros_like(phi)
+        for k, b in enumerate(bases):
+            if w[k] != 0.0:
+                rotations[k] = procrustes_rotation(phi, b)
+                candidate += w[k] * (b @ rotations[k])
+        gnorm = float(np.linalg.norm(phi - candidate))
+        if gnorm <= tol:
+            return BarycenterResult(phi, rotations, sweep, gnorm, True)
+        phi = candidate
+    return BarycenterResult(phi, rotations, max_iter, gnorm, False)
+
+
 def assert_same_barycenter(oracle, res, bases):
     assert res.iterations == oracle.iterations
     assert res.converged == oracle.converged
@@ -351,7 +373,8 @@ GRAM_CASES = {  # name -> (bases from rng, weights, init)
 def test_gram_barycenter_matches_karcher_oracle(rng, case):
     make, w, init = GRAM_CASES[case]
     bases = make(rng)
-    oracle = karcher_barycenter(bases, w, tol=1e-12, init=init)
+    oracle = karcher_reference(bases, w, tol=1e-12, init=init)
+    assert_same_barycenter(oracle, karcher_barycenter(bases, w, tol=1e-12, init=init), bases)
     assert_same_barycenter(oracle, on_gram(bases, w, tol=1e-12, init=init), bases)
 
 
@@ -361,20 +384,34 @@ def test_gram_barycenter_far_extrapolation_matches_oracle_sweep_by_sweep(rng):
     bases = close_family(rng, 50, 4, 3, spread=0.05)
     w = lagrange([0.05, 0.07, 0.09], 0.4)
     for sweeps in (1, 2, 4):
-        with pytest.raises(NotConvergedError) as oracle:
-            karcher_barycenter(bases, w, tol=0.0, max_iter=sweeps, init=2)
-        with pytest.raises(NotConvergedError) as fast:
-            on_gram(bases, w, tol=0.0, max_iter=sweeps, init=2)
-        assert_same_barycenter(oracle.value.result, fast.value.result, bases)
+        oracle = karcher_reference(bases, w, tol=0.0, max_iter=sweeps, init=2)
+        for barycenter in (karcher_barycenter, on_gram):
+            with pytest.raises(NotConvergedError) as info:
+                barycenter(bases, w, tol=0.0, max_iter=sweeps, init=2)
+            assert_same_barycenter(oracle, info.value.result, bases)
+
+
+def test_gram_coordinates_keep_inner_products(rng):
+    # a stack whose span is smaller than its width (a repeated basis), and one basis
+    b = close_family(rng, 30, 3, 2)
+    for bases in ([b[0], b[1], b[0]], [b[1]]):
+        gram = stacked_gram(bases)
+        frame = gram_coordinates(gram, 3)
+        assert [r.shape for r in frame] == [(3 * len(bases), 3)] * len(bases)
+        np.testing.assert_allclose(np.hstack(frame).T @ np.hstack(frame), gram,
+                                   rtol=0, atol=1e-13 * np.linalg.norm(gram))
+    with pytest.raises(ShapeMismatchError):
+        gram_coordinates(np.eye(6), 4)
 
 
 def test_gram_barycenter_health_at_a_node(rng):
     bases = [orthonormalize(b) for b in close_family(rng, 40, 4, 3)]
-    res = gram_barycenter(stacked_gram(bases), [0.0, 1.0, 0.0], 4, init=1)
+    frame = gram_coordinates(stacked_gram(bases), 4)
+    res = karcher_barycenter(frame, [0.0, 1.0, 0.0], init=1)
     assert res.iterations == 1
     assert res.gradient_norms == [pytest.approx(0.0, abs=1e-10)]
     assert res.min_overlap_ratio == pytest.approx(1.0, abs=1e-10)
-    np.testing.assert_allclose(res.representative[4:8], np.eye(4), atol=1e-10)
+    np.testing.assert_allclose(res.representative, frame[1], rtol=0, atol=0)
 
 
 # ------------------------------------------------------------------ itsgm

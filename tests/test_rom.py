@@ -277,21 +277,21 @@ def test_integrate_folded_operators_match_solve_oracle(rng):
 
 
 @pytest.mark.parametrize("nu", [0.052, 0.083, 0.108])
-def test_integrate_matches_solve_oracle_on_default_study(default_study, nu):
+def test_integrate_matches_solve_oracle_on_default_study(study, nu):
     # the stacked stage operators against textbook stages with a solve in
     # each, on the barycentric operators of the default nx=256, q=7 study
-    model, a0 = pipeline._online_update(default_study, nu)
-    cfg = default_study.cfg
+    model, a0 = pipeline._online_update(study, nu)
+    cfg = study.cfg
     assert a0.shape == (7,)
     traj = integrate_rom(model, a0, cfg.dt, cfg.steps)
     ref = rk4_reference(model, a0, cfg.dt, cfg.steps)
     assert np.abs(traj.alphas - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_integrate_records_copies_at_exact_times(default_study):
-    model, a0 = pipeline._online_update(default_study, 0.083)
+def test_integrate_records_copies_at_exact_times(study):
+    model, a0 = pipeline._online_update(study, 0.083)
     a0_before = a0.copy()
-    dt, steps, t0 = default_study.cfg.dt, 203, 0.37
+    dt, steps, t0 = study.cfg.dt, 203, 0.37
     traj = integrate_rom(model, a0, dt, steps, record_every=5, t0=t0)
     np.testing.assert_array_equal(a0, a0_before)
     np.testing.assert_array_equal(traj.times,
