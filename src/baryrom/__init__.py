@@ -9,6 +9,7 @@ from .errors import (
     DivergedSolutionError,
     DuplicateNodesError,
     NotConvergedError,
+    NumericalError,
     RankDeficientError,
     RankTooSmallError,
     ShapeMismatchError,

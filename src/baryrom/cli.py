@@ -14,16 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, pipeline
-from .errors import (
-    ConfigError,
-    DataIntegrityError,
-    DivergedSolutionError,
-    NotConvergedError,
-    RankDeficientError,
-    RankTooSmallError,
-    SingularMassError,
-    SingularOverlapError,
-)
+from .errors import ConfigError, DataIntegrityError, NumericalError
 from .io import write_manifest, write_matrix
 from .metrics import write_csv
 
@@ -31,15 +22,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_DATA = 4
-
-_NUMERICAL = (
-    NotConvergedError,
-    DivergedSolutionError,
-    SingularMassError,
-    SingularOverlapError,
-    RankDeficientError,
-    RankTooSmallError,
-)
 
 
 def _positive_int(text: str) -> int:
@@ -188,13 +170,16 @@ def _cmd_bench(args) -> int:
     studies = []
     for nx in args.sizes:
         size_dir = Path(args.out) / f"bench_nx{nx}"
-        size_cfg = pipeline.config_from_dict({**cfg.to_dict(), "grid": {
-            "n": nx, "length": cfg.grid_length}})
-        if not (size_dir / "manifest.json").exists():
-            pipeline.run_generate(size_cfg, size_dir, jobs=args.jobs)
-        manifest = pipeline.read_manifest(size_dir / "manifest.json")
-        if "offline" not in manifest:
-            pipeline.run_offline(size_dir, jobs=args.jobs, q=args.q)
+        size_cfg = pipeline.config_from_dict({
+            **cfg.to_dict(), "q": cfg.q if args.q is None else args.q,
+            "grid": {"n": nx, "length": cfg.grid_length}})
+        # a stored study is reused only if it was built from this very config
+        path = size_dir / "manifest.json"
+        stored = pipeline.read_manifest(path) if path.exists() else {}
+        if stored.get("config") != size_cfg.to_dict():
+            stored = pipeline.run_generate(size_cfg, size_dir, jobs=args.jobs)
+        if "offline" not in stored:
+            pipeline.run_offline(size_dir, jobs=args.jobs)
         studies.append(pipeline.load_study(size_dir))
     t_update, t_direct = pipeline.bench_update(studies, nu, reps=args.reps)
     rows = []
@@ -225,7 +210,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except DataIntegrityError as exc:

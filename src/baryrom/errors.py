@@ -5,19 +5,23 @@ class BaryromError(Exception):
     """Base class for all library errors."""
 
 
+class NumericalError(BaryromError):
+    """Base class of the numerical failures; the command line exits 3 on them."""
+
+
 class ShapeMismatchError(BaryromError):
     """Inputs do not share the required array shapes."""
 
 
-class RankDeficientError(BaryromError):
+class RankDeficientError(NumericalError):
     """A matrix that must be full column rank is not."""
 
 
-class SingularOverlapError(BaryromError):
+class SingularOverlapError(NumericalError):
     """The overlap of two subspace representatives is numerically singular."""
 
 
-class RankTooSmallError(BaryromError):
+class RankTooSmallError(NumericalError):
     """Requested truncation order exceeds the numerical rank of the data."""
 
 
@@ -25,7 +29,7 @@ class DuplicateNodesError(BaryromError):
     """Interpolation nodes must be pairwise distinct."""
 
 
-class SingularMassError(BaryromError):
+class SingularMassError(NumericalError):
     """The reduced mass matrix is not invertible."""
 
 
@@ -33,7 +37,7 @@ class ZeroReferenceError(BaryromError):
     """Relative error is undefined against a zero reference field."""
 
 
-class DivergedSolutionError(BaryromError):
+class DivergedSolutionError(NumericalError):
     """Time integration blew past the divergence cap."""
 
 
@@ -45,7 +49,7 @@ class ConfigError(BaryromError):
     """A configuration file is malformed or inconsistent."""
 
 
-class NotConvergedError(BaryromError):
+class NotConvergedError(NumericalError):
     """Fixed-point iteration stopped at max_iter above tolerance.
 
     Carries the last iterate so callers may opt in to using it anyway.

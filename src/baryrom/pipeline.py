@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -170,7 +171,9 @@ def load_config(path) -> StudyConfig:
 
 
 def _nu_tag(nu: float) -> str:
-    return f"{nu:g}"
+    """File-name tag of a viscosity: %g when it reads back as nu, else repr."""
+    tag = f"{nu:g}"
+    return tag if float(tag) == nu else repr(nu)
 
 
 def _fan_out(fn, items, jobs: int) -> list:
@@ -386,14 +389,41 @@ def nearest_index(params, nu: float) -> int:
     return select_neighbors(params, nu, 1)[0]
 
 
-def _barycenter(study: Study, w: WeightVector, nu: float, tol=None):
-    """Karcher barycenter of the trained bases, started at the node nearest
-    nu, run on their Gram coordinates."""
-    return karcher_barycenter(
-        study.frame, w.values,
-        tol=study.cfg.tol if tol is None else float(tol),
-        max_iter=study.cfg.max_iter, init=nearest_index(study.params, nu),
-    )
+@contextmanager
+def _timed(timings: dict, key: str):
+    """Add the wall-clock seconds of the body to timings[key]."""
+    t = time.perf_counter()
+    yield
+    timings[key] = timings.get(key, 0.0) + (time.perf_counter() - t)
+
+
+def online_model(study: Study, w: WeightVector, nu: float, coords=None, tol=None,
+                 allow_nonconverged: bool = False, timings=None):
+    """The q-sized half of a barycentric prediction at nu, for weights w:
+    the barycenter of the trained bases on their Gram coordinates, started
+    at the node nearest nu (a stalled one is kept if ``allow_nonconverged``
+    and its gradient norm is finite), the operator update, and the initial
+    coordinates of the state whose trained-basis coordinates are
+    ``coords``, by default the weighted initial state's.  ``timings``
+    gains barycenter_s, update_s and initial_condition_s.  Returns
+    (barycenter result, model, alpha0)."""
+    timings = {} if timings is None else timings
+    with _timed(timings, "barycenter_s"):
+        try:
+            bary = karcher_barycenter(
+                study.frame, w.values, tol=study.cfg.tol if tol is None else float(tol),
+                max_iter=study.cfg.max_iter, init=nearest_index(study.params, nu))
+        except NotConvergedError as exc:
+            if not (allow_nonconverged and np.isfinite(exc.result.final_gradient_norm)):
+                raise
+            bary = exc.result
+    with _timed(timings, "update_s"):
+        model = update_reduced_model(study.tensors, w, bary.rotations, nu)
+    with _timed(timings, "initial_condition_s"):
+        coords = study.ic_coords @ w.values if coords is None else coords
+        alpha0 = block_initial_condition(model.M, weighted_rotations(w, bary.rotations),
+                                         coords)
+    return bary, model, alpha0
 
 
 def predict(study: Study, nu: float, method: str = "barycentric",
@@ -415,26 +445,29 @@ def predict(study: Study, nu: float, method: str = "barycentric",
         raise ValueError(f"ic_mode must be one of {IC_MODES}, got {ic_mode!r}")
     cfg = study.cfg
     w = study_weights(study, nu, kind=kind, neighbors=neighbors)
+    timings = {}
     report = {
         "nu": nu,
         "method": method,
         "ic_mode": ic_mode,
         "weights": [float(v) for v in w.values],
         "trained_nu": [float(v) for v in study.params],
-        "timings": {},
+        "timings": timings,
     }
 
-    timer = time.perf_counter
+    coords = None  # online_model's default: the weighted initial state
+    if ic_mode == "truth":
+        with _timed(timings, "initial_condition_s"):
+            truth = load_snapshots(study.outdir, study.manifest, nu) if truth is None else truth
+            if method == "barycentric":
+                coords = _coords(study.bases, study.mean, study.ip, truth.values[:, :1])[:, 0]
+        t0 = float(truth.times[0])
+    else:
+        t0 = float(study.manifest["runs"][0]["t0"]) if study.manifest.get("runs") else 0.0
     if method == "barycentric":
-        t = timer()
-        try:
-            bary = _barycenter(study, w, nu, tol)
-        except NotConvergedError as exc:
-            # an iterate that overflowed is no usable approximation
-            if not (allow_nonconverged and np.isfinite(exc.result.final_gradient_norm)):
-                raise
-            bary = exc.result
-        report["timings"]["barycenter_s"] = timer() - t
+        bary, model, alpha0 = online_model(study, w, nu, coords, tol=tol,
+                                           allow_nonconverged=allow_nonconverged,
+                                           timings=timings)
         report["barycenter"] = {
             "iterations": bary.iterations,
             "final_gradient_norm": bary.final_gradient_norm,
@@ -442,49 +475,29 @@ def predict(study: Study, nu: float, method: str = "barycentric",
             "gradient_norms": bary.gradient_norms,
             "min_overlap_ratio": bary.min_overlap_ratio,
         }
-        t = timer()
-        model = update_reduced_model(study.tensors, w, bary.rotations, nu)
-        report["timings"]["update_s"] = timer() - t
     else:
-        t = timer()
-        sel = [k for k in range(study.params.size) if w.values[k] != 0.0]
-        ortho = [study.ortho[k] for k in sel]
-        ref_local = int(np.argmin(np.abs(study.params[sel] - nu)))
-        basis = itsgm_interpolate(ortho, w.values[sel], ref_local)
-        report["timings"]["interpolation_s"] = timer() - t
-        t = timer()
-        model = direct_project(basis, study.mean, study.ip, study.grid.gradient, nu)
-        report["timings"]["projection_s"] = timer() - t
+        with _timed(timings, "interpolation_s"):
+            sel = [k for k in range(study.params.size) if w.values[k] != 0.0]
+            ortho = [study.ortho[k] for k in sel]
+            ref_local = int(np.argmin(np.abs(study.params[sel] - nu)))
+            basis = itsgm_interpolate(ortho, w.values[sel], ref_local)
+        with _timed(timings, "projection_s"):
+            model = direct_project(basis, study.mean, study.ip, study.grid.gradient, nu)
+        with _timed(timings, "initial_condition_s"):
+            u0 = (truth.values[:, 0] if ic_mode == "truth" else
+                  sum(wk * ic for wk, ic in zip(w.values, study.ics) if wk != 0.0))
+            alpha0 = initial_condition(basis, study.mean, study.ip, u0)
 
-    t = timer()
-    if ic_mode == "truth":
-        truth = load_snapshots(study.outdir, study.manifest, nu) if truth is None else truth
-        t0 = float(truth.times[0])
-    else:
-        t0 = float(study.manifest["runs"][0]["t0"]) if study.manifest.get("runs") else 0.0
-    if method == "barycentric":
-        coords = (_coords(study.bases, study.mean, study.ip, truth.values[:, :1])[:, 0]
-                  if ic_mode == "truth" else study.ic_coords @ w.values)
-        alpha0 = block_initial_condition(model.M, weighted_rotations(w, bary.rotations),
-                                         coords)
-    else:
-        u0 = (truth.values[:, 0] if ic_mode == "truth" else
-              sum(wk * ic for wk, ic in zip(w.values, study.ics) if wk != 0.0))
-        alpha0 = initial_condition(basis, study.mean, study.ip, u0)
-    report["timings"]["initial_condition_s"] = timer() - t
-
-    t = timer()
-    traj = integrate_rom(model, alpha0, cfg.dt, cfg.steps,
-                         record_every=cfg.save_every, t0=t0)
-    report["timings"]["integrate_s"] = timer() - t
+    with _timed(timings, "integrate_s"):
+        traj = integrate_rom(model, alpha0, cfg.dt, cfg.steps,
+                             record_every=cfg.save_every, t0=t0)
     # roundoff amplification bound of the folded M^-1; M is finite SPD once
     # the integrator has factored it
     report["mass_condition"] = float(np.linalg.cond(model.M))
-    t = timer()
-    if method == "barycentric":
-        basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
-    recon = reconstruct_field(basis, study.mean, traj, param=nu)
-    report["timings"]["lift_s"] = timer() - t
+    with _timed(timings, "lift_s"):
+        if method == "barycentric":
+            basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
+        recon = reconstruct_field(basis, study.mean, traj, param=nu)
     return traj, recon, report
 
 
@@ -557,28 +570,17 @@ def _timed_alternating(fns, reps: int) -> np.ndarray:
     return times
 
 
-def _online_update(study: Study, nu: float):
-    """The q-sized online path of a barycentric prediction: weights,
-    barycenter, operator update and the weighted initial coordinates."""
-    w = study_weights(study, nu)
-    bary = _barycenter(study, w, nu)
-    model = update_reduced_model(study.tensors, w, bary.rotations, nu)
-    alpha0 = block_initial_condition(model.M, weighted_rotations(w, bary.rotations),
-                                     study.ic_coords @ w.values)
-    return model, alpha0
-
-
 def bench_update(studies, nu: float, reps: int = 20):
-    """Seconds of the whole q-sized online path (weights, barycenter,
-    update, initial coordinates) and of direct projection onto the
-    interpolated basis, one (reps, len(studies)) array each, the studies
-    timed in alternation."""
+    """Seconds of the whole q-sized online path (weights, then
+    ``online_model`` with the weighted initial state) and of direct
+    projection onto the interpolated basis, one (reps, len(studies)) array
+    each, the studies timed in alternation."""
     updates, directs = [], []
     for study in studies:
         w = study_weights(study, nu)
-        bary = _barycenter(study, w, nu)
-        basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
-        updates.append(partial(_online_update, study, nu))
+        basis = combined_basis([b.modes for b in study.bases], w,
+                               online_model(study, w, nu)[0].rotations)
+        updates.append(lambda study=study: online_model(study, study_weights(study, nu), nu))
         directs.append(partial(direct_project, basis, study.mean, study.ip,
                                study.grid.gradient, nu))
     return _timed_alternating(updates, reps), _timed_alternating(directs, reps)

@@ -226,8 +226,10 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
 
     States are recorded (as copies) at step multiples of ``record_every``,
     step 0 included, at times t0 + s*dt.  Each recorded state is checked
-    for finiteness, so a run that overflows raises DivergedSolutionError
-    at the first recorded step past the blow-up, not after ``steps``.
+    once for finiteness, as a . 0 == 0 (a finite entry times 0 is +-0, an
+    infinite or nan one gives nan), so a run that overflows raises
+    DivergedSolutionError at the first recorded step past the blow-up, not
+    after ``steps``.
     """
     alpha0 = np.asarray(alpha0, dtype=float)
     q = model.M.shape[0]
@@ -242,14 +244,8 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     except scipy.linalg.LinAlgError as exc:
         raise SingularMassError(f"reduced mass matrix not SPD: {exc}") from exc
 
-    def fold(op):  # a non-finite R, Cbar, C or F shows up in the states, checked below
+    def fold(op):
         return scipy.linalg.cho_solve(factor, op, check_finite=False)
-
-    f = fold(model.F)
-    L = fold(model.nu * model.R + model.Cbar)
-    Chat = fold(model.C.transpose(1, 0, 2).reshape(q, q * q))
-    G = np.hstack([f[:, None], -L, -Chat])
-    half, full = (0.5 * dt) * G, dt * G
 
     # z_i = [1; a_i; vec(a_i outer a_i)] is row i of Z; a[i] and zz[i] are views
     # into it, and a[0] is the state itself, advanced in place.  The outer
@@ -260,6 +256,7 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     Z[:, 0] = 1.0
     K = np.empty((4, q))
     dK = np.empty(q)
+    zero = np.zeros(q)
     wts = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
     z, k = list(Z), list(K)
     a = [z_i[1:1 + q] for z_i in z]
@@ -275,7 +272,16 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     alphas[0] = alpha0
     times[0] = t0
     rec = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+    # a non-finite or overflowing R, Cbar, C, F or nu shows up in the
+    # states, which are checked instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        if alpha0.dot(zero) != 0.0:
+            raise DivergedSolutionError("reduced state is non-finite at step 0")
+        f = fold(model.F)
+        L = fold(model.nu * model.R + model.Cbar)
+        Chat = fold(model.C.transpose(1, 0, 2).reshape(q, q * q))
+        G = np.hstack([f[:, None], -L, -Chat])
+        half, full = (0.5 * dt) * G, dt * G
         for s in range(1, steps + 1):
             col[0].dot(row[0], zz[0])
             half.dot(z[0], k[0])
@@ -291,14 +297,12 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
             wts.dot(K, dK)
             np.add(state, dK, state)
             if s % record_every == 0:
-                if not np.isfinite(state).all():
+                if state.dot(zero) != 0.0:
                     raise DivergedSolutionError(
                         f"reduced state diverged to a non-finite value by step {s}")
                 rec += 1
                 alphas[rec] = state
                 times[rec] = t0 + s * dt
-    if not np.isfinite(alphas).all():
-        raise DivergedSolutionError("reduced state diverged to a non-finite value")
     return ReducedTrajectory(times=times, alphas=alphas)
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from baryrom import (
     InnerProduct,
     NotConvergedError,
+    NumericalError,
     SnapshotMatrix,
     combined_basis,
     compute_pod,
@@ -359,6 +360,23 @@ def test_bench_command(workdir, tmp_path):
         assert float(line.split(",")[2]) > 0
 
 
+def test_bench_rebuilds_a_study_built_from_another_config(workdir, tmp_path):
+    _, cfg_path, _ = workdir
+    out = tmp_path / "bench"
+    cfg = {**json.loads(cfg_path.read_text()), "steps": 40, "transient": 10,
+           "test_nu": []}
+    for steps, q in ((40, 4), (80, 2)):
+        cfg_small = tmp_path / f"bench{steps}.json"
+        cfg_small.write_text(json.dumps({**cfg, "steps": steps}))
+        assert main(["bench", "--config", str(cfg_small), "--out", str(out),
+                     "--sizes", "64", "--reps", "2", "--q", str(q)]) == 0
+        study = pipeline.load_study(out / "bench_nx64")
+        assert (study.cfg.steps, study.cfg.q) == (steps, q)
+        assert study.bases[0].modes.shape == (64, q)
+        snaps = read_matrix(out / "bench_nx64" / "snap_nu0.05.mat")
+        assert snaps.shape == (64, steps // 4 + 1)
+
+
 @pytest.mark.parametrize("nu", ["nan", "-0.05"])
 def test_bench_checks_viscosity_before_building(workdir, tmp_path, nu):
     _, cfg_path, _ = workdir
@@ -366,6 +384,32 @@ def test_bench_checks_viscosity_before_building(workdir, tmp_path, nu):
     assert main(["bench", "--config", str(cfg_path), "--out", str(out),
                  "--sizes", "64", "--nu", nu]) == 2
     assert not (out / "bench_nx64").exists()
+
+
+def test_viscosities_equal_to_six_digits_get_their_own_files(tmp_path):
+    cfg_path = tmp_path / "close.json"
+    cfg_path.write_text(json.dumps({**SMALL_CONFIG, "trained_nu": [0.05, 0.05000001, 0.09],
+                                    "test_nu": []}))
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["offline", "--out", str(out)]) == 0
+    assert main(["predict", "--out", str(out), "--nu", "0.05000001"]) == 0
+    paths = [r["path"] for r in read_manifest(out / "manifest.json")["runs"]]
+    assert paths == ["snap_nu0.05.mat", "snap_nu0.05000001.mat", "snap_nu0.09.mat"]
+    assert (out / "predict_nu0.05000001_barycentric" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("error", NumericalError.__subclasses__(), ids=lambda e: e.__name__)
+def test_every_numerical_error_exits_3_with_one_line(workdir, monkeypatch, capsys, error):
+    _, _, out = workdir
+
+    def fail(outdir):
+        raise error("stand-in failure")
+
+    monkeypatch.setattr(pipeline, "load_study", fail)
+    assert main(["predict", "--out", str(out), "--nu", "0.08"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["numerical failure: stand-in failure"]
 
 
 def test_far_extrapolation_is_a_numerical_failure(workdir):
@@ -440,7 +484,7 @@ def test_malformed_input_exits_2_with_one_line(workdir, tmp_path, capsys, argv, 
 
 
 NU_EDGES = [0.0, -0.0, -0.05, -np.inf, np.inf, np.nan, 1e300, -1e300, 5e-324,
-            0.05, 0.08, 0.11, 3.0, 1e60, 1e100]
+            0.05, 0.08, 0.11, 3.0, 1e60, 1e70, 1e75, 1e100]
 
 
 def with_edge_examples(test):

@@ -237,6 +237,23 @@ def test_integrate_negative_diffusion_diverges():
     assert step <= 200
 
 
+def test_integrate_checks_each_recorded_state_once_for_finiteness():
+    # near-overflow entries pass; the check must not itself overflow
+    for a0 in ([1e308, -1.7e308, 5e-324], [-1.7976931348623157e308, 0.0, -0.0]):
+        traj = integrate_rom(zero_model(3), np.array(a0), dt=0.1, steps=0)
+        np.testing.assert_array_equal(traj.alphas, [a0])
+    for bad in (np.inf, -np.inf, np.nan):
+        for i in range(3):
+            a0 = np.array([1e308, -1e308, 1.0])
+            a0[i] = bad
+            with pytest.raises(DivergedSolutionError, match=r"at step 0$"):
+                integrate_rom(zero_model(3), a0, dt=0.1, steps=10, record_every=5)
+            model = zero_model(3)
+            model.F[i] = bad  # a finite start that turns non-finite in step 1
+            with pytest.raises(DivergedSolutionError, match=r"by step 5$"):
+                integrate_rom(model, np.ones(3), dt=0.1, steps=10, record_every=5)
+
+
 def rk4_reference(model, a0, dt, steps):
     """Textbook RK4 that solves M k = F - nu R a - Cbar a - sum_e a_e C[e] a
     at every stage; the oracle for the folded operators."""
@@ -280,7 +297,7 @@ def test_integrate_folded_operators_match_solve_oracle(rng):
 def test_integrate_matches_solve_oracle_on_default_study(study, nu):
     # the stacked stage operators against textbook stages with a solve in
     # each, on the barycentric operators of the default nx=256, q=7 study
-    model, a0 = pipeline._online_update(study, nu)
+    _, model, a0 = pipeline.online_model(study, pipeline.study_weights(study, nu), nu)
     cfg = study.cfg
     assert a0.shape == (7,)
     traj = integrate_rom(model, a0, cfg.dt, cfg.steps)
@@ -289,7 +306,7 @@ def test_integrate_matches_solve_oracle_on_default_study(study, nu):
 
 
 def test_integrate_records_copies_at_exact_times(study):
-    model, a0 = pipeline._online_update(study, 0.083)
+    _, model, a0 = pipeline.online_model(study, pipeline.study_weights(study, 0.083), 0.083)
     a0_before = a0.copy()
     dt, steps, t0 = study.cfg.dt, 203, 0.37
     traj = integrate_rom(model, a0, dt, steps, record_every=5, t0=t0)
