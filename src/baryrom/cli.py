@@ -160,6 +160,18 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _remove_listed_files(outdir: Path, manifest: dict) -> None:
+    """Delete the data files a manifest lists: its runs and offline outputs."""
+    off = manifest.get("offline", {})
+    entries = [*manifest.get("runs", []), *off.get("pod", []), *off.get("ics", []),
+               off.get("mean", {}), off.get("archive", {})]
+    for entry in entries:
+        name = entry.get("path", "")
+        path = outdir / name
+        if path.name == name and path.is_file():  # plain file names inside outdir only
+            path.unlink()
+
+
 def _cmd_bench(args) -> int:
     cfg = pipeline.load_config(args.config)
     nu = args.nu
@@ -177,6 +189,7 @@ def _cmd_bench(args) -> int:
         path = size_dir / "manifest.json"
         stored = pipeline.read_manifest(path) if path.exists() else {}
         if stored.get("config") != size_cfg.to_dict():
+            _remove_listed_files(size_dir, stored)
             stored = pipeline.run_generate(size_cfg, size_dir, jobs=args.jobs)
         if "offline" not in stored:
             pipeline.run_offline(size_dir, jobs=args.jobs)

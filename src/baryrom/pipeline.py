@@ -141,10 +141,12 @@ def config_from_dict(doc: dict) -> StudyConfig:
             raise ValueError("weights.neighbors and max_iter must be >= 1")
         if not (0.0 < cfg.weights_power < np.inf and 0.0 <= cfg.tol < np.inf):
             raise ValueError("weights.power must be > 0 and tol >= 0, both finite")
-        grid = cfg.grid()
-        cfg.solver_config(1.0)  # checks dt and the step counts even with no viscosities
+        # checks grid, dt, step counts and the initial state even with no viscosities
+        u0 = initial_profile(cfg.solver_config(1.0), cfg.grid())
+        if not np.isfinite(u0).all():
+            raise ValueError("initial vector entries must be finite")
         for nu in cfg.trained_nu + cfg.test_nu:
-            initial_profile(cfg.solver_config(nu), grid)
+            cfg.solver_config(nu)
     except (TypeError, ValueError, OverflowError, ShapeMismatchError) as exc:
         raise ConfigError(f"bad configuration value: {exc}") from exc
     if not cfg.trained_nu and cfg.test_nu:

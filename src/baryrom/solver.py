@@ -15,6 +15,15 @@ convection.
 The implicit system is circulant, so it is solved exactly by
 diagonalization in Fourier space: one rfft, a division by the symbol of
 I - nu*dt*L and one irfft per step.
+
+Each step evaluates one convection.  N(u^{n-1}) is computed once per step
+and carried, halved, into the next step as its N(u^{n-2}) term; only the
+first step of an ``advance`` call computes N(u_prev) separately.  The +-1
+shifts are views of one padded (n+2) copy of the state whose two end cells
+hold the periodic wrap, and the convection, right-hand side and |u| check
+write into buffers allocated once per call.  The floating-point operations
+and their order are those of the plain expression above, so the snapshots
+are bitwise the same as evaluating it term by term.
 """
 
 from __future__ import annotations
@@ -40,8 +49,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 8:
             raise ValueError(f"grid needs n >= 8, got {self.n}")
-        if self.length <= 0:
-            raise ValueError("length must be positive")
+        if not (np.isfinite(self.length) and self.length > 0):
+            raise ValueError(f"length must be positive and finite, got {self.length!r}")
 
     @property
     def dx(self) -> float:
@@ -68,10 +77,10 @@ class SolverConfig:
     convection: bool = True
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.nu) and self.nu > 0):
+            raise ValueError(f"nu must be positive and finite, got {self.nu!r}")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if self.steps < 0 or self.transient < 0:
             raise ValueError("step counts must be nonnegative")
         if self.save_every < 1:
@@ -109,11 +118,33 @@ def diffusion_symbol(n, r):
     return 1.0 + 4.0 * r * np.sin(np.pi * k / n) ** 2
 
 
-def _convection(v, inv2dx):
-    # split skew form: 0.5*v*dv/dx + 0.25*d(v*v)/dx, central differences
-    vp = np.roll(v, -1)
-    vm = np.roll(v, 1)
-    return (0.5 * v * (vp - vm) + 0.25 * (vp * vp - vm * vm)) * inv2dx
+def _convection_kernel(n, inv2dx):
+    """N(v) = (0.5*v*(v+ - v-) + 0.25*(v+*v+ - v-*v-)) * inv2dx, the split
+    skew form with central differences, written into one reused buffer.
+
+    v+ and v- (the periodic +-1 shifts) are views of one padded copy of v.
+    Returns the buffer; the next call overwrites it.
+    """
+    pad = np.empty(n + 2)
+    body, vp, vm = pad[1:-1], pad[2:], pad[:-2]
+    out, t1, t2 = np.empty(n), np.empty(n), np.empty(n)
+
+    def convection(v):
+        body[...] = v
+        pad[0] = v[-1]
+        pad[-1] = v[0]
+        np.subtract(vp, vm, out=t1)
+        np.multiply(v, 0.5, out=out)
+        np.multiply(out, t1, out=out)
+        np.multiply(vp, vp, out=t1)
+        np.multiply(vm, vm, out=t2)
+        np.subtract(t1, t2, out=t1)
+        np.multiply(t1, 0.25, out=t1)
+        np.add(out, t1, out=out)
+        np.multiply(out, inv2dx, out=out)
+        return out
+
+    return convection
 
 
 class Stepper:
@@ -126,24 +157,36 @@ class Stepper:
 
     def advance(self, u, u_prev, nsteps):
         """Advance nsteps; returns (u, u_prev). Chunked calls compose
-        exactly: advance(a)+advance(b) equals advance(a+b) bitwise."""
+        exactly: advance(a)+advance(b) equals advance(a+b) bitwise.
+
+        rhs = u - dt*(1.5*N(u) - 0.5*N(u_prev)) with one convection per
+        step: 0.5*N(u) is kept as the next step's 0.5*N(u_prev).
+        """
         cfg = self.cfg
         dt, ahat, conv_on = cfg.dt, self._symbol, cfg.convection
         u = u.copy()
         up = u_prev.copy()
         n = u.size
-        inv2dx = 1.0 / (2.0 * self.grid.dx)
+        mag = np.empty(n)
+        if conv_on:
+            convection = _convection_kernel(n, 1.0 / (2.0 * self.grid.dx))
+            rhs = np.empty(n)
+            half_prev = 0.5 * convection(up)
         for step in range(nsteps):
             if conv_on:
-                rhs = u - dt * (1.5 * _convection(u, inv2dx) - 0.5 * _convection(up, inv2dx))
+                conv = convection(u)
+                np.multiply(conv, 1.5, out=rhs)
+                rhs -= half_prev
+                rhs *= dt
+                np.subtract(u, rhs, out=rhs)
+                np.multiply(conv, 0.5, out=half_prev)
             else:
-                rhs = u.copy()
-            unew = np.fft.irfft(np.fft.rfft(rhs) / ahat, n=n)
-            up = u
-            u = unew
-            if np.max(np.abs(u)) > DIVERGENCE_CAP:
+                rhs = u
+            up, u = u, np.fft.irfft(np.fft.rfft(rhs) / ahat, n=n)
+            np.abs(u, out=mag)
+            if not (mag.max() <= DIVERGENCE_CAP):  # true for nan too
                 raise DivergedSolutionError(
-                    f"solution exceeded {DIVERGENCE_CAP:.0e} at substep "
+                    f"solution exceeded {DIVERGENCE_CAP:.0e} or is not finite at substep "
                     f"{step + 1} (nu={cfg.nu}, dt={cfg.dt})"
                 )
         return u, up

@@ -377,6 +377,24 @@ def test_bench_rebuilds_a_study_built_from_another_config(workdir, tmp_path):
         assert snaps.shape == (64, steps // 4 + 1)
 
 
+def test_bench_rebuild_removes_files_of_the_stale_study(workdir, tmp_path):
+    _, cfg_path, _ = workdir
+    out = tmp_path / "bench"
+    cfg = {**json.loads(cfg_path.read_text()), "steps": 40, "transient": 10,
+           "test_nu": []}
+    for trained in ([0.05, 0.07, 0.09, 0.11], [0.05, 0.08, 0.11]):
+        cfg_small = tmp_path / "bench.json"
+        cfg_small.write_text(json.dumps({**cfg, "trained_nu": trained}))
+        assert main(["bench", "--config", str(cfg_small), "--out", str(out),
+                     "--sizes", "64", "--reps", "2"]) == 0
+    manifest = read_manifest(out / "bench_nx64" / "manifest.json")
+    off = manifest["offline"]
+    listed = {e["path"] for e in manifest["runs"] + off["pod"] + off["ics"]}
+    listed |= {off["mean"]["path"], off["archive"]["path"], "manifest.json"}
+    assert {p.name for p in (out / "bench_nx64").iterdir()} == listed
+    assert "snap_nu0.07.mat" not in listed and "snap_nu0.08.mat" in listed
+
+
 @pytest.mark.parametrize("nu", ["nan", "-0.05"])
 def test_bench_checks_viscosity_before_building(workdir, tmp_path, nu):
     _, cfg_path, _ = workdir
@@ -689,6 +707,14 @@ _CONFIG_KEYS = list(pipeline.StudyConfig().to_dict()) + ["n", "length", "kind", 
 @example(doc={"grid": {"n": 1e300}})
 @example(doc={"save_every": 0, "trained_nu": [], "test_nu": []})
 @example(doc={"weights": {"neighbors": float("inf")}})
+@example(doc={"dt": float("nan")})
+@example(doc={"dt": float("inf")})
+@example(doc={"trained_nu": [float("nan")]})
+@example(doc={"trained_nu": [0.05, float("inf")]})
+@example(doc={"test_nu": [float("inf")]})
+@example(doc={"initial": [1.0] * 255 + [float("nan")]})
+@example(doc={"grid": {"length": float("nan")}})
+@example(doc={"grid": {"length": float("inf")}})
 @given(doc=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON_VALUES, max_size=5)
        | st.fixed_dictionaries({}, optional={
            "grid": st.dictionaries(st.sampled_from(["n", "length"]), _JSON_SCALARS),
@@ -706,6 +732,10 @@ def test_config_documents_parse_or_exit_2(tmp_path_factory, doc):
         cfg = None
     if cfg is not None:
         assert isinstance(cfg, pipeline.StudyConfig)
+        for value in [cfg.dt, cfg.grid_length, *cfg.trained_nu, *cfg.test_nu]:
+            assert np.isfinite(value) and value > 0
+        if not isinstance(cfg.initial, str):
+            assert np.isfinite(np.asarray(cfg.initial, dtype=float)).all()
         return
     root = tmp_path_factory.mktemp("cfg")
     path = root / "config.json"

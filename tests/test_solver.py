@@ -10,7 +10,7 @@ from baryrom import (
     run,
     step,
 )
-from baryrom.solver import Stepper
+from baryrom.solver import Stepper, diffusion_symbol
 
 
 def periodic_laplacian_dense(n, dx):
@@ -20,6 +20,37 @@ def periodic_laplacian_dense(n, dx):
         L[i, (i + 1) % n] = 1.0
         L[i, (i - 1) % n] = 1.0
     return L / dx**2
+
+
+def step_reference(u, up, cfg, grid):
+    """The plain step, two convections with np.roll shifts; the bitwise
+    oracle for the buffered one-convection loop in Stepper.advance."""
+    inv2dx = 1.0 / (2.0 * grid.dx)
+
+    def conv(v):
+        vp = np.roll(v, -1)
+        vm = np.roll(v, 1)
+        return (0.5 * v * (vp - vm) + 0.25 * (vp * vp - vm * vm)) * inv2dx
+
+    if cfg.convection:
+        rhs = u - cfg.dt * (1.5 * conv(u) - 0.5 * conv(up))
+    else:
+        rhs = u.copy()
+    ahat = diffusion_symbol(grid.n, cfg.nu * cfg.dt / grid.dx**2)
+    return np.fft.irfft(np.fft.rfft(rhs) / ahat, n=grid.n)
+
+
+def run_reference(cfg, grid):
+    u = initial_profile(cfg, grid)
+    up = u.copy()
+    for _ in range(cfg.transient):
+        u, up = step_reference(u, up, cfg, grid), u
+    saved = [u]
+    for s in range(1, cfg.steps + 1):
+        u, up = step_reference(u, up, cfg, grid), u
+        if s % cfg.save_every == 0:
+            saved.append(u)
+    return np.column_stack(saved)
 
 
 # ------------------------------------------------------------- single step
@@ -63,6 +94,17 @@ def test_full_step_matches_dense_oracle():
     rhs = u1 - dt * (1.5 * conv(u1) - 0.5 * conv(u2))
     np.testing.assert_allclose(step(u1, u2, cfg, grid),
                                np.linalg.solve(A, rhs), atol=1e-13)
+
+
+@pytest.mark.parametrize("convection", [True, False])
+@pytest.mark.parametrize("n", [8, 40, 256])
+def test_step_is_bitwise_the_reference_step(n, convection):
+    grid = Grid1D(n, 2 * np.pi)
+    cfg = SolverConfig(nu=0.05, dt=2e-3, steps=1, convection=convection)
+    rng = np.random.default_rng(n)
+    u1 = 1.0 + 0.3 * rng.standard_normal(n)
+    u2 = 1.0 + 0.3 * rng.standard_normal(n)
+    assert step(u1, u2, cfg, grid).tobytes() == step_reference(u1, u2, cfg, grid).tobytes()
 
 
 def test_step_validates_shapes():
@@ -173,6 +215,19 @@ def test_run_is_deterministic():
     assert a.values.tobytes() == b.values.tobytes()
 
 
+@pytest.mark.parametrize("transient, save_every", [(0, 1), (25, 1), (0, 4), (13, 5)])
+@pytest.mark.parametrize("convection", [True, False])
+@pytest.mark.parametrize("n", [8, 40, 256])
+def test_run_is_bitwise_the_reference_loop(n, convection, transient, save_every):
+    grid = Grid1D(n, 2 * np.pi)
+    cfg = SolverConfig(nu=0.07, dt=1e-3, steps=42, save_every=save_every,
+                       transient=transient, convection=convection)
+    snap = run(cfg, grid)
+    ref = run_reference(cfg, grid)
+    assert snap.values.shape == ref.shape
+    assert snap.values.tobytes() == ref.tobytes()
+
+
 def test_chunked_advance_composes_exactly():
     grid = Grid1D(40, 2 * np.pi)
     cfg = SolverConfig(nu=0.08, dt=1e-3, steps=1)
@@ -191,6 +246,29 @@ def test_divergence_detected():
                        initial=1e7 * np.sin(Grid1D(32, 2 * np.pi).x))
     with pytest.raises(DivergedSolutionError):
         run(cfg, grid)
+
+
+@pytest.mark.parametrize("convection", [True, False])
+def test_nan_state_is_detected_at_its_substep(convection):
+    grid = Grid1D(32, 2 * np.pi)
+    u0 = np.ones(32)
+    u0[5] = np.nan
+    cfg = SolverConfig(nu=0.1, dt=1e-3, steps=10, initial=u0, convection=convection)
+    with pytest.raises(DivergedSolutionError, match=r"substep 1 \("):
+        run(cfg, grid)
+
+
+@pytest.mark.parametrize("field, value", [("nu", np.nan), ("nu", np.inf),
+                                          ("dt", np.nan), ("dt", np.inf)])
+def test_nonfinite_solver_settings_rejected(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        SolverConfig(**{"nu": 0.1, "dt": 1e-3, "steps": 1, field: value})
+
+
+@pytest.mark.parametrize("length", [np.nan, np.inf, 0.0, -1.0])
+def test_grid_length_must_be_positive_and_finite(length):
+    with pytest.raises(ValueError, match="finite"):
+        Grid1D(32, length)
 
 
 def test_unknown_profile_rejected():
