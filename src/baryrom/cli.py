@@ -43,7 +43,10 @@ def _float_list(text: str) -> list:
 
 
 def _int_list(text: str) -> list:
-    return [int(v) for v in text.split(",") if v]
+    values = [int(v) for v in text.split(",") if v]
+    if not values:
+        raise argparse.ArgumentTypeError(f"needs at least one integer, got {text!r}")
+    return values
 
 
 class _Parser(argparse.ArgumentParser):

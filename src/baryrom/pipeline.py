@@ -526,6 +526,8 @@ def compare(study: Study, targets=None, kind=None, neighbors=None):
     """
     cfg = study.cfg
     targets = list(cfg.test_nu) if targets is None else [float(v) for v in targets]
+    for nu in targets:  # before any run is read
+        check_viscosity(nu)
     methods = (*METHODS, "truth_pod")
     rows = []
     reports = {}

@@ -248,7 +248,7 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
         return scipy.linalg.cho_solve(factor, op, check_finite=False)
 
     # z_i = [1; a_i; vec(a_i outer a_i)] is row i of Z; a[i] and zz[i] are views
-    # into it, and a[0] is the state itself, advanced in place.  The outer
+    # into it, and a[0] is the state itself, updated in place.  The outer
     # product is the (q,1)(1,q) product of a[i]'s column and row views: one
     # term per entry, so the same values as a[i][:, None] * a[i] from a cheaper
     # call.  The views are made once, here, not in the step loop.

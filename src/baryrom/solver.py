@@ -1,6 +1,6 @@
 """Desk-scale high-fidelity generator: 1D periodic viscous Burgers.
 
-du/dt - nu d2u/dx2 + u du/dx = 0 on a uniform periodic grid, advanced
+du/dt - nu d2u/dx2 + u du/dx = 0 on a uniform periodic grid, stepped
 with backward-Euler time differencing, fully implicit diffusion and
 two-step extrapolated (Adams-Bashforth) convection:
 
@@ -16,14 +16,15 @@ The implicit system is circulant, so it is solved exactly by
 diagonalization in Fourier space: one rfft, a division by the symbol of
 I - nu*dt*L and one irfft per step.
 
-Each step evaluates one convection.  N(u^{n-1}) is computed once per step
-and carried, halved, into the next step as its N(u^{n-2}) term; only the
-first step of an ``advance`` call computes N(u_prev) separately.  The +-1
-shifts are views of one padded (n+2) copy of the state whose two end cells
-hold the periodic wrap, and the convection, right-hand side and |u| check
-write into buffers allocated once per call.  The floating-point operations
-and their order are those of the plain expression above, so the snapshots
-are bitwise the same as evaluating it term by term.
+Each run is one loop, set up once: the symbol, N(u^{n-2}), the padded
+and right-hand-side buffers.  Each step evaluates one convection;
+N(u^{n-1}) is carried, halved, into the next step as its N(u^{n-2}) term.
+The +-1 shifts are views of one padded (n+2) copy of the state whose two
+end cells hold the periodic wrap.  Saved states are written into the
+snapshot matrix from inside the loop, and steps are counted from the
+run's first step.  The floating-point operations and their order are
+those of the plain expression above, so the snapshots are bitwise the
+same as evaluating it term by term.
 """
 
 from __future__ import annotations
@@ -147,49 +148,44 @@ def _convection_kernel(n, inv2dx):
     return convection
 
 
-class Stepper:
-    """Holds the per-(grid, nu, dt) solver precomputation."""
+def _march(u, up, cfg: SolverConfig, grid: Grid1D, nsteps, values=None):
+    """Advance nsteps steps from the states u (step n-1) and up (n-2) and
+    return the last state.  Steps count from 1; with ``values``, the state
+    after step k goes into column (k - transient) / save_every whenever
+    that is a whole number >= 0.
 
-    def __init__(self, cfg: SolverConfig, grid: Grid1D):
-        self.cfg = cfg
-        self.grid = grid
-        self._symbol = diffusion_symbol(grid.n, cfg.nu * cfg.dt / grid.dx**2)
-
-    def advance(self, u, u_prev, nsteps):
-        """Advance nsteps; returns (u, u_prev). Chunked calls compose
-        exactly: advance(a)+advance(b) equals advance(a+b) bitwise.
-
-        rhs = u - dt*(1.5*N(u) - 0.5*N(u_prev)) with one convection per
-        step: 0.5*N(u) is kept as the next step's 0.5*N(u_prev).
-        """
-        cfg = self.cfg
-        dt, ahat, conv_on = cfg.dt, self._symbol, cfg.convection
-        u = u.copy()
-        up = u_prev.copy()
-        n = u.size
-        mag = np.empty(n)
-        if conv_on:
-            convection = _convection_kernel(n, 1.0 / (2.0 * self.grid.dx))
-            rhs = np.empty(n)
-            half_prev = 0.5 * convection(up)
-        for step in range(nsteps):
-            if conv_on:
-                conv = convection(u)
-                np.multiply(conv, 1.5, out=rhs)
-                rhs -= half_prev
-                rhs *= dt
-                np.subtract(u, rhs, out=rhs)
-                np.multiply(conv, 0.5, out=half_prev)
-            else:
-                rhs = u
-            up, u = u, np.fft.irfft(np.fft.rfft(rhs) / ahat, n=n)
-            np.abs(u, out=mag)
-            if not (mag.max() <= DIVERGENCE_CAP):  # true for nan too
-                raise DivergedSolutionError(
-                    f"solution exceeded {DIVERGENCE_CAP:.0e} or is not finite at substep "
-                    f"{step + 1} (nu={cfg.nu}, dt={cfg.dt})"
-                )
-        return u, up
+    rhs = u - dt*(1.5*N(u) - 0.5*N(up)) with one convection per step:
+    0.5*N(u) is kept as the next step's 0.5*N(up).
+    """
+    dt, n = cfg.dt, grid.n
+    ahat = diffusion_symbol(n, cfg.nu * dt / grid.dx**2)
+    mag = np.empty(n)
+    if cfg.convection:
+        convection = _convection_kernel(n, 1.0 / (2.0 * grid.dx))
+        rhs = np.empty(n)
+        half_prev = 0.5 * convection(up)
+    for k in range(1, nsteps + 1):
+        if cfg.convection:
+            conv = convection(u)
+            np.multiply(conv, 1.5, out=rhs)
+            rhs -= half_prev
+            rhs *= dt
+            np.subtract(u, rhs, out=rhs)
+            np.multiply(conv, 0.5, out=half_prev)
+        else:
+            rhs = u
+        u = np.fft.irfft(np.fft.rfft(rhs) / ahat, n=n)
+        np.abs(u, out=mag)
+        if not (mag.max() <= DIVERGENCE_CAP):  # true for nan too
+            raise DivergedSolutionError(
+                f"solution exceeded {DIVERGENCE_CAP:.0e} or is not finite at substep "
+                f"{k} (nu={cfg.nu}, dt={cfg.dt})"
+            )
+        if values is not None:
+            j, r = divmod(k - cfg.transient, cfg.save_every)
+            if r == 0 and j >= 0:
+                values[:, j] = u
+    return u
 
 
 def step(u_nm1, u_nm2, cfg: SolverConfig, grid: Grid1D) -> np.ndarray:
@@ -198,8 +194,7 @@ def step(u_nm1, u_nm2, cfg: SolverConfig, grid: Grid1D) -> np.ndarray:
     u_nm2 = np.asarray(u_nm2, dtype=float)
     if u_nm1.shape != (grid.n,) or u_nm2.shape != (grid.n,):
         raise ShapeMismatchError("state length does not match the grid")
-    u, _ = Stepper(cfg, grid).advance(u_nm1, u_nm2, 1)
-    return u
+    return _march(u_nm1, u_nm2, cfg, grid, 1)
 
 
 def run(cfg: SolverConfig, grid: Grid1D) -> SnapshotMatrix:
@@ -210,18 +205,10 @@ def run(cfg: SolverConfig, grid: Grid1D) -> SnapshotMatrix:
     state up to ``steps`` further steps.  Deterministic: identical
     configurations produce bitwise-identical snapshot matrices.
     """
-    stepper = Stepper(cfg, grid)
     u = initial_profile(cfg, grid)
-    up = u.copy()
-    if cfg.transient:
-        u, up = stepper.advance(u, up, cfg.transient)
     n_saves = cfg.steps // cfg.save_every
     values = np.empty((grid.n, n_saves + 1))
-    times = np.empty(n_saves + 1)
-    values[:, 0] = u
-    times[0] = cfg.transient * cfg.dt
-    for j in range(1, n_saves + 1):
-        u, up = stepper.advance(u, up, cfg.save_every)
-        values[:, j] = u
-        times[j] = (cfg.transient + j * cfg.save_every) * cfg.dt
+    values[:, 0] = u  # replaced at the last transient step, if there is one
+    _march(u, u, cfg, grid, cfg.transient + n_saves * cfg.save_every, values)
+    times = (cfg.transient + cfg.save_every * np.arange(n_saves + 1)) * cfg.dt
     return SnapshotMatrix(values=values, times=times, param=cfg.nu)

@@ -49,16 +49,16 @@ def evaluate_weights(scheme: WeightScheme, target: float) -> WeightVector:
     target = float(target)
     hit = np.nonzero(nodes == target)[0]
     values = np.zeros(nodes.size)
-    if hit.size:
-        values[hit[0]] = 1.0
-    elif scheme.kind == "lagrange":
-        with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
+        if hit.size:
+            values[hit[0]] = 1.0
+        elif scheme.kind == "lagrange":
             for k in range(nodes.size):
                 others = np.delete(nodes, k)
                 values[k] = np.prod((target - others) / (nodes[k] - others))
-    else:
-        inv = np.abs(target - nodes) ** (-scheme.power)
-        values = inv / inv.sum()
+        else:
+            inv = np.abs(target - nodes) ** (-scheme.power)
+            values = inv / inv.sum()
     return WeightVector(values, target)
 
 

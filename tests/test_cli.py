@@ -481,6 +481,10 @@ MALFORMED_INPUT = [  # (argv, config overrides); "{out}" is a copy of the study
     (["bench", "--config", "{cfg}", "--out", "{out}", "--sizes", "64", "--nu", "inf"], {}),
     (["bench", "--config", "{cfg}", "--out", "{out}", "--sizes", "64", "--nu", "1e300"], {}),
     (["bench", "--config", "{cfg}", "--out", "{out}", "--sizes", "64", "--nu=-0.05"], {}),
+    (["bench", "--config", "{cfg}", "--out", "{out}", "--sizes", ","], {}),
+    (["compare", "--out", "{out}", "--targets", "nan"], {}),
+    (["compare", "--out", "{out}", "--targets=-0.06"], {}),
+    (["predict", "--out", "{out}", "--nu", "1e200", "--weights", "idw"], {}),
 ]
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from baryrom import (
     run,
     step,
 )
-from baryrom.solver import Stepper, diffusion_symbol
+from baryrom import solver
+from baryrom.solver import diffusion_symbol
 
 
 def periodic_laplacian_dense(n, dx):
@@ -24,7 +27,7 @@ def periodic_laplacian_dense(n, dx):
 
 def step_reference(u, up, cfg, grid):
     """The plain step, two convections with np.roll shifts; the bitwise
-    oracle for the buffered one-convection loop in Stepper.advance."""
+    oracle for the buffered one-convection loop in solver.run."""
     inv2dx = 1.0 / (2.0 * grid.dx)
 
     def conv(v):
@@ -228,16 +231,23 @@ def test_run_is_bitwise_the_reference_loop(n, convection, transient, save_every)
     assert snap.values.tobytes() == ref.tobytes()
 
 
-def test_chunked_advance_composes_exactly():
-    grid = Grid1D(40, 2 * np.pi)
-    cfg = SolverConfig(nu=0.08, dt=1e-3, steps=1)
-    stepper = Stepper(cfg, grid)
-    u0 = initial_profile(cfg, grid)
-    ua, upa = stepper.advance(u0.copy(), u0.copy(), 12)
-    ub, upb = u0.copy(), u0.copy()
-    for _ in range(4):
-        ub, upb = stepper.advance(ub, upb, 3)
-    assert ua.tobytes() == ub.tobytes() and upa.tobytes() == upb.tobytes()
+def test_one_convection_per_step(monkeypatch):
+    # N(u_prev) once per run, then one N(u) per step: 1 + 13 + 8*5
+    kernel = solver._convection_kernel
+    calls = []
+
+    def counting_kernel(n, inv2dx):
+        convection = kernel(n, inv2dx)
+
+        def counted(v):
+            calls.append(1)
+            return convection(v)
+        return counted
+
+    monkeypatch.setattr(solver, "_convection_kernel", counting_kernel)
+    cfg = SolverConfig(nu=0.07, dt=1e-3, steps=42, save_every=5, transient=13)
+    run(cfg, Grid1D(40, 2 * np.pi))
+    assert len(calls) == 1 + 13 + 40
 
 
 def test_divergence_detected():
@@ -256,6 +266,19 @@ def test_nan_state_is_detected_at_its_substep(convection):
     cfg = SolverConfig(nu=0.1, dt=1e-3, steps=10, initial=u0, convection=convection)
     with pytest.raises(DivergedSolutionError, match=r"substep 1 \("):
         run(cfg, grid)
+
+
+def test_divergence_names_the_step_counted_from_the_run_start():
+    # the same blow-up, whatever the transient and sampling interval
+    grid = Grid1D(64, 2 * np.pi)
+    substeps = set()
+    for transient, save_every in [(0, 1), (0, 5), (7, 5)]:
+        cfg = SolverConfig(nu=1e-4, dt=0.05, steps=2000, save_every=save_every,
+                           transient=transient)
+        with pytest.raises(DivergedSolutionError) as exc:
+            run(cfg, grid)
+        substeps.add(re.search(r"at substep (\d+) \(", str(exc.value)).group(1))
+    assert len(substeps) == 1
 
 
 @pytest.mark.parametrize("field, value", [("nu", np.nan), ("nu", np.inf),
