@@ -43,7 +43,6 @@ from .rom import (
     ReducedModel,
     ReducedTrajectory,
     assemble_cross_tensors,
-    block_initial_condition,
     combined_basis,
     direct_project,
     initial_condition,

@@ -38,15 +38,15 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _float_list(text: str) -> list:
-    return [float(v) for v in text.split(",") if v]
-
-
-def _int_list(text: str) -> list:
-    values = [int(v) for v in text.split(",") if v]
-    if not values:
-        raise argparse.ArgumentTypeError(f"needs at least one integer, got {text!r}")
-    return values
+def _comma_list(kind):
+    """argparse type: comma-separated ``kind`` values, at least one."""
+    def parse(text: str) -> list:
+        values = [kind(v) for v in text.split(",") if v]
+        if not values:
+            raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
+        return values
+    parse.__name__ = f"{kind.__name__} list"  # argparse names it in "invalid ... value"
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,12 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("compare", "errors of both interpolated models vs the truth-POD floor",
                 "--out", "--weights", "--neighbors")
-    p.add_argument("--targets", type=_float_list, default=None,
+    p.add_argument("--targets", type=_comma_list(float), default=None,
                    help="comma-separated viscosities (default: config test_nu)")
 
     p = command("bench", "median update vs direct-projection time across mesh sizes",
                 "--config", "--out", "--jobs", "--q")
-    p.add_argument("--sizes", type=_int_list, default="2000,20000",
+    p.add_argument("--sizes", type=_comma_list(int), default="2000,20000",
                    help="comma-separated mesh sizes")
     p.add_argument("--reps", type=_positive_int, default=20)
     p.add_argument("--nu", type=float, default=None,
@@ -153,7 +153,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_compare(args) -> int:
     study = pipeline.load_study(args.out)
-    rows, reports = pipeline.compare(study, args.targets or None, kind=args.weights,
+    rows, reports = pipeline.compare(study, args.targets, kind=args.weights,
                                      neighbors=args.neighbors)
     pipeline.write_compare_outputs(args.out, rows, reports)
     print("nu barycentric itsgm truth_pod")

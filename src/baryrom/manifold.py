@@ -48,9 +48,9 @@ def _as_representative(m, name="matrix"):
     return m
 
 
-def _check_full_rank(m, name="matrix", rank_tol=RANK_TOL):
+def _check_full_rank(m, name="matrix"):
     s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= rank_tol * s[0]:
+    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
         raise RankDeficientError(
             f"{name} is rank deficient (sigma_min/sigma_max = "
             f"{0.0 if s[0] == 0 else s[-1] / s[0]:.3e})"
@@ -73,7 +73,7 @@ def procrustes_rotation(base, target):
     return vt.T @ u.T
 
 
-def exp_map(base, tangent, rank_tol=RANK_TOL):
+def exp_map(base, tangent):
     """Exponential map: the class of base + tangent.
 
     The full-rank condition is checked at the endpoint only; rank loss
@@ -85,9 +85,9 @@ def exp_map(base, tangent, rank_tol=RANK_TOL):
         raise ShapeMismatchError(
             f"tangent shape {tangent.shape} != base shape {base.shape}"
         )
-    _check_full_rank(base, "base", rank_tol)
+    _check_full_rank(base, "base")
     endpoint = base + tangent
-    _check_full_rank(endpoint, "base + tangent", rank_tol)
+    _check_full_rank(endpoint, "base + tangent")
     return endpoint
 
 

@@ -42,7 +42,6 @@ from .pod import InnerProduct, PODBasis, SnapshotMatrix, compute_pod, global_mea
 from .rom import (
     CrossGalerkinTensors,
     assemble_cross_tensors,
-    block_initial_condition,
     combined_basis,
     direct_project,
     initial_condition,
@@ -188,6 +187,11 @@ def _fan_out(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _entry(path: Path, **fields) -> dict:
+    """Manifest entry of a written file: its name, its hash and ``fields``."""
+    return {"path": path.name, "sha256": sha256_file(path), **fields}
+
+
 def run_generate(cfg: StudyConfig, outdir, jobs: int = 1) -> dict:
     """Run the high-fidelity solver per viscosity and write snapshots."""
     outdir = Path(outdir)
@@ -201,15 +205,8 @@ def run_generate(cfg: StudyConfig, outdir, jobs: int = 1) -> dict:
         snap = run(cfg.solver_config(nu), grid)
         path = outdir / f"snap_nu{_nu_tag(nu)}.mat"
         write_matrix(path, snap.values)
-        return {
-            "nu": nu,
-            "role": role,
-            "path": path.name,
-            "sha256": sha256_file(path),
-            "t0": float(snap.times[0]),
-            "save_dt": cfg.save_every * cfg.dt,
-            "n_snapshots": int(snap.values.shape[1]),
-        }
+        return _entry(path, nu=nu, role=role, t0=float(snap.times[0]),
+                      save_dt=cfg.save_every * cfg.dt, n_snapshots=int(snap.values.shape[1]))
 
     runs = _fan_out(one, tasks, jobs)
 
@@ -244,21 +241,17 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
     manifest = read_manifest(outdir / "manifest.json")
     cfg = config_from_dict(manifest["config"] if q is None
                            else {**manifest["config"], "q": q})
+    if not cfg.trained_nu:
+        raise ConfigError("offline needs at least one trained_nu")
     grid = cfg.grid()
     ip = InnerProduct(grid.dx)
 
     trained = [load_snapshots(outdir, manifest, nu, role="trained") for nu in cfg.trained_nu]
     mean = global_mean(trained)
 
-    def one_pod(snap: SnapshotMatrix) -> PODBasis:
-        fluct = SnapshotMatrix(
-            values=snap.values - mean[:, None], times=snap.times, param=snap.param
-        )
-        return compute_pod(fluct, ip, cfg.q)
-
-    bases = _fan_out(one_pod, trained, jobs)
-
-    ct = assemble_cross_tensors(bases, mean, ip, grid.gradient)
+    bases = _fan_out(lambda snap: compute_pod(snap.values - mean[:, None], ip, cfg.q),
+                     trained, jobs)
+    ct = assemble_cross_tensors([b.modes for b in bases], mean, ip, grid.gradient)
 
     mean_path = outdir / "mean.mat"
     write_matrix(mean_path, mean)
@@ -270,27 +263,19 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
         write_matrix(pod_path, basis.modes)
         ic_path = outdir / f"ic_nu{tag}.mat"
         write_matrix(ic_path, snap.values[:, 0])
-        pod_entries.append({
-            "nu": snap.param,
-            "path": pod_path.name,
-            "sha256": sha256_file(pod_path),
-            "eigenvalues": [float(v) for v in basis.eigenvalues],
-        })
-        ic_entries.append({
-            "nu": snap.param,
-            "path": ic_path.name,
-            "sha256": sha256_file(ic_path),
-        })
+        pod_entries.append(_entry(pod_path, nu=snap.param,
+                                  eigenvalues=[float(v) for v in basis.eigenvalues]))
+        ic_entries.append(_entry(ic_path, nu=snap.param))
 
     archive_path = outdir / "tensors.arc"
     write_archive(archive_path, vars(ct), {"q": cfg.q, "nx": grid.n, "dx": grid.dx})
 
     manifest["config"] = cfg.to_dict()
     manifest["offline"] = {
-        "mean": {"path": mean_path.name, "sha256": sha256_file(mean_path)},
+        "mean": _entry(mean_path),
         "pod": pod_entries,
         "ics": ic_entries,
-        "archive": {"path": archive_path.name, "sha256": sha256_file(archive_path)},
+        "archive": _entry(archive_path),
     }
     write_manifest(outdir / "manifest.json", manifest)
     return manifest
@@ -338,14 +323,8 @@ def load_study(outdir) -> Study:
     ip = InnerProduct(grid.dx)
     off = manifest["offline"]
     mean = read_matrix(check_file(outdir, off["mean"]))[:, 0]
-    bases = []
-    for entry in off["pod"]:
-        modes = read_matrix(check_file(outdir, entry))
-        bases.append(PODBasis(
-            modes=modes,
-            eigenvalues=np.array(entry["eigenvalues"]),
-            param=entry["nu"],
-        ))
+    bases = [PODBasis(read_matrix(check_file(outdir, e)), np.array(e["eigenvalues"]))
+             for e in off["pod"]]
     ics = [read_matrix(check_file(outdir, entry))[:, 0] for entry in off["ics"]]
     arrays, meta = read_archive(check_file(outdir, off["archive"]))
     ct = CrossGalerkinTensors(*(arrays[f.name] for f in fields(CrossGalerkinTensors)))
@@ -406,9 +385,10 @@ def online_model(study: Study, w: WeightVector, nu: float, coords=None, tol=None
     at the node nearest nu (a stalled one is kept if ``allow_nonconverged``
     and its gradient norm is finite), the operator update, and the initial
     coordinates of the state whose trained-basis coordinates are
-    ``coords``, by default the weighted initial state's.  ``timings``
-    gains barycenter_s, update_s and initial_condition_s.  Returns
-    (barycenter result, model, alpha0)."""
+    ``coords``, by default the weighted initial state's: the solution of
+    M alpha0 = S^T coords, with M the updated mass matrix and S the
+    ``weighted_rotations``.  ``timings`` gains barycenter_s, update_s and
+    initial_condition_s.  Returns (barycenter result, model, alpha0)."""
     timings = {} if timings is None else timings
     with _timed(timings, "barycenter_s"):
         try:
@@ -423,8 +403,7 @@ def online_model(study: Study, w: WeightVector, nu: float, coords=None, tol=None
         model = update_reduced_model(study.tensors, w, bary.rotations, nu)
     with _timed(timings, "initial_condition_s"):
         coords = study.ic_coords @ w.values if coords is None else coords
-        alpha0 = block_initial_condition(model.M, weighted_rotations(w, bary.rotations),
-                                         coords)
+        alpha0 = np.linalg.solve(model.M, weighted_rotations(w, bary.rotations).T @ coords)
     return bary, model, alpha0
 
 
@@ -463,9 +442,6 @@ def predict(study: Study, nu: float, method: str = "barycentric",
             truth = load_snapshots(study.outdir, study.manifest, nu) if truth is None else truth
             if method == "barycentric":
                 coords = _coords(study.bases, study.mean, study.ip, truth.values[:, :1])[:, 0]
-        t0 = float(truth.times[0])
-    else:
-        t0 = float(study.manifest["runs"][0]["t0"]) if study.manifest.get("runs") else 0.0
     if method == "barycentric":
         bary, model, alpha0 = online_model(study, w, nu, coords, tol=tol,
                                            allow_nonconverged=allow_nonconverged,
@@ -492,7 +468,7 @@ def predict(study: Study, nu: float, method: str = "barycentric",
 
     with _timed(timings, "integrate_s"):
         traj = integrate_rom(model, alpha0, cfg.dt, cfg.steps,
-                             record_every=cfg.save_every, t0=t0)
+                             record_every=cfg.save_every, t0=cfg.transient * cfg.dt)
     # roundoff amplification bound of the folded M^-1; M is finite SPD once
     # the integrator has factored it
     report["mass_condition"] = float(np.linalg.cond(model.M))
@@ -506,10 +482,7 @@ def predict(study: Study, nu: float, method: str = "barycentric",
 def truth_pod_baseline(study: Study, truth: SnapshotMatrix) -> SnapshotMatrix:
     """ROM built from the target's own truth snapshots: the accuracy floor."""
     nu = truth.param
-    fluct = SnapshotMatrix(
-        values=truth.values - study.mean[:, None], times=truth.times, param=nu
-    )
-    basis = compute_pod(fluct, study.ip, study.cfg.q)
+    basis = compute_pod(truth.values - study.mean[:, None], study.ip, study.cfg.q)
     model = direct_project(basis.modes, study.mean, study.ip, study.grid.gradient, nu)
     alpha0 = initial_condition(basis.modes, study.mean, study.ip, truth.values[:, 0])
     traj = integrate_rom(model, alpha0, study.cfg.dt, study.cfg.steps,
@@ -522,7 +495,7 @@ def compare(study: Study, targets=None, kind=None, neighbors=None):
 
     Returns (rows, reports): one row per target with columns
     nu, barycentric, itsgm, truth_pod, ratio_barycentric_itsgm, and the
-    per-time error reports keyed by (nu, method).
+    per-time error reports keyed as reports[nu][method].
     """
     cfg = study.cfg
     targets = list(cfg.test_nu) if targets is None else [float(v) for v in targets]
@@ -537,8 +510,8 @@ def compare(study: Study, targets=None, kind=None, neighbors=None):
             rec = (truth_pod_baseline(study, truth) if method == "truth_pod" else
                    predict(study, nu, method=method, ic_mode="truth",
                            kind=kind, neighbors=neighbors, truth=truth)[1])
-            reports[(nu, method)] = error_report(truth, rec, study.ip, method)
-        e_b, e_i, e_t = (reports[(nu, m)].mean for m in methods)
+            reports.setdefault(nu, {})[method] = error_report(truth, rec, study.ip, method)
+        e_b, e_i, e_t = (reports[nu][m].mean for m in methods)
         rows.append([nu, e_b, e_i, e_t, e_b / e_i if e_i > 0 else np.inf])
     return rows, reports
 
@@ -550,10 +523,7 @@ def write_compare_outputs(outdir, rows, reports):
         ["nu", "barycentric", "itsgm", "truth_pod", "ratio_barycentric_itsgm"],
         [[float(v) for v in row] for row in rows],
     )
-    by_nu = {}
-    for (nu, method), rep in reports.items():
-        by_nu.setdefault(nu, {})[method] = rep
-    for nu, reps in by_nu.items():
+    for nu, reps in reports.items():
         methods = sorted(reps)
         rows_t = [[t] + [reps[m].per_time[j][1] for m in methods]
                   for j, (t, _) in enumerate(reps[methods[0]].per_time)]

@@ -66,7 +66,6 @@ class PODBasis:
 
     modes: np.ndarray
     eigenvalues: np.ndarray
-    param: float
 
 
 def global_mean(snapshot_sets):
@@ -86,17 +85,20 @@ def global_mean(snapshot_sets):
     return total / (len(snapshot_sets) * ns)
 
 
-def compute_pod(fluct: SnapshotMatrix, ip: InnerProduct, q: int) -> PODBasis:
+def compute_pod(fluct, ip: InnerProduct, q: int) -> PODBasis:
     """POD of mean-subtracted snapshots through the correlation matrix.
 
-    Builds C_ij = <u_i, u_j>_W, eigendecomposes it, and assembles the q
-    leading modes as eigenvalue-normalized snapshot combinations.  The
-    modes come out W-orthonormal.  Mean subtraction is the caller's job.
+    Builds C_ij = <u_i, u_j>_W from the (N, Ns) fluctuations ``fluct``,
+    eigendecomposes it, and assembles the q leading modes as eigenvalue-
+    normalized snapshot combinations.  The modes come out W-orthonormal.
+    Mean subtraction is the caller's job.
 
     Raises RankTooSmallError when the q-th eigenvalue falls below
     1e-14 times the leading one.
     """
-    u = fluct.values
+    u = np.asarray(fluct, dtype=float)
+    if u.ndim != 2:
+        raise ShapeMismatchError("fluctuations must be 2-D (space x time)")
     ns = u.shape[1]
     if not 1 <= q <= ns:
         raise ValueError(f"q must lie in 1..{ns}, got {q}")
@@ -115,7 +117,7 @@ def compute_pod(fluct: SnapshotMatrix, ip: InnerProduct, q: int) -> PODBasis:
     for k in range(q):
         if modes[np.argmax(np.abs(modes[:, k])), k] < 0:
             modes[:, k] = -modes[:, k]
-    return PODBasis(modes=modes, eigenvalues=np.clip(evals, 0.0, None), param=fluct.param)
+    return PODBasis(modes=modes, eigenvalues=np.clip(evals, 0.0, None))
 
 
 def energy_fraction(basis: PODBasis, q: int) -> float:

@@ -7,7 +7,8 @@ weights and alignment rotations purely from those q-by-q blocks -- no
 array the size of the mesh is touched -- which is what makes parameter
 sweeps cheap.  ``direct_project`` assembles the same operators by
 straight quadrature against an explicit basis and exists as the oracle
-the cheap update is checked against.
+the cheap update is checked against.  Every basis argument is a plain
+N-by-q array of modes.
 
 Index conventions (fixed by requiring update == direct projection): the
 archive's block B^{hk} has rows from basis h and columns from basis k;
@@ -20,8 +21,8 @@ with S = [w_1 Q_1; ...; w_Np Q_Np] (``weighted_rotations``), and every
 reduced operator is S^T A S for a stacked operator A.  On the uniform grid
 the stacked bases' Gram matrix, which the barycenter needs, is the stacked
 mass matrix over the cell size, and the initial coordinates solve M alpha0
-= S^T c with c = [Phi_1 ... Phi_Np]^T W (u0 - mean).  Only the lift to the
-mesh (``reconstruct_field``) forms Phi.
+= S^T c with c = [Phi_1 ... Phi_Np]^T W (u0 - mean) (``online_model`` in
+pipeline).  Only the lift to the mesh (``reconstruct_field``) forms Phi.
 
 The reduced solve (``integrate_rom``) folds M^-1 into one stacked
 q-by-(1 + q + q^2) operator G = [f | -L | -Chat], pre-scaled by dt/2 and
@@ -37,7 +38,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DivergedSolutionError, ShapeMismatchError, SingularMassError
-from .pod import InnerProduct, PODBasis, SnapshotMatrix
+from .pod import InnerProduct, SnapshotMatrix
 from .weights import WeightVector
 
 
@@ -86,7 +87,7 @@ class ReducedTrajectory:
 
 
 def _mode_matrices(bases):
-    mats = [b.modes if isinstance(b, PODBasis) else np.asarray(b, float) for b in bases]
+    mats = [np.asarray(b, float) for b in bases]
     shape = mats[0].shape
     for i, m in enumerate(mats):
         if m.shape != shape:
@@ -186,7 +187,7 @@ def direct_project(basis, mean, ip: InnerProduct, grad_op, nu: float) -> Reduced
     kept as the exactness oracle and as the assembly path for baselines
     built around a single interpolated or truth basis.
     """
-    phi = basis.modes if isinstance(basis, PODBasis) else np.asarray(basis, float)
+    phi = np.asarray(basis, float)
     if phi.ndim != 2:
         raise ShapeMismatchError("basis must be 2-D")
     nx, q = phi.shape
@@ -308,7 +309,7 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
 
 def reconstruct_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> SnapshotMatrix:
     """Lift reduced states back to the full field: u(t) = mean + basis a(t)."""
-    phi = basis.modes if isinstance(basis, PODBasis) else np.asarray(basis, float)
+    phi = np.asarray(basis, float)
     mean = np.asarray(mean, dtype=float)
     if phi.shape[1] != traj.alphas.shape[1]:
         raise ShapeMismatchError(
@@ -325,23 +326,13 @@ def reconstruct_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> Sna
 
 def initial_condition(basis, mean, ip: InnerProduct, u0) -> np.ndarray:
     """Weighted least-squares coordinates of u0 - mean in the basis span."""
-    phi = basis.modes if isinstance(basis, PODBasis) else np.asarray(basis, float)
+    phi = np.asarray(basis, float)
     u0 = np.asarray(u0, dtype=float)
     mean = np.asarray(mean, dtype=float)
     if u0.shape != (phi.shape[0],) or mean.shape != (phi.shape[0],):
         raise ShapeMismatchError("field length does not match basis rows")
     gram = phi.T @ ip.apply(phi)
     return np.linalg.solve(gram, phi.T @ ip.apply(u0 - mean))
-
-
-def block_initial_condition(mass, S, coords) -> np.ndarray:
-    """``initial_condition`` for the basis [Phi_1 ... Phi_Np] S, from q-sized data.
-
-    ``mass`` is that basis's reduced mass matrix, ``S`` the (Np q)-by-q
-    ``weighted_rotations`` and ``coords`` the (Np q) c = [Phi_1 ...
-    Phi_Np]^T W (u0 - mean); the coordinates solve mass alpha0 = S^T c.
-    """
-    return np.linalg.solve(mass, S.T @ coords)
 
 
 def combined_basis(bases, weights, rotations) -> np.ndarray:

@@ -13,18 +13,19 @@ u^{n-2}; it reuses u^{n-1}, degrading that one step to explicit Euler
 convection.
 
 The implicit system is circulant, so it is solved exactly by
-diagonalization in Fourier space: one rfft, a division by the symbol of
-I - nu*dt*L and one irfft per step.
+diagonalization in Fourier space: one rfft, a product with the reciprocal
+of the symbol of I - nu*dt*L and one irfft per step.
 
-Each run is one loop, set up once: the symbol, N(u^{n-2}), the padded
-and right-hand-side buffers.  Each step evaluates one convection;
+Each run is one loop, set up once: the symbol's reciprocal, N(u^{n-2}),
+the padded and right-hand-side buffers.  Each step evaluates one convection;
 N(u^{n-1}) is carried, halved, into the next step as its N(u^{n-2}) term.
 The +-1 shifts are views of one padded (n+2) copy of the state whose two
 end cells hold the periodic wrap.  Saved states are written into the
 snapshot matrix from inside the loop, and steps are counted from the
 run's first step.  The floating-point operations and their order are
-those of the plain expression above, so the snapshots are bitwise the
-same as evaluating it term by term.
+those of the plain expression above (numpy divides a complex by a real
+as a product with the real's reciprocal), so the snapshots are bitwise
+the same as evaluating it term by term.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def _march(u, up, cfg: SolverConfig, grid: Grid1D, nsteps, values=None):
     0.5*N(u) is kept as the next step's 0.5*N(up).
     """
     dt, n = cfg.dt, grid.n
-    ahat = diffusion_symbol(n, cfg.nu * dt / grid.dx**2)
+    inv = 1.0 / diffusion_symbol(n, cfg.nu * dt / grid.dx**2)
     mag = np.empty(n)
     if cfg.convection:
         convection = _convection_kernel(n, 1.0 / (2.0 * grid.dx))
@@ -174,7 +175,7 @@ def _march(u, up, cfg: SolverConfig, grid: Grid1D, nsteps, values=None):
             np.multiply(conv, 0.5, out=half_prev)
         else:
             rhs = u
-        u = np.fft.irfft(np.fft.rfft(rhs) / ahat, n=n)
+        u = np.fft.irfft(np.fft.rfft(rhs) * inv, n=n)
         np.abs(u, out=mag)
         if not (mag.max() <= DIVERGENCE_CAP):  # true for nan too
             raise DivergedSolutionError(

@@ -12,7 +12,6 @@ import numpy as np
 from baryrom import (
     Grid1D,
     InnerProduct,
-    SnapshotMatrix,
     SolverConfig,
     WeightScheme,
     WeightVector,
@@ -221,10 +220,7 @@ def test_c8_pod_oracle(study):
     for nu in study.params:
         truth = pipeline.load_snapshots(study.outdir, study.manifest, nu)
         fluct = truth.values - study.mean[:, None]
-        basis = compute_pod(
-            SnapshotMatrix(values=fluct, times=truth.times, param=nu),
-            study.ip, study.cfg.q,
-        )
+        basis = compute_pod(fluct, study.ip, study.cfg.q)
         w = study.ip.weight
         singular = np.linalg.svd(np.sqrt(w) * fluct, compute_uv=False) ** 2
         k = min(singular.size, basis.eigenvalues.size)

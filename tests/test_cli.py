@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import io
 import json
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -23,7 +25,7 @@ from baryrom import (
     mean_error,
     orthonormalize,
 )
-from baryrom.cli import main
+from baryrom.cli import build_parser, main
 from baryrom.io import (
     read_archive,
     read_manifest,
@@ -102,6 +104,16 @@ def test_generate_empty_nu_list(tmp_path):
                  str(tmp_path / "o")]) == 0
     manifest = read_manifest(tmp_path / "o" / "manifest.json")
     assert manifest["runs"] == []
+
+
+def test_offline_without_trained_nu_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, trained_nu=[], test_nu=[])))
+    assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert main(["offline", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_offline_archive_reload_bit_identical(workdir):
@@ -456,6 +468,18 @@ def test_flag_a_command_does_not_honour_is_a_usage_error(argv):
     assert exc.value.code == 2
 
 
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {m[0]: set(m[1].split())
+                  for m in re.findall(r"^\| `(\w+)` \| `([^`]*)` \|$", readme, re.M)}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {flag for action in p._actions for flag in action.option_strings
+                     if flag not in ("-h", "--help")}
+              for name, p in sub.choices.items()}
+    assert documented == parsed
+
+
 MALFORMED_INPUT = [  # (argv, config overrides); "{out}" is a copy of the study
     (["compare", "--out", "{out}", "--targets", "abc"], {}),
     (["bench", "--config", "{cfg}", "--out", "{out}", "--sizes", "abc"], {}),
@@ -485,6 +509,8 @@ MALFORMED_INPUT = [  # (argv, config overrides); "{out}" is a copy of the study
     (["compare", "--out", "{out}", "--targets", "nan"], {}),
     (["compare", "--out", "{out}", "--targets=-0.06"], {}),
     (["predict", "--out", "{out}", "--nu", "1e200", "--weights", "idw"], {}),
+    (["compare", "--out", "{out}", "--targets", ","], {}),
+    (["compare", "--out", "{out}", "--targets", ""], {}),
 ]
 
 
@@ -601,6 +627,18 @@ def test_predict_initial_state_matches_projection_oracle(workdir, ic_mode):
               if ic_mode == "truth" else sum(wk * ic for wk, ic in zip(w.values, study.ics)))
         oracle = initial_condition(basis, study.mean, study.ip, u0)
         assert np.linalg.norm(traj.alphas[0] - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("ic_mode", pipeline.IC_MODES)
+def test_predict_starts_at_the_stored_runs_start_time(workdir, ic_mode):
+    _, _, out = workdir
+    study = pipeline.load_study(out)
+    t0 = study.manifest["runs"][0]["t0"]
+    for method in pipeline.METHODS:
+        assert pipeline.predict(study, 0.08, method=method, ic_mode=ic_mode)[0].times[0] == t0
+    if ic_mode == "weighted":  # needs no stored run
+        study.manifest["runs"] = []
+        assert pipeline.predict(study, 0.08, ic_mode=ic_mode)[0].times[0] == t0
 
 
 class _Untouchable:

@@ -77,7 +77,7 @@ def test_pod_axis_snapshots():
     u = np.zeros((3, 2))
     u[0, 0] = 2.0  # 2*e1
     u[1, 1] = 1.0  # e2
-    basis = compute_pod(snaps(u), InnerProduct(1.0), q=2)
+    basis = compute_pod(u, InnerProduct(1.0), q=2)
     np.testing.assert_allclose(basis.eigenvalues, [4.0, 1.0], atol=1e-14)
     np.testing.assert_allclose(basis.modes[:, 0], [1.0, 0.0, 0.0], atol=1e-14)
     np.testing.assert_allclose(basis.modes[:, 1], [0.0, 1.0, 0.0], atol=1e-14)
@@ -88,7 +88,7 @@ def test_pod_rank_one_snapshots(rng):
     coeffs = np.array([1.0, -2.0, 0.5])
     u = np.outer(v, coeffs)
     ip = InnerProduct(0.25)
-    basis = compute_pod(snaps(u), ip, q=1)
+    basis = compute_pod(u, ip, q=1)
     vnorm = ip.norm(v)
     lam = float(np.sum(coeffs**2)) * vnorm**2
     assert basis.eigenvalues[0] == pytest.approx(lam, rel=1e-12)
@@ -103,7 +103,7 @@ def test_pod_rank_one_snapshots(rng):
 def test_pod_full_rank_reproduces_snapshots(rng):
     u = rng.standard_normal((40, 6))
     ip = InnerProduct(0.1)
-    basis = compute_pod(snaps(u), ip, q=6)
+    basis = compute_pod(u, ip, q=6)
     proj = basis.modes @ (basis.modes.T @ ip.apply(u))
     assert np.linalg.norm(u - proj) < 1e-10
     np.testing.assert_allclose(pod_spectrum_oracle(u, ip)[:6],
@@ -113,7 +113,7 @@ def test_pod_full_rank_reproduces_snapshots(rng):
 def test_pod_weighted_orthonormality(rng):
     ip = InnerProduct(1.7)
     u = rng.standard_normal((30, 8))
-    basis = compute_pod(snaps(u), ip, q=5)
+    basis = compute_pod(u, ip, q=5)
     gram = basis.modes.T @ ip.apply(basis.modes)
     assert np.max(np.abs(gram - np.eye(5))) < 1e-10
 
@@ -121,7 +121,7 @@ def test_pod_weighted_orthonormality(rng):
 def test_pod_spectrum_matches_svd_oracle(rng):
     ip = InnerProduct(0.37)
     u = rng.standard_normal((50, 7))
-    basis = compute_pod(snaps(u), ip, q=3)
+    basis = compute_pod(u, ip, q=3)
     np.testing.assert_allclose(basis.eigenvalues, pod_spectrum_oracle(u, ip),
                                rtol=1e-10)
 
@@ -130,7 +130,7 @@ def test_pod_residual_energy_is_tail_sum(rng):
     ip = InnerProduct(0.2)
     u = rng.standard_normal((25, 6))
     for q in range(1, 6):
-        basis = compute_pod(snaps(u), ip, q=q)
+        basis = compute_pod(u, ip, q=q)
         resid = u - basis.modes @ (basis.modes.T @ ip.apply(u))
         energy = float(np.sum(ip.apply(resid) * resid))
         tail = float(basis.eigenvalues[q:].sum())
@@ -140,12 +140,17 @@ def test_pod_residual_energy_is_tail_sum(rng):
 def test_pod_rank_too_small():
     u = np.outer(np.arange(1.0, 9.0), [1.0, 2.0, 3.0])  # rank one
     with pytest.raises(RankTooSmallError):
-        compute_pod(snaps(u), InnerProduct(1.0), q=2)
+        compute_pod(u, InnerProduct(1.0), q=2)
+
+
+def test_pod_rejects_non_matrix_fluctuations():
+    with pytest.raises(ShapeMismatchError):
+        compute_pod(np.arange(1.0, 9.0), InnerProduct(1.0), q=1)
 
 
 def test_pod_sign_convention(rng):
     u = rng.standard_normal((15, 4))
-    basis = compute_pod(snaps(u), InnerProduct(1.0), q=4)
+    basis = compute_pod(u, InnerProduct(1.0), q=4)
     for k in range(4):
         col = basis.modes[:, k]
         assert col[np.argmax(np.abs(col))] > 0
@@ -156,10 +161,8 @@ def test_pod_sign_convention(rng):
 def test_energy_fraction_values():
     from baryrom.pod import PODBasis
 
-    basis = PODBasis(modes=np.zeros((3, 2)), eigenvalues=np.array([4.0, 1.0]),
-                     param=0.0)
+    basis = PODBasis(modes=np.zeros((3, 2)), eigenvalues=np.array([4.0, 1.0]))
     assert energy_fraction(basis, 2) == pytest.approx(1.0)
     assert energy_fraction(basis, 1) == pytest.approx(0.8)
-    degenerate = PODBasis(modes=np.zeros((3, 1)),
-                          eigenvalues=np.array([5.0, 0.0, 0.0]), param=0.0)
+    degenerate = PODBasis(modes=np.zeros((3, 1)), eigenvalues=np.array([5.0, 0.0, 0.0]))
     assert energy_fraction(degenerate, 1) == pytest.approx(1.0)
