@@ -52,5 +52,5 @@ from .rom import (
     update_reduced_model,
     weighted_rotations,
 )
-from .solver import Grid1D, SolverConfig, initial_profile, run, step
+from .solver import Grid1D, SolverConfig, initial_profile, run, run_batch, step
 from .weights import WeightScheme, WeightVector, evaluate_weights, select_neighbors

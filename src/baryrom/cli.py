@@ -61,7 +61,7 @@ _FLAGS = {
     "--config": dict(required=True, help="study configuration JSON"),
     "--out": dict(default="out", help="working directory"),
     "--jobs": dict(type=_positive_int, default=1,
-                   help="worker threads for per-parameter fan-out"),
+                   help="worker threads: one generate chunk or one offline POD each"),
     "--q": dict(type=int, default=None, help="POD truncation order (default: config q)"),
     "--weights": dict(choices=["lagrange", "idw"], default=None,
                       help="weight scheme (default: config weights.kind)"),

@@ -26,6 +26,15 @@ run's first step.  The floating-point operations and their order are
 those of the plain expression above (numpy divides a complex by a real
 as a product with the real's reciprocal), so the snapshots are bitwise
 the same as evaluating it term by term.
+
+``run_batch`` marches B runs that differ only in nu (and the initial
+state) through the same loop on a (B, n) state: every operation acts
+along the last axis, the symbol's reciprocal is (B, n/2+1), and each
+numpy call serves all B runs.  Each member's snapshots are bitwise those
+of its own ``run``, which marches a 1-D state (a (1, n) one costs more
+per call).  The divergence check is
+one max over the whole batch per step; only when it fails is the first
+offending member located, and the error names its nu and the substep.
 """
 
 from __future__ import annotations
@@ -120,21 +129,23 @@ def diffusion_symbol(n, r):
     return 1.0 + 4.0 * r * np.sin(np.pi * k / n) ** 2
 
 
-def _convection_kernel(n, inv2dx):
+def _convection_kernel(shape, inv2dx):
     """N(v) = (0.5*v*(v+ - v-) + 0.25*(v+*v+ - v-*v-)) * inv2dx, the split
-    skew form with central differences, written into one reused buffer.
+    skew form with central differences along the last axis of a state of
+    ``shape``, written into one reused buffer.
 
     v+ and v- (the periodic +-1 shifts) are views of one padded copy of v.
     Returns the buffer; the next call overwrites it.
     """
-    pad = np.empty(n + 2)
-    body, vp, vm = pad[1:-1], pad[2:], pad[:-2]
-    out, t1, t2 = np.empty(n), np.empty(n), np.empty(n)
+    *lead, n = shape
+    pad = np.empty((*lead, n + 2))
+    body, vp, vm = pad[..., 1:-1], pad[..., 2:], pad[..., :-2]
+    ends = pad[..., ::n + 1]  # cells 0 and n+1, the periodic wrap
+    out, t1, t2 = np.empty(shape), np.empty(shape), np.empty(shape)
 
     def convection(v):
         body[...] = v
-        pad[0] = v[-1]
-        pad[-1] = v[0]
+        ends[...] = v[..., ::1 - n]  # cells n-1 and 0
         np.subtract(vp, vm, out=t1)
         np.multiply(v, 0.5, out=out)
         np.multiply(out, t1, out=out)
@@ -149,21 +160,26 @@ def _convection_kernel(n, inv2dx):
     return convection
 
 
-def _march(u, up, cfg: SolverConfig, grid: Grid1D, nsteps, values=None):
+def _march(u, up, cfgs, grid: Grid1D, nsteps, values=None):
     """Advance nsteps steps from the states u (step n-1) and up (n-2) and
-    return the last state.  Steps count from 1; with ``values``, the state
-    after step k goes into column (k - transient) / save_every whenever
-    that is a whole number >= 0.
+    return the last state.  A state is (n,) for one config or (B, n) for
+    B configs, which differ only in nu and the initial state; every
+    operation acts along the last axis.  Steps count from 1; with
+    ``values``, (n, S) or (B, n, S), the state after step k goes into
+    column (k - transient) / save_every whenever that is a whole number
+    >= 0.
 
     rhs = u - dt*(1.5*N(u) - 0.5*N(up)) with one convection per step:
     0.5*N(u) is kept as the next step's 0.5*N(up).
     """
+    cfg = cfgs[0]
     dt, n = cfg.dt, grid.n
-    inv = 1.0 / diffusion_symbol(n, cfg.nu * dt / grid.dx**2)
-    mag = np.empty(n)
+    inv = 1.0 / np.array([diffusion_symbol(n, c.nu * dt / grid.dx**2)
+                          for c in cfgs]).reshape(*u.shape[:-1], -1)
+    mag = np.empty(u.shape)
     if cfg.convection:
-        convection = _convection_kernel(n, 1.0 / (2.0 * grid.dx))
-        rhs = np.empty(n)
+        convection = _convection_kernel(u.shape, 1.0 / (2.0 * grid.dx))
+        rhs = np.empty(u.shape)
         half_prev = 0.5 * convection(up)
     for k in range(1, nsteps + 1):
         if cfg.convection:
@@ -178,14 +194,15 @@ def _march(u, up, cfg: SolverConfig, grid: Grid1D, nsteps, values=None):
         u = np.fft.irfft(np.fft.rfft(rhs) * inv, n=n)
         np.abs(u, out=mag)
         if not (mag.max() <= DIVERGENCE_CAP):  # true for nan too
+            bad = cfgs[np.flatnonzero(~(mag.max(axis=-1) <= DIVERGENCE_CAP))[0]]
             raise DivergedSolutionError(
                 f"solution exceeded {DIVERGENCE_CAP:.0e} or is not finite at substep "
-                f"{k} (nu={cfg.nu}, dt={cfg.dt})"
+                f"{k} (nu={bad.nu}, dt={bad.dt})"
             )
         if values is not None:
             j, r = divmod(k - cfg.transient, cfg.save_every)
             if r == 0 and j >= 0:
-                values[:, j] = u
+                values[..., j] = u
     return u
 
 
@@ -195,7 +212,7 @@ def step(u_nm1, u_nm2, cfg: SolverConfig, grid: Grid1D) -> np.ndarray:
     u_nm2 = np.asarray(u_nm2, dtype=float)
     if u_nm1.shape != (grid.n,) or u_nm2.shape != (grid.n,):
         raise ShapeMismatchError("state length does not match the grid")
-    return _march(u_nm1, u_nm2, cfg, grid, 1)
+    return _march(u_nm1, u_nm2, [cfg], grid, 1)
 
 
 def run(cfg: SolverConfig, grid: Grid1D) -> SnapshotMatrix:
@@ -206,10 +223,23 @@ def run(cfg: SolverConfig, grid: Grid1D) -> SnapshotMatrix:
     state up to ``steps`` further steps.  Deterministic: identical
     configurations produce bitwise-identical snapshot matrices.
     """
-    u = initial_profile(cfg, grid)
+    return run_batch([cfg], grid)[0]
+
+
+def run_batch(cfgs, grid: Grid1D) -> list:
+    """``[run(cfg, grid) for cfg in cfgs]``, bitwise, from one step loop
+    over a (B, n) state.  The configs may differ in nu and the initial
+    state only; the snapshot matrices are views of one (B, n, S) array.
+    """
+    cfg = cfgs[0]
+    if len({(c.dt, c.steps, c.save_every, c.transient, c.convection) for c in cfgs}) > 1:
+        raise ValueError("the configs of one batch may differ only in nu and initial")
+    u = np.stack([initial_profile(c, grid) for c in cfgs])
     n_saves = cfg.steps // cfg.save_every
-    values = np.empty((grid.n, n_saves + 1))
-    values[:, 0] = u  # replaced at the last transient step, if there is one
-    _march(u, u, cfg, grid, cfg.transient + n_saves * cfg.save_every, values)
+    values = np.empty((*u.shape, n_saves + 1))
+    values[..., 0] = u  # replaced at the last transient step, if there is one
+    one = 0 if len(cfgs) == 1 else slice(None)  # one run marches a 1-D state
+    _march(u[one], u[one], cfgs, grid, cfg.transient + n_saves * cfg.save_every,
+           values[one])
     times = (cfg.transient + cfg.save_every * np.arange(n_saves + 1)) * cfg.dt
-    return SnapshotMatrix(values=values, times=times, param=cfg.nu)
+    return [SnapshotMatrix(values=v, times=times, param=c.nu) for c, v in zip(cfgs, values)]

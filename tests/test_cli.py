@@ -511,6 +511,8 @@ MALFORMED_INPUT = [  # (argv, config overrides); "{out}" is a copy of the study
     (["predict", "--out", "{out}", "--nu", "1e200", "--weights", "idw"], {}),
     (["compare", "--out", "{out}", "--targets", ","], {}),
     (["compare", "--out", "{out}", "--targets", ""], {}),
+    (["compare", "--out", "{out}", "--targets", "0.08,0.08"], {}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"test_nu": [0.08, 0.08]}),
 ]
 
 
@@ -711,7 +713,7 @@ def test_fan_out_runs_in_the_calling_thread_only_for_one_job(workdir, tmp_path,
 
     _, cfg_path, _ = workdir
     threads = set()
-    solve, pod = pipeline.run, pipeline.compute_pod
+    batch, pod = pipeline.run_batch, pipeline.compute_pod
 
     def record(fn):
         def call(*args, **kwargs):
@@ -719,13 +721,82 @@ def test_fan_out_runs_in_the_calling_thread_only_for_one_job(workdir, tmp_path,
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(pipeline, "run", record(solve))
+    monkeypatch.setattr(pipeline, "run_batch", record(batch))
     monkeypatch.setattr(pipeline, "compute_pod", record(pod))
     out = tmp_path / "o"
     assert main(["generate", "--config", str(cfg_path), "--out", str(out),
                  "--jobs", str(jobs)]) == 0
     assert main(["offline", "--out", str(out), "--jobs", str(jobs)]) == 0
     assert (threads == {threading.get_ident()}) == (jobs == 1)
+
+
+def test_compare_rejects_repeated_targets_before_reading_a_run(workdir, monkeypatch,
+                                                               capsys):
+    _, _, out = workdir
+    reads = []
+    monkeypatch.setattr(pipeline, "load_snapshots", lambda *a, **k: reads.append(a))
+    assert main(["compare", "--out", str(out), "--targets", "0.08,0.09,0.08"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "distinct" in err
+    assert reads == []
+
+
+SEVEN_NU = {**SMALL_CONFIG, "trained_nu": [0.05, 0.07, 0.09, 0.11],
+            "test_nu": [0.06, 0.08, 0.1]}
+
+
+def _generate_in_chunks(tmp_path, monkeypatch, name, members, jobs):
+    """generate SEVEN_NU with a byte budget of ``members`` runs per chunk;
+    returns the output directory and the chunk sizes run_batch saw."""
+    run_bytes = 8 * SEVEN_NU["grid"]["n"] * (SEVEN_NU["steps"] // SEVEN_NU["save_every"] + 1)
+    monkeypatch.setattr(pipeline, "GENERATE_BATCH_BYTES", members * run_bytes + run_bytes // 2)
+    sizes = []
+    batch = pipeline.run_batch
+
+    def recording(cfgs, grid):
+        sizes.append(len(cfgs))
+        return batch(cfgs, grid)
+
+    monkeypatch.setattr(pipeline, "run_batch", recording)
+    cfg_path = tmp_path / "seven.json"
+    cfg_path.write_text(json.dumps(SEVEN_NU))
+    out = tmp_path / name
+    assert main(["generate", "--config", str(cfg_path), "--out", str(out),
+                 "--jobs", str(jobs)]) == 0
+    monkeypatch.setattr(pipeline, "run_batch", batch)
+    return out, sorted(sizes, reverse=True)
+
+
+def test_generate_chunking_changes_no_output_byte(tmp_path, monkeypatch):
+    whole, sizes = _generate_in_chunks(tmp_path, monkeypatch, "whole", 7, 1)
+    assert sizes == [7]
+    files = sorted(p.name for p in whole.iterdir())
+    assert len(files) == 8 and "manifest.json" in files
+    for members, expected in [(1, [1] * 7), (2, [2, 2, 2, 1]), (7, [7])]:
+        for jobs in (1, 2):
+            out, sizes = _generate_in_chunks(tmp_path, monkeypatch,
+                                             f"m{members}j{jobs}", members, jobs)
+            assert sizes == expected
+            assert sorted(p.name for p in out.iterdir()) == files
+            for name in files:
+                assert (out / name).read_bytes() == (whole / name).read_bytes(), name
+            runs = read_manifest(out / "manifest.json")["runs"]
+            assert [r["sha256"] for r in runs] \
+                == [sha256_file(out / r["path"]) for r in runs]
+
+
+def test_generate_names_the_one_diverging_viscosity(tmp_path, capsys):
+    # at dt=0.03 only nu=0.001 of the batch blows up, at substep 191
+    cfg = {**SMALL_CONFIG, "dt": 0.03, "steps": 400, "transient": 40,
+           "trained_nu": [0.05, 0.001, 0.09], "test_nu": [0.08]}
+    cfg_path = tmp_path / "diverge.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert re.search(r"at substep 191 \(nu=0\.001,", err)
+    assert not (out / "manifest.json").exists()
 
 
 # ------------------------------------------------------ config documents

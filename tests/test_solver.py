@@ -10,6 +10,7 @@ from baryrom import (
     SolverConfig,
     initial_profile,
     run,
+    run_batch,
     step,
 )
 from baryrom import solver
@@ -306,3 +307,62 @@ def test_custom_initial_vector():
     u0 = np.cos(3 * grid.x)
     cfg = SolverConfig(nu=0.1, dt=1e-3, steps=0, initial=u0)
     np.testing.assert_array_equal(run(cfg, grid).values[:, 0], u0)
+
+
+# ------------------------------------------------------------------- batch
+
+@pytest.mark.parametrize("transient, save_every", [(0, 1), (13, 1), (0, 5), (13, 5)])
+@pytest.mark.parametrize("convection", [True, False])
+@pytest.mark.parametrize("n", [8, 40, 256])
+@pytest.mark.parametrize("members", [1, 3, 7])
+def test_run_batch_is_bitwise_the_reference_loop(members, n, convection, transient,
+                                                 save_every):
+    grid = Grid1D(n, 2 * np.pi)
+    cfgs = [SolverConfig(nu=0.03 + 0.015 * b, dt=1e-3, steps=42, save_every=save_every,
+                         transient=transient, convection=convection)
+            for b in range(members)]
+    snaps = run_batch(cfgs, grid)
+    assert len(snaps) == members
+    for cfg, snap in zip(cfgs, snaps):
+        ref = run_reference(cfg, grid)
+        assert snap.param == cfg.nu
+        assert snap.values.shape == ref.shape
+        assert snap.values.tobytes() == ref.tobytes()
+        np.testing.assert_array_equal(snap.times, run(cfg, grid).times)
+
+
+def test_run_batch_marches_one_run_as_a_1d_state(monkeypatch):
+    shapes = []
+    march = solver._march
+
+    def recording(u, *args, **kwargs):
+        shapes.append(u.shape)
+        return march(u, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_march", recording)
+    grid = Grid1D(40, 2 * np.pi)
+    run(SolverConfig(nu=0.07, dt=1e-3, steps=10), grid)
+    run_batch([SolverConfig(nu=nu, dt=1e-3, steps=10) for nu in (0.05, 0.07)], grid)
+    assert shapes == [(40,), (2, 40)]
+
+
+def test_run_batch_rejects_configs_that_differ_beyond_nu():
+    grid = Grid1D(16, 2 * np.pi)
+    with pytest.raises(ValueError, match="differ only"):
+        run_batch([SolverConfig(nu=0.05, dt=1e-3, steps=10),
+                   SolverConfig(nu=0.07, dt=2e-3, steps=10)], grid)
+
+
+def test_batch_divergence_names_the_diverging_member_and_its_substep():
+    # only nu=1e-3 blows up; the batch names it at the substep its own run does
+    grid = Grid1D(64, 2 * np.pi)
+    cfgs = [SolverConfig(nu=nu, dt=0.03, steps=400, save_every=4, transient=40)
+            for nu in (0.05, 1e-3, 0.09)]
+    with pytest.raises(DivergedSolutionError) as alone:
+        run(cfgs[1], grid)
+    for cfg in (cfgs[0], cfgs[2]):
+        run(cfg, grid)
+    with pytest.raises(DivergedSolutionError) as batch:
+        run_batch(cfgs, grid)
+    assert str(batch.value) == str(alone.value)
+    assert "(nu=0.001," in str(batch.value)
