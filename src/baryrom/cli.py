@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__, pipeline
 from .errors import ConfigError, DataIntegrityError, NumericalError
-from .io import write_manifest, write_matrix
+from .io import entry_path, write_manifest, write_matrix
 from .metrics import write_csv
 
 EXIT_OK = 0
@@ -169,9 +169,11 @@ def _remove_listed_files(outdir: Path, manifest: dict) -> None:
     entries = [*manifest.get("runs", []), *off.get("pod", []), *off.get("ics", []),
                off.get("mean", {}), off.get("archive", {})]
     for entry in entries:
-        name = entry.get("path", "")
-        path = outdir / name
-        if path.name == name and path.is_file():  # plain file names inside outdir only
+        try:
+            path = entry_path(outdir, entry)
+        except DataIntegrityError:  # plain file names inside outdir only
+            continue
+        if path.is_file():
             path.unlink()
 
 

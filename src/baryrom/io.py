@@ -6,14 +6,26 @@ little-endian.  The declared sizes must match the payload exactly.
 
 Archive layout: 8-byte magic ``ROMBARC1``, little-endian u64 header
 length, a UTF-8 JSON header mapping array names to shapes/offsets plus
-free-form metadata, then the concatenated raw float64 payloads.  Both
+free-form metadata, then the raw float64 payloads, concatenated in
+offset order so that they fill the rest of the file exactly.  Both
 writers are byte-deterministic for equal inputs.
+
+Each file goes through memory and SHA-256 once.  A reader reads the
+header, then reads every payload straight into a freshly allocated
+float64 array of its final shape, hashing the header and those arrays
+as it goes, and returns the arrays themselves.  Given the digest a
+manifest recorded, it raises the hash-mismatch DataIntegrityError for
+any file whose bytes do not hash to it, before any format error.  A
+writer hashes the bytes it writes from the array's own buffer and
+returns the hex digest, so a manifest entry needs no second read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -23,78 +35,168 @@ from .errors import DataIntegrityError
 
 MATRIX_MAGIC = b"ROMBMAT1"
 ARCHIVE_MAGIC = b"ROMBARC1"
+CHUNK = 2**20  # bytes hashed per read where no array receives them
 
 
-def write_matrix(path, arr):
+def _bytes(arr: np.ndarray) -> np.ndarray:
+    """The bytes of a C-contiguous array, as a flat uint8 view of its buffer."""
+    return arr.reshape(-1).view(np.uint8)
+
+
+def _write(path, head: bytes, arrays) -> str:
+    """Write ``head`` and then each array's bytes; the file's SHA-256 hex digest."""
+    h = hashlib.sha256(head)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for arr in arrays:
+            data = _bytes(arr)
+            fh.write(data)
+            h.update(data)
+    return h.hexdigest()
+
+
+def write_matrix(path, arr) -> str:
+    """Write a matrix file (a vector becomes one column); its SHA-256 hex digest."""
     arr = np.ascontiguousarray(np.asarray(arr, dtype="<f8"))
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError(f"matrix files hold 2-D data, got ndim={arr.ndim}")
-    rows, cols = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(MATRIX_MAGIC)
-        fh.write(struct.pack("<QQ", rows, cols))
-        fh.write(arr.tobytes(order="C"))
+    return _write(path, MATRIX_MAGIC + struct.pack("<QQ", *arr.shape), [arr])
 
 
-def read_matrix(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 24 or raw[:8] != MATRIX_MAGIC:
-        raise DataIntegrityError(f"{path}: not a matrix file")
-    rows, cols = struct.unpack("<QQ", raw[8:24])
-    expected = 24 + rows * cols * 8
-    if len(raw) != expected:
-        raise DataIntegrityError(
-            f"{path}: payload length {len(raw)} does not match declared "
-            f"{rows}x{cols} float64"
-        )
-    return np.frombuffer(raw[24:], dtype="<f8").reshape(rows, cols).copy()
-
-
-def write_archive(path, arrays: dict, meta: dict):
+def write_archive(path, arrays: dict, meta: dict) -> str:
+    """Write an archive of the named arrays, in name order; its SHA-256 hex digest."""
     names = sorted(arrays)
+    payloads = [np.ascontiguousarray(np.asarray(arrays[name], dtype="<f8")) for name in names]
     entries = {}
     offset = 0
-    payloads = []
-    for name in names:
-        arr = np.ascontiguousarray(np.asarray(arrays[name], dtype="<f8"))
+    for name, arr in zip(names, payloads):
         entries[name] = {"shape": list(arr.shape), "offset": offset}
-        buf = arr.tobytes(order="C")
-        payloads.append(buf)
-        offset += len(buf)
+        offset += arr.nbytes
     header = json.dumps(
         {"arrays": entries, "meta": meta}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(ARCHIVE_MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for buf in payloads:
-            fh.write(buf)
+    return _write(path, ARCHIVE_MAGIC + struct.pack("<Q", len(header)) + header, payloads)
 
 
-def read_archive(path):
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:8] != ARCHIVE_MAGIC:
-        raise DataIntegrityError(f"{path}: not an archive file")
-    (hlen,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16:16 + hlen].decode("utf-8"))
-    payload = raw[16 + hlen:]
-    arrays = {}
+def _open(path):
+    try:
+        return open(path, "rb", buffering=0)
+    except OSError as exc:
+        raise DataIntegrityError(f"cannot read data file {path}: {exc.strerror}") from exc
+
+
+def _hash_rest(fh, h):
+    """Feed the rest of the file to the hash ``h``; returns ``h``."""
+    for chunk in iter(lambda: fh.read(CHUNK), b""):
+        h.update(chunk)
+    return h
+
+
+def _verify(path, digest: str, sha256) -> None:
+    """The hash-mismatch error, unless no digest was recorded or they agree."""
+    if sha256 is not None and digest != sha256:
+        raise DataIntegrityError(
+            f"hash mismatch for {path}: expected {sha256[:12]}..., got {digest[:12]}..."
+        )
+
+
+def _malformed(path, fh, h, sha256, what: str):
+    """Raise the format error ``what``; with a recorded digest, the rest of
+    the file is hashed first, so a file that does not hash to it raises the
+    hash mismatch instead."""
+    if sha256 is not None:
+        _verify(path, _hash_rest(fh, h).hexdigest(), sha256)
+    raise DataIntegrityError(f"{path}: {what}")
+
+
+def _read_into(path, fh, h, arr: np.ndarray) -> None:
+    """Fill ``arr`` with the next bytes of the file and hash them."""
+    view = _bytes(arr)
+    filled = 0
+    while filled < view.size:
+        n = fh.readinto(view[filled:])
+        if not n:
+            raise DataIntegrityError(f"{path}: file ended while it was read")
+        filled += n
+    h.update(view)
+
+
+def read_matrix(path, sha256=None) -> np.ndarray:
+    """The (rows, cols) float64 array of a matrix file, read and hashed in
+    one pass; with ``sha256``, verified against that hex digest."""
+    h = hashlib.sha256()
+    with _open(path) as fh:
+        head = fh.read(24)
+        h.update(head)
+        if len(head) < 24 or head[:8] != MATRIX_MAGIC:
+            _malformed(path, fh, h, sha256, "not a matrix file")
+        rows, cols = struct.unpack("<QQ", head[8:])
+        size = os.fstat(fh.fileno()).st_size
+        if size != 24 + 8 * rows * cols:
+            _malformed(path, fh, h, sha256, f"file length {size} does not match "
+                                            f"the declared {rows}x{cols} float64")
+        out = np.empty((rows, cols), dtype="<f8")
+        _read_into(path, fh, h, out)
+    _verify(path, h.hexdigest(), sha256)
+    return out
+
+
+def _archive_layout(header, payload_bytes: int):
+    """[(offset, name, shape)] of a parsed archive header, in offset order.
+    ValueError unless the arrays fill the payload end to end."""
+    layout = []
     for name, entry in header["arrays"].items():
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + count * 8
-        if end > len(payload):
-            raise DataIntegrityError(f"{path}: array {name!r} overruns the payload")
-        arrays[name] = np.frombuffer(payload[start:end], dtype="<f8").reshape(shape).copy()
+        shape, offset = entry["shape"], entry["offset"]
+        if not (isinstance(offset, int) and isinstance(shape, list)
+                and all(isinstance(n, int) and n >= 0 for n in shape)):
+            raise ValueError(f"array {name!r} has a malformed shape or offset")
+        layout.append((offset, name, tuple(shape)))
+    layout.sort()
+    end = 0
+    for offset, name, shape in layout:
+        if offset != end:
+            raise ValueError(f"array {name!r} does not start where the one before it ends")
+        end += 8 * math.prod(shape)
+    if end != payload_bytes:
+        raise ValueError(f"arrays hold {end} bytes, the payload {payload_bytes}")
+    if not isinstance(header["meta"], dict):
+        raise ValueError("metadata is not a JSON object")
+    return layout
+
+
+def read_archive(path, sha256=None):
+    """(name -> float64 array, metadata) of an archive, read and hashed in
+    one pass; with ``sha256``, verified against that hex digest."""
+    h = hashlib.sha256()
+    with _open(path) as fh:
+        head = fh.read(16)
+        h.update(head)
+        if len(head) < 16 or head[:8] != ARCHIVE_MAGIC:
+            _malformed(path, fh, h, sha256, "not an archive file")
+        (hlen,) = struct.unpack("<Q", head[8:])
+        payload_bytes = os.fstat(fh.fileno()).st_size - 16 - hlen
+        if payload_bytes < 0:
+            _malformed(path, fh, h, sha256, "header overruns the file")
+        raw = fh.read(hlen)
+        h.update(raw)
+        try:
+            header = json.loads(raw.decode("utf-8"))
+            layout = _archive_layout(header, payload_bytes)
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            _malformed(path, fh, h, sha256, f"bad archive header: {exc}")
+        arrays = {}
+        for _, name, shape in layout:
+            arrays[name] = np.empty(shape, dtype="<f8")
+            _read_into(path, fh, h, arrays[name])
+    _verify(path, h.hexdigest(), sha256)
     return arrays, header["meta"]
 
 
 def sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    with _open(path) as fh:
+        return _hash_rest(fh, hashlib.sha256()).hexdigest()
 
 
 def write_manifest(path, manifest: dict):
@@ -104,22 +206,35 @@ def write_manifest(path, manifest: dict):
 
 
 def read_manifest(path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise DataIntegrityError(f"manifest not found: {path}")
-    with open(p, encoding="utf-8") as fh:
-        return json.load(fh)
+    """A manifest's JSON object; DataIntegrityError if it is missing, is
+    not valid JSON or is not an object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise DataIntegrityError(f"manifest not found: {path}") from None
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 decoding errors are ValueErrors
+        raise DataIntegrityError(f"unreadable manifest {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataIntegrityError(f"manifest {path} is not a JSON object")
+    return doc
+
+
+def entry_path(outdir, entry) -> Path:
+    """The file a manifest file entry names.  The entry must hold a
+    ``path`` that is a plain file name, so the file lies directly inside
+    ``outdir``, and a ``sha256`` string."""
+    name = entry.get("path") if isinstance(entry, dict) else None
+    if not (isinstance(name, str) and isinstance(entry.get("sha256"), str)):
+        raise DataIntegrityError(f"manifest file entry without a path and a sha256: {entry!r}")
+    path = Path(outdir) / name
+    if name in ("", ".", "..") or path.name != name:
+        raise DataIntegrityError(f"manifest path {name!r} is not a file name inside {outdir}")
+    return path
 
 
 def check_file(outdir, entry: dict) -> Path:
     """Resolve a manifest file entry and verify its recorded hash."""
-    p = Path(outdir) / entry["path"]
-    if not p.exists():
-        raise DataIntegrityError(f"missing data file: {p}")
-    digest = sha256_file(p)
-    if digest != entry["sha256"]:
-        raise DataIntegrityError(
-            f"hash mismatch for {p}: expected {entry['sha256'][:12]}..., "
-            f"got {digest[:12]}..."
-        )
-    return p
+    path = entry_path(outdir, entry)
+    _verify(path, sha256_file(path), entry["sha256"])
+    return path

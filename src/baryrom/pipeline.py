@@ -17,7 +17,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -25,8 +25,10 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DataIntegrityError, NotConvergedError, ShapeMismatchError
-from .io import (
+# check_file and sha256_file stay bound here: perfbench's Tracer wraps them by name
+from .io import (  # noqa: F401
     check_file,
+    entry_path,
     read_archive,
     read_manifest,
     read_matrix,
@@ -195,9 +197,21 @@ def _fan_out(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _entry(path: Path, **fields) -> dict:
+def _entry(path: Path, digest: str, **fields) -> dict:
     """Manifest entry of a written file: its name, its hash and ``fields``."""
-    return {"path": path.name, "sha256": sha256_file(path), **fields}
+    return {"path": path.name, "sha256": digest, **fields}
+
+
+def _read(reader, outdir, entry):
+    """``reader``'s result for the file a manifest entry names, verified
+    against the hash the entry records."""
+    return reader(entry_path(outdir, entry), entry["sha256"])
+
+
+def _shaped(what, arr: np.ndarray, shape: tuple) -> np.ndarray:
+    if arr.shape != shape:
+        raise DataIntegrityError(f"{what} has shape {arr.shape}, expected {shape}")
+    return arr
 
 
 def run_generate(cfg: StudyConfig, outdir, jobs: int = 1) -> dict:
@@ -222,9 +236,8 @@ def run_generate(cfg: StudyConfig, outdir, jobs: int = 1) -> dict:
         entries = []
         for (nu, role), snap in zip(members, snaps):
             path = outdir / f"snap_nu{_nu_tag(nu)}.mat"
-            write_matrix(path, snap.values)
-            entries.append(_entry(path, nu=nu, role=role, t0=float(snap.times[0]),
-                                  save_dt=cfg.save_every * cfg.dt,
+            entries.append(_entry(path, write_matrix(path, snap.values), nu=nu, role=role,
+                                  t0=float(snap.times[0]), save_dt=cfg.save_every * cfg.dt,
                                   n_snapshots=int(snap.values.shape[1])))
         return entries
 
@@ -250,8 +263,7 @@ def _run_entry(manifest: dict, nu: float, role=None) -> dict:
 
 def load_snapshots(outdir, manifest: dict, nu: float, role=None) -> SnapshotMatrix:
     entry = _run_entry(manifest, nu, role)
-    path = check_file(outdir, entry)
-    values = read_matrix(path)
+    values = _read(read_matrix, outdir, entry)
     times = entry["t0"] + entry["save_dt"] * np.arange(values.shape[1])
     return SnapshotMatrix(values=values, times=times, param=nu)
 
@@ -267,36 +279,38 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
     grid = cfg.grid()
     ip = InnerProduct(grid.dx)
 
+    # Each run's first state is kept as its stored initial state, then the
+    # run becomes its fluctuations in place, and the runs are dropped before
+    # the tensors are assembled: the peak is the Np runs plus the one
+    # weighted copy compute_pod makes.
     trained = [load_snapshots(outdir, manifest, nu, role="trained") for nu in cfg.trained_nu]
+    ics = [snap.values[:, 0].copy() for snap in trained]
     mean = global_mean(trained)
-
-    bases = _fan_out(lambda snap: compute_pod(snap.values - mean[:, None], ip, cfg.q),
-                     trained, jobs)
+    for snap in trained:
+        snap.values -= mean[:, None]
+    bases = _fan_out(lambda snap: compute_pod(snap.values, ip, cfg.q), trained, jobs)
+    del trained
     ct = assemble_cross_tensors([b.modes for b in bases], mean, ip, grid.gradient)
 
     mean_path = outdir / "mean.mat"
-    write_matrix(mean_path, mean)
     pod_entries = []
     ic_entries = []
-    for snap, basis in zip(trained, bases):
-        tag = _nu_tag(snap.param)
+    for nu, basis, ic in zip(cfg.trained_nu, bases, ics):
+        tag = _nu_tag(nu)
         pod_path = outdir / f"pod_nu{tag}.mat"
-        write_matrix(pod_path, basis.modes)
-        ic_path = outdir / f"ic_nu{tag}.mat"
-        write_matrix(ic_path, snap.values[:, 0])
-        pod_entries.append(_entry(pod_path, nu=snap.param,
+        pod_entries.append(_entry(pod_path, write_matrix(pod_path, basis.modes), nu=nu,
                                   eigenvalues=[float(v) for v in basis.eigenvalues]))
-        ic_entries.append(_entry(ic_path, nu=snap.param))
+        ic_path = outdir / f"ic_nu{tag}.mat"
+        ic_entries.append(_entry(ic_path, write_matrix(ic_path, ic), nu=nu))
 
     archive_path = outdir / "tensors.arc"
-    write_archive(archive_path, vars(ct), {"q": cfg.q, "nx": grid.n, "dx": grid.dx})
-
     manifest["config"] = cfg.to_dict()
     manifest["offline"] = {
-        "mean": _entry(mean_path),
+        "mean": _entry(mean_path, write_matrix(mean_path, mean)),
         "pod": pod_entries,
         "ics": ic_entries,
-        "archive": _entry(archive_path),
+        "archive": _entry(archive_path, write_archive(
+            archive_path, vars(ct), {"q": cfg.q, "nx": grid.n, "dx": grid.dx})),
     }
     write_manifest(outdir / "manifest.json", manifest)
     return manifest
@@ -343,18 +357,37 @@ def load_study(outdir) -> Study:
     grid = cfg.grid()
     ip = InnerProduct(grid.dx)
     off = manifest["offline"]
-    mean = read_matrix(check_file(outdir, off["mean"]))[:, 0]
-    bases = [PODBasis(read_matrix(check_file(outdir, e)), np.array(e["eigenvalues"]))
-             for e in off["pod"]]
-    ics = [read_matrix(check_file(outdir, entry))[:, 0] for entry in off["ics"]]
-    arrays, meta = read_archive(check_file(outdir, off["archive"]))
-    ct = CrossGalerkinTensors(*(arrays[f.name] for f in fields(CrossGalerkinTensors)))
-    if int(meta["q"]) != cfg.q or ct.q != cfg.q:
+    nx, q, np_ = grid.n, cfg.q, len(cfg.trained_nu)
+    if len(off["pod"]) != np_ or len(off["ics"]) != np_:
+        raise DataIntegrityError(f"offline section lists other than {np_} bases and states")
+
+    def matrix(entry, cols):  # a stored (nx, cols) matrix
+        return _shaped(entry["path"], _read(read_matrix, outdir, entry), (nx, cols))
+
+    mean = matrix(off["mean"], 1)[:, 0]
+    bases = [PODBasis(matrix(e, q), np.array(e["eigenvalues"])) for e in off["pod"]]
+    ics = [matrix(entry, 1)[:, 0] for entry in off["ics"]]
+    arrays, meta = _read(read_archive, outdir, off["archive"])
+    if meta.get("q") != cfg.q:
         raise DataIntegrityError("archive truncation order disagrees with the config")
+    ct = _cross_tensors(arrays, np_, q)
     frame = gram_coordinates(stacked(ct.M) / ip.weight, cfg.q)
     ic_coords = _coords(bases, mean, ip, np.column_stack(ics))
     ortho = [orthonormalize(b.modes) for b in bases]
     return Study(outdir, manifest, cfg, grid, ip, mean, bases, ics, ct, frame, ic_coords, ortho)
+
+
+def _cross_tensors(arrays: dict, np_: int, q: int) -> CrossGalerkinTensors:
+    """The archive's tensors, each checked against its shape for Np bases
+    of q modes."""
+    block, vec = (np_, np_, q, q), (np_, q)
+    shapes = {"M": block, "R": block, "Cbar": block, "C": (np_,) * 3 + (q,) * 3,
+              "F_conv": vec, "F_diff": vec}
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise DataIntegrityError(f"tensor archive lacks the array {name!r}")
+        _shaped(f"archive array {name!r}", arrays[name], shape)
+    return CrossGalerkinTensors(**{name: arrays[name] for name in shapes})
 
 
 def _coords(bases, mean, ip: InnerProduct, fields) -> np.ndarray:

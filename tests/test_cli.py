@@ -33,6 +33,7 @@ from baryrom.io import (
     sha256_file,
     write_archive,
     write_manifest,
+    write_matrix,
 )
 from baryrom import pipeline
 
@@ -531,6 +532,84 @@ def test_malformed_input_exits_2_with_one_line(workdir, tmp_path, capsys, argv, 
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def _manifest_text(text):
+    def corrupt(study):
+        (study / "manifest.json").write_text(text)
+    return corrupt
+
+
+def _edit_manifest(edit):
+    """A corruption applying ``edit(manifest, study)`` to the stored manifest."""
+    def corrupt(study):
+        manifest = read_manifest(study / "manifest.json")
+        edit(manifest, study)
+        write_manifest(study / "manifest.json", manifest)
+    return corrupt
+
+
+def _edit_archive(edit):
+    """A corruption applying ``edit(arrays)`` to the archive, with the
+    manifest hash kept in step."""
+    def update(manifest, study):
+        arrays, meta = read_archive(study / "tensors.arc")
+        edit(arrays)
+        manifest["offline"]["archive"]["sha256"] = write_archive(
+            study / "tensors.arc", arrays, meta)
+    return _edit_manifest(update)
+
+
+def _outside(entry_of, absolute):
+    """Point a file entry at a valid copy of its file in a sibling directory."""
+    def point(manifest, study):
+        entry = entry_of(manifest)
+        sibling = study.parent / "sibling"
+        sibling.mkdir()
+        shutil.copy(study / entry["path"], sibling)
+        entry["path"] = (str(sibling / entry["path"]) if absolute
+                         else f"../sibling/{entry['path']}")
+    return _edit_manifest(point)
+
+
+def _short_mean(manifest, study):
+    path = study / "mean.mat"
+    manifest["offline"]["mean"]["sha256"] = write_matrix(path, read_matrix(path)[1:])
+
+
+CORRUPT_STUDY = [  # (id, command, corruption of a copy of the study)
+    ("truncated-json", "offline", _manifest_text('{"runs": [')),
+    ("truncated-json", "predict", _manifest_text('{"runs": [')),
+    ("json-list", "offline", _manifest_text("[1, 2]")),
+    ("json-string", "compare", _manifest_text('"offline"')),
+    ("run-without-path", "offline", _edit_manifest(lambda m, s: m["runs"][0].pop("path"))),
+    ("run-without-hash", "offline", _edit_manifest(lambda m, s: m["runs"][0].pop("sha256"))),
+    ("run-outside", "compare", _outside(lambda m: m["runs"][-1], absolute=False)),
+    ("pod-without-hash", "predict",
+     _edit_manifest(lambda m, s: m["offline"]["pod"][1].pop("sha256"))),
+    ("ic-missing", "predict", _edit_manifest(lambda m, s: m["offline"]["ics"].pop())),
+    ("mean-in-sibling", "predict", _outside(lambda m: m["offline"]["mean"], absolute=False)),
+    ("mean-absolute", "predict", _outside(lambda m: m["offline"]["mean"], absolute=True)),
+    ("mean-short", "predict", _edit_manifest(_short_mean)),
+    ("archive-without-F_conv", "predict", _edit_archive(lambda a: a.pop("F_conv"))),
+    ("archive-C-shape", "predict", _edit_archive(lambda a: a.update(C=a["C"][..., :-1]))),
+    ("archive-M-shape", "predict", _edit_archive(lambda a: a.update(M=a["M"][:-1, :-1]))),
+]
+COMMANDS = {"offline": ["offline"], "predict": ["predict", "--nu", "0.08"],
+            "compare": ["compare"]}
+
+
+@pytest.mark.parametrize("command, corrupt", [pytest.param(*case[1:], id=f"{case[1]}-{case[0]}")
+                                              for case in CORRUPT_STUDY])
+def test_corrupt_study_exits_4_with_one_line(workdir, tmp_path, capsys, command, corrupt):
+    _, _, out = workdir
+    study = tmp_path / "study"
+    shutil.copytree(out, study)
+    corrupt(study)
+    capsys.readouterr()
+    assert main([*COMMANDS[command], "--out", str(study)]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("data error:")
 
 
 NU_EDGES = [0.0, -0.0, -0.05, -np.inf, np.inf, np.nan, 1e300, -1e300, 5e-324,

@@ -1,9 +1,13 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from baryrom import DataIntegrityError
 from baryrom.io import (
     check_file,
+    entry_path,
     read_archive,
     read_matrix,
     sha256_file,
@@ -88,3 +92,127 @@ def test_check_file_hash_mismatch(tmp_path):
         check_file(tmp_path, entry)
     with pytest.raises(DataIntegrityError):
         check_file(tmp_path, {"path": "missing.mat", "sha256": "00"})
+
+
+ARRAYS = {"M": np.arange(12.0).reshape(2, 2, 3), "F": np.array([[0.5, -1.0]])}
+
+
+def _matrix_file(path):
+    return write_matrix(path, np.arange(12.0).reshape(4, 3))
+
+
+def _archive_file(path):
+    return write_archive(path, ARRAYS, {"q": 3})
+
+
+FORMATS = [  # (writer, reader, its format error for a bad magic, for a bad length)
+    (_matrix_file, read_matrix, "not a matrix file", "does not match the declared"),
+    (_archive_file, read_archive, "not an archive file", "bad archive header"),
+]
+FORMAT_IDS = ["matrix", "archive"]
+
+DAMAGE = {  # name -> (raw bytes -> damaged bytes, which format error it makes)
+    "truncated": (lambda raw: raw[:-1], "length"),
+    "trailing byte": (lambda raw: raw + b"\x00", "length"),
+    "bad magic": (lambda raw: b"X" + raw[1:], "magic"),
+}
+
+
+@pytest.mark.parametrize("writer, reader, magic_error, length_error", FORMATS, ids=FORMAT_IDS)
+def test_writers_return_the_digest_of_the_file_they_wrote(tmp_path, writer, reader,
+                                                          magic_error, length_error):
+    path = tmp_path / "f"
+    assert writer(path) == sha256_file(path)
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+@pytest.mark.parametrize("writer, reader, magic_error, length_error", FORMATS, ids=FORMAT_IDS)
+def test_damaged_file_is_a_hash_mismatch_given_a_digest(tmp_path, writer, reader,
+                                                        magic_error, length_error, damage):
+    path = tmp_path / "f"
+    digest = writer(path)
+    reader(path, digest)
+    edit, kind = DAMAGE[damage]
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(DataIntegrityError, match="hash mismatch"):
+        reader(path, digest)
+    with pytest.raises(DataIntegrityError, match=magic_error if kind == "magic" else length_error):
+        reader(path)
+
+
+@pytest.mark.parametrize("writer, reader, magic_error, length_error", FORMATS, ids=FORMAT_IDS)
+def test_changed_payload_is_a_hash_mismatch(tmp_path, writer, reader, magic_error,
+                                            length_error):
+    path = tmp_path / "f"
+    digest = writer(path)
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 1
+    path.write_bytes(bytes(raw))
+    reader(path)  # still well formed
+    with pytest.raises(DataIntegrityError, match="hash mismatch"):
+        reader(path, digest)
+
+
+@pytest.mark.parametrize("reader", [read_matrix, read_archive, sha256_file])
+def test_missing_file_is_a_data_error(tmp_path, reader):
+    with pytest.raises(DataIntegrityError, match="No such file"):
+        reader(tmp_path / "absent")
+
+
+def test_read_arrays_are_owned_writable_contiguous_float64(tmp_path):
+    path = tmp_path / "f"
+    arrays = [read_matrix(path, _matrix_file(path))]
+    arrays += read_archive(path, _archive_file(path))[0].values()
+    for arr in arrays:
+        assert arr.dtype == np.float64
+        assert arr.flags.owndata and arr.flags.writeable and arr.flags.c_contiguous
+
+
+def _archive_with_header(path, arrays, payload):
+    header = json.dumps({"arrays": arrays, "meta": {}}).encode()
+    path.write_bytes(b"ROMBARC1" + struct.pack("<Q", len(header)) + header + payload)
+
+
+@pytest.mark.parametrize("arrays, payload", [
+    ({"a": {"shape": [2], "offset": 8}}, bytes(16)),        # gap before the array
+    ({"a": {"shape": [2], "offset": 0}}, bytes(24)),        # payload left over
+    ({"a": {"shape": [3], "offset": 0}}, bytes(16)),        # array overruns the file
+    ({"a": {"shape": [2], "offset": 0},
+      "b": {"shape": [1], "offset": 8}}, bytes(24)),        # arrays overlap
+    ({"a": {"shape": [-1], "offset": 0}}, bytes(0)),
+    ({"a": {"shape": 2, "offset": 0}}, bytes(16)),
+    ({"a": {"offset": 0}}, bytes(16)),
+    ([], bytes(0)),
+])
+def test_archive_whose_arrays_do_not_tile_the_payload_is_malformed(tmp_path, arrays, payload):
+    path = tmp_path / "bad.arc"
+    _archive_with_header(path, arrays, payload)
+    with pytest.raises(DataIntegrityError, match="bad archive header"):
+        read_archive(path)
+
+
+def test_archive_arrays_in_any_name_order_read_back(tmp_path):
+    path = tmp_path / "a.arc"
+    _archive_with_header(path, {"z": {"shape": [1], "offset": 0},
+                                "a": {"shape": [1, 1], "offset": 8}},
+                         struct.pack("<dd", 1.5, -2.0))
+    arrays, meta = read_archive(path)
+    assert meta == {} and arrays["z"].tolist() == [1.5] and arrays["a"].tolist() == [[-2.0]]
+
+
+@pytest.mark.parametrize("entry", [
+    {"path": "../x/f.mat", "sha256": "00"},
+    {"path": "/abs/f.mat", "sha256": "00"},
+    {"path": "sub/f.mat", "sha256": "00"},
+    {"path": "..", "sha256": "00"},
+    {"path": "", "sha256": "00"},
+    {"sha256": "00"},
+    {"path": "f.mat"},
+    {"path": "f.mat", "sha256": None},
+    ["f.mat"],
+])
+def test_entry_path_takes_plain_file_names_with_a_hash_only(tmp_path, entry):
+    with pytest.raises(DataIntegrityError):
+        entry_path(tmp_path, entry)
+    with pytest.raises(DataIntegrityError):
+        check_file(tmp_path, entry)
