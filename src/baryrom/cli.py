@@ -123,7 +123,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_offline(args) -> int:
     pipeline.run_offline(args.out, jobs=args.jobs, q=args.q)
-    print(f"wrote POD bases, mean field and tensor archive under {args.out}")
+    print(f"wrote POD bases, initial states and tensor archive under {args.out}")
     return EXIT_OK
 
 
@@ -164,10 +164,10 @@ def _cmd_compare(args) -> int:
 
 
 def _remove_listed_files(outdir: Path, manifest: dict) -> None:
-    """Delete the data files a manifest lists: its runs and offline outputs."""
+    """Delete the data files a manifest lists: its runs, mean and offline outputs."""
     off = manifest.get("offline", {})
-    entries = [*manifest.get("runs", []), *off.get("pod", []), *off.get("ics", []),
-               off.get("mean", {}), off.get("archive", {})]
+    entries = [*manifest.get("runs", []), manifest.get("mean", {}), *off.get("pod", []),
+               *off.get("ics", []), off.get("archive", {})]
     for entry in entries:
         try:
             path = entry_path(outdir, entry)
@@ -190,10 +190,11 @@ def _cmd_bench(args) -> int:
         size_cfg = pipeline.config_from_dict({
             **cfg.to_dict(), "q": cfg.q if args.q is None else args.q,
             "grid": {"n": nx, "length": cfg.grid_length}})
-        # a stored study is reused only if it was built from this very config
+        # a stored study is reused only if it was built from this very config,
+        # by a generate that wrote the mean
         path = size_dir / "manifest.json"
         stored = pipeline.read_manifest(path) if path.exists() else {}
-        if stored.get("config") != size_cfg.to_dict():
+        if stored.get("config") != size_cfg.to_dict() or "mean" not in stored:
             _remove_listed_files(size_dir, stored)
             stored = pipeline.run_generate(size_cfg, size_dir, jobs=args.jobs)
         if "offline" not in stored:

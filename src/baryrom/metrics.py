@@ -9,6 +9,10 @@ import numpy as np
 from .errors import ShapeMismatchError, ZeroReferenceError
 from .pod import InnerProduct, SnapshotMatrix
 
+# bytes of one row block of the error sums, which stays in cache, so no
+# temporary is snapshot-sized
+BLOCK_BYTES = 2 * 2**20
+
 
 @dataclass
 class ErrorReport:
@@ -31,7 +35,14 @@ def error_at_time(ref, approx, ip: InnerProduct) -> float:
 
 
 def _column_sums(ref: SnapshotMatrix, approx: SnapshotMatrix, ip: InnerProduct):
-    """Squared weighted norms of ref - approx and of ref, one per instant."""
+    """Squared weighted norms of ref - approx and of ref, one per instant.
+
+    The rows are summed in blocks of about BLOCK_BYTES, each block's first
+    row carrying the sums so far, so for C-ordered inputs the rows add in
+    the order ``np.sum(ip.apply(d) * d, axis=0)`` adds them and the sums
+    are bitwise the same.  numpy sums a single column pairwise instead, so
+    one column is one block.
+    """
     if ref.values.shape != approx.values.shape:
         raise ShapeMismatchError(
             f"shapes differ: {ref.values.shape} vs {approx.values.shape}"
@@ -40,9 +51,19 @@ def _column_sums(ref: SnapshotMatrix, approx: SnapshotMatrix, ip: InnerProduct):
         ref.times, approx.times, rtol=0.0, atol=1e-12
     ):
         raise ShapeMismatchError("sampling instants differ")
-    diff = ref.values - approx.values
-    return (np.sum(ip.apply(diff) * diff, axis=0),
-            np.sum(ip.apply(ref.values) * ref.values, axis=0))
+    nx, ns = ref.values.shape
+    rows = max(1, nx if ns <= 1 else BLOCK_BYTES // (8 * ns))
+    num, den = np.zeros(ns), np.zeros(ns)
+    for i in range(0, nx, rows):
+        r = ref.values[i:i + rows]
+        d = r - approx.values[i:i + rows]
+        for acc, x in ((num, d), (den, r)):
+            t = ip.apply(x)
+            t *= x
+            t[0] += acc
+            np.sum(t, axis=0, out=acc)
+            del t  # so no more than two blocks are live at once
+    return num, den
 
 
 def mean_error(ref: SnapshotMatrix, approx: SnapshotMatrix, ip: InnerProduct) -> float:

@@ -1,12 +1,15 @@
 """Offline/online workflow behind the command-line interface.
 
-generate -> snapshot matrices per trained/test viscosity + manifest
-offline  -> shared mean, per-parameter POD bases, cross-Galerkin archive
+generate -> snapshot matrices per trained/test viscosity, the shared
+            mean of the trained runs, and the manifest
+offline  -> per-parameter POD bases and initial states, cross-Galerkin
+            archive; it reads one trained run at a time
 predict  -> weights, barycenter, cheap operator update and initial
             coordinates (all q-sized), reduced solve, field
             reconstruction (or the tangent-interpolation baseline)
 compare  -> mean errors of both interpolated models and the truth-POD
-            floor against the stored high-fidelity runs
+            floor against the stored high-fidelity runs, holding one
+            truth run and one reconstruction at a time
 bench    -> wall-clock of the q-sized online path vs direct projection,
             with the mesh sizes timed in alternation rep by rep
 """
@@ -40,7 +43,15 @@ from .io import (  # noqa: F401
 from .manifold import gram_coordinates, itsgm_interpolate, karcher_barycenter, orthonormalize
 # mean_error stays bound here: perfbench's Tracer wraps every name in its TRACED
 from .metrics import error_report, mean_error, write_csv  # noqa: F401
-from .pod import InnerProduct, PODBasis, SnapshotMatrix, compute_pod, global_mean
+# global_mean stays bound here: perfbench's Tracer wraps it by name
+from .pod import (  # noqa: F401
+    InnerProduct,
+    PODBasis,
+    SnapshotMatrix,
+    compute_pod,
+    global_mean,
+    mean_of_row_sums,
+)
 from .rom import (
     CrossGalerkinTensors,
     assemble_cross_tensors,
@@ -197,6 +208,14 @@ def _fan_out(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _field(doc, key: str, where: str = "manifest", kind=object):
+    """doc[key]; a DataIntegrityError naming ``where`` unless doc is a JSON
+    object that holds key with a value of type ``kind``."""
+    if not (isinstance(doc, dict) and key in doc and isinstance(doc[key], kind)):
+        raise DataIntegrityError(f"{where} lacks {key!r} or it has the wrong type")
+    return doc[key]
+
+
 def _entry(path: Path, digest: str, **fields) -> dict:
     """Manifest entry of a written file: its name, its hash and ``fields``."""
     return {"path": path.name, "sha256": digest, **fields}
@@ -215,47 +234,57 @@ def _shaped(what, arr: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def run_generate(cfg: StudyConfig, outdir, jobs: int = 1) -> dict:
-    """Run the high-fidelity solver for every viscosity and write snapshots.
+    """Run the high-fidelity solver for every viscosity and write snapshots
+    and the shared mean of the trained runs.
 
     The viscosities are marched in chunks, each one ``run_batch`` step
     loop over a (B, n) state whose B snapshot matrices together fit
     GENERATE_BATCH_BYTES (at least one run per chunk).  ``jobs`` worker
     threads run one chunk each at a time, and each chunk writes its files
-    when it ends.  The chunking changes no output byte.
+    and keeps the row sums of its trained runs when it ends.  The mean
+    adds those sums in trained_nu order, as ``global_mean`` does.  The
+    chunking changes no output byte.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     grid = cfg.grid()
     tasks = [(nu, "trained") for nu in cfg.trained_nu]
     tasks += [(nu, "test") for nu in cfg.test_nu if nu not in cfg.trained_nu]
-    run_bytes = 8 * grid.n * (cfg.steps // cfg.save_every + 1)
-    size = max(1, GENERATE_BATCH_BYTES // run_bytes)
+    ns = cfg.steps // cfg.save_every + 1
+    size = max(1, GENERATE_BATCH_BYTES // (8 * grid.n * ns))
 
     def chunk(members):
         snaps = run_batch([cfg.solver_config(nu) for nu, _ in members], grid)
-        entries = []
+        entries, row_sums = [], []
         for (nu, role), snap in zip(members, snaps):
             path = outdir / f"snap_nu{_nu_tag(nu)}.mat"
             entries.append(_entry(path, write_matrix(path, snap.values), nu=nu, role=role,
                                   t0=float(snap.times[0]), save_dt=cfg.save_every * cfg.dt,
                                   n_snapshots=int(snap.values.shape[1])))
-        return entries
+            if role == "trained":
+                row_sums.append(snap.values.sum(axis=1))
+        return entries, row_sums
 
     chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
-    runs = [entry for entries in _fan_out(chunk, chunks, jobs) for entry in entries]
+    done = _fan_out(chunk, chunks, jobs)  # in task order: trained runs first
 
     manifest = {
         "version": __version__,
         "config": cfg.to_dict(),
-        "runs": runs,
+        "runs": [entry for entries, _ in done for entry in entries],
     }
+    if cfg.trained_nu:
+        mean_path = outdir / "mean.mat"
+        mean = mean_of_row_sums([s for _, row_sums in done for s in row_sums], ns)
+        manifest["mean"] = _entry(mean_path, write_matrix(mean_path, mean))
     write_manifest(outdir / "manifest.json", manifest)
     return manifest
 
 
 def _run_entry(manifest: dict, nu: float, role=None) -> dict:
-    for entry in manifest["runs"]:
-        if entry["nu"] == nu and (role is None or entry["role"] == role):
+    for entry in _field(manifest, "runs", kind=list):
+        if (_field(entry, "nu", "run entry") == nu
+                and (role is None or _field(entry, "role", "run entry") == role)):
             return entry
     raise DataIntegrityError(f"no stored run for nu={nu!r}"
                              + (f" with role {role!r}" if role else ""))
@@ -263,36 +292,49 @@ def _run_entry(manifest: dict, nu: float, role=None) -> dict:
 
 def load_snapshots(outdir, manifest: dict, nu: float, role=None) -> SnapshotMatrix:
     entry = _run_entry(manifest, nu, role)
+    t0, save_dt = (_field(entry, key, "run entry", kind=(int, float)) for key in ("t0", "save_dt"))
     values = _read(read_matrix, outdir, entry)
-    times = entry["t0"] + entry["save_dt"] * np.arange(values.shape[1])
-    return SnapshotMatrix(values=values, times=times, param=nu)
+    return SnapshotMatrix(values=values, times=t0 + save_dt * np.arange(values.shape[1]),
+                          param=nu)
+
+
+def _stored_mean(outdir, manifest: dict, nx: int) -> np.ndarray:
+    """The shared mean field generate wrote, checked against the mesh size."""
+    if "mean" not in manifest:
+        raise DataIntegrityError("manifest lists no mean field; run generate again to "
+                                 "write one")
+    mean = _read(read_matrix, outdir, manifest["mean"])
+    return _shaped(manifest["mean"]["path"], mean, (nx, 1))[:, 0]
 
 
 def run_offline(outdir, jobs: int = 1, q=None) -> dict:
-    """Build mean field, POD bases, initial states and the tensor archive."""
+    """Build POD bases, initial states and the tensor archive from the
+    trained runs and the mean that generate wrote."""
     outdir = Path(outdir)
     manifest = read_manifest(outdir / "manifest.json")
-    cfg = config_from_dict(manifest["config"] if q is None
-                           else {**manifest["config"], "q": q})
+    config = _field(manifest, "config", kind=dict)
+    cfg = config_from_dict(config if q is None else {**config, "q": q})
     if not cfg.trained_nu:
         raise ConfigError("offline needs at least one trained_nu")
     grid = cfg.grid()
     ip = InnerProduct(grid.dx)
+    mean = _stored_mean(outdir, manifest, grid.n)
+    shape = (grid.n, cfg.steps // cfg.save_every + 1)
 
-    # Each run's first state is kept as its stored initial state, then the
-    # run becomes its fluctuations in place, and the runs are dropped before
-    # the tensors are assembled: the peak is the Np runs plus the one
-    # weighted copy compute_pod makes.
-    trained = [load_snapshots(outdir, manifest, nu, role="trained") for nu in cfg.trained_nu]
-    ics = [snap.values[:, 0].copy() for snap in trained]
-    mean = global_mean(trained)
-    for snap in trained:
-        snap.values -= mean[:, None]
-    bases = _fan_out(lambda snap: compute_pod(snap.values, ip, cfg.q), trained, jobs)
-    del trained
+    # One trained run is read, its first state kept as its stored initial
+    # state, the run made its fluctuations in place and reduced to its POD
+    # basis, and dropped before the next is read: with ``jobs`` workers the
+    # peak is ``jobs`` runs plus the weighted copy compute_pod makes of each.
+    def reduce(nu):
+        values = _shaped(f"trained run nu={nu!r}",
+                         load_snapshots(outdir, manifest, nu, role="trained").values, shape)
+        ic = values[:, 0].copy()
+        values -= mean[:, None]
+        return ic, compute_pod(values, ip, cfg.q)
+
+    ics, bases = zip(*_fan_out(reduce, cfg.trained_nu, jobs))
     ct = assemble_cross_tensors([b.modes for b in bases], mean, ip, grid.gradient)
 
-    mean_path = outdir / "mean.mat"
     pod_entries = []
     ic_entries = []
     for nu, basis, ic in zip(cfg.trained_nu, bases, ics):
@@ -306,7 +348,6 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
     archive_path = outdir / "tensors.arc"
     manifest["config"] = cfg.to_dict()
     manifest["offline"] = {
-        "mean": _entry(mean_path, write_matrix(mean_path, mean)),
         "pod": pod_entries,
         "ics": ic_entries,
         "archive": _entry(archive_path, write_archive(
@@ -353,21 +394,23 @@ def load_study(outdir) -> Study:
     manifest = read_manifest(outdir / "manifest.json")
     if "offline" not in manifest:
         raise DataIntegrityError("manifest has no offline section; run offline first")
-    cfg = config_from_dict(manifest["config"])
+    cfg = config_from_dict(_field(manifest, "config", kind=dict))
     grid = cfg.grid()
     ip = InnerProduct(grid.dx)
     off = manifest["offline"]
     nx, q, np_ = grid.n, cfg.q, len(cfg.trained_nu)
-    if len(off["pod"]) != np_ or len(off["ics"]) != np_:
+    pod, ic_list = (_field(off, key, "offline section", kind=list) for key in ("pod", "ics"))
+    if len(pod) != np_ or len(ic_list) != np_:
         raise DataIntegrityError(f"offline section lists other than {np_} bases and states")
 
     def matrix(entry, cols):  # a stored (nx, cols) matrix
         return _shaped(entry["path"], _read(read_matrix, outdir, entry), (nx, cols))
 
-    mean = matrix(off["mean"], 1)[:, 0]
-    bases = [PODBasis(matrix(e, q), np.array(e["eigenvalues"])) for e in off["pod"]]
-    ics = [matrix(entry, 1)[:, 0] for entry in off["ics"]]
-    arrays, meta = _read(read_archive, outdir, off["archive"])
+    mean = _stored_mean(outdir, manifest, nx)
+    bases = [PODBasis(matrix(e, q), np.array(_field(e, "eigenvalues", "pod entry", kind=list)))
+             for e in pod]
+    ics = [matrix(entry, 1)[:, 0] for entry in ic_list]
+    arrays, meta = _read(read_archive, outdir, _field(off, "archive", "offline section"))
     if meta.get("q") != cfg.q:
         raise DataIntegrityError("archive truncation order disagrees with the config")
     ct = _cross_tensors(arrays, np_, q)
@@ -562,11 +605,13 @@ def compare(study: Study, targets=None, kind=None, neighbors=None):
     reports = {}
     for nu in targets:
         truth = load_snapshots(study.outdir, study.manifest, nu)
-        for method in methods:  # one reconstruction held at a time
+        for method in methods:
             rec = (truth_pod_baseline(study, truth) if method == "truth_pod" else
                    predict(study, nu, method=method, ic_mode="truth",
                            kind=kind, neighbors=neighbors, truth=truth)[1])
             reports.setdefault(nu, {})[method] = error_report(truth, rec, study.ip, method)
+            del rec  # so the next model is built and lifted next to the truth alone
+        del truth  # before the next target's is read
         e_b, e_i, e_t = (reports[nu][m].mean for m in methods)
         rows.append([nu, e_b, e_i, e_t, e_b / e_i if e_i > 0 else np.inf])
     return rows, reports

@@ -79,10 +79,17 @@ def global_mean(snapshot_sets):
             raise ShapeMismatchError("snapshot sets differ in spatial size")
         if s.values.shape[1] != ns:
             raise ShapeMismatchError("snapshot sets differ in sample count")
-    total = np.zeros(nx)
-    for s in snapshot_sets:
-        total += s.values.sum(axis=1)
-    return total / (len(snapshot_sets) * ns)
+    return mean_of_row_sums([s.values.sum(axis=1) for s in snapshot_sets], ns)
+
+
+def mean_of_row_sums(row_sums, ns: int) -> np.ndarray:
+    """``global_mean`` of sets of ns columns each, from each set's row sums
+    ``values.sum(axis=1)``, added in the order given.  A caller that sees
+    the sets one at a time keeps only these sums."""
+    total = np.zeros_like(row_sums[0])
+    for row_sum in row_sums:
+        total += row_sum
+    return total / (len(row_sums) * ns)
 
 
 def compute_pod(fluct, ip: InnerProduct, q: int) -> PODBasis:

@@ -403,7 +403,7 @@ def test_bench_rebuild_removes_files_of_the_stale_study(workdir, tmp_path):
     manifest = read_manifest(out / "bench_nx64" / "manifest.json")
     off = manifest["offline"]
     listed = {e["path"] for e in manifest["runs"] + off["pod"] + off["ics"]}
-    listed |= {off["mean"]["path"], off["archive"]["path"], "manifest.json"}
+    listed |= {manifest["mean"]["path"], off["archive"]["path"], "manifest.json"}
     assert {p.name for p in (out / "bench_nx64").iterdir()} == listed
     assert "snap_nu0.07.mat" not in listed and "snap_nu0.08.mat" in listed
 
@@ -574,7 +574,13 @@ def _outside(entry_of, absolute):
 
 def _short_mean(manifest, study):
     path = study / "mean.mat"
-    manifest["offline"]["mean"]["sha256"] = write_matrix(path, read_matrix(path)[1:])
+    manifest["mean"]["sha256"] = write_matrix(path, read_matrix(path)[1:])
+
+
+def _short_trained_run(manifest, study):
+    entry = manifest["runs"][0]
+    path = study / entry["path"]
+    entry["sha256"] = write_matrix(path, read_matrix(path)[1:])
 
 
 CORRUPT_STUDY = [  # (id, command, corruption of a copy of the study)
@@ -588,12 +594,23 @@ CORRUPT_STUDY = [  # (id, command, corruption of a copy of the study)
     ("pod-without-hash", "predict",
      _edit_manifest(lambda m, s: m["offline"]["pod"][1].pop("sha256"))),
     ("ic-missing", "predict", _edit_manifest(lambda m, s: m["offline"]["ics"].pop())),
-    ("mean-in-sibling", "predict", _outside(lambda m: m["offline"]["mean"], absolute=False)),
-    ("mean-absolute", "predict", _outside(lambda m: m["offline"]["mean"], absolute=True)),
+    ("mean-in-sibling", "predict", _outside(lambda m: m["mean"], absolute=False)),
+    ("mean-absolute", "predict", _outside(lambda m: m["mean"], absolute=True)),
     ("mean-short", "predict", _edit_manifest(_short_mean)),
     ("archive-without-F_conv", "predict", _edit_archive(lambda a: a.pop("F_conv"))),
     ("archive-C-shape", "predict", _edit_archive(lambda a: a.update(C=a["C"][..., :-1]))),
     ("archive-M-shape", "predict", _edit_archive(lambda a: a.update(M=a["M"][:-1, :-1]))),
+    ("empty-object", "offline", _manifest_text("{}")),
+    ("run-without-role", "offline", _edit_manifest(lambda m, s: m["runs"][0].pop("role"))),
+    ("run-without-t0", "compare", _edit_manifest(lambda m, s: m["runs"][-1].pop("t0"))),
+    ("offline-without-archive", "predict",
+     _edit_manifest(lambda m, s: m["offline"].pop("archive"))),
+    ("trained-run-short", "offline", _edit_manifest(_short_trained_run)),
+    ("config-list", "offline", _edit_manifest(lambda m, s: m.update(config=[1]))),
+    ("runs-number", "compare", _edit_manifest(lambda m, s: m.update(runs=5))),
+    ("t0-string", "offline", _edit_manifest(lambda m, s: m["runs"][0].update(t0="x"))),
+    ("mean-entry-missing", "offline", _edit_manifest(lambda m, s: m.pop("mean"))),
+    ("mean-entry-missing", "compare", _edit_manifest(lambda m, s: m.pop("mean"))),
 ]
 COMMANDS = {"offline": ["offline"], "predict": ["predict", "--nu", "0.08"],
             "compare": ["compare"]}
@@ -610,6 +627,41 @@ def test_corrupt_study_exits_4_with_one_line(workdir, tmp_path, capsys, command,
     assert main([*COMMANDS[command], "--out", str(study)]) == 4
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("data error:")
+
+
+def _offline_mean_layout(manifest, study):
+    """The layout of a study whose mean entry lives in its offline section."""
+    manifest["offline"]["mean"] = manifest.pop("mean")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_study_with_an_offline_mean_entry_names_generate(workdir, tmp_path, capsys,
+                                                         command):
+    _, _, out = workdir
+    study = tmp_path / "study"
+    shutil.copytree(out, study)
+    _edit_manifest(_offline_mean_layout)(study)
+    capsys.readouterr()
+    assert main([*COMMANDS[command], "--out", str(study)]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "generate" in err
+
+
+def test_bench_regenerates_a_study_with_an_offline_mean_entry(workdir, tmp_path):
+    _, cfg_path, _ = workdir
+    out = tmp_path / "bench"
+    cfg_small = tmp_path / "bench.json"
+    cfg_small.write_text(json.dumps({**json.loads(cfg_path.read_text()), "steps": 40,
+                                     "transient": 10, "test_nu": []}))
+    argv = ["bench", "--config", str(cfg_small), "--out", str(out), "--sizes", "64",
+            "--reps", "2"]
+    assert main(argv) == 0
+    study = out / "bench_nx64"
+    _edit_manifest(_offline_mean_layout)(study)
+    assert main(argv) == 0
+    manifest = read_manifest(study / "manifest.json")
+    assert "mean" in manifest and "mean" not in manifest["offline"]
+    assert pipeline.load_study(study).mean.shape == (64,)
 
 
 NU_EDGES = [0.0, -0.0, -0.05, -np.inf, np.inf, np.nan, 1e300, -1e300, 5e-324,
@@ -850,7 +902,7 @@ def test_generate_chunking_changes_no_output_byte(tmp_path, monkeypatch):
     whole, sizes = _generate_in_chunks(tmp_path, monkeypatch, "whole", 7, 1)
     assert sizes == [7]
     files = sorted(p.name for p in whole.iterdir())
-    assert len(files) == 8 and "manifest.json" in files
+    assert len(files) == 9 and {"manifest.json", "mean.mat"} <= set(files)
     for members, expected in [(1, [1] * 7), (2, [2, 2, 2, 1]), (7, [7])]:
         for jobs in (1, 2):
             out, sizes = _generate_in_chunks(tmp_path, monkeypatch,

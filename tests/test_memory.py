@@ -2,16 +2,18 @@
 
 A unit is the bytes of one run's snapshot matrix.  The study is the
 default one at nx=2000 with one held-out viscosity, so generate marches
-its 5 runs in one chunk and offline holds the 4 trained runs.  Each bound
-leaves half a unit or less above what the stage must hold: its outputs
-and, in offline, one weighted copy inside the POD.
+its 5 runs in one chunk.  Offline reads its 4 trained runs one at a time
+and holds one of them and the weighted copy the POD makes of it.  Each
+bound leaves half a unit or less above what the stage must hold: its
+outputs, in offline one run and one weighted copy, and in the error sums
+two row blocks of ``metrics.BLOCK_BYTES``.
 """
 
 import tracemalloc
 
 import pytest
 
-from baryrom import pipeline
+from baryrom import metrics, pipeline
 
 
 def _peak(fn):
@@ -34,16 +36,24 @@ def peaks(tmp_path_factory):
     _, offline = _peak(lambda: pipeline.run_offline(out))
     snap, load = _peak(lambda: pipeline.load_snapshots(out, manifest, 0.08))
     assert snap.values.nbytes == unit
-    return {"runs": len(manifest["runs"]), "np": len(cfg.trained_nu),
-            "generate": generate / unit, "offline": offline / unit, "load": load / unit}
+    approx = pipeline.SnapshotMatrix(snap.values * 1.01, snap.times, snap.param)
+    ip = pipeline.InnerProduct(cfg.grid().dx)
+    _, errors = _peak(lambda: metrics.error_report(snap, approx, ip))
+    return {"runs": len(manifest["runs"]), "np": len(cfg.trained_nu), "unit": unit,
+            "generate": generate / unit, "offline": offline / unit, "load": load / unit,
+            "errors": errors / unit}
 
 
 def test_load_snapshots_holds_only_the_matrix_it_returns(peaks):
     assert peaks["load"] <= 1.1
 
 
-def test_offline_holds_the_trained_runs_and_one_weighted_copy(peaks):
-    assert peaks["offline"] <= peaks["np"] + 1.5
+def test_offline_holds_one_trained_run_and_one_weighted_copy(peaks):
+    assert peaks["offline"] <= 2.5
+
+
+def test_error_report_holds_two_row_blocks_and_no_snapshot_sized_temporary(peaks):
+    assert peaks["errors"] <= 2 * metrics.BLOCK_BYTES / peaks["unit"] + 0.1
 
 
 def test_generate_holds_only_its_snapshot_matrices(peaks):

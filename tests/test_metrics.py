@@ -9,7 +9,7 @@ from baryrom import (
     error_at_time,
     mean_error,
 )
-from baryrom.metrics import error_report, format_float, write_csv
+from baryrom.metrics import BLOCK_BYTES, _column_sums, error_report, format_float, write_csv
 
 UNIT = InnerProduct(1.0)
 
@@ -120,6 +120,35 @@ def test_error_report_per_time_matches_column_loop(rng):
 
 def test_error_report_zero_reference_column_raises():
     values = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0]])
+    with pytest.raises(ZeroReferenceError):
+        error_report(traj(values), traj(values + 1.0), UNIT)
+
+
+NS = 201  # columns of a default study's snapshot matrix
+BLOCK = BLOCK_BYTES // (8 * NS)  # rows of one block of the error sums
+
+
+def _full_column_sums(ref, approx, ip):
+    """The sums as one expression over whole snapshot-sized arrays: the oracle."""
+    d = ref.values - approx.values
+    return (np.sum(ip.apply(d) * d, axis=0),
+            np.sum(ip.apply(ref.values) * ref.values, axis=0))
+
+
+@pytest.mark.parametrize("nx, ns", [(n, NS) for n in (1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                                      3 * BLOCK + 17)]
+                         + [(1, 1), (5000, 1), (7, 2)])
+def test_blocked_column_sums_are_bitwise_the_full_sums(rng, nx, ns):
+    ref = traj(rng.standard_normal((nx, ns)) * 3.0 + 1.0)
+    approx = traj(ref.values + 1e-3 * rng.standard_normal((nx, ns)))
+    ip = InnerProduct(2.0 * np.pi / 2000)
+    for got, want in zip(_column_sums(ref, approx, ip), _full_column_sums(ref, approx, ip)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_blocked_error_report_raises_on_an_instant_of_zero_reference_norm(rng):
+    values = rng.standard_normal((3 * BLOCK + 5, NS))
+    values[:, 17] = 0.0
     with pytest.raises(ZeroReferenceError):
         error_report(traj(values), traj(values + 1.0), UNIT)
 
