@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from . import __version__, pipeline
 from .errors import ConfigError, DataIntegrityError, NumericalError
-from .io import entry_path, write_manifest, write_matrix
+from .io import write_manifest, write_matrix
 from .metrics import write_csv
 
 EXIT_OK = 0
@@ -163,20 +162,6 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _remove_listed_files(outdir: Path, manifest: dict) -> None:
-    """Delete the data files a manifest lists: its runs, mean and offline outputs."""
-    off = manifest.get("offline", {})
-    entries = [*manifest.get("runs", []), manifest.get("mean", {}), *off.get("pod", []),
-               *off.get("ics", []), off.get("archive", {})]
-    for entry in entries:
-        try:
-            path = entry_path(outdir, entry)
-        except DataIntegrityError:  # plain file names inside outdir only
-            continue
-        if path.is_file():
-            path.unlink()
-
-
 def _cmd_bench(args) -> int:
     cfg = pipeline.load_config(args.config)
     nu = args.nu
@@ -195,7 +180,7 @@ def _cmd_bench(args) -> int:
         path = size_dir / "manifest.json"
         stored = pipeline.read_manifest(path) if path.exists() else {}
         if stored.get("config") != size_cfg.to_dict() or "mean" not in stored:
-            _remove_listed_files(size_dir, stored)
+            pipeline.remove_listed_files(size_dir, stored)
             stored = pipeline.run_generate(size_cfg, size_dir, jobs=args.jobs)
         if "offline" not in stored:
             pipeline.run_offline(size_dir, jobs=args.jobs)

@@ -216,6 +216,24 @@ def _field(doc, key: str, where: str = "manifest", kind=object):
     return doc[key]
 
 
+def remove_listed_files(outdir, manifest: dict) -> None:
+    """Delete the data files a manifest lists in those of its runs, mean and
+    offline section it holds.  A section of the wrong JSON type is a
+    DataIntegrityError; an entry that names no plain file inside outdir is
+    skipped."""
+    off = _field(manifest, "offline", kind=dict) if "offline" in manifest else {}
+    entries = [doc[key] for doc, key in ((manifest, "mean"), (off, "archive")) if key in doc]
+    for doc, key in ((manifest, "runs"), (off, "pod"), (off, "ics")):
+        entries += _field(doc, key, kind=list) if key in doc else []
+    for entry in entries:
+        try:
+            path = entry_path(outdir, entry)
+        except DataIntegrityError:
+            continue
+        if path.is_file():
+            path.unlink()
+
+
 def _entry(path: Path, digest: str, **fields) -> dict:
     """Manifest entry of a written file: its name, its hash and ``fields``."""
     return {"path": path.name, "sha256": digest, **fields}

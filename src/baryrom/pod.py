@@ -1,8 +1,8 @@
 """Truncated POD bases via the snapshot correlation matrix.
 
-The correlation route solves an N_s-by-N_s eigenproblem instead of
-factoring the N_x-by-N_s snapshot matrix directly, which is the cheap
-side whenever snapshots are far fewer than spatial degrees of freedom.
+The correlation route solves an N_s-by-N_s eigenproblem (``np.linalg.eigh``)
+instead of factoring the N_x-by-N_s snapshot matrix directly, which is the
+cheap side whenever snapshots are far fewer than spatial degrees of freedom.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import RankTooSmallError, ShapeMismatchError
 
@@ -111,7 +110,7 @@ def compute_pod(fluct, ip: InnerProduct, q: int) -> PODBasis:
         raise ValueError(f"q must lie in 1..{ns}, got {q}")
     corr = u.T @ ip.apply(u)
     corr = 0.5 * (corr + corr.T)
-    evals, evecs = scipy.linalg.eigh(corr)
+    evals, evecs = np.linalg.eigh(corr)
     evals = evals[::-1].copy()
     evecs = evecs[:, ::-1]
     if evals[0] <= 0.0 or evals[q - 1] <= 1e-14 * evals[0]:

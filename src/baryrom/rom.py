@@ -25,9 +25,9 @@ mass matrix over the cell size, and the initial coordinates solve M alpha0
 pipeline).  Only the lift to the mesh (``reconstruct_field``) forms Phi.
 
 The reduced solve (``integrate_rom``) folds M^-1 into one stacked
-q-by-(1 + q + q^2) operator G = [f | -L | -Chat], pre-scaled by dt/2 and
-dt, so every RK4 stage is one product of a stage operator with a
-preallocated z = [1; a; vec(a outer a)].
+q-by-(1 + q + q^2) operator G = [f | -L | -Chat] by one solve, pre-scaled
+by dt/2 and dt, so every RK4 stage is one product of a stage operator
+with a preallocated z = [1; a; vec(a outer a)].
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DivergedSolutionError, ShapeMismatchError, SingularMassError
 from .pod import InnerProduct, SnapshotMatrix
@@ -210,20 +209,19 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
                   record_every: int = 1, t0: float = 0.0) -> ReducedTrajectory:
     """Advance the reduced system with classical 4th-order Runge-Kutta.
 
-    The mass matrix is Cholesky-factored once and folded into the
-    operators before the step loop: f = M^-1 F, L = M^-1 (nu R + Cbar) and
-    Chat = M^-1 C laid out as a q-by-q^2 matrix, Chat[i, e*q + j] =
-    (M^-1 C[e])[i, j].  They are stacked into the q-by-(1 + q + q^2)
-    operator G = [f | -L | -Chat], so the right-hand side at a state a is
-    the single product G z with z = [1; a; vec(a outer a)], vec index
-    e*q + j holding a_e a_j.  G is scaled once into the stage operators
-    (dt/2) G and dt G, and each stage writes its scaled slope K_i into a
-    preallocated (4, q) array: the stage state a + K_{i-1} and its outer
-    product go into one of four preallocated z vectors, then one product
-    fills K_i (K_1, K_2 with (dt/2) G; K_3, K_4 with dt G).  A step ends
-    with a += [1/3, 2/3, 1/3, 1/6] K, the classical weights dt/6 [1, 2, 2,
-    1] over those scalings.  No array is allocated inside the step loop,
-    so a step is about a dozen small numpy calls.
+    M must be finite and SPD (it has a Cholesky factor), else
+    SingularMassError.  Before the step loop one solve folds M^-1 into the
+    operators: G = M^-1 [F | -(nu R + Cbar) | -C'] = [f | -L | -Chat], C'
+    the q-by-q^2 layout of C, C'[i, e*q + j] = C[e][i, j].  The right-hand
+    side at a state a is the single product G z with z = [1; a; vec(a outer
+    a)], vec index e*q + j holding a_e a_j.  G is scaled once into the
+    stage operators (dt/2) G and dt G, and each stage writes its scaled
+    slope K_i into a preallocated (4, q) array: the stage state a + K_{i-1}
+    and its outer product go into one of four preallocated z vectors, then
+    one product fills K_i (K_1, K_2 with (dt/2) G; K_3, K_4 with dt G).  A
+    step ends with a += [1/3, 2/3, 1/3, 1/6] K, the classical weights dt/6
+    [1, 2, 2, 1] over those scalings.  No array is allocated inside the
+    step loop, so a step is about a dozen small numpy calls.
 
     States are recorded (as copies) at step multiples of ``record_every``,
     step 0 included, at times t0 + s*dt.  Each recorded state is checked
@@ -240,14 +238,6 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
         raise ValueError("dt must be positive")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    try:
-        factor = scipy.linalg.cho_factor(model.M)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMassError(f"reduced mass matrix not SPD: {exc}") from exc
-
-    def fold(op):
-        return scipy.linalg.cho_solve(factor, op, check_finite=False)
-
     # z_i = [1; a_i; vec(a_i outer a_i)] is row i of Z; a[i] and zz[i] are views
     # into it, and a[0] is the state itself, updated in place.  The outer
     # product is the (q,1)(1,q) product of a[i]'s column and row views: one
@@ -273,15 +263,22 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     alphas[0] = alpha0
     times[0] = t0
     rec = 0
-    # a non-finite or overflowing R, Cbar, C, F or nu shows up in the
-    # states, which are checked instead
+    # M is checked finite first, as np.linalg.cholesky passes an inf or nan
+    # diagonal.  A non-finite or overflowing R, Cbar, C, F or nu passes into
+    # G and shows up in the states, which are checked instead
+    if not np.isfinite(model.M).all():
+        raise SingularMassError("reduced mass matrix is not finite")
+    try:
+        np.linalg.cholesky(model.M)
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = np.linalg.solve(model.M, np.hstack([
+                np.reshape(model.F, (q, 1)), -(model.nu * model.R + model.Cbar),
+                -model.C.transpose(1, 0, 2).reshape(q, q * q)]))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMassError(f"reduced mass matrix not SPD: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
         if alpha0.dot(zero) != 0.0:
             raise DivergedSolutionError("reduced state is non-finite at step 0")
-        f = fold(model.F)
-        L = fold(model.nu * model.R + model.Cbar)
-        Chat = fold(model.C.transpose(1, 0, 2).reshape(q, q * q))
-        G = np.hstack([f[:, None], -L, -Chat])
         half, full = (0.5 * dt) * G, dt * G
         for s in range(1, steps + 1):
             col[0].dot(row[0], zz[0])

@@ -2,8 +2,11 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -469,6 +472,17 @@ def test_flag_a_command_does_not_honour_is_a_usage_error(argv):
     assert exc.value.code == 2
 
 
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, baryrom.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+
 def test_readme_flag_table_matches_the_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     documented = {m[0]: set(m[1].split())
@@ -583,6 +597,18 @@ def _short_trained_run(manifest, study):
     entry["sha256"] = write_matrix(path, read_matrix(path)[1:])
 
 
+def _stale_bench(edit):
+    """A bench directory that holds the copy, after ``edit(manifest)``, as
+    its nx=64 study: stale, since it was built from another config."""
+    def corrupt(study):
+        _edit_manifest(lambda m, s: edit(m))(study)
+        stale = study.parent / "bench_nx64"
+        study.rename(stale)
+        study.mkdir()
+        stale.rename(study / "bench_nx64")
+    return corrupt
+
+
 CORRUPT_STUDY = [  # (id, command, corruption of a copy of the study)
     ("truncated-json", "offline", _manifest_text('{"runs": [')),
     ("truncated-json", "predict", _manifest_text('{"runs": [')),
@@ -611,9 +637,14 @@ CORRUPT_STUDY = [  # (id, command, corruption of a copy of the study)
     ("t0-string", "offline", _edit_manifest(lambda m, s: m["runs"][0].update(t0="x"))),
     ("mean-entry-missing", "offline", _edit_manifest(lambda m, s: m.pop("mean"))),
     ("mean-entry-missing", "compare", _edit_manifest(lambda m, s: m.pop("mean"))),
+    ("stale-runs-number", "bench", _stale_bench(lambda m: m.update(runs=5))),
+    ("stale-offline-list", "bench", _stale_bench(lambda m: m.update(offline=[1]))),
 ]
 COMMANDS = {"offline": ["offline"], "predict": ["predict", "--nu", "0.08"],
-            "compare": ["compare"]}
+            "compare": ["compare"],
+            "bench": ["bench", "--config", str(Path(__file__).resolve().parent.parent
+                                               / "configs" / "burgers.json"),
+                      "--sizes", "64", "--reps", "1"]}
 
 
 @pytest.mark.parametrize("command, corrupt", [pytest.param(*case[1:], id=f"{case[1]}-{case[0]}")
@@ -634,7 +665,7 @@ def _offline_mean_layout(manifest, study):
     manifest["offline"]["mean"] = manifest.pop("mean")
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("command", ["compare", "offline", "predict"])
 def test_study_with_an_offline_mean_entry_names_generate(workdir, tmp_path, capsys,
                                                          command):
     _, _, out = workdir
