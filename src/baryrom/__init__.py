@@ -40,11 +40,13 @@ from .pod import (
 )
 from .rom import (
     CrossGalerkinTensors,
+    FactoredField,
     ReducedModel,
     ReducedTrajectory,
     assemble_cross_tensors,
     combined_basis,
     direct_project,
+    factored_field,
     initial_condition,
     integrate_rom,
     reconstruct_field,

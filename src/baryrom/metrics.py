@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import ShapeMismatchError, ZeroReferenceError
 from .pod import InnerProduct, SnapshotMatrix
+from .rom import FactoredField
 
 # bytes of one row block of the error sums, which stays in cache, so no
 # temporary is snapshot-sized
@@ -20,6 +21,8 @@ class ErrorReport:
     mean: float = 0.0
     param: float = np.nan
     method: str = ""
+    # squared weighted norm of ref per instant, for later reports on the same ref
+    ref_sq: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def error_at_time(ref, approx, ip: InnerProduct) -> float:
@@ -34,8 +37,13 @@ def error_at_time(ref, approx, ip: InnerProduct) -> float:
     return 100.0 * ip.norm(ref - approx) / nref
 
 
-def _column_sums(ref: SnapshotMatrix, approx: SnapshotMatrix, ip: InnerProduct):
+def _column_sums(ref: SnapshotMatrix, approx, ip: InnerProduct, den=None):
     """Squared weighted norms of ref - approx and of ref, one per instant.
+
+    ``approx`` is a SnapshotMatrix or a FactoredField, whose rows are lifted
+    one block at a time into the buffer that then holds the block of ref -
+    approx, so no field is formed.  Given ``den``, the ref sums of an
+    earlier call on the same ref, only ref - approx is summed.
 
     The rows are summed in blocks of about BLOCK_BYTES, each block's first
     row carrying the sums so far, so for C-ordered inputs the rows add in
@@ -43,21 +51,29 @@ def _column_sums(ref: SnapshotMatrix, approx: SnapshotMatrix, ip: InnerProduct):
     are bitwise the same.  numpy sums a single column pairwise instead, so
     one column is one block.
     """
-    if ref.values.shape != approx.values.shape:
-        raise ShapeMismatchError(
-            f"shapes differ: {ref.values.shape} vs {approx.values.shape}"
-        )
+    factored = isinstance(approx, FactoredField)
+    shape = approx.shape if factored else approx.values.shape
+    if ref.values.shape != shape:
+        raise ShapeMismatchError(f"shapes differ: {ref.values.shape} vs {shape}")
     if ref.times.shape != approx.times.shape or not np.allclose(
         ref.times, approx.times, rtol=0.0, atol=1e-12
     ):
         raise ShapeMismatchError("sampling instants differ")
-    nx, ns = ref.values.shape
+    nx, ns = shape
     rows = max(1, nx if ns <= 1 else BLOCK_BYTES // (8 * ns))
-    num, den = np.zeros(ns), np.zeros(ns)
+    num = np.zeros(ns)
+    pairs = 2 if den is None else 1
+    den = np.zeros(ns) if den is None else den
+    block = np.empty((min(rows, nx), ns))  # reused for every block of ref - approx
     for i in range(0, nx, rows):
         r = ref.values[i:i + rows]
-        d = r - approx.values[i:i + rows]
-        for acc, x in ((num, d), (den, r)):
+        d = block[:r.shape[0]]
+        if factored:
+            approx.rows(i, i + rows, out=d)
+            np.subtract(r, d, out=d)
+        else:
+            np.subtract(r, approx.values[i:i + rows], out=d)
+        for acc, x in ((num, d), (den, r))[:pairs]:
             t = ip.apply(x)
             t *= x
             t[0] += acc
@@ -66,11 +82,12 @@ def _column_sums(ref: SnapshotMatrix, approx: SnapshotMatrix, ip: InnerProduct):
     return num, den
 
 
-def mean_error(ref: SnapshotMatrix, approx: SnapshotMatrix, ip: InnerProduct) -> float:
+def mean_error(ref: SnapshotMatrix, approx, ip: InnerProduct) -> float:
     """Time-mean relative error percentage over a shared uniform sampling.
 
     Both time integrals use the rectangle rule, so the common time step
-    cancels from the ratio.
+    cancels from the ratio.  ``approx`` is a SnapshotMatrix or a
+    FactoredField.
     """
     num, den = _column_sums(ref, approx, ip)
     if den.sum() == 0.0:
@@ -78,11 +95,18 @@ def mean_error(ref: SnapshotMatrix, approx: SnapshotMatrix, ip: InnerProduct) ->
     return 100.0 * float(np.sqrt(num.sum() / den.sum()))
 
 
-def error_report(ref: SnapshotMatrix, approx: SnapshotMatrix, ip: InnerProduct,
-                 method: str = "") -> ErrorReport:
+def error_report(ref: SnapshotMatrix, approx, ip: InnerProduct, method: str = "",
+                 ref_sq=None) -> ErrorReport:
     """Per-instant errors (as ``error_at_time``) and their time mean (as
-    ``mean_error``), from one pass of weighted column sums."""
-    num, den = _column_sums(ref, approx, ip)
+    ``mean_error``), from one pass of weighted column sums.  ``approx`` is
+    a SnapshotMatrix or a FactoredField, which is scored a block of rows at
+    a time.  ``ref_sq`` is an earlier report's ``ref_sq`` on the same ref:
+    given it, ref is not squared and summed again."""
+    if ref_sq is not None:
+        ref_sq = np.asarray(ref_sq, dtype=float)
+        if ref_sq.shape != ref.times.shape:
+            raise ShapeMismatchError("one squared reference norm per instant required")
+    num, den = _column_sums(ref, approx, ip, ref_sq)
     if not den.all():
         raise ZeroReferenceError("reference field has zero norm at some instant")
     per_time = 100.0 * np.sqrt(num) / np.sqrt(den)
@@ -91,6 +115,7 @@ def error_report(ref: SnapshotMatrix, approx: SnapshotMatrix, ip: InnerProduct,
         mean=100.0 * float(np.sqrt(num.sum() / den.sum())),
         param=ref.param,
         method=method,
+        ref_sq=den,
     )
 
 

@@ -108,8 +108,10 @@ def compute_pod(fluct, ip: InnerProduct, q: int) -> PODBasis:
     ns = u.shape[1]
     if not 1 <= q <= ns:
         raise ValueError(f"q must lie in 1..{ns}, got {q}")
-    corr = u.T @ ip.apply(u)
-    corr = 0.5 * (corr + corr.T)
+    # u.T @ u runs as one symmetric rank-k update (syrk), which fills both
+    # triangles alike and makes no weighted copy of u
+    corr = u.T @ u
+    corr *= ip.weight
     evals, evecs = np.linalg.eigh(corr)
     evals = evals[::-1].copy()
     evecs = evecs[:, ::-1]

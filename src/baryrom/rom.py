@@ -22,7 +22,9 @@ reduced operator is S^T A S for a stacked operator A.  On the uniform grid
 the stacked bases' Gram matrix, which the barycenter needs, is the stacked
 mass matrix over the cell size, and the initial coordinates solve M alpha0
 = S^T c with c = [Phi_1 ... Phi_Np]^T W (u0 - mean) (``online_model`` in
-pipeline).  Only the lift to the mesh (``reconstruct_field``) forms Phi.
+pipeline).  Only the lift to the mesh (``factored_field``, which
+``reconstruct_field`` forms whole and the error sums of ``metrics`` a
+block of rows at a time) needs Phi.
 
 The reduced solve (``integrate_rom``) folds M^-1 into one stacked
 q-by-(1 + q + q^2) operator G = [f | -L | -Chat] by one solve, pre-scaled
@@ -200,7 +202,8 @@ def direct_project(basis, mean, ip: InnerProduct, grad_op, nu: float) -> Reduced
     M = phi.T @ wphi
     R = dphi.T @ ip.apply(dphi)
     Cbar = phi.T @ ip.apply(mean[:, None] * dphi + dmean[:, None] * phi)
-    C = np.einsum("xi,xj,xe->eij", wphi, phi, dphi, optimize=True)
+    # C[e][i, j] = sum_x w phi_i phi_j (d phi_e): one GEMM against the pair products
+    C = (dphi.T @ (wphi[:, :, None] * phi[:, None, :]).reshape(nx, q * q)).reshape(q, q, q)
     F = -nu * (dphi.T @ ip.apply(dmean)) - phi.T @ ip.apply(mean * dmean)
     return ReducedModel(M=M, R=R, Cbar=Cbar, C=C, F=F, nu=float(nu))
 
@@ -304,8 +307,29 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     return ReducedTrajectory(times=times, alphas=alphas)
 
 
-def reconstruct_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> SnapshotMatrix:
-    """Lift reduced states back to the full field: u(t) = mean + basis a(t)."""
+@dataclass
+class FactoredField:
+    """A lifted trajectory kept as its two factors: the values are
+    ``factor @ coeffs`` with factor = [basis | mean], (N, q + 1), and coeffs
+    = [alphas^T; 1], (q + 1, n_times).  ``rows`` lifts a block of rows, so
+    a caller that walks the rows never holds the whole field."""
+
+    factor: np.ndarray
+    coeffs: np.ndarray
+    times: np.ndarray
+    param: float
+
+    @property
+    def shape(self) -> tuple:
+        return self.factor.shape[0], self.coeffs.shape[1]
+
+    def rows(self, start: int, stop: int, out=None) -> np.ndarray:
+        """Rows start:stop of the field, written into ``out`` when given."""
+        return np.matmul(self.factor[start:stop], self.coeffs, out=out)
+
+
+def factored_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> FactoredField:
+    """The lift u(t) = mean + basis a(t) of a trajectory, unformed."""
     phi = np.asarray(basis, float)
     mean = np.asarray(mean, dtype=float)
     if phi.shape[1] != traj.alphas.shape[1]:
@@ -315,10 +339,18 @@ def reconstruct_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> Sna
         )
     if mean.shape != (phi.shape[0],):
         raise ShapeMismatchError("mean length does not match basis rows")
-    # one GEMM, [phi | mean] @ [alphas^T; 1], so the field is the only mesh-sized result
-    alphas = np.vstack([traj.alphas.T, np.ones(traj.alphas.shape[0])])
-    values = np.hstack([phi, mean[:, None]]) @ alphas
-    return SnapshotMatrix(values=values, times=traj.times.copy(), param=param)
+    return FactoredField(factor=np.hstack([phi, mean[:, None]]),
+                         coeffs=np.vstack([traj.alphas.T, np.ones(traj.alphas.shape[0])]),
+                         times=traj.times.copy(), param=float(param))
+
+
+def reconstruct_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> SnapshotMatrix:
+    """Lift reduced states back to the full field: u(t) = mean + basis a(t),
+    the ``factored_field`` formed by one GEMM, so the field is the only
+    mesh-sized result."""
+    field = factored_field(basis, mean, traj, param)
+    return SnapshotMatrix(values=field.rows(0, field.shape[0]), times=field.times,
+                          param=field.param)
 
 
 def initial_condition(basis, mean, ip: InnerProduct, u0) -> np.ndarray:

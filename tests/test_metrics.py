@@ -3,11 +3,14 @@ import pytest
 
 from baryrom import (
     InnerProduct,
+    ReducedTrajectory,
     ShapeMismatchError,
     SnapshotMatrix,
     ZeroReferenceError,
     error_at_time,
+    factored_field,
     mean_error,
+    reconstruct_field,
 )
 from baryrom.metrics import BLOCK_BYTES, _column_sums, error_report, format_float, write_csv
 
@@ -144,6 +147,35 @@ def test_blocked_column_sums_are_bitwise_the_full_sums(rng, nx, ns):
     ip = InnerProduct(2.0 * np.pi / 2000)
     for got, want in zip(_column_sums(ref, approx, ip), _full_column_sums(ref, approx, ip)):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("nx, ns", [(3 * BLOCK + 17, NS), (BLOCK - 1, NS), (7, NS),
+                                    (5000, 1), (1, 1)])
+def test_blocked_lift_and_score_is_bitwise_the_reconstruction_score(rng, nx, ns):
+    # the same ref scored against the field reconstruct_field forms and
+    # against its factors, lifted a block of rows at a time; then again with
+    # the ref sums of the first report
+    q, ip = 7, InnerProduct(2.0 * np.pi / 2000)
+    rtraj = ReducedTrajectory(times=0.3 + 0.005 * np.arange(ns),
+                              alphas=rng.standard_normal((ns, q)))
+    basis, mean = rng.standard_normal((nx, q)), 1.0 + rng.standard_normal(nx)
+    ref = traj(rng.standard_normal((nx, ns)) + mean[:, None], t0=0.3, dt=0.005)
+    want = error_report(ref, reconstruct_field(basis, mean, rtraj, ref.param), ip, "m")
+    field = factored_field(basis, mean, rtraj, ref.param)
+    got = error_report(ref, field, ip, "m")
+    again = error_report(ref, field, ip, "m", ref_sq=got.ref_sq)
+    for rep in (got, again):
+        assert rep.per_time == want.per_time
+        assert rep.mean == want.mean
+        np.testing.assert_array_equal(rep.ref_sq, want.ref_sq)
+    assert mean_error(ref, field, ip) == mean_error(ref, reconstruct_field(basis, mean, rtraj),
+                                                    ip)
+
+
+def test_error_report_rejects_ref_sums_of_another_length(rng):
+    ref = traj(rng.standard_normal((4, 3)) + 2.0)
+    with pytest.raises(ShapeMismatchError):
+        error_report(ref, ref, UNIT, ref_sq=np.ones(4))
 
 
 def test_blocked_error_report_raises_on_an_instant_of_zero_reference_norm(rng):

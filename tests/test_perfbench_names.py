@@ -73,3 +73,30 @@ def test_counted_argument_positions_match_signatures():
 
 def test_solver_backend_probe_exists():
     assert callable(solver.resolve_backend)
+
+
+
+def test_compare_makes_the_calls_study_build_reads(study, monkeypatch):
+    # study-build takes predict_p50_ref and predict_p90_ref from the predict
+    # calls compare makes with method= as a keyword, and its traced
+    # metrics.error_ms counts three error reports per target
+    calls = []
+    predict, error_report = pipeline.predict, pipeline.error_report
+
+    def spy_predict(study, nu, **kwargs):  # a positional method is a TypeError
+        calls.append(("predict", nu, kwargs.get("method")))
+        return predict(study, nu, **kwargs)
+
+    def spy_report(ref, *args, **kwargs):
+        calls.append(("error_report", ref.param, None))
+        return error_report(ref, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "predict", spy_predict)
+    monkeypatch.setattr(pipeline, "error_report", spy_report)
+    nus = [0.06, 0.1]
+    pipeline.compare(study, targets=nus)
+    for nu in nus:
+        methods = sorted(m for name, t, m in calls if name == "predict" and t == nu)
+        assert methods == ["barycentric", "itsgm"]
+        assert sum(name == "error_report" and t == nu for name, t, _ in calls) == 3
+    assert len(calls) == 5 * len(nus)

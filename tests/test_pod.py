@@ -153,6 +153,41 @@ def test_pod_eigenpairs_match_scipy_eigh_on_the_study(study):
             assert study.ip.norm(basis.modes[:, k] - mode) <= bound
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_pod_correlation_matches_the_weighted_copy_and_scipy_eigh(rng, layout, monkeypatch):
+    # the correlation compute_pod factors against u.T @ W u of a weighted
+    # copy, entrywise within the dot-product bound nx eps (|u|^T |u|) w; then
+    # the eigenpairs against scipy's eigh of that copy's correlation, with
+    # the bounds of the study test above
+    nx, ns, q, eps = 300, 40, 6, np.finfo(float).eps
+    ip = InnerProduct(0.37)
+    base = np.cumsum(rng.standard_normal((nx, 2 * ns)), axis=1)
+    u = {"C": np.ascontiguousarray(base[:, :ns]), "F": np.asfortranarray(base[:, :ns]),
+         "strided": base[:, ::2]}[layout]
+    factored, eigh = [], np.linalg.eigh
+
+    def spy(a):
+        factored.append(a.copy())
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    basis = compute_pod(u, ip, q)
+    corr, = factored
+    np.testing.assert_array_equal(corr, corr.T)
+    oracle = u.T @ ip.apply(u)
+    assert np.all(np.abs(corr - oracle) <= nx * eps * ip.weight * (np.abs(u).T @ np.abs(u)))
+    evals, evecs = scipy.linalg.eigh(0.5 * (oracle + oracle.T))
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    lam1 = evals[0]
+    assert np.abs(basis.eigenvalues - np.clip(evals, 0.0, None)).max() <= ns * eps * lam1
+    for k in range(q):
+        gap = np.delete(np.abs(evals - evals[k]), k).min()
+        mode = u @ evecs[:, k] / np.sqrt(evals[k])
+        mode *= np.sign(mode[np.argmax(np.abs(mode))])
+        assert ip.norm(basis.modes[:, k] - mode) <= (
+            ns * eps * (lam1 / gap) * np.sqrt(lam1 / evals[k]))
+
+
 def test_pod_residual_energy_is_tail_sum(rng):
     ip = InnerProduct(0.2)
     u = rng.standard_normal((25, 6))

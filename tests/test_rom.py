@@ -178,6 +178,19 @@ def test_direct_project_orthonormal_mass(rng):
     assert np.max(np.abs(model.M - np.eye(4))) < 1e-10
 
 
+@pytest.mark.parametrize("nx", [8, 256, 2000])
+@pytest.mark.parametrize("q", [1, 3, 7])
+def test_direct_project_quadratic_block_matches_einsum_oracle(rng, nx, q):
+    # C[e][i, j] = sum_x w phi_i phi_j (d phi_e), as the three-operand einsum
+    grid, ip, mean, bases = make_setup(rng, nx=nx, q=q, count=1)
+    phi = bases[0]
+    C = direct_project(phi, mean, ip, grid.gradient, nu=0.07).C
+    oracle = np.einsum("xi,xj,xe->eij", ip.apply(phi), phi, grid.gradient(phi),
+                       optimize=True)
+    assert C.shape == (q, q, q)
+    assert np.max(np.abs(C - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
 # ------------------------------------------------------------- integration
 
 def zero_model(q, nu=1.0):
