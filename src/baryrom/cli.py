@@ -128,10 +128,11 @@ def _cmd_offline(args) -> int:
 
 def _cmd_predict(args) -> int:
     study = pipeline.load_study(args.out)
-    traj, recon, report = pipeline.predict(
+    # the field is lifted a row block at a time as field.mat is written
+    traj, field, report = pipeline.predict(
         study, args.nu, method=args.method, ic_mode=args.ic,
         allow_nonconverged=args.allow_nonconverged,
-        kind=args.weights, neighbors=args.neighbors, tol=args.tol,
+        kind=args.weights, neighbors=args.neighbors, tol=args.tol, lift=False,
     )
     # truth-IC runs get their own directory, so they never overwrite a weighted one
     suffix = "_truth" if args.ic == "truth" else ""
@@ -144,7 +145,8 @@ def _cmd_predict(args) -> int:
         [[float(traj.times[j])] + [float(v) for v in traj.alphas[j]]
          for j in range(traj.times.size)],
     )
-    write_matrix(outdir / "field.mat", recon.values)
+    with pipeline._timed(report["timings"], "lift_s"):
+        write_matrix(outdir / "field.mat", field)
     write_manifest(outdir / "report.json", report)
     print(f"wrote trajectory, field and report under {outdir}")
     return EXIT_OK

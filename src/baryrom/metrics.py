@@ -8,11 +8,7 @@ import numpy as np
 
 from .errors import ShapeMismatchError, ZeroReferenceError
 from .pod import InnerProduct, SnapshotMatrix
-from .rom import FactoredField
-
-# bytes of one row block of the error sums, which stays in cache, so no
-# temporary is snapshot-sized
-BLOCK_BYTES = 2 * 2**20
+from .rom import FactoredField, row_blocks
 
 
 @dataclass
@@ -45,11 +41,11 @@ def _column_sums(ref: SnapshotMatrix, approx, ip: InnerProduct, den=None):
     approx, so no field is formed.  Given ``den``, the ref sums of an
     earlier call on the same ref, only ref - approx is summed.
 
-    The rows are summed in blocks of about BLOCK_BYTES, each block's first
-    row carrying the sums so far, so for C-ordered inputs the rows add in
-    the order ``np.sum(ip.apply(d) * d, axis=0)`` adds them and the sums
-    are bitwise the same.  numpy sums a single column pairwise instead, so
-    one column is one block.
+    The rows are summed in the ``row_blocks`` of the field, each block's
+    first row carrying the sums so far, so for C-ordered inputs the rows
+    add in the order ``np.sum(ip.apply(d) * d, axis=0)`` adds them and the
+    sums are bitwise the same.  numpy sums a single column pairwise
+    instead, which is why a single column is one block.
     """
     factored = isinstance(approx, FactoredField)
     shape = approx.shape if factored else approx.values.shape
@@ -60,19 +56,20 @@ def _column_sums(ref: SnapshotMatrix, approx, ip: InnerProduct, den=None):
     ):
         raise ShapeMismatchError("sampling instants differ")
     nx, ns = shape
-    rows = max(1, nx if ns <= 1 else BLOCK_BYTES // (8 * ns))
+    bounds = row_blocks(nx, ns)
     num = np.zeros(ns)
     pairs = 2 if den is None else 1
     den = np.zeros(ns) if den is None else den
-    block = np.empty((min(rows, nx), ns))  # reused for every block of ref - approx
-    for i in range(0, nx, rows):
-        r = ref.values[i:i + rows]
-        d = block[:r.shape[0]]
+    # reused for every block of ref - approx
+    block = np.empty((max((j - i for i, j in bounds), default=0), ns))
+    for i, j in bounds:
+        r = ref.values[i:j]
+        d = block[:j - i]
         if factored:
-            approx.rows(i, i + rows, out=d)
+            approx.rows(i, j, out=d)
             np.subtract(r, d, out=d)
         else:
-            np.subtract(r, approx.values[i:i + rows], out=d)
+            np.subtract(r, approx.values[i:j], out=d)
         for acc, x in ((num, d), (den, r))[:pairs]:
             t = ip.apply(x)
             t *= x

@@ -537,9 +537,10 @@ def predict(study: Study, nu: float, method: str = "barycentric",
     update and, with the weighted initial state, its coordinates.
 
     Returns (trajectory, reconstruction, report) where the report is a
-    JSON-ready dict with the interpolation diagnostics and timings.  With
-    ``lift=False`` the reconstruction is left unformed: the second item is
-    the trajectory's ``FactoredField``.
+    JSON-ready dict with the interpolation diagnostics and timings.  The
+    reconstruction is lifted a row block at a time from the trained bases
+    (barycentric) or the interpolated basis (ITSGM); with ``lift=False`` it
+    is left unformed: the second item is the trajectory's ``FactoredField``.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -594,10 +595,12 @@ def predict(study: Study, nu: float, method: str = "barycentric",
     # the integrator has factored it
     report["mass_condition"] = float(np.linalg.cond(model.M))
     with _timed(timings, "lift_s"):
-        if method == "barycentric":
-            basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
         lifter = reconstruct_field if lift else factored_field
-        recon = lifter(basis, study.mean, traj, param=nu)
+        if method == "barycentric":  # the basis is a mix of the trained ones, never formed
+            recon = lifter([b.modes for b in study.bases], study.mean, traj, param=nu,
+                           weights=w, rotations=bary.rotations)
+        else:
+            recon = lifter(basis, study.mean, traj, param=nu)
     return traj, recon, report
 
 

@@ -22,9 +22,14 @@ reduced operator is S^T A S for a stacked operator A.  On the uniform grid
 the stacked bases' Gram matrix, which the barycenter needs, is the stacked
 mass matrix over the cell size, and the initial coordinates solve M alpha0
 = S^T c with c = [Phi_1 ... Phi_Np]^T W (u0 - mean) (``online_model`` in
-pipeline).  Only the lift to the mesh (``factored_field``, which
-``reconstruct_field`` forms whole and the error sums of ``metrics`` a
-block of rows at a time) needs Phi.
+pipeline).  Only the lift to the mesh needs Phi, and it never forms it:
+a ``FactoredField`` builds the factor [Phi | mean] one block of rows at a
+time, Phi[rows] = sum_h w_h Phi_h[rows] Q_h (or the rows of an explicit
+basis), and multiplies the block by [alpha^T; 1].  ``reconstruct_field``
+fills one field block by block, the error sums of ``metrics`` and
+``io.write_matrix`` walk the blocks through one reused buffer.  Blocks
+are about BLOCK_BYTES of the field and bitwise equal to forming
+[Phi | mean] @ [alpha^T; 1] whole (``row_blocks``).
 
 The reduced solve (``integrate_rom``) folds M^-1 into one stacked
 q-by-(1 + q + q^2) operator G = [f | -L | -Chat] by one solve, pre-scaled
@@ -41,6 +46,10 @@ import numpy as np
 from .errors import DivergedSolutionError, ShapeMismatchError, SingularMassError
 from .pod import InnerProduct, SnapshotMatrix
 from .weights import WeightVector
+
+# bytes of one row block of a lifted field, which stays in cache, so no
+# temporary of a lift or of its error sums is field-sized
+BLOCK_BYTES = 2 * 2**20
 
 
 @dataclass
@@ -224,12 +233,15 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     one product fills K_i (K_1, K_2 with (dt/2) G; K_3, K_4 with dt G).  A
     step ends with a += [1/3, 2/3, 1/3, 1/6] K, the classical weights dt/6
     [1, 2, 2, 1] over those scalings.  No array is allocated inside the
-    step loop, so a step is about a dozen small numpy calls.
+    step loop, and every call in it is bound, with its arguments, before
+    the loop, so a step is a dozen small numpy calls and no lookups.
 
     States are recorded (as copies) at step multiples of ``record_every``,
-    step 0 included, at times t0 + s*dt.  Each recorded state is checked
-    once for finiteness, as a . 0 == 0 (a finite entry times 0 is +-0, an
-    infinite or nan one gives nan), so a run that overflows raises
+    step 0 included, at times t0 + s*dt, and the march stops at the last
+    of them: the steps % record_every steps after it would be neither
+    recorded nor checked.  Each recorded state is checked once for
+    finiteness, as a . 0 == 0 (a finite entry times 0 is +-0, an infinite
+    or nan one gives nan), so a run that overflows raises
     DivergedSolutionError at the first recorded step past the blow-up, not
     after ``steps``.
     """
@@ -241,10 +253,10 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
         raise ValueError("dt must be positive")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    # z_i = [1; a_i; vec(a_i outer a_i)] is row i of Z; a[i] and zz[i] are views
-    # into it, and a[0] is the state itself, updated in place.  The outer
-    # product is the (q,1)(1,q) product of a[i]'s column and row views: one
-    # term per entry, so the same values as a[i][:, None] * a[i] from a cheaper
+    # z_i = [1; a_i; vec(a_i outer a_i)] is row i of Z; a_i and zz_i are views
+    # into it, and a_0 is the state itself, updated in place.  The outer
+    # product is the (q,1)(1,q) product of a_i's column and row views: one
+    # term per entry, so the same values as a_i[:, None] * a_i from a cheaper
     # call.  The views are made once, here, not in the step loop.
     Z = np.empty((4, 1 + q + q * q))
     Z[:, 0] = 1.0
@@ -252,12 +264,12 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     dK = np.empty(q)
     zero = np.zeros(q)
     wts = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
-    z, k = list(Z), list(K)
-    a = [z_i[1:1 + q] for z_i in z]
-    col = [a_i[:, None] for a_i in a]
-    row = [a_i[None, :] for a_i in a]
-    zz = [z_i[1 + q:].reshape(q, q) for z_i in z]
-    state = a[0]
+    z0, z1, z2, z3 = Z
+    k0, k1, k2, k3 = K
+    state, a1, a2, a3 = (z_i[1:1 + q] for z_i in Z)
+    (outer0, row0), (outer1, row1), (outer2, row2), (outer3, row3) = (
+        (z_i[1:1 + q, None].dot, z_i[None, 1:1 + q]) for z_i in Z)
+    zz0, zz1, zz2, zz3 = (z_i[1 + q:].reshape(q, q) for z_i in Z)
     state[:] = alpha0
 
     n_rec = steps // record_every
@@ -265,7 +277,6 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     times = np.empty(n_rec + 1)
     alphas[0] = alpha0
     times[0] = t0
-    rec = 0
     # M is checked finite first, as np.linalg.cholesky passes an inf or nan
     # diagonal.  A non-finite or overflowing R, Cbar, C, F or nu passes into
     # G and shows up in the states, which are checked instead
@@ -282,75 +293,157 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     with np.errstate(over="ignore", invalid="ignore"):
         if alpha0.dot(zero) != 0.0:
             raise DivergedSolutionError("reduced state is non-finite at step 0")
-        half, full = (0.5 * dt) * G, dt * G
-        for s in range(1, steps + 1):
-            col[0].dot(row[0], zz[0])
-            half.dot(z[0], k[0])
-            np.add(state, k[0], a[1])
-            col[1].dot(row[1], zz[1])
-            half.dot(z[1], k[1])
-            np.add(state, k[1], a[2])
-            col[2].dot(row[2], zz[2])
-            full.dot(z[2], k[2])
-            np.add(state, k[2], a[3])
-            col[3].dot(row[3], zz[3])
-            full.dot(z[3], k[3])
-            wts.dot(K, dK)
-            np.add(state, dK, state)
-            if s % record_every == 0:
-                if state.dot(zero) != 0.0:
-                    raise DivergedSolutionError(
-                        f"reduced state diverged to a non-finite value by step {s}")
-                rec += 1
-                alphas[rec] = state
-                times[rec] = t0 + s * dt
+        half, full = ((0.5 * dt) * G).dot, (dt * G).dot
+        combine, add, per_record = wts.dot, np.add, range(record_every)
+        for rec in range(1, n_rec + 1):
+            for _ in per_record:
+                outer0(row0, zz0)
+                half(z0, k0)
+                add(state, k0, a1)
+                outer1(row1, zz1)
+                half(z1, k1)
+                add(state, k1, a2)
+                outer2(row2, zz2)
+                full(z2, k2)
+                add(state, k2, a3)
+                outer3(row3, zz3)
+                full(z3, k3)
+                combine(K, dK)
+                add(state, dK, state)
+            s = rec * record_every
+            if state.dot(zero) != 0.0:
+                raise DivergedSolutionError(
+                    f"reduced state diverged to a non-finite value by step {s}")
+            alphas[rec] = state
+            times[rec] = t0 + s * dt
     return ReducedTrajectory(times=times, alphas=alphas)
+
+
+def row_blocks(nx: int, ns: int) -> list:
+    """(start, stop) of the row blocks in which a field of nx rows and ns
+    columns is lifted or scored: about BLOCK_BYTES of the field each, and
+    one block for a single column.  No block is a single row unless nx is
+    1, because numpy multiplies a single row by gemv, whose sums can differ
+    in the last bit from the GEMM of all rows, so a one-row tail joins the
+    block before it.  A lift in these blocks is bitwise the whole product."""
+    starts = list(range(0, nx, max(2, nx if ns <= 1 else BLOCK_BYTES // (8 * ns))))
+    if len(starts) > 1 and nx - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [nx]))
+
+
+def _mix_terms(bases, weights, rotations):
+    """(mode matrices, weights, rotations) of a mix sum_h w_h Phi_h Q_h,
+    one weight and one q-by-q rotation per basis."""
+    mats = _mode_matrices(bases)
+    wv = np.asarray(weights.values if isinstance(weights, WeightVector) else weights,
+                    dtype=float)
+    rots = [np.asarray(r, dtype=float) for r in rotations]
+    q = mats[0].shape[1]
+    if wv.shape != (len(mats),) or [r.shape for r in rots] != [(q, q)] * len(mats):
+        raise ShapeMismatchError("one weight and one q-by-q rotation per basis required")
+    return mats, wv, rots
+
+
+def _mix_rows(mats, wv, rots, start: int, stop: int, out) -> np.ndarray:
+    """out = sum_h w_h mats[h][start:stop] Q_h over the nonzero weights, in
+    basis order, each term one product, one scaling and one add."""
+    out[...] = 0.0
+    term = np.empty(out.shape)
+    for w, m, r in zip(wv, mats, rots):
+        if w != 0.0:
+            np.matmul(m[start:stop], r, out=term)
+            term *= w
+            out += term
+    return out
+
+
+def combined_basis(bases, weights, rotations) -> np.ndarray:
+    """Weighted sum of rotated bases, sum_h w_h Phi_h Q_h, formed whole: the
+    representative the updated reduced operators are exact for.  A lift
+    never forms it; its ``FactoredField`` mixes the same terms a block of
+    rows at a time."""
+    mats, wv, rots = _mix_terms(bases, weights, rotations)
+    return _mix_rows(mats, wv, rots, 0, mats[0].shape[0], np.empty_like(mats[0]))
 
 
 @dataclass
 class FactoredField:
-    """A lifted trajectory kept as its two factors: the values are
-    ``factor @ coeffs`` with factor = [basis | mean], (N, q + 1), and coeffs
-    = [alphas^T; 1], (q + 1, n_times).  ``rows`` lifts a block of rows, so
-    a caller that walks the rows never holds the whole field."""
+    """A lifted trajectory kept as its factors: the values are
+    [Phi | mean] @ coeffs with coeffs = [alphas^T; 1], (q + 1, n_times).
+    Phi is ``bases[0]`` when ``rotations`` is None, else the mix sum_h w_h
+    bases[h] Q_h of ``combined_basis``.  ``rows`` forms only its block of
+    [Phi | mean], so a caller that walks the rows never holds Phi or the
+    field whole."""
 
-    factor: np.ndarray
+    bases: list
+    weights: np.ndarray | None
+    rotations: list | None
+    mean: np.ndarray
     coeffs: np.ndarray
     times: np.ndarray
     param: float
 
     @property
     def shape(self) -> tuple:
-        return self.factor.shape[0], self.coeffs.shape[1]
+        return self.mean.shape[0], self.coeffs.shape[1]
 
     def rows(self, start: int, stop: int, out=None) -> np.ndarray:
         """Rows start:stop of the field, written into ``out`` when given."""
-        return np.matmul(self.factor[start:stop], self.coeffs, out=out)
+        mean = self.mean[start:stop]
+        factor = np.empty((mean.shape[0], self.coeffs.shape[0]))
+        if self.rotations is None:
+            factor[:, :-1] = self.bases[0][start:stop]
+        else:
+            _mix_rows(self.bases, self.weights, self.rotations, start, stop, factor[:, :-1])
+        factor[:, -1] = mean
+        return np.matmul(factor, self.coeffs, out=out)
+
+    def blocks(self):
+        """The field's ``row_blocks`` in order, each lifted into one reused
+        buffer that the next block overwrites."""
+        bounds = row_blocks(*self.shape)
+        buf = np.empty((max((stop - start for start, stop in bounds), default=0),
+                        self.shape[1]))
+        for start, stop in bounds:
+            yield self.rows(start, stop, out=buf[:stop - start])
 
 
-def factored_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> FactoredField:
-    """The lift u(t) = mean + basis a(t) of a trajectory, unformed."""
-    phi = np.asarray(basis, float)
+def factored_field(basis, mean, traj: ReducedTrajectory, param=np.nan,
+                   weights=None, rotations=None) -> FactoredField:
+    """The lift u(t) = mean + Phi a(t) of a trajectory, unformed.  Phi is
+    the N-by-q ``basis``, or, given ``weights`` and ``rotations``, the mix
+    sum_h w_h basis[h] Q_h of the list of bases ``basis``."""
+    if rotations is None:
+        mats, wv, rots = [np.asarray(basis, float)], None, None
+    else:
+        mats, wv, rots = _mix_terms(basis, weights, rotations)
+    nx, q = mats[0].shape
     mean = np.asarray(mean, dtype=float)
-    if phi.shape[1] != traj.alphas.shape[1]:
+    if q != traj.alphas.shape[1]:
         raise ShapeMismatchError(
-            f"basis has {phi.shape[1]} columns but trajectory carries "
+            f"basis has {q} columns but trajectory carries "
             f"{traj.alphas.shape[1]} coordinates"
         )
-    if mean.shape != (phi.shape[0],):
+    if mean.shape != (nx,):
         raise ShapeMismatchError("mean length does not match basis rows")
-    return FactoredField(factor=np.hstack([phi, mean[:, None]]),
+    return FactoredField(mats, wv, rots, mean,
                          coeffs=np.vstack([traj.alphas.T, np.ones(traj.alphas.shape[0])]),
                          times=traj.times.copy(), param=float(param))
 
 
-def reconstruct_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> SnapshotMatrix:
-    """Lift reduced states back to the full field: u(t) = mean + basis a(t),
-    the ``factored_field`` formed by one GEMM, so the field is the only
-    mesh-sized result."""
-    field = factored_field(basis, mean, traj, param)
-    return SnapshotMatrix(values=field.rows(0, field.shape[0]), times=field.times,
-                          param=field.param)
+def reconstruct_field(basis, mean, traj: ReducedTrajectory, param=np.nan,
+                      weights=None, rotations=None) -> SnapshotMatrix:
+    """Lift reduced states back to the full field, u(t) = mean + Phi a(t):
+    the ``factored_field`` of the same arguments, formed into one field
+    that is allocated once and filled one of its ``row_blocks`` at a time.
+    The field is the only mesh-sized array, and it is bitwise [Phi | mean]
+    @ [alphas^T; 1] with Phi formed whole."""
+    field = factored_field(basis, mean, traj, param, weights, rotations)
+    values = np.empty(field.shape)
+    for start, stop in row_blocks(*field.shape):
+        field.rows(start, stop, out=values[start:stop])
+    return SnapshotMatrix(values=values, times=field.times, param=field.param)
 
 
 def initial_condition(basis, mean, ip: InnerProduct, u0) -> np.ndarray:
@@ -362,16 +455,3 @@ def initial_condition(basis, mean, ip: InnerProduct, u0) -> np.ndarray:
         raise ShapeMismatchError("field length does not match basis rows")
     gram = phi.T @ ip.apply(phi)
     return np.linalg.solve(gram, phi.T @ ip.apply(u0 - mean))
-
-
-def combined_basis(bases, weights, rotations) -> np.ndarray:
-    """Weighted sum of rotated bases: the representative the updated
-    reduced operators are exact for."""
-    mats = _mode_matrices(bases)
-    wv = np.asarray(weights.values if isinstance(weights, WeightVector) else weights,
-                    dtype=float)
-    out = np.zeros_like(mats[0])
-    for k, m in enumerate(mats):
-        if wv[k] != 0.0:
-            out += wv[k] * (m @ np.asarray(rotations[k], dtype=float))
-    return out

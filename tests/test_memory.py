@@ -5,20 +5,23 @@ default one at nx=2000 with one held-out viscosity, so generate marches
 its 5 runs in one chunk.  Offline reads its 4 trained runs one at a time
 and holds one of them; the POD makes no weighted copy.  Compare holds the
 truth run, the fluctuations its truth-POD floor is built from and two row
-blocks of ``metrics.BLOCK_BYTES``, with no model's field formed; its
+blocks of ``rom.BLOCK_BYTES``, with no model's field formed; its
 bound is taken on a second call, so the first call's one-off allocations
 (a third of a unit) do not count, and with 64 kB blocks, so the two runs
-it must hold are nearly the whole of it.  Each bound leaves half a unit or
-less above what the stage holds: its outputs in generate and load, two
-row blocks in the error sums, and the measured peak in offline (1.68
-units) and compare (2.30 units).
+it must hold are nearly the whole of it.  CLI predict, bounded the same
+way, holds the loaded study and lifts its field a row block at a time
+into field.mat; ITSGM adds the N-by-q^2 pair products of its direct
+projection.  Each bound leaves half a unit or less above what the stage
+holds: its outputs in generate and load, two row blocks in the error
+sums, and the measured peak in offline (1.68 units), compare (2.30
+units) and CLI predict (0.47 barycentric, 0.79 ITSGM).
 """
 
 import tracemalloc
 
 import pytest
 
-from baryrom import metrics, pipeline
+from baryrom import cli, metrics, pipeline, rom
 
 
 def _peak(fn):
@@ -46,14 +49,21 @@ def peaks(tmp_path_factory):
     _, errors = _peak(lambda: metrics.error_report(snap, approx, ip))
     del snap, approx
     study = pipeline.load_study(out)
+    predicts = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "BLOCK_BYTES", 64 * 2**10)
+        mp.setattr(rom, "BLOCK_BYTES", 64 * 2**10)
         first = pipeline.compare(study)
         second, compare = _peak(lambda: pipeline.compare(study))
+        for method in pipeline.METHODS:
+            argv = ["predict", "--out", str(out), "--nu", "0.075", "--method", method]
+            assert cli.main(argv) == 0
+            code, predicts[method] = _peak(lambda: cli.main(argv))
+            assert code == 0
     assert second[0] == first[0]
     return {"runs": len(manifest["runs"]), "np": len(cfg.trained_nu), "unit": unit,
             "generate": generate / unit, "offline": offline / unit, "load": load / unit,
-            "errors": errors / unit, "compare": compare / unit}
+            "errors": errors / unit, "compare": compare / unit,
+            **{f"predict_{m}": peak / unit for m, peak in predicts.items()}}
 
 
 def test_load_snapshots_holds_only_the_matrix_it_returns(peaks):
@@ -68,8 +78,13 @@ def test_compare_holds_the_truth_and_its_fluctuations_and_forms_no_field(peaks):
     assert peaks["compare"] <= 2.5
 
 
+def test_cli_predict_holds_the_study_and_row_blocks_and_forms_no_field(peaks):
+    assert peaks["predict_barycentric"] <= 0.6
+    assert peaks["predict_itsgm"] <= 1.0
+
+
 def test_error_report_holds_two_row_blocks_and_no_snapshot_sized_temporary(peaks):
-    assert peaks["errors"] <= 2 * metrics.BLOCK_BYTES / peaks["unit"] + 0.1
+    assert peaks["errors"] <= 2 * rom.BLOCK_BYTES / peaks["unit"] + 0.1
 
 
 def test_generate_holds_only_its_snapshot_matrices(peaks):

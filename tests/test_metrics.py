@@ -12,7 +12,8 @@ from baryrom import (
     mean_error,
     reconstruct_field,
 )
-from baryrom.metrics import BLOCK_BYTES, _column_sums, error_report, format_float, write_csv
+from baryrom.metrics import _column_sums, error_report, format_float, write_csv
+from baryrom.rom import BLOCK_BYTES
 
 UNIT = InnerProduct(1.0)
 
@@ -149,8 +150,8 @@ def test_blocked_column_sums_are_bitwise_the_full_sums(rng, nx, ns):
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("nx, ns", [(3 * BLOCK + 17, NS), (BLOCK - 1, NS), (7, NS),
-                                    (5000, 1), (1, 1)])
+@pytest.mark.parametrize("nx, ns", [(3 * BLOCK + 17, NS), (BLOCK - 1, NS), (BLOCK + 1, NS),
+                                    (7, NS), (5000, 1), (1, 1)])
 def test_blocked_lift_and_score_is_bitwise_the_reconstruction_score(rng, nx, ns):
     # the same ref scored against the field reconstruct_field forms and
     # against its factors, lifted a block of rows at a time; then again with

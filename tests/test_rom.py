@@ -1,4 +1,6 @@
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,13 +19,14 @@ from baryrom import (
     combined_basis,
     compute_pod,
     direct_project,
+    factored_field,
     initial_condition,
     integrate_rom,
     karcher_barycenter,
     reconstruct_field,
     update_reduced_model,
 )
-from baryrom import pipeline
+from baryrom import pipeline, rom
 from conftest import close_family
 
 
@@ -416,6 +419,121 @@ def test_integrate_record_every():
     np.testing.assert_allclose(traj.times, [1.0, 3.5, 6.0])
 
 
+def unbound_integrate(model, alpha0, dt, steps, record_every=1, t0=0.0):
+    """integrate_rom's RK4 loop as it ran with its calls looked up in every
+    step and a record check after every step, marching all ``steps``: the
+    bitwise oracle of the bound loop."""
+    q = model.M.shape[0]
+    Z = np.empty((4, 1 + q + q * q))
+    Z[:, 0] = 1.0
+    K = np.empty((4, q))
+    dK = np.empty(q)
+    wts = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
+    z, k = list(Z), list(K)
+    a = [z_i[1:1 + q] for z_i in z]
+    col = [a_i[:, None] for a_i in a]
+    row = [a_i[None, :] for a_i in a]
+    zz = [z_i[1 + q:].reshape(q, q) for z_i in z]
+    state = a[0]
+    state[:] = alpha0
+    alphas, times = [np.array(alpha0, dtype=float)], [t0]
+    G = np.linalg.solve(model.M, np.hstack([
+        np.reshape(model.F, (q, 1)), -(model.nu * model.R + model.Cbar),
+        -model.C.transpose(1, 0, 2).reshape(q, q * q)]))
+    half, full = (0.5 * dt) * G, dt * G
+    for s in range(1, steps + 1):
+        col[0].dot(row[0], zz[0])
+        half.dot(z[0], k[0])
+        np.add(state, k[0], a[1])
+        col[1].dot(row[1], zz[1])
+        half.dot(z[1], k[1])
+        np.add(state, k[1], a[2])
+        col[2].dot(row[2], zz[2])
+        full.dot(z[2], k[2])
+        np.add(state, k[2], a[3])
+        col[3].dot(row[3], zz[3])
+        full.dot(z[3], k[3])
+        wts.dot(K, dK)
+        np.add(state, dK, state)
+        if s % record_every == 0:
+            alphas.append(state.copy())
+            times.append(t0 + s * dt)
+    return ReducedTrajectory(times=np.array(times), alphas=np.array(alphas))
+
+
+def random_stable_model(rng, q=5):
+    """M far from identity, R and Cbar non-symmetric, C not symmetric in (e, j)."""
+    g = rng.standard_normal((q, q))
+    return ReducedModel(M=g @ g.T + 0.5 * np.eye(q), R=rng.standard_normal((q, q)),
+                        Cbar=rng.standard_normal((q, q)),
+                        C=0.3 * rng.standard_normal((q, q, q)),
+                        F=rng.standard_normal(q), nu=0.3)
+
+
+@pytest.mark.parametrize("record_every", [1, 5, 7])
+def test_integrate_is_bitwise_the_unbound_step_loop(study, rng, record_every):
+    # 995 steps leave no tail at 1 and 5 and one unrecorded step at 7
+    _, model, a0 = pipeline.online_model(study, pipeline.study_weights(study, 0.083), 0.083)
+    cfg = study.cfg
+    cases = [(model, a0, cfg.dt, cfg.steps),
+             (random_stable_model(rng), rng.standard_normal(5), 1e-3, 200)]
+    for model, a0, dt, steps in cases:
+        got = integrate_rom(model, a0, dt, steps, record_every=record_every, t0=0.37)
+        want = unbound_integrate(model, a0, dt, steps, record_every=record_every, t0=0.37)
+        np.testing.assert_array_equal(got.alphas, want.alphas)
+        np.testing.assert_array_equal(got.times, want.times)
+
+
+def _c_calls(fn):
+    """(fn(), number of calls fn made to functions implemented in C)."""
+    calls = [0]
+
+    def count(frame, event, arg):
+        calls[0] += event == "c_call"
+
+    sys.setprofile(count)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, calls[0]
+
+
+def test_integrate_stops_at_the_last_recorded_step(study):
+    _, model, a0 = pipeline.online_model(study, pipeline.study_weights(study, 0.083), 0.083)
+    dt = study.cfg.dt
+    whole, tail = (integrate_rom(model, a0, dt, steps, record_every=5, t0=0.3)
+                   for steps in (995, 997))
+    np.testing.assert_array_equal(tail.alphas, whole.alphas)
+    np.testing.assert_array_equal(tail.times, whole.times)
+    short = integrate_rom(model, a0, dt, 4, record_every=5, t0=0.3)
+    np.testing.assert_array_equal(short.alphas, [a0])
+    np.testing.assert_array_equal(short.times, [0.3])
+    # the steps after the last recorded one are not marched: a run of 12
+    # steps makes the calls of a run of 10, and one of 4 those of none
+    counts = [_c_calls(lambda s=s: integrate_rom(model, a0, dt, s, record_every=5))[1]
+              for s in (10, 12, 0, 4)]
+    assert counts[0] == counts[1] and counts[2] == counts[3] < counts[0]
+
+
+def test_integrate_peak_memory_grows_only_by_the_recorded_states(rng):
+    model, q = random_stable_model(rng), 5
+    a0 = 0.1 * rng.standard_normal(q)
+
+    def peak(steps):
+        integrate_rom(model, a0, 1e-4, steps, record_every=5)  # one-off allocations
+        tracemalloc.start()
+        try:
+            integrate_rom(model, a0, 1e-4, steps, record_every=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grown = peak(4000) - peak(1000)
+    # 600 more recorded states and times, (q + 1) floats each
+    assert grown <= 600 * (q + 1) * 8 + 1024
+
+
 def test_linear_energy_nonincreasing(rng):
     q = 5
     a = rng.standard_normal((q, q))
@@ -493,6 +611,66 @@ def test_reconstruct_matches_mean_plus_modes(rng):
     expected = mean[:, None] + bases[0] @ traj.alphas.T
     assert np.max(np.abs(rec.values - expected)) <= 1e-14 * np.max(np.abs(expected))
     assert rec.param == 0.3 and rec.times is not traj.times
+
+
+def whole_lift(bases, w, rotations, mean, alphas):
+    """The lift formed whole, [Phi | mean] @ [alphas^T; 1], with Phi =
+    sum_h w_h Phi_h Q_h mixed over the nonzero weights as one N-by-q sum:
+    the bitwise oracle of the blocked lift."""
+    phi = np.zeros_like(bases[0])
+    for wk, m, r in zip(w, bases, rotations):
+        if wk != 0.0:
+            phi += wk * (m @ r)
+    return phi, np.hstack([phi, mean[:, None]]) @ np.vstack([alphas.T, np.ones(len(alphas))])
+
+
+ROWS = rom.BLOCK_BYTES // (8 * 200)  # rows of one block of a 200-column field
+
+
+@pytest.mark.parametrize("nx, ns, block_bytes", [
+    (2000, 200, 64 * 2**10), (2000, 200, rom.BLOCK_BYTES), (3 * ROWS + 1, 200, rom.BLOCK_BYTES),
+    (ROWS + 17, 200, rom.BLOCK_BYTES), (41, 200, 64 * 2**10), (2, 200, 16), (1, 200, 16),
+    (5000, 1, 16), (7, 3, 16)])
+def test_blocked_lift_is_bitwise_the_whole_product(rng, monkeypatch, nx, ns, block_bytes):
+    monkeypatch.setattr(rom, "BLOCK_BYTES", block_bytes)
+    q = 7
+    bases = [rng.standard_normal((nx, q)) for _ in range(4)]
+    rotations = [np.linalg.qr(rng.standard_normal((q, q)))[0] for _ in range(4)]
+    w = np.array([0.35, 0.0, 0.9, -0.25])  # the zero weight's basis is not mixed
+    mean = 1.0 + rng.standard_normal(nx)
+    traj = ReducedTrajectory(times=0.3 + 0.005 * np.arange(ns),
+                             alphas=rng.standard_normal((ns, q)))
+    phi, want = whole_lift(bases, w, rotations, mean, traj.alphas)
+    np.testing.assert_array_equal(combined_basis(bases, w, rotations), phi)
+    got = reconstruct_field(bases, mean, traj, 0.07, weights=WeightVector(w, 0.07),
+                            rotations=rotations)
+    np.testing.assert_array_equal(got.values, want)
+    assert got.param == 0.07 and got.times is not traj.times
+    field = factored_field(bases, mean, traj, weights=w, rotations=rotations)
+    np.testing.assert_array_equal(np.vstack([b.copy() for b in field.blocks()]), want)
+    # an explicit basis (ITSGM, truth-POD) lifts as the same product
+    explicit = reconstruct_field(bases[2], mean, traj)
+    np.testing.assert_array_equal(explicit.values, whole_lift(
+        bases[2:3], [1.0], [np.eye(q)], mean, traj.alphas)[1])
+
+
+@pytest.mark.parametrize("nx, ns", [(1, 1), (1, 200), (2, 200), (3 * ROWS + 1, 200),
+                                    (3 * ROWS + 2, 200), (5000, 1), (0, 5)])
+def test_row_blocks_cover_the_rows_with_no_single_row_block(nx, ns):
+    bounds = rom.row_blocks(nx, ns)
+    assert [i for i, _ in bounds[1:]] == [j for _, j in bounds[:-1]]
+    assert (bounds[0][0], bounds[-1][1]) == (0, nx) if nx else bounds == []
+    assert all(j - i >= 2 for i, j in bounds) or bounds == [(0, 1)]
+    assert max((j - i for i, j in bounds), default=0) <= max(ROWS + 1, nx if ns == 1 else 0)
+
+
+def test_mixed_lift_checks_one_weight_and_rotation_per_basis(rng):
+    bases = [rng.standard_normal((10, 2)) for _ in range(3)]
+    traj = ReducedTrajectory(times=np.zeros(1), alphas=np.zeros((1, 2)))
+    for w, rotations in (([1.0, 0.0], [np.eye(2)] * 3), ([1.0, 0.0, 0.0], [np.eye(2)] * 2),
+                         ([1.0, 0.0, 0.0], [np.eye(2), np.eye(2), np.eye(3)])):
+        with pytest.raises(ShapeMismatchError):
+            factored_field(bases, np.zeros(10), traj, weights=w, rotations=rotations)
 
 
 def test_block_initial_condition_matches_projection_oracle(rng):
