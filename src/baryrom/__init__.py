@@ -50,7 +50,6 @@ from .rom import (
     initial_condition,
     integrate_rom,
     reconstruct_field,
-    stacked,
     update_reduced_model,
     weighted_rotations,
 )

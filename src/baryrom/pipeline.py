@@ -63,7 +63,6 @@ from .rom import (
     initial_condition,
     integrate_rom,
     reconstruct_field,
-    stacked,
     update_reduced_model,
     weighted_rotations,
 )
@@ -136,8 +135,16 @@ def _weight_kind(kind: str) -> str:
 
 
 def config_from_dict(doc: dict) -> StudyConfig:
-    """StudyConfig from its JSON form; absent keys keep the StudyConfig default."""
+    """StudyConfig from its JSON form; absent keys keep the StudyConfig
+    default, and a key outside the schema is a ConfigError."""
     base = StudyConfig().to_dict()
+    unknown = [k for k in doc if k not in base]
+    for section in ("grid", "weights"):
+        part = doc.get(section)
+        if isinstance(part, dict):
+            unknown += [f"{section}.{k}" for k in part if k not in base[section]]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(map(repr, unknown))}")
     try:
         grid = {**base["grid"], **doc.get("grid", {})}
         wts = {**base["weights"], **doc.get("weights", {})}
@@ -435,22 +442,25 @@ def load_study(outdir) -> Study:
     if meta.get("q") != cfg.q:
         raise DataIntegrityError("archive truncation order disagrees with the config")
     ct = _cross_tensors(arrays, np_, q)
-    frame = gram_coordinates(stacked(ct.M) / ip.weight, cfg.q)
+    frame = gram_coordinates(ct.M / ip.weight, cfg.q)
     ic_coords = _coords(bases, mean, ip, np.column_stack(ics))
     ortho = [orthonormalize(b.modes) for b in bases]
     return Study(outdir, manifest, cfg, grid, ip, mean, bases, ics, ct, frame, ic_coords, ortho)
 
 
 def _cross_tensors(arrays: dict, np_: int, q: int) -> CrossGalerkinTensors:
-    """The archive's tensors, each checked against its shape for Np bases
-    of q modes."""
-    block, vec = (np_, np_, q, q), (np_, q)
-    shapes = {"M": block, "R": block, "Cbar": block, "C": (np_,) * 3 + (q,) * 3,
-              "F_conv": vec, "F_diff": vec}
+    """The archive's tensors, each checked against its stacked shape for Np
+    bases of q modes; an archive in another layout is rebuilt by offline."""
+    n = np_ * q
+    shapes = {"M": (n, n), "R": (n, n), "Cbar": (n, n), "C": (n, n * n),
+              "F_conv": (np_, q), "F_diff": (np_, q)}
     for name, shape in shapes.items():
         if name not in arrays:
             raise DataIntegrityError(f"tensor archive lacks the array {name!r}")
-        _shaped(f"archive array {name!r}", arrays[name], shape)
+        if arrays[name].shape != shape:
+            raise DataIntegrityError(
+                f"archive array {name!r} has shape {arrays[name].shape}, expected {shape}; "
+                "run offline again to rebuild the archive")
     return CrossGalerkinTensors(**{name: arrays[name] for name in shapes})
 
 

@@ -11,10 +11,10 @@ the cheap update is checked against.  Every basis argument is a plain
 N-by-q array of modes.
 
 Index conventions (fixed by requiring update == direct projection): the
-archive's block B^{hk} has rows from basis h and columns from basis k;
-``stacked`` lays the blocks out as the (Np q)-by-(Np q) operator of the
-stacked bases [Phi_1 ... Phi_Np], row h*q + i being mode i of basis h.
-The quadratic blocks C^{hkn} carry their derivative-side index from n.
+archive holds each operator of the stacked bases [Phi_1 ... Phi_Np] as it
+is multiplied online, index h*q + i being mode i of basis h.  M, R and
+Cbar are (Np q)-by-(Np q); C is (Np q)-by-(Np q)^2, its row e*q + s on
+the derivative side and its column (h*q + i)*Np*q + k*q + j the pair.
 
 Online, the interpolated basis is never formed: it is [Phi_1 ... Phi_Np] S
 with S = [w_1 Q_1; ...; w_Np Q_Np] (``weighted_rotations``), and every
@@ -56,10 +56,11 @@ BLOCK_BYTES = 2 * 2**20
 class CrossGalerkinTensors:
     """All cross-basis reduced blocks of the Burgers operators.
 
-    Shapes: M, R, Cbar are (Np, Np, q, q); C is (Np, Np, Np, q, q, q)
-    indexed [h, k, n, s, i, j]; the forcing pieces are (Np, q).  F_diff
-    is the part multiplied by the online viscosity, F_conv the
-    mean-convection part.
+    Each is laid out as the online update multiplies it, n = Np q: M, R
+    and Cbar are the (n, n) operators of the stacked bases; C is (n, n^2),
+    C[e*q + s, (h*q + i)*n + k*q + j] = sum_x w phi^h_i phi^k_j (d
+    phi^e_s); the forcing pieces are (Np, q).  F_diff is the part
+    multiplied by the online viscosity, F_conv the mean-convection part.
     """
 
     M: np.ndarray
@@ -68,14 +69,6 @@ class CrossGalerkinTensors:
     C: np.ndarray
     F_conv: np.ndarray
     F_diff: np.ndarray
-
-    @property
-    def n_bases(self) -> int:
-        return self.M.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.M.shape[-1]
 
 
 @dataclass
@@ -112,9 +105,10 @@ def assemble_cross_tensors(bases, mean, ip: InnerProduct, grad_op) -> CrossGaler
     Diffusion blocks are the gradient-gradient inner products (the
     integrated-by-parts form, exact on a periodic domain); convection
     blocks use the advective form against the shared mean field.  Each
-    block family is one product of the stacked bases Phi = [Phi_1 ...
-    Phi_Np] (column h*q + i is mode i of basis h); the quadratic blocks
-    take one product per h, so only one basis's pair products are held.
+    operator is one product of the stacked bases Phi = [Phi_1 ... Phi_Np]
+    (column h*q + i is mode i of basis h); the quadratic one takes one
+    product per h, its column band, so only one basis's pair products are
+    held.
     """
     mats = _mode_matrices(bases)
     np_, (nx, q) = len(mats), mats[0].shape
@@ -127,30 +121,21 @@ def assemble_cross_tensors(bases, mean, ip: InnerProduct, grad_op) -> CrossGaler
     wphi = ip.apply(phi)
     dmean = grad_op(mean)
 
-    def block_grid(a, b):  # a.T @ b of stacked bases -> blocks [h, k, i, j]
-        return (a.T @ b).reshape(np_, q, np_, q).transpose(0, 2, 1, 3)
+    M = phi.T @ wphi
+    R = dphi.T @ ip.apply(dphi)
+    Cbar = phi.T @ ip.apply(mean[:, None] * dphi + dmean[:, None] * phi)
 
-    M = block_grid(phi, wphi)
-    R = block_grid(dphi, ip.apply(dphi))
-    Cbar = block_grid(phi, ip.apply(mean[:, None] * dphi + dmean[:, None] * phi))
-
-    # C[h,k,n][s,i,j] = sum_x w phi^h_i phi^k_j (d phi^n_s)
-    C = np.empty((np_, np_, np_, q, q, q))
-    pairs = np.empty((nx, q, np_ * q))  # reused, so one h's products are held at a time
+    # band h of C: column i*n + k*q + j of row e*q + s is sum_x w phi^h_i phi^k_j (d phi^e_s)
+    n = np_ * q
+    C = np.empty((n, n * n))
+    pairs = np.empty((nx, q, n))  # reused, so one h's products are held at a time
     for h in range(np_):
         np.multiply(wphi[:, h * q:(h + 1) * q, None], phi[:, None, :], out=pairs)
-        C[h] = np.moveaxis((dphi.T @ pairs.reshape(nx, -1)).reshape(np_, q, q, np_, q), 3, 0)
+        C[:, h * q * n:(h + 1) * q * n] = dphi.T @ pairs.reshape(nx, -1)
 
     F_diff = -(dphi.T @ ip.apply(dmean)).reshape(np_, q)
     F_conv = -(phi.T @ ip.apply(mean * dmean)).reshape(np_, q)
     return CrossGalerkinTensors(M, R, Cbar, C, F_conv, F_diff)
-
-
-def stacked(blocks) -> np.ndarray:
-    """(Np, Np, q, q) blocks [h, k] as the (Np q)-by-(Np q) operator of the
-    stacked bases [Phi_1 ... Phi_Np]."""
-    np_, q = blocks.shape[0], blocks.shape[-1]
-    return blocks.transpose(0, 2, 1, 3).reshape(np_ * q, np_ * q)
 
 
 def weighted_rotations(w, rotations) -> np.ndarray:
@@ -168,25 +153,23 @@ def update_reduced_model(
 ) -> ReducedModel:
     """Rebuild the reduced operators for new weights/rotations/viscosity.
 
-    Each operator is the stacked archive operator conjugated by S =
+    Each operator is the archive operator conjugated by S =
     ``weighted_rotations(w, rotations)``; the quadratic term contracts S on
-    its derivative side first.  The cost depends only on q and the number
+    its derivative side first.  The archive arrays are multiplied as they
+    are stored, with no copy.  The cost depends only on q and the number
     of trained bases, never on the mesh.  ``rotations`` must be the
     alignments returned by the barycenter run for the same weights.
     """
-    np_, q = ct.n_bases, ct.q
+    np_, q = ct.F_diff.shape
     n = np_ * q
     S = weighted_rotations(w, rotations)
     if S.shape != (n, q):
         raise ShapeMismatchError(f"{np_} weights and rotations of shape ({q},{q}) required")
-    # rows (n, s) on the derivative side, columns the pair (h, a), (k, b)
-    Ct = ct.C.transpose(2, 3, 0, 4, 1, 5).reshape(n, n * n)
     # far extrapolation can overflow the operators; integrate_rom reports it
     with np.errstate(over="ignore", invalid="ignore"):
         return ReducedModel(
-            M=S.T @ stacked(ct.M) @ S, R=S.T @ stacked(ct.R) @ S,
-            Cbar=S.T @ stacked(ct.Cbar) @ S,
-            C=S.T @ (S.T @ Ct).reshape(q, n, n) @ S,
+            M=S.T @ ct.M @ S, R=S.T @ ct.R @ S, Cbar=S.T @ ct.Cbar @ S,
+            C=S.T @ (S.T @ ct.C).reshape(q, n, n) @ S,
             F=S.T @ (ct.F_conv + nu * ct.F_diff).ravel(), nu=float(nu))
 
 

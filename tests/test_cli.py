@@ -127,10 +127,11 @@ def test_offline_archive_reload_bit_identical(workdir):
     assert meta1 == meta2
     for name in arrays1:
         assert arrays1[name].tobytes() == arrays2[name].tobytes()
-    # weighted orthonormality: each diagonal mass block is the identity
+    # weighted orthonormality: each diagonal block of the stacked mass is the identity
     q = meta1["q"]
-    for k in range(arrays1["M"].shape[0]):
-        assert np.max(np.abs(arrays1["M"][k, k] - np.eye(q))) < 1e-10
+    for k in range(len(SMALL_CONFIG["trained_nu"])):
+        block = arrays1["M"][k * q:(k + 1) * q, k * q:(k + 1) * q]
+        assert np.max(np.abs(block - np.eye(q))) < 1e-10
 
 
 def test_offline_rerun_deterministic(workdir, tmp_path):
@@ -307,8 +308,8 @@ def test_single_trained_parameter_collapses_to_plain_rom(tmp_path):
     assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert main(["offline", "--out", str(out)]) == 0
     arrays, meta = read_archive(out / "tensors.arc")
-    assert arrays["M"].shape == (1, 1, 3, 3)
-    assert np.max(np.abs(arrays["M"][0, 0] - np.eye(3))) < 1e-10
+    assert arrays["M"].shape == (3, 3) and arrays["C"].shape == (3, 9)
+    assert np.max(np.abs(arrays["M"] - np.eye(3))) < 1e-10
     # constant interpolant: prediction works at any target
     assert main(["predict", "--out", str(out), "--nu", "0.2",
                  "--ic", "weighted"]) == 0
@@ -528,6 +529,8 @@ MALFORMED_INPUT = [  # (argv, config overrides); "{out}" is a copy of the study
     (["compare", "--out", "{out}", "--targets", ""], {}),
     (["compare", "--out", "{out}", "--targets", "0.08,0.08"], {}),
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"test_nu": [0.08, 0.08]}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"trained_nus": [0.2]}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"grid": {"n": 64, "nx": 512}}),
 ]
 
 
@@ -597,6 +600,15 @@ def _short_trained_run(manifest, study):
     entry["sha256"] = write_matrix(path, read_matrix(path)[1:])
 
 
+def _block_layout(arrays):
+    """The archive as it was stored before the stacked layout: M, R and
+    Cbar as (Np, Np, q, q) blocks [h, k, i, j], C indexed [h, k, n, s, i, j]."""
+    np_, q = arrays["F_diff"].shape
+    for name in ("M", "R", "Cbar"):
+        arrays[name] = arrays[name].reshape(np_, q, np_, q).transpose(0, 2, 1, 3)
+    arrays["C"] = arrays["C"].reshape((np_, q) * 3).transpose(2, 4, 0, 1, 3, 5)
+
+
 def _stale_bench(edit):
     """A bench directory that holds the copy, after ``edit(manifest)``, as
     its nx=64 study: stale, since it was built from another config."""
@@ -626,6 +638,7 @@ CORRUPT_STUDY = [  # (id, command, corruption of a copy of the study)
     ("archive-without-F_conv", "predict", _edit_archive(lambda a: a.pop("F_conv"))),
     ("archive-C-shape", "predict", _edit_archive(lambda a: a.update(C=a["C"][..., :-1]))),
     ("archive-M-shape", "predict", _edit_archive(lambda a: a.update(M=a["M"][:-1, :-1]))),
+    ("archive-block-layout", "predict", _edit_archive(_block_layout)),
     ("empty-object", "offline", _manifest_text("{}")),
     ("run-without-role", "offline", _edit_manifest(lambda m, s: m["runs"][0].pop("role"))),
     ("run-without-t0", "compare", _edit_manifest(lambda m, s: m["runs"][-1].pop("t0"))),
@@ -676,6 +689,60 @@ def test_study_with_an_offline_mean_entry_names_generate(workdir, tmp_path, caps
     assert main([*COMMANDS[command], "--out", str(study)]) == 4
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "generate" in err
+
+
+@pytest.mark.parametrize("command", ["compare", "predict"])
+def test_study_with_a_block_layout_archive_names_offline(workdir, tmp_path, capsys,
+                                                         command):
+    _, _, out = workdir
+    study = tmp_path / "study"
+    shutil.copytree(out, study)
+    _edit_archive(_block_layout)(study)
+    capsys.readouterr()
+    assert main([*COMMANDS[command], "--out", str(study)]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "run offline again" in err
+
+
+def _tree(root):
+    """Each path under root with its size and modification time."""
+    return {p: (p.stat().st_size, p.stat().st_mtime_ns) for p in Path(root).rglob("*")}
+
+
+def _generated_only(tmp_path):
+    """A study directory that generate wrote and offline has not."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(SMALL_CONFIG))
+    assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    return tmp_path / "o"
+
+
+def _json_array_config(tmp_path):
+    (tmp_path / "config.json").write_text("[1, 2]")
+    return tmp_path / "o"
+
+
+FAILURE_PATHS = [  # (id, study maker or None for the default study, argv, exit code)
+    ("predict-before-offline", _generated_only, ["predict", "--nu", "0.08"], 4),
+    ("offline-without-manifest", lambda tmp_path: tmp_path, ["offline"], 4),
+    ("config-json-array", _json_array_config, ["generate", "--config", "{cfg}"], 2),
+    ("predict-truth-without-run", None, ["predict", "--ic", "truth", "--nu", "0.083"], 4),
+    ("compare-without-run", None, ["compare", "--targets", "0.083"], 4),
+]
+
+
+@pytest.mark.parametrize("make, argv, code",
+                         [pytest.param(*case[1:], id=case[0]) for case in FAILURE_PATHS])
+def test_failure_exits_with_one_line_and_writes_nothing(study, tmp_path, capsys, make,
+                                                        argv, code):
+    out = study.outdir if make is None else make(tmp_path)
+    before = _tree(tmp_path), _tree(out)
+    capsys.readouterr()
+    argv = [a.format(cfg=tmp_path / "config.json") for a in argv]
+    assert main([*argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert (_tree(tmp_path), _tree(out)) == before
 
 
 def test_bench_regenerates_a_study_with_an_offline_mean_entry(workdir, tmp_path):

@@ -41,15 +41,18 @@ def make_setup(rng, nx=24, q=2, count=2, length=2 * np.pi):
 # --------------------------------------------------- brute-force quadrature
 
 def naive_blocks(bases, mean, weight, grad):
-    """Entrywise double/triple loops over grid points; no BLAS, no einsum."""
+    """Entrywise double/triple loops over grid points; no BLAS, no einsum.
+    The arrays come in the archive's stacked layout, index h*q + i for mode
+    i of basis h."""
     np_ = len(bases)
     nx, q = bases[0].shape
+    n = np_ * q
     d = [grad(b) for b in bases]
     dmean = grad(mean)
-    M = np.zeros((np_, np_, q, q))
-    R = np.zeros((np_, np_, q, q))
-    Cb = np.zeros((np_, np_, q, q))
-    C = np.zeros((np_, np_, np_, q, q, q))
+    M = np.zeros((n, n))
+    R = np.zeros((n, n))
+    Cb = np.zeros((n, n))
+    C = np.zeros((n, n * n))
     Fc = np.zeros((np_, q))
     Fd = np.zeros((np_, q))
     for h in range(np_):
@@ -62,17 +65,17 @@ def naive_blocks(bases, mean, weight, grad):
                         r += weight * d[k][x, j] * d[h][x, i]
                         cb += weight * (mean[x] * d[k][x, j]
                                         + bases[k][x, j] * dmean[x]) * bases[h][x, i]
-                    M[h, k, i, j] = m
-                    R[h, k, i, j] = r
-                    Cb[h, k, i, j] = cb
-            for n in range(np_):
+                    M[h * q + i, k * q + j] = m
+                    R[h * q + i, k * q + j] = r
+                    Cb[h * q + i, k * q + j] = cb
+            for e in range(np_):
                 for s in range(q):
                     for i in range(q):
                         for j in range(q):
                             acc = 0.0
                             for x in range(nx):
-                                acc += weight * bases[k][x, j] * d[n][x, s] * bases[h][x, i]
-                            C[h, k, n, s, i, j] = acc
+                                acc += weight * bases[k][x, j] * d[e][x, s] * bases[h][x, i]
+                            C[e * q + s, (h * q + i) * n + k * q + j] = acc
     for k in range(np_):
         for i in range(q):
             fd = fc = 0.0
@@ -102,7 +105,7 @@ def test_single_basis_mass_is_identity(rng):
     ip = InnerProduct(grid.dx)
     basis = compute_pod(np.cumsum(rng.standard_normal((40, 8)), axis=1), ip, q=3)
     ct = assemble_cross_tensors([basis.modes], np.zeros(40), ip, grid.gradient)
-    assert np.max(np.abs(ct.M[0, 0] - np.eye(3))) < 1e-10
+    assert np.max(np.abs(ct.M - np.eye(3))) < 1e-10
 
 
 def test_constant_mean_kills_gradient_half_of_cbar(rng):
@@ -110,18 +113,19 @@ def test_constant_mean_kills_gradient_half_of_cbar(rng):
     c = 2.5
     ct = assemble_cross_tensors(bases, np.full(grid.n, c), ip, grid.gradient)
     # with grad(mean) = 0 only the mean-advection half survives
+    q = bases[0].shape[1]
     for h in range(len(bases)):
         for k in range(len(bases)):
             expected = bases[h].T @ ip.apply(c * grid.gradient(bases[k]))
-            np.testing.assert_allclose(ct.Cbar[h, k], expected, atol=1e-12)
+            np.testing.assert_allclose(ct.Cbar[h * q:(h + 1) * q, k * q:(k + 1) * q],
+                                       expected, atol=1e-12)
 
 
 def test_mass_grid_symmetry(rng):
     grid, ip, mean, bases = make_setup(rng, count=3)
     ct = assemble_cross_tensors(bases, mean, ip, grid.gradient)
-    for h in range(3):
-        for k in range(3):
-            np.testing.assert_allclose(ct.M[h, k], ct.M[k, h].T, atol=1e-12)
+    # block [h, k] is the transpose of block [k, h]: the stacked mass is symmetric
+    np.testing.assert_allclose(ct.M, ct.M.T, atol=1e-12)
 
 
 # ------------------------------------------------------- update vs direct
@@ -168,10 +172,28 @@ def test_update_delta_weights_give_identity_mass(rng):
 def test_update_touches_no_mesh_sized_array(rng):
     grid, ip, mean, bases = make_setup(rng, nx=200, q=3, count=3)
     ct = assemble_cross_tensors(bases, mean, ip, grid.gradient)
-    small = {len(bases), 3}
-    for name in ("M", "R", "Cbar", "C", "F_conv", "F_diff"):
+    n = len(bases) * 3
+    shapes = {"M": (n, n), "R": (n, n), "Cbar": (n, n), "C": (n, n * n),
+              "F_conv": (len(bases), 3), "F_diff": (len(bases), 3)}
+    for name, shape in shapes.items():
         arr = getattr(ct, name)
-        assert set(arr.shape) <= small, f"{name} leaks mesh-sized data: {arr.shape}"
+        assert arr.shape == shape, f"{name} leaks mesh-sized data: {arr.shape}"
+
+
+def test_update_copies_no_archive_array(study):
+    # the archive is multiplied as stored: the largest temporary is S^T C,
+    # q/(Np q) of C, where a re-laid-out copy of C would be all of it
+    nu = 0.083
+    w = pipeline.study_weights(study, nu)
+    rotations = pipeline.online_model(study, w, nu)[0].rotations
+    update_reduced_model(study.tensors, w, rotations, nu)  # one-off allocations
+    tracemalloc.start()
+    try:
+        update_reduced_model(study.tensors, w, rotations, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * study.tensors.C.nbytes
 
 
 def test_direct_project_orthonormal_mass(rng):

@@ -317,9 +317,11 @@ def test_custom_initial_vector():
 @pytest.mark.parametrize("members", [1, 3, 7])
 def test_run_batch_is_bitwise_the_reference_loop(members, n, convection, transient,
                                                  save_every):
+    # members of a batch may start from different profiles: every other one is the sine
     grid = Grid1D(n, 2 * np.pi)
     cfgs = [SolverConfig(nu=0.03 + 0.015 * b, dt=1e-3, steps=42, save_every=save_every,
-                         transient=transient, convection=convection)
+                         transient=transient, convection=convection,
+                         initial=("two_mode", "sine")[b % 2])
             for b in range(members)]
     snaps = run_batch(cfgs, grid)
     assert len(snaps) == members
