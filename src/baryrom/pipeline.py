@@ -52,6 +52,7 @@ from .pod import (  # noqa: F401
     compute_pod,
     global_mean,
     mean_of_row_sums,
+    sample_times,
 )
 from .rom import (
     CrossGalerkinTensors,
@@ -134,9 +135,26 @@ def _weight_kind(kind: str) -> str:
     return kind
 
 
+def _number(value, key: str) -> float:
+    """A JSON number as a float; a boolean, a string or any other value is
+    a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, key: str) -> int:
+    """An integral JSON number as an int, else a ConfigError."""
+    if not _number(value, key).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(doc: dict) -> StudyConfig:
     """StudyConfig from its JSON form; absent keys keep the StudyConfig
-    default, and a key outside the schema is a ConfigError."""
+    default, and a key outside the schema or a value of the wrong type is
+    a ConfigError: a count takes an integral number, and no key takes a
+    boolean or a string where a number is due."""
     base = StudyConfig().to_dict()
     unknown = [k for k in doc if k not in base]
     for section in ("grid", "weights"):
@@ -149,22 +167,25 @@ def config_from_dict(doc: dict) -> StudyConfig:
         grid = {**base["grid"], **doc.get("grid", {})}
         wts = {**base["weights"], **doc.get("weights", {})}
         d = {**base, **doc}
+        if isinstance(d["initial"], list):
+            for v in d["initial"]:
+                _number(v, "initial entry")
         cfg = StudyConfig(
-            grid_n=int(grid["n"]),
-            grid_length=float(grid["length"]),
-            dt=float(d["dt"]),
-            steps=int(d["steps"]),
-            save_every=int(d["save_every"]),
-            transient=int(d["transient"]),
+            grid_n=_integer(grid["n"], "grid.n"),
+            grid_length=_number(grid["length"], "grid.length"),
+            dt=_number(d["dt"], "dt"),
+            steps=_integer(d["steps"], "steps"),
+            save_every=_integer(d["save_every"], "save_every"),
+            transient=_integer(d["transient"], "transient"),
             initial=d["initial"],
-            trained_nu=[float(v) for v in d["trained_nu"]],
-            test_nu=[float(v) for v in d["test_nu"]],
-            q=int(d["q"]),
+            trained_nu=[_number(v, "trained_nu entry") for v in d["trained_nu"]],
+            test_nu=[_number(v, "test_nu entry") for v in d["test_nu"]],
+            q=_integer(d["q"], "q"),
             weights_kind=_weight_kind(str(wts["kind"])),
-            weights_power=float(wts["power"]),
-            weights_neighbors=int(wts["neighbors"]),
-            tol=float(d["tol"]),
-            max_iter=int(d["max_iter"]),
+            weights_power=_number(wts["power"], "weights.power"),
+            weights_neighbors=_integer(wts["neighbors"], "weights.neighbors"),
+            tol=_number(d["tol"], "tol"),
+            max_iter=_integer(d["max_iter"], "max_iter"),
         )
         if cfg.weights_neighbors < 1 or cfg.max_iter < 1:
             raise ValueError("weights.neighbors and max_iter must be >= 1")
@@ -319,10 +340,15 @@ def _run_entry(manifest: dict, nu: float, role=None) -> dict:
 
 
 def load_snapshots(outdir, manifest: dict, nu: float, role=None) -> SnapshotMatrix:
+    """The stored run at nu, at the ``sample_times`` of its t0 and of the
+    config's dt and save_every, the instants of a reduced trajectory."""
     entry = _run_entry(manifest, nu, role)
-    t0, save_dt = (_field(entry, key, "run entry", kind=(int, float)) for key in ("t0", "save_dt"))
+    config = _field(manifest, "config", kind=dict)
+    t0 = _field(entry, "t0", "run entry", kind=(int, float))
+    dt = _field(config, "dt", "config", kind=(int, float))
+    every = _field(config, "save_every", "config", kind=int)
     values = _read(read_matrix, outdir, entry)
-    return SnapshotMatrix(values=values, times=t0 + save_dt * np.arange(values.shape[1]),
+    return SnapshotMatrix(values=values, times=sample_times(t0, dt, every, values.shape[1]),
                           param=nu)
 
 
@@ -352,7 +378,8 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
     # One trained run is read, its first state kept as its stored initial
     # state, the run made its fluctuations in place and reduced to its POD
     # basis, and dropped before the next is read: with ``jobs`` workers the
-    # peak is ``jobs`` runs plus the weighted copy compute_pod makes of each.
+    # peak is ``jobs`` runs, as compute_pod's correlation is one syrk that
+    # makes no weighted copy of a run.
     def reduce(nu):
         values = _shaped(f"trained run nu={nu!r}",
                          load_snapshots(outdir, manifest, nu, role="trained").values, shape)
@@ -610,7 +637,8 @@ def predict(study: Study, nu: float, method: str = "barycentric",
             recon = lifter([b.modes for b in study.bases], study.mean, traj, param=nu,
                            weights=w, rotations=bary.rotations)
         else:
-            recon = lifter(basis, study.mean, traj, param=nu)
+            recon = lifter([basis], study.mean, traj, param=nu, weights=[1.0],
+                           rotations=[np.eye(basis.shape[1])])
     return traj, recon, report
 
 
@@ -623,7 +651,8 @@ def truth_pod_baseline(study: Study, truth: SnapshotMatrix) -> FactoredField:
     alpha0 = initial_condition(basis.modes, study.mean, study.ip, truth.values[:, 0])
     traj = integrate_rom(model, alpha0, study.cfg.dt, study.cfg.steps,
                          record_every=study.cfg.save_every, t0=float(truth.times[0]))
-    return factored_field(basis.modes, study.mean, traj, param=nu)
+    return factored_field([basis.modes], study.mean, traj, param=nu, weights=[1.0],
+                          rotations=[np.eye(basis.modes.shape[1])])
 
 
 def compare(study: Study, targets=None, kind=None, neighbors=None):

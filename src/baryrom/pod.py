@@ -54,6 +54,19 @@ class SnapshotMatrix:
         self.param = float(self.param)
 
 
+def sample_times(t0: float, dt: float, every: int, count: int) -> np.ndarray:
+    """The ``count`` instants t0 + (every k) dt of a run sampled every
+    ``every`` steps of dt from t0.  The solver, the stored runs and the
+    reduced trajectories all take their instants from here, so their
+    instants agree bit for bit.  The step counts every k are exact in
+    floating point, and the one array is worked in place."""
+    times = np.arange(count, dtype=float)
+    times *= every
+    times *= dt
+    times += t0
+    return times
+
+
 @dataclass
 class PODBasis:
     """Leading modes (weighted-orthonormal columns) plus the full spectrum.

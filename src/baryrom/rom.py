@@ -5,10 +5,10 @@ pair (and triple, for the quadratic term) of trained bases once.  The
 online stage then rebuilds the reduced operators for any interpolation
 weights and alignment rotations purely from those q-by-q blocks -- no
 array the size of the mesh is touched -- which is what makes parameter
-sweeps cheap.  ``direct_project`` assembles the same operators by
-straight quadrature against an explicit basis and exists as the oracle
-the cheap update is checked against.  Every basis argument is a plain
-N-by-q array of modes.
+sweeps cheap.  An explicit basis is the one-basis case of the same
+archive: ``direct_project`` is the ``assemble_cross_tensors`` of that
+basis alone, evaluated at nu, and is the oracle the cheap update is
+checked against.  Every basis argument is a plain N-by-q array of modes.
 
 Index conventions (fixed by requiring update == direct projection): the
 archive holds each operator of the stacked bases [Phi_1 ... Phi_Np] as it
@@ -24,12 +24,12 @@ mass matrix over the cell size, and the initial coordinates solve M alpha0
 = S^T c with c = [Phi_1 ... Phi_Np]^T W (u0 - mean) (``online_model`` in
 pipeline).  Only the lift to the mesh needs Phi, and it never forms it:
 a ``FactoredField`` builds the factor [Phi | mean] one block of rows at a
-time, Phi[rows] = sum_h w_h Phi_h[rows] Q_h (or the rows of an explicit
-basis), and multiplies the block by [alpha^T; 1].  ``reconstruct_field``
-fills one field block by block, the error sums of ``metrics`` and
-``io.write_matrix`` walk the blocks through one reused buffer.  Blocks
-are about BLOCK_BYTES of the field and bitwise equal to forming
-[Phi | mean] @ [alpha^T; 1] whole (``row_blocks``).
+time, Phi[rows] = sum_h w_h Phi_h[rows] Q_h (an explicit basis is the mix
+of itself alone, w = 1 and Q = I), and multiplies the block by [alpha^T;
+1].  ``reconstruct_field`` fills one field block by block, the error sums
+of ``metrics`` and ``io.write_matrix`` walk the blocks through one reused
+buffer.  Blocks are about BLOCK_BYTES of the field and bitwise equal to
+forming [Phi | mean] @ [alpha^T; 1] whole (``row_blocks``).
 
 The reduced solve (``integrate_rom``) folds M^-1 into one stacked
 q-by-(1 + q + q^2) operator G = [f | -L | -Chat] by one solve, pre-scaled
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedSolutionError, ShapeMismatchError, SingularMassError
-from .pod import InnerProduct, SnapshotMatrix
+from .pod import InnerProduct, SnapshotMatrix, sample_times
 from .weights import WeightVector
 
 # bytes of one row block of a lifted field, which stays in cache, so no
@@ -93,8 +93,9 @@ def _mode_matrices(bases):
     mats = [np.asarray(b, float) for b in bases]
     shape = mats[0].shape
     for i, m in enumerate(mats):
-        if m.shape != shape:
-            raise ShapeMismatchError(f"basis {i} shape {m.shape} != {shape}")
+        if m.ndim != 2 or m.shape != shape:
+            raise ShapeMismatchError(f"basis {i} has shape {m.shape}; every basis must "
+                                     f"be 2-D, of the shape {shape} of the first")
     return mats
 
 
@@ -174,30 +175,19 @@ def update_reduced_model(
 
 
 def direct_project(basis, mean, ip: InnerProduct, grad_op, nu: float) -> ReducedModel:
-    """Galerkin projection onto an explicit basis by straight quadrature.
+    """Galerkin projection onto one explicit N-by-q basis by straight
+    quadrature: its one-basis ``assemble_cross_tensors`` at viscosity nu,
+    C the (q, q^2) archive block as q-by-q slices and F = F_conv + nu
+    F_diff.
 
     This is the mesh-sized computation the cheap update replaces; it is
     kept as the exactness oracle and as the assembly path for baselines
     built around a single interpolated or truth basis.
     """
-    phi = np.asarray(basis, float)
-    if phi.ndim != 2:
-        raise ShapeMismatchError("basis must be 2-D")
-    nx, q = phi.shape
-    mean = np.asarray(mean, dtype=float)
-    if mean.shape != (nx,):
-        raise ShapeMismatchError(f"mean length {mean.shape} != basis rows {nx}")
-    dphi = grad_op(phi)
-    wphi = ip.apply(phi)
-    dmean = grad_op(mean)
-
-    M = phi.T @ wphi
-    R = dphi.T @ ip.apply(dphi)
-    Cbar = phi.T @ ip.apply(mean[:, None] * dphi + dmean[:, None] * phi)
-    # C[e][i, j] = sum_x w phi_i phi_j (d phi_e): one GEMM against the pair products
-    C = (dphi.T @ (wphi[:, :, None] * phi[:, None, :]).reshape(nx, q * q)).reshape(q, q, q)
-    F = -nu * (dphi.T @ ip.apply(dmean)) - phi.T @ ip.apply(mean * dmean)
-    return ReducedModel(M=M, R=R, Cbar=Cbar, C=C, F=F, nu=float(nu))
+    ct = assemble_cross_tensors([basis], mean, ip, grad_op)
+    q = ct.M.shape[0]
+    return ReducedModel(M=ct.M, R=ct.R, Cbar=ct.Cbar, C=ct.C.reshape(q, q, q),
+                        F=(ct.F_conv + nu * ct.F_diff).ravel(), nu=float(nu))
 
 
 def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
@@ -220,11 +210,11 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     the loop, so a step is a dozen small numpy calls and no lookups.
 
     States are recorded (as copies) at step multiples of ``record_every``,
-    step 0 included, at times t0 + s*dt, and the march stops at the last
-    of them: the steps % record_every steps after it would be neither
-    recorded nor checked.  Each recorded state is checked once for
-    finiteness, as a . 0 == 0 (a finite entry times 0 is +-0, an infinite
-    or nan one gives nan), so a run that overflows raises
+    step 0 included, at the ``sample_times`` t0 + s*dt, and the march
+    stops at the last of them: the steps % record_every steps after it
+    would be neither recorded nor checked.  Each recorded state is checked
+    once for finiteness, as a . 0 == 0 (a finite entry times 0 is +-0, an
+    infinite or nan one gives nan), so a run that overflows raises
     DivergedSolutionError at the first recorded step past the blow-up, not
     after ``steps``.
     """
@@ -257,9 +247,7 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
 
     n_rec = steps // record_every
     alphas = np.empty((n_rec + 1, q))
-    times = np.empty(n_rec + 1)
     alphas[0] = alpha0
-    times[0] = t0
     # M is checked finite first, as np.linalg.cholesky passes an inf or nan
     # diagonal.  A non-finite or overflowing R, Cbar, C, F or nu passes into
     # G and shows up in the states, which are checked instead
@@ -293,13 +281,12 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
                 full(z3, k3)
                 combine(K, dK)
                 add(state, dK, state)
-            s = rec * record_every
             if state.dot(zero) != 0.0:
-                raise DivergedSolutionError(
-                    f"reduced state diverged to a non-finite value by step {s}")
+                raise DivergedSolutionError(f"reduced state diverged to a non-finite "
+                                            f"value by step {rec * record_every}")
             alphas[rec] = state
-            times[rec] = t0 + s * dt
-    return ReducedTrajectory(times=times, alphas=alphas)
+    return ReducedTrajectory(times=sample_times(t0, dt, record_every, n_rec + 1),
+                             alphas=alphas)
 
 
 def row_blocks(nx: int, ns: int) -> list:
@@ -353,15 +340,16 @@ def combined_basis(bases, weights, rotations) -> np.ndarray:
 @dataclass
 class FactoredField:
     """A lifted trajectory kept as its factors: the values are
-    [Phi | mean] @ coeffs with coeffs = [alphas^T; 1], (q + 1, n_times).
-    Phi is ``bases[0]`` when ``rotations`` is None, else the mix sum_h w_h
-    bases[h] Q_h of ``combined_basis``.  ``rows`` forms only its block of
-    [Phi | mean], so a caller that walks the rows never holds Phi or the
-    field whole."""
+    [Phi | mean] @ coeffs with coeffs = [alphas^T; 1], (q + 1, n_times),
+    and Phi the mix sum_h w_h bases[h] Q_h of ``combined_basis``.  An
+    explicit basis is the mix of itself alone, with weight 1 and rotation
+    I, which reproduces every nonzero entry.  ``rows`` forms only its
+    block of [Phi | mean], so a caller that walks the rows never holds Phi
+    or the field whole."""
 
     bases: list
-    weights: np.ndarray | None
-    rotations: list | None
+    weights: np.ndarray
+    rotations: list
     mean: np.ndarray
     coeffs: np.ndarray
     times: np.ndarray
@@ -375,10 +363,7 @@ class FactoredField:
         """Rows start:stop of the field, written into ``out`` when given."""
         mean = self.mean[start:stop]
         factor = np.empty((mean.shape[0], self.coeffs.shape[0]))
-        if self.rotations is None:
-            factor[:, :-1] = self.bases[0][start:stop]
-        else:
-            _mix_rows(self.bases, self.weights, self.rotations, start, stop, factor[:, :-1])
+        _mix_rows(self.bases, self.weights, self.rotations, start, stop, factor[:, :-1])
         factor[:, -1] = mean
         return np.matmul(factor, self.coeffs, out=out)
 
@@ -392,15 +377,12 @@ class FactoredField:
             yield self.rows(start, stop, out=buf[:stop - start])
 
 
-def factored_field(basis, mean, traj: ReducedTrajectory, param=np.nan,
-                   weights=None, rotations=None) -> FactoredField:
-    """The lift u(t) = mean + Phi a(t) of a trajectory, unformed.  Phi is
-    the N-by-q ``basis``, or, given ``weights`` and ``rotations``, the mix
-    sum_h w_h basis[h] Q_h of the list of bases ``basis``."""
-    if rotations is None:
-        mats, wv, rots = [np.asarray(basis, float)], None, None
-    else:
-        mats, wv, rots = _mix_terms(basis, weights, rotations)
+def factored_field(bases, mean, traj: ReducedTrajectory, param=np.nan, *,
+                   weights, rotations) -> FactoredField:
+    """The lift u(t) = mean + Phi a(t) of a trajectory, unformed, Phi the
+    mix sum_h w_h bases[h] Q_h of the list of N-by-q ``bases``; an explicit
+    basis Phi is lifted as ``[Phi]`` with weights [1] and rotations [I]."""
+    mats, wv, rots = _mix_terms(bases, weights, rotations)
     nx, q = mats[0].shape
     mean = np.asarray(mean, dtype=float)
     if q != traj.alphas.shape[1]:
@@ -415,14 +397,14 @@ def factored_field(basis, mean, traj: ReducedTrajectory, param=np.nan,
                          times=traj.times.copy(), param=float(param))
 
 
-def reconstruct_field(basis, mean, traj: ReducedTrajectory, param=np.nan,
-                      weights=None, rotations=None) -> SnapshotMatrix:
+def reconstruct_field(bases, mean, traj: ReducedTrajectory, param=np.nan, *,
+                      weights, rotations) -> SnapshotMatrix:
     """Lift reduced states back to the full field, u(t) = mean + Phi a(t):
     the ``factored_field`` of the same arguments, formed into one field
     that is allocated once and filled one of its ``row_blocks`` at a time.
     The field is the only mesh-sized array, and it is bitwise [Phi | mean]
     @ [alphas^T; 1] with Phi formed whole."""
-    field = factored_field(basis, mean, traj, param, weights, rotations)
+    field = factored_field(bases, mean, traj, param, weights=weights, rotations=rotations)
     values = np.empty(field.shape)
     for start, stop in row_blocks(*field.shape):
         field.rows(start, stop, out=values[start:stop])

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedSolutionError, ShapeMismatchError
-from .pod import SnapshotMatrix
+from .pod import SnapshotMatrix, sample_times
 
 INITIAL_PROFILES = ("sine", "two_mode")
 DIVERGENCE_CAP = 1e6
@@ -241,5 +241,5 @@ def run_batch(cfgs, grid: Grid1D) -> list:
     one = 0 if len(cfgs) == 1 else slice(None)  # one run marches a 1-D state
     _march(u[one], u[one], cfgs, grid, cfg.transient + n_saves * cfg.save_every,
            values[one])
-    times = (cfg.transient + cfg.save_every * np.arange(n_saves + 1)) * cfg.dt
+    times = sample_times(cfg.transient * cfg.dt, cfg.dt, cfg.save_every, n_saves + 1)
     return [SnapshotMatrix(values=v, times=times, param=c.nu) for c, v in zip(cfgs, values)]

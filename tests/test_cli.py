@@ -176,6 +176,19 @@ def test_predict_untrained_smoke(workdir):
     assert len(lines) == 32
 
 
+def test_predict_honours_a_valid_tol(workdir):
+    # a looser barycenter tolerance than the config's stops in fewer sweeps
+    _, _, out = workdir
+    path = out / "predict_nu0.075_barycentric" / "report.json"
+    health = {}
+    for tol in (None, "1e-4"):
+        assert main(["predict", "--out", str(out), "--nu", "0.075"]
+                    + (["--tol", tol] if tol else [])) == 0
+        health[tol] = json.loads(path.read_text())["barycenter"]
+    assert health["1e-4"]["converged"] and health["1e-4"]["final_gradient_norm"] <= 1e-4
+    assert health["1e-4"]["iterations"] < health[None]["iterations"]
+
+
 def test_predict_trained_node_matches_truth_pod(workdir):
     _, _, out = workdir
     study = pipeline.load_study(out)
@@ -270,6 +283,26 @@ def test_compare_at_trained_node_matches_floor(workdir):
     nu, e_b, e_i, e_t, _ = rows[0]
     assert abs(e_b - e_t) < 1e-6
     assert abs(e_i - e_t) < 1e-6
+
+
+def test_compare_samples_a_long_time_study_as_its_models(tmp_path, capsys):
+    # at this dt, t0 + (save_every dt) k and t0 + (save_every k) dt differ by
+    # 1.8e-12 s, beyond the error report's tolerance on the instants: the
+    # stored runs must be sampled as the reduced trajectories are
+    x = pipeline.Grid1D(8, 2 * np.pi).x
+    cfg = {"grid": {"n": 8}, "dt": 11.093, "steps": 600, "save_every": 3, "transient": 3,
+           "trained_nu": [1e-5, 2e-5, 3e-5, 4e-5], "test_nu": [2.5e-5], "q": 2,
+           "initial": list(1e-3 * np.sin(x) + 5e-4 * np.sin(2 * x))}
+    cfg_path, out = tmp_path / "long.json", str(tmp_path / "long")
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["generate", "--config", str(cfg_path), "--out", out]) == 0
+    assert main(["offline", "--out", out]) == 0
+    assert main(["compare", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    study = pipeline.load_study(out)
+    truth = pipeline.load_snapshots(study.outdir, study.manifest, 2.5e-5)
+    traj = pipeline.predict(study, 2.5e-5, ic_mode="truth", truth=truth, lift=False)[0]
+    np.testing.assert_array_equal(truth.times, traj.times)
 
 
 def test_offline_online_separation(workdir, tmp_path):
@@ -412,6 +445,31 @@ def test_bench_rebuild_removes_files_of_the_stale_study(workdir, tmp_path):
     assert "snap_nu0.07.mat" not in listed and "snap_nu0.08.mat" in listed
 
 
+def test_bench_never_deletes_outside_its_size_directory(workdir, tmp_path):
+    # a stale manifest in bench_nx16 whose entries name files outside it: a
+    # relative path up, an absolute path and the parent directory itself
+    _, cfg_path, _ = workdir
+    out = tmp_path / "bench"
+    size_dir = out / "bench_nx16"
+    size_dir.mkdir(parents=True)
+    victim, outside = out / "victim.txt", tmp_path / "outside.txt"
+    for path in (victim, outside, size_dir / "stale.mat"):
+        path.write_text("keep")
+    entries = [{"path": name, "sha256": "0" * 64}
+               for name in ("../victim.txt", str(outside), "..", "stale.mat")]
+    write_manifest(size_dir / "manifest.json",
+                   {"config": {}, "runs": entries, "mean": entries[0],
+                    "offline": {"pod": entries[1:], "ics": entries[:1], "archive": entries[2]}})
+    cfg_small = tmp_path / "bench.json"
+    cfg_small.write_text(json.dumps({**json.loads(cfg_path.read_text()), "steps": 40,
+                                     "transient": 10, "test_nu": []}))
+    assert main(["bench", "--config", str(cfg_small), "--out", str(out),
+                 "--sizes", "16", "--reps", "2"]) == 0
+    assert victim.read_text() == "keep" and outside.read_text() == "keep"
+    assert not (size_dir / "stale.mat").exists()  # the one entry inside is removed
+    assert pipeline.load_study(size_dir).grid.n == 16
+
+
 @pytest.mark.parametrize("nu", ["nan", "-0.05"])
 def test_bench_checks_viscosity_before_building(workdir, tmp_path, nu):
     _, cfg_path, _ = workdir
@@ -531,6 +589,23 @@ MALFORMED_INPUT = [  # (argv, config overrides); "{out}" is a copy of the study
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"test_nu": [0.08, 0.08]}),
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"trained_nus": [0.2]}),
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"grid": {"n": 64, "nx": 512}}),
+    # a count takes an integral number; no key takes a boolean or a string for a number
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"q": 7.9}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"q": True}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"dt": True}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"max_iter": 1.5}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"save_every": "5"}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"test_nu": [True]}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"trained_nu": ["0.05"]}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"grid": {"n": 64.5}}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"steps": 120.5}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"transient": False}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"weights": {"neighbors": 2.5}}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"weights": {"power": "2"}}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"tol": "1e-10"}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"grid": {"length": True}}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"initial": [True] * 64}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"initial": ["1.0"] * 64}),
 ]
 
 

@@ -35,7 +35,8 @@ def test_factored_field_is_written_block_by_block_as_its_formed_values(tmp_path,
     traj = ReducedTrajectory(times=np.arange(ns, dtype=float),
                              alphas=rng.standard_normal((ns, q)))
     args = ((bases, mean, traj), dict(weights=[0.5, 0.0, 0.7], rotations=[np.eye(q)] * 3))
-    args = args if mixed else ((bases[0], mean, traj), {})
+    args = args if mixed else ((bases[:1], mean, traj), dict(weights=[1.0],
+                                                             rotations=[np.eye(q)]))
     formed, factored = tmp_path / "formed.mat", tmp_path / "factored.mat"
     digest = write_matrix(formed, reconstruct_field(*args[0], **args[1]).values)
     assert write_matrix(factored, factored_field(*args[0], **args[1])) == digest

@@ -161,16 +161,17 @@ def test_blocked_lift_and_score_is_bitwise_the_reconstruction_score(rng, nx, ns)
                               alphas=rng.standard_normal((ns, q)))
     basis, mean = rng.standard_normal((nx, q)), 1.0 + rng.standard_normal(nx)
     ref = traj(rng.standard_normal((nx, ns)) + mean[:, None], t0=0.3, dt=0.005)
-    want = error_report(ref, reconstruct_field(basis, mean, rtraj, ref.param), ip, "m")
-    field = factored_field(basis, mean, rtraj, ref.param)
+    one = dict(weights=[1.0], rotations=[np.eye(q)])  # the basis alone
+    want = error_report(ref, reconstruct_field([basis], mean, rtraj, ref.param, **one), ip, "m")
+    field = factored_field([basis], mean, rtraj, ref.param, **one)
     got = error_report(ref, field, ip, "m")
     again = error_report(ref, field, ip, "m", ref_sq=got.ref_sq)
     for rep in (got, again):
         assert rep.per_time == want.per_time
         assert rep.mean == want.mean
         np.testing.assert_array_equal(rep.ref_sq, want.ref_sq)
-    assert mean_error(ref, field, ip) == mean_error(ref, reconstruct_field(basis, mean, rtraj),
-                                                    ip)
+    assert mean_error(ref, field, ip) == mean_error(
+        ref, reconstruct_field([basis], mean, rtraj, **one), ip)
 
 
 def test_error_report_rejects_ref_sums_of_another_length(rng):

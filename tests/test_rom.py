@@ -87,7 +87,7 @@ def naive_blocks(bases, mean, weight, grad):
     return M, R, Cb, C, Fc, Fd
 
 
-@pytest.mark.parametrize("count, q", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("count, q", [(2, 2), (3, 2), (2, 3), (1, 3)])
 def test_assembly_matches_quadrature_oracle(rng, count, q):
     grid, ip, mean, bases = make_setup(rng, q=q, count=count)
     ct = assemble_cross_tensors(bases, mean, ip, grid.gradient)
@@ -98,6 +98,17 @@ def test_assembly_matches_quadrature_oracle(rng, count, q):
     np.testing.assert_allclose(ct.C, C, atol=1e-12)
     np.testing.assert_allclose(ct.F_conv, Fc, atol=1e-12)
     np.testing.assert_allclose(ct.F_diff, Fd, atol=1e-12)
+
+
+def test_direct_project_matches_quadrature_oracle(rng):
+    # the one-basis archive evaluated at nu: F = F_conv + nu F_diff, C as q slices
+    grid, ip, mean, bases = make_setup(rng, q=3, count=1)
+    model = direct_project(bases[0], mean, ip, grid.gradient, nu=0.07)
+    M, R, Cb, C, Fc, Fd = naive_blocks(bases, mean, grid.dx, grid.gradient)
+    for got, want in ((model.M, M), (model.R, R), (model.Cbar, Cb),
+                      (model.C, C.reshape(3, 3, 3)), (model.F, (Fc + 0.07 * Fd).ravel())):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_single_basis_mass_is_identity(rng):
@@ -575,7 +586,7 @@ def test_linear_energy_nonincreasing(rng):
 def test_reconstruct_zero_alphas_gives_mean(rng):
     grid, ip, mean, bases = make_setup(rng)
     traj = ReducedTrajectory(times=np.arange(4.0), alphas=np.zeros((4, 2)))
-    rec = reconstruct_field(bases[0], mean, traj)
+    rec = reconstruct_field(bases[:1], mean, traj, weights=[1.0], rotations=[np.eye(2)])
     for j in range(4):
         np.testing.assert_array_equal(rec.values[:, j], mean)
 
@@ -583,7 +594,7 @@ def test_reconstruct_zero_alphas_gives_mean(rng):
 def test_reconstruct_single_mode(rng):
     grid, ip, mean, bases = make_setup(rng, q=1)
     traj = ReducedTrajectory(times=np.array([0.0]), alphas=np.array([[1.0]]))
-    rec = reconstruct_field(bases[0], mean, traj)
+    rec = reconstruct_field(bases[:1], mean, traj, weights=[1.0], rotations=[np.eye(1)])
     np.testing.assert_allclose(rec.values[:, 0], mean + bases[0][:, 0], atol=1e-14)
 
 
@@ -597,8 +608,9 @@ def test_reconstruct_projection_identity(rng):
     fluct = truth - mean[:, None]
     basis = compute_pod(fluct, ip, q=4)
     alphas = (basis.modes.T @ ip.apply(fluct)).T
-    rec = reconstruct_field(basis.modes, mean,
-                            ReducedTrajectory(times=np.arange(10.0), alphas=alphas))
+    rec = reconstruct_field([basis.modes], mean,
+                            ReducedTrajectory(times=np.arange(10.0), alphas=alphas),
+                            weights=[1.0], rotations=[np.eye(4)])
     err_sq = float(np.sum(ip.apply(truth - rec.values) * (truth - rec.values)))
     assert err_sq == pytest.approx(float(basis.eigenvalues[4:].sum()),
                                    rel=1e-10, abs=1e-12)
@@ -629,7 +641,8 @@ def test_initial_condition_least_squares_residual_orthogonal(rng):
 def test_reconstruct_matches_mean_plus_modes(rng):
     grid, ip, mean, bases = make_setup(rng, nx=500, q=5)
     traj = ReducedTrajectory(times=np.arange(40.0), alphas=rng.standard_normal((40, 5)))
-    rec = reconstruct_field(bases[0], mean, traj, param=0.3)
+    rec = reconstruct_field(bases[:1], mean, traj, param=0.3, weights=[1.0],
+                            rotations=[np.eye(5)])
     expected = mean[:, None] + bases[0] @ traj.alphas.T
     assert np.max(np.abs(rec.values - expected)) <= 1e-14 * np.max(np.abs(expected))
     assert rec.param == 0.3 and rec.times is not traj.times
@@ -670,8 +683,8 @@ def test_blocked_lift_is_bitwise_the_whole_product(rng, monkeypatch, nx, ns, blo
     assert got.param == 0.07 and got.times is not traj.times
     field = factored_field(bases, mean, traj, weights=w, rotations=rotations)
     np.testing.assert_array_equal(np.vstack([b.copy() for b in field.blocks()]), want)
-    # an explicit basis (ITSGM, truth-POD) lifts as the same product
-    explicit = reconstruct_field(bases[2], mean, traj)
+    # an explicit basis (ITSGM, truth-POD) lifts as the mix of itself alone
+    explicit = reconstruct_field(bases[2:3], mean, traj, weights=[1.0], rotations=[np.eye(q)])
     np.testing.assert_array_equal(explicit.values, whole_lift(
         bases[2:3], [1.0], [np.eye(q)], mean, traj.alphas)[1])
 
@@ -716,7 +729,7 @@ def test_reconstruct_shape_mismatch(rng):
     grid, ip, mean, bases = make_setup(rng, q=2)
     traj = ReducedTrajectory(times=np.array([0.0]), alphas=np.zeros((1, 3)))
     with pytest.raises(ShapeMismatchError):
-        reconstruct_field(bases[0], mean, traj)
+        reconstruct_field(bases[:1], mean, traj, weights=[1.0], rotations=[np.eye(2)])
 
 
 # ------------------------------------------------ trained-point consistency
