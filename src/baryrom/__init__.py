@@ -29,13 +29,12 @@ from .manifold import (
     procrustes_rotation,
     subspace_distance,
 )
-from .metrics import ErrorReport, error_at_time, mean_error
+from .metrics import ErrorReport, mean_error
 from .pod import (
     InnerProduct,
     PODBasis,
     SnapshotMatrix,
     compute_pod,
-    energy_fraction,
     global_mean,
 )
 from .rom import (
@@ -53,5 +52,5 @@ from .rom import (
     update_reduced_model,
     weighted_rotations,
 )
-from .solver import Grid1D, SolverConfig, initial_profile, run, run_batch, step
+from .solver import Grid1D, SolverConfig, initial_profile, run, run_batch
 from .weights import WeightScheme, WeightVector, evaluate_weights, select_neighbors

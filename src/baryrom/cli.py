@@ -146,7 +146,7 @@ def _cmd_predict(args) -> int:
          for j in range(traj.times.size)],
     )
     with pipeline._timed(report["timings"], "lift_s"):
-        write_matrix(outdir / "field.mat", field)
+        report["field_sha256"] = write_matrix(outdir / "field.mat", field)
     write_manifest(outdir / "report.json", report)
     print(f"wrote trajectory, field and report under {outdir}")
     return EXIT_OK

@@ -16,8 +16,8 @@ stage runs ``karcher_barycenter`` on them without touching an array the
 size of the mesh.
 
 A Grassmann tangent-space interpolation (the classical ITSGM baseline,
-operating on orthonormal representatives with arctan/cos/sin of principal
-angles) is provided for comparison runs.
+which orthonormalizes its inputs and works with arctan/cos/sin of
+principal angles) is provided for comparison runs.
 """
 
 from __future__ import annotations
@@ -117,6 +117,8 @@ def orthonormalize(m):
     """Thin QR factor with positive-diagonal convention (deterministic)."""
     m = _as_representative(m)
     qmat, rmat = np.linalg.qr(m)
+    if not np.abs(np.diag(rmat)).min() > RANK_TOL * np.abs(np.diag(rmat)).max():
+        raise RankDeficientError("matrix is rank deficient (QR diagonal)")
     signs = np.sign(np.diag(rmat))
     signs[signs == 0.0] = 1.0
     return qmat * signs
@@ -264,8 +266,9 @@ def gram_coordinates(gram, q):
 
 
 def itsgm_interpolate(bases, weights, ref_index):
-    """Grassmann tangent-space interpolation of orthonormal bases.
+    """Grassmann tangent-space interpolation of the spans of full-rank bases.
 
+    The inputs are orthonormalized first, so only their spans matter.
     Each subspace is lifted to the tangent space at the reference with
     the arctan of the principal-angle singular values, the lifted
     velocities are combined entrywise with ``weights`` (one per basis),
@@ -277,14 +280,12 @@ def itsgm_interpolate(bases, weights, ref_index):
     if w.shape != (len(mats),):
         raise ShapeMismatchError("one weight per basis required")
     shape = mats[0].shape
-    q = shape[1]
     for i, m in enumerate(mats):
         if m.shape != shape:
             raise ShapeMismatchError(f"bases[{i}] shape {m.shape} != {shape}")
-        if np.linalg.norm(m.T @ m - np.eye(q)) > 1e-8:
-            raise ValueError(f"bases[{i}] does not have orthonormal columns")
     if not 0 <= ref_index < len(mats):
         raise IndexError(f"ref_index {ref_index} out of range")
+    mats = [orthonormalize(m) for m in mats]
 
     ref = mats[ref_index]
     gram = ref.T @ ref

@@ -21,18 +21,6 @@ class ErrorReport:
     ref_sq: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def error_at_time(ref, approx, ip: InnerProduct) -> float:
-    """100 * ||ref - approx||_W / ||ref||_W for a single field."""
-    ref = np.asarray(ref, dtype=float)
-    approx = np.asarray(approx, dtype=float)
-    if ref.shape != approx.shape:
-        raise ShapeMismatchError(f"shapes differ: {ref.shape} vs {approx.shape}")
-    nref = ip.norm(ref)
-    if nref == 0.0:
-        raise ZeroReferenceError("reference field has zero norm")
-    return 100.0 * ip.norm(ref - approx) / nref
-
-
 def _column_sums(ref: SnapshotMatrix, approx, ip: InnerProduct, den=None):
     """Squared weighted norms of ref - approx and of ref, one per instant.
 
@@ -94,11 +82,11 @@ def mean_error(ref: SnapshotMatrix, approx, ip: InnerProduct) -> float:
 
 def error_report(ref: SnapshotMatrix, approx, ip: InnerProduct, method: str = "",
                  ref_sq=None) -> ErrorReport:
-    """Per-instant errors (as ``error_at_time``) and their time mean (as
-    ``mean_error``), from one pass of weighted column sums.  ``approx`` is
-    a SnapshotMatrix or a FactoredField, which is scored a block of rows at
-    a time.  ``ref_sq`` is an earlier report's ``ref_sq`` on the same ref:
-    given it, ref is not squared and summed again."""
+    """Per-instant errors 100 * ||ref - approx||_W / ||ref||_W and their
+    time mean (as ``mean_error``), from one pass of weighted column sums.
+    ``approx`` is a SnapshotMatrix or a FactoredField, which is scored a
+    block of rows at a time.  ``ref_sq`` is an earlier report's ``ref_sq``
+    on the same ref: given it, ref is not squared and summed again."""
     if ref_sq is not None:
         ref_sq = np.asarray(ref_sq, dtype=float)
         if ref_sq.shape != ref.times.shape:

@@ -41,7 +41,7 @@ from .io import (  # noqa: F401
     write_manifest,
     write_matrix,
 )
-from .manifold import gram_coordinates, itsgm_interpolate, karcher_barycenter, orthonormalize
+from .manifold import gram_coordinates, itsgm_interpolate, karcher_barycenter
 # mean_error stays bound here: perfbench's Tracer wraps every name in its TRACED
 from .metrics import error_report, mean_error, write_csv  # noqa: F401
 # global_mean stays bound here: perfbench's Tracer wraps it by name
@@ -308,7 +308,7 @@ def run_generate(cfg: StudyConfig, outdir, jobs: int = 1) -> dict:
         for (nu, role), snap in zip(members, snaps):
             path = outdir / f"snap_nu{_nu_tag(nu)}.mat"
             entries.append(_entry(path, write_matrix(path, snap.values), nu=nu, role=role,
-                                  t0=float(snap.times[0]), save_dt=cfg.save_every * cfg.dt,
+                                  t0=float(snap.times[0]),
                                   n_snapshots=int(snap.values.shape[1])))
             if role == "trained":
                 row_sums.append(snap.values.sum(axis=1))
@@ -422,8 +422,8 @@ class Study:
     initial states, ic_coords[:, j] = [Phi_1 ... Phi_Np]^T W (ics[j] -
     mean), (Np q, Np).  With them and the tensor archive, a barycentric
     prediction reads no mesh-sized array until it lifts its trajectory.
-    ``ortho`` holds the orthonormalized trained bases the ITSGM baseline
-    interpolates, made once here rather than in every prediction.
+    The ITSGM baseline interpolates the selected ``bases`` as they are
+    stored; it orthonormalizes them itself.
     """
 
     outdir: Path
@@ -437,7 +437,6 @@ class Study:
     tensors: CrossGalerkinTensors
     frame: list
     ic_coords: np.ndarray
-    ortho: list
 
     @property
     def params(self) -> np.ndarray:
@@ -471,8 +470,7 @@ def load_study(outdir) -> Study:
     ct = _cross_tensors(arrays, np_, q)
     frame = gram_coordinates(ct.M / ip.weight, cfg.q)
     ic_coords = _coords(bases, mean, ip, np.column_stack(ics))
-    ortho = [orthonormalize(b.modes) for b in bases]
-    return Study(outdir, manifest, cfg, grid, ip, mean, bases, ics, ct, frame, ic_coords, ortho)
+    return Study(outdir, manifest, cfg, grid, ip, mean, bases, ics, ct, frame, ic_coords)
 
 
 def _cross_tensors(arrays: dict, np_: int, q: int) -> CrossGalerkinTensors:
@@ -615,9 +613,9 @@ def predict(study: Study, nu: float, method: str = "barycentric",
     else:
         with _timed(timings, "interpolation_s"):
             sel = [k for k in range(study.params.size) if w.values[k] != 0.0]
-            ortho = [study.ortho[k] for k in sel]
             ref_local = int(np.argmin(np.abs(study.params[sel] - nu)))
-            basis = itsgm_interpolate(ortho, w.values[sel], ref_local)
+            basis = itsgm_interpolate([study.bases[k].modes for k in sel], w.values[sel],
+                                      ref_local)
         with _timed(timings, "projection_s"):
             model = direct_project(basis, study.mean, study.ip, study.grid.gradient, nu)
         with _timed(timings, "initial_condition_s"):

@@ -139,14 +139,3 @@ def compute_pod(fluct, ip: InnerProduct, q: int) -> PODBasis:
         if modes[np.argmax(np.abs(modes[:, k])), k] < 0:
             modes[:, k] = -modes[:, k]
     return PODBasis(modes=modes, eigenvalues=np.clip(evals, 0.0, None))
-
-
-def energy_fraction(basis: PODBasis, q: int) -> float:
-    """Fraction of total correlation energy captured by the first q modes."""
-    evals = basis.eigenvalues
-    if not 0 <= q <= evals.size:
-        raise ValueError(f"q must lie in 0..{evals.size}, got {q}")
-    total = float(evals.sum())
-    if total == 0.0:
-        return 1.0
-    return float(evals[:q].sum() / total)

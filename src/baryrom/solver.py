@@ -160,14 +160,13 @@ def _convection_kernel(shape, inv2dx):
     return convection
 
 
-def _march(u, up, cfgs, grid: Grid1D, nsteps, values=None):
-    """Advance nsteps steps from the states u (step n-1) and up (n-2) and
-    return the last state.  A state is (n,) for one config or (B, n) for
-    B configs, which differ only in nu and the initial state; every
-    operation acts along the last axis.  Steps count from 1; with
-    ``values``, (n, S) or (B, n, S), the state after step k goes into
-    column (k - transient) / save_every whenever that is a whole number
-    >= 0.
+def _march(u, cfgs, grid: Grid1D, nsteps, values):
+    """Advance nsteps steps from the initial state u, which also stands in
+    for the state before it, and write the state after step k into column
+    (k - transient) / save_every of ``values`` whenever that is a whole
+    number >= 0.  A state is (n,) for one config or (B, n) for B configs,
+    which differ only in nu and the initial state, and ``values`` is (n, S)
+    or (B, n, S); every operation acts along the last axis.
 
     rhs = u - dt*(1.5*N(u) - 0.5*N(up)) with one convection per step:
     0.5*N(u) is kept as the next step's 0.5*N(up).
@@ -180,7 +179,7 @@ def _march(u, up, cfgs, grid: Grid1D, nsteps, values=None):
     if cfg.convection:
         convection = _convection_kernel(u.shape, 1.0 / (2.0 * grid.dx))
         rhs = np.empty(u.shape)
-        half_prev = 0.5 * convection(up)
+        half_prev = 0.5 * convection(u)
     for k in range(1, nsteps + 1):
         if cfg.convection:
             conv = convection(u)
@@ -199,20 +198,9 @@ def _march(u, up, cfgs, grid: Grid1D, nsteps, values=None):
                 f"solution exceeded {DIVERGENCE_CAP:.0e} or is not finite at substep "
                 f"{k} (nu={bad.nu}, dt={bad.dt})"
             )
-        if values is not None:
-            j, r = divmod(k - cfg.transient, cfg.save_every)
-            if r == 0 and j >= 0:
-                values[..., j] = u
-    return u
-
-
-def step(u_nm1, u_nm2, cfg: SolverConfig, grid: Grid1D) -> np.ndarray:
-    """One time step from states at n-1 and n-2 (pass u_nm2 = u_nm1 to boot)."""
-    u_nm1 = np.asarray(u_nm1, dtype=float)
-    u_nm2 = np.asarray(u_nm2, dtype=float)
-    if u_nm1.shape != (grid.n,) or u_nm2.shape != (grid.n,):
-        raise ShapeMismatchError("state length does not match the grid")
-    return _march(u_nm1, u_nm2, [cfg], grid, 1)
+        j, r = divmod(k - cfg.transient, cfg.save_every)
+        if r == 0 and j >= 0:
+            values[..., j] = u
 
 
 def run(cfg: SolverConfig, grid: Grid1D) -> SnapshotMatrix:
@@ -239,7 +227,6 @@ def run_batch(cfgs, grid: Grid1D) -> list:
     values = np.empty((*u.shape, n_saves + 1))
     values[..., 0] = u  # replaced at the last transient step, if there is one
     one = 0 if len(cfgs) == 1 else slice(None)  # one run marches a 1-D state
-    _march(u[one], u[one], cfgs, grid, cfg.transient + n_saves * cfg.save_every,
-           values[one])
+    _march(u[one], cfgs, grid, cfg.transient + n_saves * cfg.save_every, values[one])
     times = sample_times(cfg.transient * cfg.dt, cfg.dt, cfg.save_every, n_saves + 1)
     return [SnapshotMatrix(values=v, times=times, param=c.nu) for c, v in zip(cfgs, values)]

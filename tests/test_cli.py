@@ -26,7 +26,6 @@ from baryrom import (
     itsgm_interpolate,
     karcher_barycenter,
     mean_error,
-    orthonormalize,
 )
 from baryrom.cli import build_parser, main
 from baryrom.io import (
@@ -38,7 +37,7 @@ from baryrom.io import (
     write_manifest,
     write_matrix,
 )
-from baryrom import pipeline
+from baryrom import manifold, pipeline
 
 SMALL_CONFIG = {
     "grid": {"n": 64, "length": 6.283185307179586},
@@ -168,6 +167,7 @@ def test_predict_untrained_smoke(workdir):
                                       "initial_condition_s", "integrate_s", "lift_s"}
     assert all(v >= 0 for v in report["timings"].values())
     assert 1.0 <= report["mass_condition"] < 1e3
+    assert report["field_sha256"] == sha256_file(pdir / "field.mat")
     field = read_matrix(pdir / "field.mat")
     assert field.shape == (64, 31)
     assert np.all(np.isfinite(field))
@@ -210,12 +210,44 @@ def test_predict_itsgm_dispatch(workdir):
     _, _, out = workdir
     assert main(["predict", "--out", str(out), "--nu", "0.08", "--ic", "truth",
                  "--method", "itsgm"]) == 0
-    report = json.loads(
-        (out / "predict_nu0.08_itsgm_truth" / "report.json").read_text())
+    pdir = out / "predict_nu0.08_itsgm_truth"
+    report = json.loads((pdir / "report.json").read_text())
     assert report["method"] == "itsgm"
     assert set(report["timings"]) == {"interpolation_s", "projection_s",
                                       "initial_condition_s", "integrate_s", "lift_s"}
     assert 1.0 <= report["mass_condition"] < 1e3
+    assert report["field_sha256"] == sha256_file(pdir / "field.mat")
+
+
+def test_only_itsgm_orthonormalizes(workdir, monkeypatch):
+    # loading and a barycentric prediction factor no mesh-sized basis; ITSGM
+    # factors each basis it interpolates, inside itsgm_interpolate
+    _, _, out = workdir
+    calls, inside = [], []
+    qr, interpolate = manifold.orthonormalize, pipeline.itsgm_interpolate
+
+    def counted(m):
+        calls.append(bool(inside))
+        return qr(m)
+
+    def marked(*args, **kwargs):
+        inside.append(1)
+        try:
+            return interpolate(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    for name, module in list(sys.modules.items()):  # every binding of it in the package
+        if name.startswith("baryrom") and getattr(module, "orthonormalize", None) is qr:
+            monkeypatch.setattr(module, "orthonormalize", counted)
+    monkeypatch.setattr(pipeline, "itsgm_interpolate", marked)
+    study = pipeline.load_study(out)
+    assert calls == []
+    pipeline.predict(study, 0.08, lift=False)
+    assert calls == []
+    pipeline.predict(study, 0.08, method="itsgm", lift=False)
+    nonzero = np.count_nonzero(pipeline.study_weights(study, 0.08).values)
+    assert nonzero > 1 and calls == [True] * nonzero
 
 
 def test_itsgm_predict_follows_weight_kind(workdir):
@@ -230,8 +262,8 @@ def test_itsgm_predict_follows_weight_kind(workdir):
     w = pipeline.study_weights(study, nu, kind="idw")
     sel = np.flatnonzero(w.values)
     ref = int(np.argmin(np.abs(study.params[sel] - nu)))
-    basis = itsgm_interpolate([orthonormalize(study.bases[k].modes) for k in sel],
-                              w.values[sel], ref_index=ref)
+    basis = itsgm_interpolate([study.bases[k].modes for k in sel], w.values[sel],
+                              ref_index=ref)
     fluct = field - study.mean[:, None]
     assert np.linalg.norm(fluct - basis @ (basis.T @ fluct)) < 1e-10 * np.linalg.norm(fluct)
 

@@ -439,8 +439,20 @@ def test_itsgm_single_basis_constant(rng):
         assert subspace_distance(out, basis) < 1e-10
 
 
-def test_itsgm_requires_orthonormal_columns(rng):
-    bad = 2.0 * orthonormalize(rng.standard_normal((20, 2)))
-    good = orthonormalize(rng.standard_normal((20, 2)))
-    with pytest.raises(ValueError):
-        itsgm_interpolate([bad, good], lagrange([0.0, 1.0], 0.5), ref_index=0)
+def test_itsgm_interpolates_the_spans_of_its_inputs(rng):
+    # scaled, rotated representatives of orthonormal bases span the same subspaces
+    ortho = close_family(rng, 20, 3, 3)
+    w = lagrange([0.1, 0.2, 0.3], 0.17)
+    expected = itsgm_interpolate(ortho, w, ref_index=1)
+    rotated = [3.0 * b @ np.linalg.qr(rng.standard_normal((3, 3)))[0] for b in ortho]
+    out = itsgm_interpolate(rotated, w, ref_index=1)
+    assert subspace_distance(out, expected) < 1e-10
+    np.testing.assert_allclose(out.T @ out, np.eye(3), atol=1e-10)
+
+
+def test_itsgm_rejects_a_rank_deficient_input(rng):
+    good = rng.standard_normal((20, 3))
+    bad = good.copy()
+    bad[:, 2] = bad[:, 1]
+    with pytest.raises(RankDeficientError):
+        itsgm_interpolate([good, bad], [0.5, 0.5], ref_index=0)

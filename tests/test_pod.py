@@ -8,7 +8,6 @@ from baryrom import (
     ShapeMismatchError,
     SnapshotMatrix,
     compute_pod,
-    energy_fraction,
     global_mean,
     pipeline,
 )
@@ -216,15 +215,3 @@ def test_pod_sign_convention(rng):
     for k in range(4):
         col = basis.modes[:, k]
         assert col[np.argmax(np.abs(col))] > 0
-
-
-# --------------------------------------------------------- energy fraction
-
-def test_energy_fraction_values():
-    from baryrom.pod import PODBasis
-
-    basis = PODBasis(modes=np.zeros((3, 2)), eigenvalues=np.array([4.0, 1.0]))
-    assert energy_fraction(basis, 2) == pytest.approx(1.0)
-    assert energy_fraction(basis, 1) == pytest.approx(0.8)
-    degenerate = PODBasis(modes=np.zeros((3, 1)), eigenvalues=np.array([5.0, 0.0, 0.0]))
-    assert energy_fraction(degenerate, 1) == pytest.approx(1.0)

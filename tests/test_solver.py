@@ -6,12 +6,10 @@ import pytest
 from baryrom import (
     DivergedSolutionError,
     Grid1D,
-    ShapeMismatchError,
     SolverConfig,
     initial_profile,
     run,
     run_batch,
-    step,
 )
 from baryrom import solver
 from baryrom.solver import diffusion_symbol
@@ -57,65 +55,50 @@ def run_reference(cfg, grid):
     return np.column_stack(saved)
 
 
-# ------------------------------------------------------------- single step
+# ------------------------------------------------------------ single steps
+
+def first_states(grid, u0, **cfg):
+    """States 0, 1 and 2 of a two-step run from u0, saving every step."""
+    values = run(SolverConfig(**cfg, steps=2, initial=u0, save_every=1), grid).values
+    return values[:, 0], values[:, 1], values[:, 2]
+
 
 def test_constant_state_is_fixed_point():
     grid = Grid1D(32, 1.0)
-    cfg = SolverConfig(nu=0.2, dt=0.01, steps=1)
     u = np.full(32, 3.7)
-    out = step(u, u, cfg, grid)
-    np.testing.assert_allclose(out, u, atol=1e-13)
+    for out in first_states(grid, u, nu=0.2, dt=0.01)[1:]:
+        np.testing.assert_allclose(out, u, atol=1e-13)
 
 
 def test_implicit_solve_matches_dense_oracle():
-    # diffusion only: one step must solve (I - nu dt L) u = u_old exactly
+    # diffusion only: each step must solve (I - nu dt L) u = u_old exactly
     n, nu, dt = 16, 0.3, 0.01
     grid = Grid1D(n, 1.0)
-    cfg = SolverConfig(nu=nu, dt=dt, steps=1, convection=False)
     A = np.eye(n) - nu * dt * periodic_laplacian_dense(n, grid.dx)
     rng = np.random.default_rng(0)
     for _ in range(5):
-        u = rng.standard_normal(n)
-        np.testing.assert_allclose(step(u, u, cfg, grid),
-                                   np.linalg.solve(A, u), atol=1e-13)
+        u0, u1, u2 = first_states(grid, rng.standard_normal(n), nu=nu, dt=dt,
+                                  convection=False)
+        np.testing.assert_allclose(u1, np.linalg.solve(A, u0), atol=1e-13)
+        np.testing.assert_allclose(u2, np.linalg.solve(A, u1), atol=1e-13)
 
 
 def test_full_step_matches_dense_oracle():
-    # with convection: rhs = u - dt*(1.5 N(u1) - 0.5 N(u2)), skew form
+    # with convection, step 2: rhs = u1 - dt*(1.5 N(u1) - 0.5 N(u0)), skew form
     n, nu, dt = 24, 0.05, 0.002
     grid = Grid1D(n, 2 * np.pi)
-    cfg = SolverConfig(nu=nu, dt=dt, steps=1)
     A = np.eye(n) - nu * dt * periodic_laplacian_dense(n, grid.dx)
     rng = np.random.default_rng(1)
-    u1 = 1.0 + 0.3 * rng.standard_normal(n)
-    u2 = 1.0 + 0.3 * rng.standard_normal(n)
+    u0, u1, u2 = first_states(grid, 1.0 + 0.3 * rng.standard_normal(n), nu=nu, dt=dt)
+    assert np.max(np.abs(u1 - u0)) > 1e-3  # the two states step 2 combines differ
 
     def conv(v):
         vp = np.roll(v, -1)
         vm = np.roll(v, 1)
         return (0.5 * v * (vp - vm) + 0.25 * (vp**2 - vm**2)) / (2 * grid.dx)
 
-    rhs = u1 - dt * (1.5 * conv(u1) - 0.5 * conv(u2))
-    np.testing.assert_allclose(step(u1, u2, cfg, grid),
-                               np.linalg.solve(A, rhs), atol=1e-13)
-
-
-@pytest.mark.parametrize("convection", [True, False])
-@pytest.mark.parametrize("n", [8, 40, 256])
-def test_step_is_bitwise_the_reference_step(n, convection):
-    grid = Grid1D(n, 2 * np.pi)
-    cfg = SolverConfig(nu=0.05, dt=2e-3, steps=1, convection=convection)
-    rng = np.random.default_rng(n)
-    u1 = 1.0 + 0.3 * rng.standard_normal(n)
-    u2 = 1.0 + 0.3 * rng.standard_normal(n)
-    assert step(u1, u2, cfg, grid).tobytes() == step_reference(u1, u2, cfg, grid).tobytes()
-
-
-def test_step_validates_shapes():
-    grid = Grid1D(16, 1.0)
-    cfg = SolverConfig(nu=0.1, dt=0.01, steps=1)
-    with pytest.raises(ShapeMismatchError):
-        step(np.zeros(8), np.zeros(8), cfg, grid)
+    rhs = u1 - dt * (1.5 * conv(u1) - 0.5 * conv(u0))
+    np.testing.assert_allclose(u2, np.linalg.solve(A, rhs), atol=1e-13)
 
 
 # ------------------------------------------------------------- convergence
@@ -185,12 +168,12 @@ def test_momentum_conservation():
 
 def test_diffusion_never_amplifies():
     grid = Grid1D(64, 1.0)
-    cfg = SolverConfig(nu=0.4, dt=0.05, steps=1, convection=False)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        u = rng.standard_normal(64)
-        out = step(u, u, cfg, grid)
-        assert np.linalg.norm(out) <= np.linalg.norm(u) * (1 + 1e-14)
+        u0, u1, u2 = first_states(grid, rng.standard_normal(64), nu=0.4, dt=0.05,
+                                  convection=False)
+        assert np.linalg.norm(u1) <= np.linalg.norm(u0) * (1 + 1e-14)
+        assert np.linalg.norm(u2) <= np.linalg.norm(u1) * (1 + 1e-14)
 
 
 # --------------------------------------------------------------------- run
