@@ -128,7 +128,7 @@ def _cmd_offline(args) -> int:
 
 def _cmd_predict(args) -> int:
     study = pipeline.load_study(args.out)
-    # the field is lifted a row block at a time as field.mat is written
+    # lift.mat is [Phi | mean], not the field: that is lift.mat @ [alpha^T; 1]
     traj, field, report = pipeline.predict(
         study, args.nu, method=args.method, ic_mode=args.ic,
         allow_nonconverged=args.allow_nonconverged,
@@ -146,9 +146,10 @@ def _cmd_predict(args) -> int:
          for j in range(traj.times.size)],
     )
     with pipeline._timed(report["timings"], "lift_s"):
-        report["field_sha256"] = write_matrix(outdir / "field.mat", field)
+        lift = field.factor(0, field.shape[0])
+        report["lift_sha256"] = write_matrix(outdir / "lift.mat", lift)
     write_manifest(outdir / "report.json", report)
-    print(f"wrote trajectory, field and report under {outdir}")
+    print(f"wrote trajectory, lift factors and report under {outdir}")
     return EXIT_OK
 
 

@@ -57,12 +57,7 @@ def _write(path, head: bytes, arrays) -> str:
 
 def write_matrix(path, arr) -> str:
     """Write a matrix file (a vector becomes one column); its SHA-256 hex
-    digest.  A matrix given by its ``shape`` and its row ``blocks()``, as a
-    ``rom.FactoredField`` is, is written and hashed a block at a time, so
-    it is never formed whole."""
-    if hasattr(arr, "blocks"):
-        return _write(path, MATRIX_MAGIC + struct.pack("<QQ", *arr.shape),
-                      (block.astype("<f8", copy=False) for block in arr.blocks()))
+    digest."""
     arr = np.ascontiguousarray(np.asarray(arr, dtype="<f8"))
     if arr.ndim == 1:
         arr = arr[:, None]

@@ -48,6 +48,15 @@ def _as_representative(m, name="matrix"):
     return m
 
 
+def _representatives(bases):
+    """The inputs as representatives, each of the shape of the first."""
+    mats = [_as_representative(b, f"bases[{i}]") for i, b in enumerate(bases)]
+    for i, m in enumerate(mats):
+        if m.shape != mats[0].shape:
+            raise ShapeMismatchError(f"bases[{i}] shape {m.shape} != {mats[0].shape}")
+    return mats
+
+
 def _check_full_rank(m, name="matrix"):
     s = np.linalg.svd(m, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
@@ -205,14 +214,10 @@ def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
         after ``max_iter`` sweeps above ``tol``; carries the last iterate
         in its ``result`` attribute.
     """
-    mats = [_as_representative(b, f"bases[{i}]") for i, b in enumerate(bases)]
-    shape = mats[0].shape
-    for i, m in enumerate(mats):
-        if m.shape != shape:
-            raise ShapeMismatchError(f"bases[{i}] shape {m.shape} != {shape}")
+    mats = _representatives(bases)
     w = _checked_weights(weights, len(mats))
     active = np.flatnonzero(w)
-    q = shape[1]
+    q = mats[0].shape[1]
     stack = np.hstack([mats[k] for k in active])  # [Phi_k], active k
     w_active = w[active, None, None]
     phi = mats[int(init)].copy()
@@ -275,14 +280,10 @@ def itsgm_interpolate(bases, weights, ref_index):
     and the combination is mapped back through the cos/sin geodesic
     formula.  Returns a matrix with orthonormal columns.
     """
-    mats = [_as_representative(b, f"bases[{i}]") for i, b in enumerate(bases)]
+    mats = _representatives(bases)
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(mats),):
         raise ShapeMismatchError("one weight per basis required")
-    shape = mats[0].shape
-    for i, m in enumerate(mats):
-        if m.shape != shape:
-            raise ShapeMismatchError(f"bases[{i}] shape {m.shape} != {shape}")
     if not 0 <= ref_index < len(mats):
         raise IndexError(f"ref_index {ref_index} out of range")
     mats = [orthonormalize(m) for m in mats]
@@ -307,7 +308,7 @@ def itsgm_interpolate(bases, weights, ref_index):
         u, s, vt = np.linalg.svd(lifted, full_matrices=False)
         velocities.append((u * np.arctan(s)) @ vt)
 
-    combined = np.zeros(shape)
+    combined = np.zeros(ref.shape)
     for wk, xi in zip(w, velocities):
         combined += wk * xi
     u, s, vt = np.linalg.svd(combined, full_matrices=False)

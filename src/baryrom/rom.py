@@ -26,10 +26,10 @@ pipeline).  Only the lift to the mesh needs Phi, and it never forms it:
 a ``FactoredField`` builds the factor [Phi | mean] one block of rows at a
 time, Phi[rows] = sum_h w_h Phi_h[rows] Q_h (an explicit basis is the mix
 of itself alone, w = 1 and Q = I), and multiplies the block by [alpha^T;
-1].  ``reconstruct_field`` fills one field block by block, the error sums
-of ``metrics`` and ``io.write_matrix`` walk the blocks through one reused
-buffer.  Blocks are about BLOCK_BYTES of the field and bitwise equal to
-forming [Phi | mean] @ [alpha^T; 1] whole (``row_blocks``).
+1].  ``reconstruct_field`` fills one field block by block, and the error
+sums of ``metrics`` walk the blocks through one reused buffer.  Blocks
+are about BLOCK_BYTES of the field and bitwise equal to forming [Phi |
+mean] @ [alpha^T; 1] whole (``row_blocks``).
 
 The reduced solve (``integrate_rom``) folds M^-1 into one stacked
 q-by-(1 + q + q^2) operator G = [f | -L | -Chat] by one solve, pre-scaled
@@ -344,8 +344,8 @@ class FactoredField:
     and Phi the mix sum_h w_h bases[h] Q_h of ``combined_basis``.  An
     explicit basis is the mix of itself alone, with weight 1 and rotation
     I, which reproduces every nonzero entry.  ``rows`` forms only its
-    block of [Phi | mean], so a caller that walks the rows never holds Phi
-    or the field whole."""
+    block of [Phi | mean] (``factor``), so a caller that walks the rows
+    never holds Phi or the field whole."""
 
     bases: list
     weights: np.ndarray
@@ -359,22 +359,17 @@ class FactoredField:
     def shape(self) -> tuple:
         return self.mean.shape[0], self.coeffs.shape[1]
 
-    def rows(self, start: int, stop: int, out=None) -> np.ndarray:
-        """Rows start:stop of the field, written into ``out`` when given."""
+    def factor(self, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of [Phi | mean], (stop - start)-by-(q + 1)."""
         mean = self.mean[start:stop]
         factor = np.empty((mean.shape[0], self.coeffs.shape[0]))
         _mix_rows(self.bases, self.weights, self.rotations, start, stop, factor[:, :-1])
         factor[:, -1] = mean
-        return np.matmul(factor, self.coeffs, out=out)
+        return factor
 
-    def blocks(self):
-        """The field's ``row_blocks`` in order, each lifted into one reused
-        buffer that the next block overwrites."""
-        bounds = row_blocks(*self.shape)
-        buf = np.empty((max((stop - start for start, stop in bounds), default=0),
-                        self.shape[1]))
-        for start, stop in bounds:
-            yield self.rows(start, stop, out=buf[:stop - start])
+    def rows(self, start: int, stop: int, out=None) -> np.ndarray:
+        """Rows start:stop of the field, written into ``out`` when given."""
+        return np.matmul(self.factor(start, stop), self.coeffs, out=out)
 
 
 def factored_field(bases, mean, traj: ReducedTrajectory, param=np.nan, *,

@@ -37,7 +37,7 @@ from baryrom.io import (
     write_manifest,
     write_matrix,
 )
-from baryrom import manifold, pipeline
+from baryrom import manifold, pipeline, rom
 
 SMALL_CONFIG = {
     "grid": {"n": 64, "length": 6.283185307179586},
@@ -167,10 +167,10 @@ def test_predict_untrained_smoke(workdir):
                                       "initial_condition_s", "integrate_s", "lift_s"}
     assert all(v >= 0 for v in report["timings"].values())
     assert 1.0 <= report["mass_condition"] < 1e3
-    assert report["field_sha256"] == sha256_file(pdir / "field.mat")
-    field = read_matrix(pdir / "field.mat")
-    assert field.shape == (64, 31)
-    assert np.all(np.isfinite(field))
+    assert report["lift_sha256"] == sha256_file(pdir / "lift.mat")
+    lift = read_matrix(pdir / "lift.mat")
+    assert lift.shape == (64, 5)
+    assert np.all(np.isfinite(lift))
     lines = (pdir / "trajectory.csv").read_text().strip().split("\n")
     assert lines[0] == "t,alpha1,alpha2,alpha3,alpha4"
     assert len(lines) == 32
@@ -216,7 +216,35 @@ def test_predict_itsgm_dispatch(workdir):
     assert set(report["timings"]) == {"interpolation_s", "projection_s",
                                       "initial_condition_s", "integrate_s", "lift_s"}
     assert 1.0 <= report["mass_condition"] < 1e3
-    assert report["field_sha256"] == sha256_file(pdir / "field.mat")
+    assert report["lift_sha256"] == sha256_file(pdir / "lift.mat")
+
+
+@pytest.mark.parametrize("method, ic, nu", [("barycentric", "weighted", 0.075),
+                                            ("itsgm", "truth", 0.08)])
+def test_predict_writes_the_factors_of_the_predicted_field(workdir, monkeypatch,
+                                                           method, ic, nu):
+    # lift.mat @ [alpha^T; 1], alpha read back from trajectory.csv and the
+    # product taken in row blocks of 10 rows or fewer, is bitwise the field
+    # predict lifts
+    _, _, out = workdir
+    monkeypatch.setattr(rom, "BLOCK_BYTES", 8 * 31 * 10)
+    assert main(["predict", "--out", str(out), "--nu", str(nu), "--method", method,
+                 "--ic", ic]) == 0
+    pdir = out / f"predict_nu{nu}_{method}{'_truth' if ic == 'truth' else ''}"
+    assert sorted(p.name for p in pdir.iterdir()) == ["lift.mat", "report.json",
+                                                      "trajectory.csv"]
+    lift = read_matrix(pdir / "lift.mat")
+    assert lift.shape == (64, 5)
+    alphas = np.loadtxt(pdir / "trajectory.csv", delimiter=",", skiprows=1)[:, 1:]
+    coeffs = np.vstack([alphas.T, np.ones(len(alphas))])
+    field = np.empty((64, len(alphas)))
+    bounds = rom.row_blocks(*field.shape)
+    assert len(bounds) == 7
+    for start, stop in bounds:
+        np.matmul(lift[start:stop], coeffs, out=field[start:stop])
+    study = pipeline.load_study(out)
+    want = pipeline.predict(study, nu, method=method, ic_mode=ic)[1].values
+    assert field.tobytes() == want.tobytes()
 
 
 def test_only_itsgm_orthonormalizes(workdir, monkeypatch):
@@ -273,10 +301,12 @@ def test_predict_deterministic_csv(workdir):
     pdir = out / "predict_nu0.08_barycentric_truth"
     main(["predict", "--out", str(out), "--nu", "0.08", "--ic", "truth"])
     first = (pdir / "trajectory.csv").read_bytes()
-    field1 = (pdir / "field.mat").read_bytes()
+    lift1 = (pdir / "lift.mat").read_bytes()
     main(["predict", "--out", str(out), "--nu", "0.08", "--ic", "truth"])
     assert (pdir / "trajectory.csv").read_bytes() == first
-    assert (pdir / "field.mat").read_bytes() == field1
+    assert (pdir / "lift.mat").read_bytes() == lift1
+    report = json.loads((pdir / "report.json").read_text())
+    assert report["lift_sha256"] == sha256_file(pdir / "lift.mat")
 
 
 def test_predict_ic_modes_write_separate_outputs(workdir):

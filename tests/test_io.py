@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from baryrom import DataIntegrityError, ReducedTrajectory, factored_field, reconstruct_field, rom
+from baryrom import DataIntegrityError
 from baryrom.io import (
     check_file,
     entry_path,
@@ -22,26 +22,6 @@ def test_matrix_roundtrip(tmp_path, rng):
     write_matrix(path, arr)
     back = read_matrix(path)
     assert back.tobytes() == arr.tobytes()
-
-
-@pytest.mark.parametrize("mixed", [False, True])
-def test_factored_field_is_written_block_by_block_as_its_formed_values(tmp_path, rng,
-                                                                        monkeypatch, mixed):
-    # 25-row blocks of a 76-row field: three blocks, the one-row tail joined
-    monkeypatch.setattr(rom, "BLOCK_BYTES", 1000)
-    nx, ns, q = 76, 5, 3
-    bases = [rng.standard_normal((nx, q)) for _ in range(3)]
-    mean = rng.standard_normal(nx)
-    traj = ReducedTrajectory(times=np.arange(ns, dtype=float),
-                             alphas=rng.standard_normal((ns, q)))
-    args = ((bases, mean, traj), dict(weights=[0.5, 0.0, 0.7], rotations=[np.eye(q)] * 3))
-    args = args if mixed else ((bases[:1], mean, traj), dict(weights=[1.0],
-                                                             rotations=[np.eye(q)]))
-    formed, factored = tmp_path / "formed.mat", tmp_path / "factored.mat"
-    digest = write_matrix(formed, reconstruct_field(*args[0], **args[1]).values)
-    assert write_matrix(factored, factored_field(*args[0], **args[1])) == digest
-    assert factored.read_bytes() == formed.read_bytes()
-    assert sha256_file(factored) == digest
 
 
 def test_matrix_vector_promoted_to_column(tmp_path):

@@ -9,12 +9,12 @@ blocks of ``rom.BLOCK_BYTES``, with no model's field formed; its
 bound is taken on a second call, so the first call's one-off allocations
 (a third of a unit) do not count, and with 64 kB blocks, so the two runs
 it must hold are nearly the whole of it.  CLI predict, bounded the same
-way, holds the loaded study and lifts its field a row block at a time
-into field.mat; ITSGM adds the N-by-q^2 pair products of its direct
-projection.  Each bound leaves half a unit or less above what the stage
-holds: its outputs in generate and load, two row blocks in the error
-sums, and the measured peak in offline (1.68 units), compare (2.30
-units) and CLI predict (0.47 barycentric, 0.79 ITSGM).
+way, holds the loaded study and forms no field: it writes lift.mat, the
+N-by-(q+1) factor [Phi | mean]; ITSGM adds the N-by-q^2 pair products of
+its direct projection.  Each bound leaves half a unit or less above what
+the stage holds: its outputs in generate and load, two row blocks in the
+error sums, and the measured peak in offline (1.68 units), compare (2.30
+units) and CLI predict (0.46 barycentric, 0.69 ITSGM).
 """
 
 import tracemalloc

@@ -20,7 +20,8 @@ purpose rewrites the file on the recorded build with
 
     PYTHONPATH=src python tests/test_output_digests.py
 
-and says in CHANGES.md which files changed and why.
+which first prints each file whose digest changed, appeared or
+disappeared, and says in CHANGES.md which files changed and why.
 """
 
 import hashlib
@@ -117,6 +118,12 @@ def test_every_output_byte_matches_the_recorded_digests(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         files = pinned_digests(Path(tmp))
+    old = json.loads(DIGESTS.read_text(encoding="utf-8"))["files"] if DIGESTS.exists() else {}
+    for name in sorted(old.keys() | files.keys()):
+        what = ("appeared" if name not in old else "disappeared" if name not in files
+                else "changed" if old[name] != files[name] else None)
+        if what:
+            print(f"{what}: {name}", file=sys.stderr)
     DIGESTS.write_text(json.dumps({"build": build(), "files": files}, indent=2) + "\n",
                        encoding="utf-8")
     print(f"wrote {len(files)} digests to {DIGESTS}", file=sys.stderr)
