@@ -16,24 +16,25 @@ The implicit system is circulant, so it is solved exactly by
 diagonalization in Fourier space: one rfft, a product with the reciprocal
 of the symbol of I - nu*dt*L and one irfft per step.
 
-Each run is one loop, set up once: the symbol's reciprocal, N(u^{n-2}),
-the padded and right-hand-side buffers.  Each step evaluates one convection;
-N(u^{n-1}) is carried, halved, into the next step as its N(u^{n-2}) term.
-The +-1 shifts are views of one padded (n+2) copy of the state whose two
-end cells hold the periodic wrap.  Saved states are written into the
-snapshot matrix from inside the loop, and steps are counted from the
-run's first step.  The floating-point operations and their order are
-those of the plain expression above (numpy divides a complex by a real
-as a product with the real's reciprocal), so the snapshots are bitwise
-the same as evaluating it term by term.
+Each run is one loop, set up once (the symbol's reciprocal, the buffers
+and N(u^{n-2})), with one convection per step: N(u^{n-1}) is carried,
+halved, into the next step as its N(u^{n-2}) term.  The state is the body
+of a padded (n+2) buffer whose end cells hold the periodic wrap, so the
++-1 shifts are views of it.  The FFTs write into the run's own buffers,
+irfft straight into the state, so the step loop makes no array.
+Saved states are written into the snapshot matrix from inside the loop,
+and steps are counted from the run's first step.  The floating-point
+operations and their order are those of the plain expression above
+(numpy divides a complex by a real as a product with the real's
+reciprocal), so the snapshots are bitwise the same as evaluating it term
+by term.
 
-``run_batch`` marches B runs that differ only in nu (and the initial
-state) through the same loop on a (B, n) state: every operation acts
-along the last axis, the symbol's reciprocal is (B, n/2+1), and each
-numpy call serves all B runs.  Each member's snapshots are bitwise those
-of its own ``run``, which marches a 1-D state (a (1, n) one costs more
-per call).  The divergence check is
-one max over the whole batch per step; only when it fails is the first
+Every run marches a (B, n) state through that loop, B runs that differ
+only in nu (and the initial state) at once: every operation acts along
+the last axis, the symbol's reciprocal is (B, n/2+1), and each numpy
+call serves all B runs.  ``run`` is the case B = 1, and each member of a
+``run_batch`` is bitwise its own ``run``.  The divergence check is one
+max over the whole batch per step; only when it fails is the first
 offending member located, and the error names its nu and the substep.
 """
 
@@ -129,69 +130,68 @@ def diffusion_symbol(n, r):
     return 1.0 + 4.0 * r * np.sin(np.pi * k / n) ** 2
 
 
-def _convection_kernel(shape, inv2dx):
-    """N(v) = (0.5*v*(v+ - v-) + 0.25*(v+*v+ - v-*v-)) * inv2dx, the split
-    skew form with central differences along the last axis of a state of
-    ``shape``, written into one reused buffer.
+def _convection(state, squares, out, tmp, inv2dx):
+    """N(v) = (0.5*v*(v+ - v-) + 0.25*(v+*v+ - v-*v-)) * inv2dx into ``out``,
+    the split skew form with central differences along the last axis.
 
-    v+ and v- (the periodic +-1 shifts) are views of one padded copy of v.
-    Returns the buffer; the next call overwrites it.
+    ``state`` is (pad, v, v+, v-): a padded (B, n+2) buffer, its body v and
+    its +-1 shifted views; the end cells get the periodic wrap here.
+    ``squares`` is (sq, sq+, sq-): one pad*pad pass into sq gives both
+    squares through the same shifted views.  ``tmp`` is scratch.
     """
-    *lead, n = shape
-    pad = np.empty((*lead, n + 2))
-    body, vp, vm = pad[..., 1:-1], pad[..., 2:], pad[..., :-2]
-    ends = pad[..., ::n + 1]  # cells 0 and n+1, the periodic wrap
-    out, t1, t2 = np.empty(shape), np.empty(shape), np.empty(shape)
-
-    def convection(v):
-        body[...] = v
-        ends[...] = v[..., ::1 - n]  # cells n-1 and 0
-        np.subtract(vp, vm, out=t1)
-        np.multiply(v, 0.5, out=out)
-        np.multiply(out, t1, out=out)
-        np.multiply(vp, vp, out=t1)
-        np.multiply(vm, vm, out=t2)
-        np.subtract(t1, t2, out=t1)
-        np.multiply(t1, 0.25, out=t1)
-        np.add(out, t1, out=out)
-        np.multiply(out, inv2dx, out=out)
-        return out
-
-    return convection
+    pad, v, vp, vm = state
+    sq, sqp, sqm = squares
+    n = v.shape[-1]
+    pad[:, ::n + 1] = v[:, ::1 - n]  # cells 0 and n+1 <- cells n-1 and 0 of v
+    np.subtract(vp, vm, out=tmp)
+    np.multiply(v, 0.5, out=out)
+    out *= tmp
+    np.multiply(pad, pad, out=sq)
+    np.subtract(sqp, sqm, out=tmp)
+    tmp *= 0.25
+    out += tmp
+    out *= inv2dx
 
 
-def _march(u, cfgs, grid: Grid1D, nsteps, values):
-    """Advance nsteps steps from the initial state u, which also stands in
-    for the state before it, and write the state after step k into column
-    (k - transient) / save_every of ``values`` whenever that is a whole
-    number >= 0.  A state is (n,) for one config or (B, n) for B configs,
-    which differ only in nu and the initial state, and ``values`` is (n, S)
-    or (B, n, S); every operation acts along the last axis.
+def _march(u0, cfgs, grid: Grid1D, nsteps, values):
+    """Advance nsteps steps from the (B, n) initial state u0, which also
+    stands in for the state before it, and write the state after step k
+    into column (k - transient) / save_every of the (B, n, S) ``values``
+    whenever that is a whole number >= 0.  Row b is run cfgs[b].
 
     rhs = u - dt*(1.5*N(u) - 0.5*N(up)) with one convection per step:
-    0.5*N(u) is kept as the next step's 0.5*N(up).
+    0.5*N(u) is kept as the next step's 0.5*N(up).  ``rhs`` doubles as
+    scratch for the convection and for |u|.
     """
     cfg = cfgs[0]
     dt, n = cfg.dt, grid.n
-    inv = 1.0 / np.array([diffusion_symbol(n, c.nu * dt / grid.dx**2)
-                          for c in cfgs]).reshape(*u.shape[:-1], -1)
-    mag = np.empty(u.shape)
+    inv = 1.0 / np.array([diffusion_symbol(n, c.nu * dt / grid.dx**2) for c in cfgs])
+    inv = inv.astype(complex)  # the cast spec *= inv would make on every step
+    spec, pad = np.empty(inv.shape, dtype=complex), np.empty((len(cfgs), n + 2))
+    state = pad, pad[:, 1:-1], pad[:, 2:], pad[:, :-2]
+    u = state[1]
+    u[...] = u0
+    rhs = np.empty(u.shape)
     if cfg.convection:
-        convection = _convection_kernel(u.shape, 1.0 / (2.0 * grid.dx))
-        rhs = np.empty(u.shape)
-        half_prev = 0.5 * convection(u)
+        inv2dx = 1.0 / (2.0 * grid.dx)
+        sq, conv, half_prev = np.empty(pad.shape), np.empty(u.shape), np.empty(u.shape)
+        squares = sq, sq[:, 2:], sq[:, :-2]
+        _convection(state, squares, half_prev, rhs, inv2dx)
+        half_prev *= 0.5
     for k in range(1, nsteps + 1):
         if cfg.convection:
-            conv = convection(u)
+            _convection(state, squares, conv, rhs, inv2dx)
             np.multiply(conv, 1.5, out=rhs)
             rhs -= half_prev
             rhs *= dt
             np.subtract(u, rhs, out=rhs)
             np.multiply(conv, 0.5, out=half_prev)
+            np.fft.rfft(rhs, out=spec)
         else:
-            rhs = u
-        u = np.fft.irfft(np.fft.rfft(rhs) * inv, n=n)
-        np.abs(u, out=mag)
+            np.fft.rfft(u, out=spec)
+        spec *= inv
+        np.fft.irfft(spec, n=n, out=u)
+        mag = np.abs(u, out=rhs)
         if not (mag.max() <= DIVERGENCE_CAP):  # true for nan too
             bad = cfgs[np.flatnonzero(~(mag.max(axis=-1) <= DIVERGENCE_CAP))[0]]
             raise DivergedSolutionError(
@@ -222,11 +222,10 @@ def run_batch(cfgs, grid: Grid1D) -> list:
     cfg = cfgs[0]
     if len({(c.dt, c.steps, c.save_every, c.transient, c.convection) for c in cfgs}) > 1:
         raise ValueError("the configs of one batch may differ only in nu and initial")
-    u = np.stack([initial_profile(c, grid) for c in cfgs])
     n_saves = cfg.steps // cfg.save_every
-    values = np.empty((*u.shape, n_saves + 1))
-    values[..., 0] = u  # replaced at the last transient step, if there is one
-    one = 0 if len(cfgs) == 1 else slice(None)  # one run marches a 1-D state
-    _march(u[one], cfgs, grid, cfg.transient + n_saves * cfg.save_every, values[one])
+    values = np.empty((len(cfgs), grid.n, n_saves + 1))
+    for v, c in zip(values, cfgs):
+        v[:, 0] = initial_profile(c, grid)  # replaced at the last transient step, if any
+    _march(values[..., 0], cfgs, grid, cfg.transient + n_saves * cfg.save_every, values)
     times = sample_times(cfg.transient * cfg.dt, cfg.dt, cfg.save_every, n_saves + 1)
     return [SnapshotMatrix(values=v, times=times, param=c.nu) for c, v in zip(cfgs, values)]

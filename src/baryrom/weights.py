@@ -25,7 +25,8 @@ class WeightScheme:
         self.nodes = np.asarray(self.nodes, dtype=float)
         if self.nodes.ndim != 1 or self.nodes.size < 1:
             raise ValueError("nodes must be a nonempty 1-D sequence")
-        if np.unique(self.nodes).size != self.nodes.size:
+        s = np.sort(self.nodes)  # equal neighbours, or two NaNs (they sort last)
+        if (s[1:] == s[:-1]).any() or np.isnan(s[:-1]).any():
             raise DuplicateNodesError(f"nodes are not pairwise distinct: {self.nodes}")
         if self.power <= 0:
             raise ValueError("power must be positive")

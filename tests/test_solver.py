@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,18 +218,14 @@ def test_run_is_bitwise_the_reference_loop(n, convection, transient, save_every)
 
 def test_one_convection_per_step(monkeypatch):
     # N(u_prev) once per run, then one N(u) per step: 1 + 13 + 8*5
-    kernel = solver._convection_kernel
+    convection = solver._convection
     calls = []
 
-    def counting_kernel(n, inv2dx):
-        convection = kernel(n, inv2dx)
+    def counted(*args):
+        calls.append(1)
+        return convection(*args)
 
-        def counted(v):
-            calls.append(1)
-            return convection(v)
-        return counted
-
-    monkeypatch.setattr(solver, "_convection_kernel", counting_kernel)
+    monkeypatch.setattr(solver, "_convection", counted)
     cfg = SolverConfig(nu=0.07, dt=1e-3, steps=42, save_every=5, transient=13)
     run(cfg, Grid1D(40, 2 * np.pi))
     assert len(calls) == 1 + 13 + 40
@@ -316,19 +313,38 @@ def test_run_batch_is_bitwise_the_reference_loop(members, n, convection, transie
         np.testing.assert_array_equal(snap.times, run(cfg, grid).times)
 
 
-def test_run_batch_marches_one_run_as_a_1d_state(monkeypatch):
-    shapes = []
-    march = solver._march
+def test_run_batch_is_bitwise_the_reference_loop_at_a_large_grid():
+    # at n=20000 numpy's FFT takes another path than at n <= 256, and the
+    # irfft writes into the strided body of the padded (B, n+2) buffer
+    grid = Grid1D(20000, 2 * np.pi)
+    cfgs = [SolverConfig(nu=nu, dt=1e-3, steps=24, save_every=4, transient=7,
+                         initial=initial)
+            for nu, initial in [(0.05, "two_mode"), (0.09, "sine")]]
+    for cfg, snap in zip(cfgs, run_batch(cfgs, grid)):
+        assert snap.values.tobytes() == run_reference(cfg, grid).tobytes()
 
-    def recording(u, *args, **kwargs):
-        shapes.append(u.shape)
-        return march(u, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "_march", recording)
-    grid = Grid1D(40, 2 * np.pi)
-    run(SolverConfig(nu=0.07, dt=1e-3, steps=10), grid)
-    run_batch([SolverConfig(nu=nu, dt=1e-3, steps=10) for nu in (0.05, 0.07)], grid)
-    assert shapes == [(40,), (2, 40)]
+@pytest.mark.parametrize("convection", [True, False])
+def test_step_loop_allocates_no_array(convection):
+    # Beyond the snapshot array, the traced peak is the loop's fixed buffers:
+    # the padded state and its squares, N(u), N(up)/2 and rhs, the spectrum
+    # and the complex symbol reciprocal (without convection: the padded
+    # state, rhs and the two spectra).  An rfft, product or irfft result
+    # made on each step would add a state-sized array or more.
+    B, n = 2, 20000
+    grid = Grid1D(n, 2 * np.pi)
+    cfgs = [SolverConfig(nu=nu, dt=1e-3, steps=20, save_every=10, transient=5,
+                         convection=convection) for nu in (0.05, 0.09)]
+    run_batch(cfgs, grid)  # numpy's one-off FFT set-up
+    tracemalloc.start()
+    try:
+        snaps = run_batch(cfgs, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    padded, state, spectrum = 8 * B * (n + 2), 8 * B * n, 16 * B * (n // 2 + 1)
+    fixed = (2 * padded + 3 * state if convection else padded + state) + 2 * spectrum
+    assert peak - snaps[0].values.base.nbytes <= fixed + state // 20
 
 
 def test_run_batch_rejects_configs_that_differ_beyond_nu():

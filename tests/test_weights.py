@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -64,6 +69,35 @@ def test_lagrange_polynomial_exactness(rng):
 def test_duplicate_nodes_rejected():
     with pytest.raises(DuplicateNodesError):
         WeightScheme("lagrange", [1.0, 1.0, 2.0])
+
+
+INF, NAN = np.inf, np.nan
+
+
+@pytest.mark.parametrize("nodes", [
+    [3.0, 2.0, 3.0], [0.0, -0.0], [INF, 1.0, INF], [-INF, -INF],
+    [NAN, NAN], [1.0, NAN, 2.0, NAN], [NAN, 1.0], [INF, -INF, NAN], [2.0, 1.0, 3.0],
+    [1.0], [NAN], [5e-324, 0.0], [0.1, 0.1 + 2**-56],
+])
+def test_duplicate_nodes_are_the_ones_np_unique_merges(nodes):
+    duplicate = np.unique(nodes).size != len(nodes)
+    if duplicate:
+        with pytest.raises(DuplicateNodesError):
+            WeightScheme("lagrange", nodes)
+    else:
+        WeightScheme("lagrange", nodes)
+
+
+def test_weight_scheme_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, about 10 ms of a cold CLI call
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys; from baryrom import WeightScheme; "
+            "WeightScheme('lagrange', [0.05, 0.07, 0.09]); print('numpy.ma' in sys.modules)")
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"
 
 
 def test_select_neighbors_hand_example():
