@@ -146,8 +146,7 @@ def _cmd_predict(args) -> int:
          for j in range(traj.times.size)],
     )
     with pipeline._timed(report["timings"], "lift_s"):
-        lift = field.factor(0, field.shape[0])
-        report["lift_sha256"] = write_matrix(outdir / "lift.mat", lift)
+        report["lift_sha256"] = write_matrix(outdir / "lift.mat", field.factor)
     write_manifest(outdir / "report.json", report)
     print(f"wrote trajectory, lift factors and report under {outdir}")
     return EXIT_OK

@@ -5,12 +5,13 @@ generate -> snapshot matrices per trained/test viscosity, the shared
 offline  -> per-parameter POD bases and initial states, cross-Galerkin
             archive; it reads one trained run at a time
 predict  -> weights, barycenter, cheap operator update and initial
-            coordinates (all q-sized), reduced solve, field
+            coordinates (all q-sized), reduced solve, then the one
+            mesh-sized step: the interpolated basis and the field
             reconstruction (or the tangent-interpolation baseline)
 compare  -> mean errors of both interpolated models and the truth-POD
             floor against the stored high-fidelity runs, holding one
-            truth run at a time and scoring each model's lift a block
-            of rows at a time
+            truth run at a time and scoring each model's lift factors
+            [Phi | mean] a block of rows at a time
 bench    -> wall-clock of the q-sized online path vs direct projection,
             with the mesh sizes timed in alternation rep by rep
 """
@@ -573,9 +574,10 @@ def predict(study: Study, nu: float, method: str = "barycentric",
 
     Returns (trajectory, reconstruction, report) where the report is a
     JSON-ready dict with the interpolation diagnostics and timings.  The
-    reconstruction is lifted a row block at a time from the trained bases
-    (barycentric) or the interpolated basis (ITSGM); with ``lift=False`` it
-    is left unformed: the second item is the trajectory's ``FactoredField``.
+    reconstruction is the lift onto the interpolated basis, which the
+    barycentric method forms here, once, by ``combined_basis``; with
+    ``lift=False`` it is left unformed: the second item is the
+    trajectory's ``FactoredField``, the factor [Phi | mean] and [alpha^T; 1].
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -630,13 +632,10 @@ def predict(study: Study, nu: float, method: str = "barycentric",
     # the integrator has factored it
     report["mass_condition"] = float(np.linalg.cond(model.M))
     with _timed(timings, "lift_s"):
+        if method == "barycentric":
+            basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
         lifter = reconstruct_field if lift else factored_field
-        if method == "barycentric":  # the basis is a mix of the trained ones, never formed
-            recon = lifter([b.modes for b in study.bases], study.mean, traj, param=nu,
-                           weights=w, rotations=bary.rotations)
-        else:
-            recon = lifter([basis], study.mean, traj, param=nu, weights=[1.0],
-                           rotations=[np.eye(basis.shape[1])])
+        recon = lifter(basis, study.mean, traj, param=nu)
     return traj, recon, report
 
 
@@ -649,8 +648,7 @@ def truth_pod_baseline(study: Study, truth: SnapshotMatrix) -> FactoredField:
     alpha0 = initial_condition(basis.modes, study.mean, study.ip, truth.values[:, 0])
     traj = integrate_rom(model, alpha0, study.cfg.dt, study.cfg.steps,
                          record_every=study.cfg.save_every, t0=float(truth.times[0]))
-    return factored_field([basis.modes], study.mean, traj, param=nu, weights=[1.0],
-                          rotations=[np.eye(basis.modes.shape[1])])
+    return factored_field(basis.modes, study.mean, traj, param=nu)
 
 
 def compare(study: Study, targets=None, kind=None, neighbors=None):

@@ -27,12 +27,6 @@ class InnerProduct:
         """Multiply a field (N,) or stacked fields (N, k) by the weight."""
         return self.weight * np.asarray(a, dtype=float)
 
-    def dot(self, a, b):
-        return float(np.sum(self.apply(a) * np.asarray(b, dtype=float)))
-
-    def norm(self, a):
-        return float(np.sqrt(max(self.dot(a, a), 0.0)))
-
 
 @dataclass
 class SnapshotMatrix:

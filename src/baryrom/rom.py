@@ -16,20 +16,19 @@ is multiplied online, index h*q + i being mode i of basis h.  M, R and
 Cbar are (Np q)-by-(Np q); C is (Np q)-by-(Np q)^2, its row e*q + s on
 the derivative side and its column (h*q + i)*Np*q + k*q + j the pair.
 
-Online, the interpolated basis is never formed: it is [Phi_1 ... Phi_Np] S
-with S = [w_1 Q_1; ...; w_Np Q_Np] (``weighted_rotations``), and every
-reduced operator is S^T A S for a stacked operator A.  On the uniform grid
-the stacked bases' Gram matrix, which the barycenter needs, is the stacked
-mass matrix over the cell size, and the initial coordinates solve M alpha0
-= S^T c with c = [Phi_1 ... Phi_Np]^T W (u0 - mean) (``online_model`` in
-pipeline).  Only the lift to the mesh needs Phi, and it never forms it:
-a ``FactoredField`` builds the factor [Phi | mean] one block of rows at a
-time, Phi[rows] = sum_h w_h Phi_h[rows] Q_h (an explicit basis is the mix
-of itself alone, w = 1 and Q = I), and multiplies the block by [alpha^T;
-1].  ``reconstruct_field`` fills one field block by block, and the error
-sums of ``metrics`` walk the blocks through one reused buffer.  Blocks
-are about BLOCK_BYTES of the field and bitwise equal to forming [Phi |
-mean] @ [alpha^T; 1] whole (``row_blocks``).
+Up to the lift, the interpolated basis is never formed: it is [Phi_1 ...
+Phi_Np] S with S = [w_1 Q_1; ...; w_Np Q_Np] (``weighted_rotations``),
+and every reduced operator is S^T A S for a stacked operator A.  On the
+uniform grid the stacked bases' Gram matrix, which the barycenter needs,
+is the stacked mass matrix over the cell size, and the initial
+coordinates solve M alpha0 = S^T c with c = [Phi_1 ... Phi_Np]^T W (u0 -
+mean) (``online_model`` in pipeline).  Only the lift to the mesh needs
+Phi: ``combined_basis`` forms it once, Phi = sum_h w_h Phi_h Q_h, and a
+``FactoredField`` holds the factor [Phi | mean] and the coefficients
+[alpha^T; 1] whose product is the field.  ``reconstruct_field`` fills one
+field block by block, and the error sums of ``metrics`` walk the blocks
+through one reused buffer.  Blocks are about BLOCK_BYTES of the field and
+bitwise equal to the whole product (``row_blocks``).
 
 The reduced solve (``integrate_rom``) folds M^-1 into one stacked
 q-by-(1 + q + q^2) operator G = [f | -L | -Chat] by one solve, pre-scaled
@@ -47,8 +46,8 @@ from .errors import DivergedSolutionError, ShapeMismatchError, SingularMassError
 from .pod import InnerProduct, SnapshotMatrix, sample_times
 from .weights import WeightVector
 
-# bytes of one row block of a lifted field, which stays in cache, so no
-# temporary of a lift or of its error sums is field-sized
+# bytes of one row block of a lifted field, which stays in cache, so the
+# error sums of a lift hold no field-sized temporary
 BLOCK_BYTES = 2 * 2**20
 
 
@@ -302,9 +301,12 @@ def row_blocks(nx: int, ns: int) -> list:
     return list(zip(starts, starts[1:] + [nx]))
 
 
-def _mix_terms(bases, weights, rotations):
-    """(mode matrices, weights, rotations) of a mix sum_h w_h Phi_h Q_h,
-    one weight and one q-by-q rotation per basis."""
+def combined_basis(bases, weights, rotations) -> np.ndarray:
+    """Weighted sum of rotated bases, Phi = sum_h w_h Phi_h Q_h, one weight
+    and one q-by-q rotation per basis: the interpolated basis the updated
+    reduced operators are exact for, and the one a barycentric prediction
+    lifts with.  The terms of the nonzero weights are added in basis
+    order, each one product, one scaling and one add."""
     mats = _mode_matrices(bases)
     wv = np.asarray(weights.values if isinstance(weights, WeightVector) else weights,
                     dtype=float)
@@ -312,73 +314,44 @@ def _mix_terms(bases, weights, rotations):
     q = mats[0].shape[1]
     if wv.shape != (len(mats),) or [r.shape for r in rots] != [(q, q)] * len(mats):
         raise ShapeMismatchError("one weight and one q-by-q rotation per basis required")
-    return mats, wv, rots
-
-
-def _mix_rows(mats, wv, rots, start: int, stop: int, out) -> np.ndarray:
-    """out = sum_h w_h mats[h][start:stop] Q_h over the nonzero weights, in
-    basis order, each term one product, one scaling and one add."""
-    out[...] = 0.0
-    term = np.empty(out.shape)
+    phi = np.zeros_like(mats[0])
+    term = np.empty(phi.shape)
     for w, m, r in zip(wv, mats, rots):
         if w != 0.0:
-            np.matmul(m[start:stop], r, out=term)
+            np.matmul(m, r, out=term)
             term *= w
-            out += term
-    return out
-
-
-def combined_basis(bases, weights, rotations) -> np.ndarray:
-    """Weighted sum of rotated bases, sum_h w_h Phi_h Q_h, formed whole: the
-    representative the updated reduced operators are exact for.  A lift
-    never forms it; its ``FactoredField`` mixes the same terms a block of
-    rows at a time."""
-    mats, wv, rots = _mix_terms(bases, weights, rotations)
-    return _mix_rows(mats, wv, rots, 0, mats[0].shape[0], np.empty_like(mats[0]))
+            phi += term
+    return phi
 
 
 @dataclass
 class FactoredField:
-    """A lifted trajectory kept as its factors: the values are
-    [Phi | mean] @ coeffs with coeffs = [alphas^T; 1], (q + 1, n_times),
-    and Phi the mix sum_h w_h bases[h] Q_h of ``combined_basis``.  An
-    explicit basis is the mix of itself alone, with weight 1 and rotation
-    I, which reproduces every nonzero entry.  ``rows`` forms only its
-    block of [Phi | mean] (``factor``), so a caller that walks the rows
-    never holds Phi or the field whole."""
+    """A lifted trajectory kept as its two factors: the values are
+    ``factor @ coeffs``, with factor = [Phi | mean], N-by-(q + 1), and
+    coeffs = [alphas^T; 1], (q + 1)-by-n_times.  ``rows`` forms one block
+    of rows of the field, so a caller that walks the rows never holds the
+    field whole."""
 
-    bases: list
-    weights: np.ndarray
-    rotations: list
-    mean: np.ndarray
+    factor: np.ndarray
     coeffs: np.ndarray
     times: np.ndarray
     param: float
 
     @property
     def shape(self) -> tuple:
-        return self.mean.shape[0], self.coeffs.shape[1]
-
-    def factor(self, start: int, stop: int) -> np.ndarray:
-        """Rows start:stop of [Phi | mean], (stop - start)-by-(q + 1)."""
-        mean = self.mean[start:stop]
-        factor = np.empty((mean.shape[0], self.coeffs.shape[0]))
-        _mix_rows(self.bases, self.weights, self.rotations, start, stop, factor[:, :-1])
-        factor[:, -1] = mean
-        return factor
+        return self.factor.shape[0], self.coeffs.shape[1]
 
     def rows(self, start: int, stop: int, out=None) -> np.ndarray:
         """Rows start:stop of the field, written into ``out`` when given."""
-        return np.matmul(self.factor(start, stop), self.coeffs, out=out)
+        return np.matmul(self.factor[start:stop], self.coeffs, out=out)
 
 
-def factored_field(bases, mean, traj: ReducedTrajectory, param=np.nan, *,
-                   weights, rotations) -> FactoredField:
-    """The lift u(t) = mean + Phi a(t) of a trajectory, unformed, Phi the
-    mix sum_h w_h bases[h] Q_h of the list of N-by-q ``bases``; an explicit
-    basis Phi is lifted as ``[Phi]`` with weights [1] and rotations [I]."""
-    mats, wv, rots = _mix_terms(bases, weights, rotations)
-    nx, q = mats[0].shape
+def factored_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> FactoredField:
+    """The lift u(t) = mean + Phi a(t) of a trajectory onto the N-by-q
+    ``basis`` Phi, unformed: its factor [Phi | mean] and coefficients
+    [alphas^T; 1]."""
+    (phi,) = _mode_matrices([basis])
+    nx, q = phi.shape
     mean = np.asarray(mean, dtype=float)
     if q != traj.alphas.shape[1]:
         raise ShapeMismatchError(
@@ -387,19 +360,17 @@ def factored_field(bases, mean, traj: ReducedTrajectory, param=np.nan, *,
         )
     if mean.shape != (nx,):
         raise ShapeMismatchError("mean length does not match basis rows")
-    return FactoredField(mats, wv, rots, mean,
+    return FactoredField(np.column_stack([phi, mean]),
                          coeffs=np.vstack([traj.alphas.T, np.ones(traj.alphas.shape[0])]),
                          times=traj.times.copy(), param=float(param))
 
 
-def reconstruct_field(bases, mean, traj: ReducedTrajectory, param=np.nan, *,
-                      weights, rotations) -> SnapshotMatrix:
+def reconstruct_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> SnapshotMatrix:
     """Lift reduced states back to the full field, u(t) = mean + Phi a(t):
     the ``factored_field`` of the same arguments, formed into one field
-    that is allocated once and filled one of its ``row_blocks`` at a time.
-    The field is the only mesh-sized array, and it is bitwise [Phi | mean]
-    @ [alphas^T; 1] with Phi formed whole."""
-    field = factored_field(bases, mean, traj, param, weights=weights, rotations=rotations)
+    that is allocated once and filled one of its ``row_blocks`` at a time,
+    bitwise the whole product [Phi | mean] @ [alphas^T; 1]."""
+    field = factored_field(basis, mean, traj, param)
     values = np.empty(field.shape)
     for start, stop in row_blocks(*field.shape):
         field.rows(start, stop, out=values[start:stop])

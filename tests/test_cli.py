@@ -247,6 +247,30 @@ def test_predict_writes_the_factors_of_the_predicted_field(workdir, monkeypatch,
     assert field.tobytes() == want.tobytes()
 
 
+def test_barycentric_predict_forms_the_combined_basis_once(workdir, monkeypatch):
+    # the barycentric lift factor is [combined_basis | mean], formed by one
+    # call through pipeline's binding of combined_basis; ITSGM lifts its own
+    # interpolated basis and makes none
+    _, _, out = workdir
+    study = pipeline.load_study(out)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return combined_basis(*args)
+
+    monkeypatch.setattr(pipeline, "combined_basis", counted)
+    field = pipeline.predict(study, 0.075, lift=False)[1]
+    assert len(calls) == 1
+    w = pipeline.study_weights(study, 0.075)
+    rotations = pipeline.online_model(study, w, 0.075)[0].rotations
+    want = np.column_stack([combined_basis([b.modes for b in study.bases], w, rotations),
+                            study.mean])
+    assert field.factor.tobytes() == want.tobytes()
+    pipeline.predict(study, 0.075, method="itsgm", lift=False)
+    assert len(calls) == 1
+
+
 def test_only_itsgm_orthonormalizes(workdir, monkeypatch):
     # loading and a barycentric prediction factor no mesh-sized basis; ITSGM
     # factors each basis it interpolates, inside itsgm_interpolate

@@ -586,7 +586,7 @@ def test_linear_energy_nonincreasing(rng):
 def test_reconstruct_zero_alphas_gives_mean(rng):
     grid, ip, mean, bases = make_setup(rng)
     traj = ReducedTrajectory(times=np.arange(4.0), alphas=np.zeros((4, 2)))
-    rec = reconstruct_field(bases[:1], mean, traj, weights=[1.0], rotations=[np.eye(2)])
+    rec = reconstruct_field(bases[0], mean, traj)
     for j in range(4):
         np.testing.assert_array_equal(rec.values[:, j], mean)
 
@@ -594,7 +594,7 @@ def test_reconstruct_zero_alphas_gives_mean(rng):
 def test_reconstruct_single_mode(rng):
     grid, ip, mean, bases = make_setup(rng, q=1)
     traj = ReducedTrajectory(times=np.array([0.0]), alphas=np.array([[1.0]]))
-    rec = reconstruct_field(bases[:1], mean, traj, weights=[1.0], rotations=[np.eye(1)])
+    rec = reconstruct_field(bases[0], mean, traj)
     np.testing.assert_allclose(rec.values[:, 0], mean + bases[0][:, 0], atol=1e-14)
 
 
@@ -608,9 +608,8 @@ def test_reconstruct_projection_identity(rng):
     fluct = truth - mean[:, None]
     basis = compute_pod(fluct, ip, q=4)
     alphas = (basis.modes.T @ ip.apply(fluct)).T
-    rec = reconstruct_field([basis.modes], mean,
-                            ReducedTrajectory(times=np.arange(10.0), alphas=alphas),
-                            weights=[1.0], rotations=[np.eye(4)])
+    rec = reconstruct_field(basis.modes, mean,
+                            ReducedTrajectory(times=np.arange(10.0), alphas=alphas))
     err_sq = float(np.sum(ip.apply(truth - rec.values) * (truth - rec.values)))
     assert err_sq == pytest.approx(float(basis.eigenvalues[4:].sum()),
                                    rel=1e-10, abs=1e-12)
@@ -641,22 +640,26 @@ def test_initial_condition_least_squares_residual_orthogonal(rng):
 def test_reconstruct_matches_mean_plus_modes(rng):
     grid, ip, mean, bases = make_setup(rng, nx=500, q=5)
     traj = ReducedTrajectory(times=np.arange(40.0), alphas=rng.standard_normal((40, 5)))
-    rec = reconstruct_field(bases[:1], mean, traj, param=0.3, weights=[1.0],
-                            rotations=[np.eye(5)])
+    rec = reconstruct_field(bases[0], mean, traj, param=0.3)
     expected = mean[:, None] + bases[0] @ traj.alphas.T
     assert np.max(np.abs(rec.values - expected)) <= 1e-14 * np.max(np.abs(expected))
     assert rec.param == 0.3 and rec.times is not traj.times
 
 
-def whole_lift(bases, w, rotations, mean, alphas):
-    """The lift formed whole, [Phi | mean] @ [alphas^T; 1], with Phi =
-    sum_h w_h Phi_h Q_h mixed over the nonzero weights as one N-by-q sum:
-    the bitwise oracle of the blocked lift."""
+def whole_mix(bases, w, rotations):
+    """Phi = sum_h w_h Phi_h Q_h over the nonzero weights as one N-by-q sum:
+    the bitwise oracle of ``combined_basis``."""
     phi = np.zeros_like(bases[0])
     for wk, m, r in zip(w, bases, rotations):
         if wk != 0.0:
             phi += wk * (m @ r)
-    return phi, np.hstack([phi, mean[:, None]]) @ np.vstack([alphas.T, np.ones(len(alphas))])
+    return phi
+
+
+def whole_lift(phi, mean, alphas):
+    """The lift formed whole, [Phi | mean] @ [alphas^T; 1]: the bitwise
+    oracle of the blocked lift."""
+    return np.hstack([phi, mean[:, None]]) @ np.vstack([alphas.T, np.ones(len(alphas))])
 
 
 ROWS = rom.BLOCK_BYTES // (8 * 200)  # rows of one block of a 200-column field
@@ -675,18 +678,17 @@ def test_blocked_lift_is_bitwise_the_whole_product(rng, monkeypatch, nx, ns, blo
     mean = 1.0 + rng.standard_normal(nx)
     traj = ReducedTrajectory(times=0.3 + 0.005 * np.arange(ns),
                              alphas=rng.standard_normal((ns, q)))
-    phi, want = whole_lift(bases, w, rotations, mean, traj.alphas)
-    np.testing.assert_array_equal(combined_basis(bases, w, rotations), phi)
-    got = reconstruct_field(bases, mean, traj, 0.07, weights=WeightVector(w, 0.07),
-                            rotations=rotations)
-    np.testing.assert_array_equal(got.values, want)
+    phi = whole_mix(bases, w, rotations)
+    basis = combined_basis(bases, WeightVector(w, 0.07), rotations)
+    np.testing.assert_array_equal(basis, phi)
+    got = reconstruct_field(basis, mean, traj, 0.07)
+    np.testing.assert_array_equal(got.values, whole_lift(phi, mean, traj.alphas))
     assert got.param == 0.07 and got.times is not traj.times
-    field = factored_field(bases, mean, traj, weights=w, rotations=rotations)
-    np.testing.assert_array_equal(field.factor(0, nx), np.hstack([phi, mean[:, None]]))
-    # an explicit basis (ITSGM, truth-POD) lifts as the mix of itself alone
-    explicit = reconstruct_field(bases[2:3], mean, traj, weights=[1.0], rotations=[np.eye(q)])
-    np.testing.assert_array_equal(explicit.values, whole_lift(
-        bases[2:3], [1.0], [np.eye(q)], mean, traj.alphas)[1])
+    field = factored_field(basis, mean, traj)
+    np.testing.assert_array_equal(field.factor, np.hstack([phi, mean[:, None]]))
+    # an explicit basis (ITSGM, truth-POD) is lifted as it is
+    explicit = reconstruct_field(bases[2], mean, traj)
+    np.testing.assert_array_equal(explicit.values, whole_lift(bases[2], mean, traj.alphas))
 
 
 @pytest.mark.parametrize("nx, ns", [(1, 1), (1, 200), (2, 200), (3 * ROWS + 1, 200),
@@ -699,13 +701,12 @@ def test_row_blocks_cover_the_rows_with_no_single_row_block(nx, ns):
     assert max((j - i for i, j in bounds), default=0) <= max(ROWS + 1, nx if ns == 1 else 0)
 
 
-def test_mixed_lift_checks_one_weight_and_rotation_per_basis(rng):
+def test_combined_basis_checks_one_weight_and_rotation_per_basis(rng):
     bases = [rng.standard_normal((10, 2)) for _ in range(3)]
-    traj = ReducedTrajectory(times=np.zeros(1), alphas=np.zeros((1, 2)))
     for w, rotations in (([1.0, 0.0], [np.eye(2)] * 3), ([1.0, 0.0, 0.0], [np.eye(2)] * 2),
                          ([1.0, 0.0, 0.0], [np.eye(2), np.eye(2), np.eye(3)])):
         with pytest.raises(ShapeMismatchError):
-            factored_field(bases, np.zeros(10), traj, weights=w, rotations=rotations)
+            combined_basis(bases, w, rotations)
 
 
 def test_block_initial_condition_matches_projection_oracle(rng):
@@ -729,7 +730,7 @@ def test_reconstruct_shape_mismatch(rng):
     grid, ip, mean, bases = make_setup(rng, q=2)
     traj = ReducedTrajectory(times=np.array([0.0]), alphas=np.zeros((1, 3)))
     with pytest.raises(ShapeMismatchError):
-        reconstruct_field(bases[:1], mean, traj, weights=[1.0], rotations=[np.eye(2)])
+        reconstruct_field(bases[0], mean, traj)
 
 
 # ------------------------------------------------ trained-point consistency
