@@ -491,8 +491,10 @@ def _cross_tensors(arrays: dict, np_: int, q: int) -> CrossGalerkinTensors:
 
 
 def _coords(bases, mean, ip: InnerProduct, fields) -> np.ndarray:
-    """c[:, j] = [Phi_1 ... Phi_Np]^T W (fields[:, j] - mean), shape (Np q, m)."""
-    return np.hstack([b.modes for b in bases]).T @ ip.apply(fields - mean[:, None])
+    """c[:, j] = [Phi_1 ... Phi_Np]^T W (fields[:, j] - mean), shape (Np q, m):
+    one (q, m) product per basis, so the stacked bases are never formed."""
+    weighted = ip.apply(fields - mean[:, None])
+    return np.vstack([b.modes.T @ weighted for b in bases])
 
 
 def check_viscosity(nu: float) -> None:

@@ -31,9 +31,12 @@ through one reused buffer.  Blocks are about BLOCK_BYTES of the field and
 bitwise equal to the whole product (``row_blocks``).
 
 The reduced solve (``integrate_rom``) folds M^-1 into one stacked
-q-by-(1 + q + q^2) operator G = [f | -L | -Chat] by one solve, pre-scaled
-by dt/2 and dt, so every RK4 stage is one product of a stage operator
-with a preallocated z = [1; a; vec(a outer a)].
+q-by-(1 + q + q^2) operator G = [f | -L | -Chat] by one solve, and builds
+from it four stage operators over one flat buffer [z3 | z2 | z1 | z0 | s]
+of the stage vectors z_i = [1; vec(a_i outer a_i); a_i] and a copy s of
+the state.  Each RK4 stage is one outer product and one product that
+writes the next stage state, s added last by an identity block, so a
+step is nine small numpy calls with roundoff far below RK4's truncation.
 """
 
 from __future__ import annotations
@@ -198,15 +201,28 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     operators: G = M^-1 [F | -(nu R + Cbar) | -C'] = [f | -L | -Chat], C'
     the q-by-q^2 layout of C, C'[i, e*q + j] = C[e][i, j].  The right-hand
     side at a state a is the single product G z with z = [1; a; vec(a outer
-    a)], vec index e*q + j holding a_e a_j.  G is scaled once into the
-    stage operators (dt/2) G and dt G, and each stage writes its scaled
-    slope K_i into a preallocated (4, q) array: the stage state a + K_{i-1}
-    and its outer product go into one of four preallocated z vectors, then
-    one product fills K_i (K_1, K_2 with (dt/2) G; K_3, K_4 with dt G).  A
-    step ends with a += [1/3, 2/3, 1/3, 1/6] K, the classical weights dt/6
-    [1, 2, 2, 1] over those scalings.  No array is allocated inside the
-    step loop, and every call in it is bound, with its arguments, before
-    the loop, so a step is a dozen small numpy calls and no lookups.
+    a)], vec index e*q + j holding a_e a_j.
+
+    The march keeps one flat buffer Z = [z3 | z2 | z1 | z0 | s]: z_i is the
+    z of stage state a_i (a_0 the state), stored as [1; vec(a_i outer a_i);
+    a_i] with G's columns reordered to match, and s is a second copy of the
+    state.  G is built once into four stage operators that end in an
+    identity block on s.  Stage i = 1, 2, 3 writes a_i = s + c_i G z_{i-1},
+    c = dt/2, dt/2, dt, as one product of [c_i G | 0 | I] with the
+    contiguous tail of Z from z_{i-1}.  The new state s + dt/6 G (z0 + 2 z1
+    + 2 z2 + z3) is one product of [(dt/6) G | (dt/3) G | (dt/3) G | (dt/6)
+    G | I] with all of Z, written into a q-vector and copied by one
+    broadcast copy into a_0 and s, which are adjacent.  With the four outer
+    products a step is nine small numpy calls, all bound before the loop; no
+    array is allocated in it, and no product writes over its own input,
+    which would make numpy copy through a hidden temporary.
+
+    The state is added last, from its own copy: an identity folded into
+    G's linear columns instead, coefficient 1 + c g, rounds worse.  On the
+    default study, against the same march in extended precision, the
+    roundoff over 995 steps is 4.7-11.0 eps of the largest coordinate
+    (5.8-50.6 eps with the folded identity), while RK4's own truncation
+    error at dt = 1e-3 is 5.1e3-2.0e4 eps.
 
     States are recorded (as copies) at step multiples of ``record_every``,
     step 0 included, at the ``sample_times`` t0 + s*dt, and the march
@@ -225,24 +241,23 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
         raise ValueError("dt must be positive")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    # z_i = [1; a_i; vec(a_i outer a_i)] is row i of Z; a_i and zz_i are views
-    # into it, and a_0 is the state itself, updated in place.  The outer
-    # product is the (q,1)(1,q) product of a_i's column and row views: one
-    # term per entry, so the same values as a_i[:, None] * a_i from a cheaper
-    # call.  The views are made once, here, not in the step loop.
-    Z = np.empty((4, 1 + q + q * q))
-    Z[:, 0] = 1.0
-    K = np.empty((4, q))
-    dK = np.empty(q)
+    # a_i, zz_i = vec(a_i outer a_i) and the state s are views into Z, and
+    # ``pair`` is the adjacent a_0 and s.  The outer product is the
+    # (q,1)(1,q) product of a_i's column and row views: one term per entry,
+    # so the same values as a_i[:, None] * a_i from a cheaper call.  The
+    # views are made once, here, not in the step loop.
+    p = 1 + q + q * q
+    Z = np.empty(4 * p + q)
+    z3, z2, z1, z0 = (Z[i * p:(i + 1) * p] for i in range(4))
+    out = np.empty(q)
     zero = np.zeros(q)
-    wts = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
-    z0, z1, z2, z3 = Z
-    k0, k1, k2, k3 = K
-    state, a1, a2, a3 = (z_i[1:1 + q] for z_i in Z)
     (outer0, row0), (outer1, row1), (outer2, row2), (outer3, row3) = (
-        (z_i[1:1 + q, None].dot, z_i[None, 1:1 + q]) for z_i in Z)
-    zz0, zz1, zz2, zz3 = (z_i[1 + q:].reshape(q, q) for z_i in Z)
-    state[:] = alpha0
+        (z_i[p - q:, None].dot, z_i[None, p - q:]) for z_i in (z0, z1, z2, z3))
+    zz0, zz1, zz2, zz3 = (z_i[1:p - q].reshape(q, q) for z_i in (z0, z1, z2, z3))
+    a1, a2, a3 = (z_i[p - q:] for z_i in (z1, z2, z3))
+    pair, state = Z[4 * p - q:].reshape(2, q), Z[4 * p:]
+    Z[0:4 * p:p] = 1.0
+    pair[:] = alpha0
 
     n_rec = steps // record_every
     alphas = np.empty((n_rec + 1, q))
@@ -263,23 +278,25 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     with np.errstate(over="ignore", invalid="ignore"):
         if alpha0.dot(zero) != 0.0:
             raise DivergedSolutionError("reduced state is non-finite at step 0")
-        half, full = ((0.5 * dt) * G).dot, (dt * G).dot
-        combine, add, per_record = wts.dot, np.add, range(record_every)
+        # G's columns in z's order [1 | pairs | linear]
+        Gz = np.hstack([G[:, :1], G[:, 1 + q:], G[:, 1:1 + q]])
+        half, full, third, sixth = (c * Gz for c in (0.5 * dt, dt, dt / 3.0, dt / 6.0))
+        O, I = np.zeros((q, p)), np.eye(q)
+        stage1, stage2, stage3, step = (np.hstack(blocks).dot for blocks in (
+            [half, I], [half, O, I], [full, O, O, I], [sixth, third, third, sixth, I]))
+        tail1, tail2, tail3 = Z[3 * p:], Z[2 * p:], Z[p:]
+        per_record = range(record_every)
         for rec in range(1, n_rec + 1):
             for _ in per_record:
                 outer0(row0, zz0)
-                half(z0, k0)
-                add(state, k0, a1)
+                stage1(tail1, a1)
                 outer1(row1, zz1)
-                half(z1, k1)
-                add(state, k1, a2)
+                stage2(tail2, a2)
                 outer2(row2, zz2)
-                full(z2, k2)
-                add(state, k2, a3)
+                stage3(tail3, a3)
                 outer3(row3, zz3)
-                full(z3, k3)
-                combine(K, dK)
-                add(state, dK, state)
+                step(Z, out)
+                pair[:] = out
             if state.dot(zero) != 0.0:
                 raise DivergedSolutionError(f"reduced state diverged to a non-finite "
                                             f"value by step {rec * record_every}")

@@ -453,9 +453,11 @@ def test_integrate_record_every():
 
 
 def unbound_integrate(model, alpha0, dt, steps, record_every=1, t0=0.0):
-    """integrate_rom's RK4 loop as it ran with its calls looked up in every
-    step and a record check after every step, marching all ``steps``: the
-    bitwise oracle of the bound loop."""
+    """Classical RK4 with staged slopes: each stage fills its z = [1; a;
+    vec(a outer a)] and one product of (dt/2) G or dt G gives its scaled
+    slope K_i, the step adds [1/3, 2/3, 1/3, 1/6] K to the state, a record
+    check follows every step and all ``steps`` are marched.  The roundoff
+    oracle of integrate_rom's folded stage operators."""
     q = model.M.shape[0]
     Z = np.empty((4, 1 + q + q * q))
     Z[:, 0] = 1.0
@@ -504,8 +506,13 @@ def random_stable_model(rng, q=5):
 
 
 @pytest.mark.parametrize("record_every", [1, 5, 7])
-def test_integrate_is_bitwise_the_unbound_step_loop(study, rng, record_every):
-    # 995 steps leave no tail at 1 and 5 and one unrecorded step at 7
+def test_integrate_matches_the_parent_step_loop_to_roundoff(study, rng, record_every):
+    # integrate_rom writes each stage state with one stage operator [c G | 0
+    # | I] that adds the state last, so its sums differ from the staged
+    # slopes in the last bits: alphas agree to 64 eps of the largest
+    # coordinate (measured: at most 12.4 eps on the study and 11.5 eps on
+    # 20 random models), times bitwise.  995 steps leave no tail at 1 and 5
+    # and one unrecorded step at 7
     _, model, a0 = pipeline.online_model(study, pipeline.study_weights(study, 0.083), 0.083)
     cfg = study.cfg
     cases = [(model, a0, cfg.dt, cfg.steps),
@@ -513,8 +520,50 @@ def test_integrate_is_bitwise_the_unbound_step_loop(study, rng, record_every):
     for model, a0, dt, steps in cases:
         got = integrate_rom(model, a0, dt, steps, record_every=record_every, t0=0.37)
         want = unbound_integrate(model, a0, dt, steps, record_every=record_every, t0=0.37)
-        np.testing.assert_array_equal(got.alphas, want.alphas)
+        assert got.alphas.shape == want.alphas.shape
+        bound = 64 * np.finfo(float).eps * np.abs(want.alphas).max()
+        assert np.abs(got.alphas - want.alphas).max() <= bound
         np.testing.assert_array_equal(got.times, want.times)
+
+
+def longdouble_rk4(G, a0, dt, steps):
+    """Textbook RK4 on a' = G [1; a; vec(a outer a)] in np.longdouble, every
+    state of ``steps`` steps."""
+    G, a, dt = G.astype(np.longdouble), a0.astype(np.longdouble), np.longdouble(dt)
+    one = np.ones(1, dtype=np.longdouble)
+
+    def rhs(a):
+        return G @ np.concatenate([one, a, np.outer(a, a).ravel()])
+
+    out = [a]
+    for _ in range(steps):
+        k1 = rhs(a)
+        k2 = rhs(a + dt / 2 * k1)
+        k3 = rhs(a + dt / 2 * k2)
+        k4 = rhs(a + dt * k3)
+        a = a + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(a)
+    return np.array(out)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than float64 on this platform")
+def test_integrate_roundoff_against_extended_precision_rk4(study):
+    # the same folded G, marched in extended precision: integrate_rom's
+    # roundoff over 995 steps stays within 32 eps of the largest coordinate
+    # (measured: 4.7-11.0 eps over the twelve FOLD_NU; the staged slopes of
+    # unbound_integrate read 2.2-8.4 eps, and stage operators that add the
+    # state through an identity on G's linear columns, coefficient 1 + c g,
+    # read 5.8-50.6 eps).  RK4's own truncation error here, against the
+    # same march at dt/8, is 5.1e3-2.0e4 eps
+    eps = np.finfo(float).eps
+    cfg = study.cfg
+    for nu in FOLD_NU:
+        _, model, a0 = pipeline.online_model(study, pipeline.study_weights(study, nu), nu)
+        G, traj = folded_run(model, a0, cfg.dt, cfg.steps)
+        ref = longdouble_rk4(G, a0, cfg.dt, cfg.steps)
+        assert traj.alphas.shape == ref.shape
+        assert np.abs(traj.alphas - ref).max() <= 32 * eps * np.abs(ref).max()
 
 
 def _c_calls(fn):
