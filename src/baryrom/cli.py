@@ -30,13 +30,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < np.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
-    return value
-
-
 def _comma_list(kind):
     """argparse type: comma-separated ``kind`` values, at least one."""
     def parse(text: str) -> list:
@@ -64,9 +57,12 @@ _FLAGS = {
     "--q": dict(type=int, default=None, help="POD truncation order (default: config q)"),
     "--weights": dict(choices=["lagrange", "idw"], default=None,
                       help="weight scheme (default: config weights.kind)"),
-    "--neighbors": dict(type=_positive_int, default=None,
+    "--neighbors": dict(type=int, default=None,
                         help="nearest trained viscosities weighted (default: config)"),
 }
+
+# flag -> the StudyConfig field it overrides in predict and compare
+_OVERRIDES = {"weights": "weights_kind", "neighbors": "weights_neighbors", "tol": "tol"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--out", "--weights", "--neighbors")
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--method", choices=list(pipeline.METHODS), default="barycentric")
-    p.add_argument("--tol", type=_tolerance, default=None,
+    p.add_argument("--tol", type=float, default=None,
                    help="barycenter stopping tolerance (default: config tol)")
     p.add_argument("--ic", choices=list(pipeline.IC_MODES), default="weighted")
     p.add_argument("--allow-nonconverged", action="store_true")
@@ -126,13 +122,20 @@ def _cmd_offline(args) -> int:
     return EXIT_OK
 
 
-def _cmd_predict(args) -> int:
+def _load_study(args) -> pipeline.Study:
+    """The study under --out, its config overridden by the flags given."""
     study = pipeline.load_study(args.out)
+    given = {name: getattr(args, flag, None) for flag, name in _OVERRIDES.items()}
+    study.cfg = study.cfg.replace(**{k: v for k, v in given.items() if v is not None})
+    return study
+
+
+def _cmd_predict(args) -> int:
+    study = _load_study(args)
     # lift.mat is [Phi | mean], not the field: that is lift.mat @ [alpha^T; 1]
     traj, field, report = pipeline.predict(
         study, args.nu, method=args.method, ic_mode=args.ic,
-        allow_nonconverged=args.allow_nonconverged,
-        kind=args.weights, neighbors=args.neighbors, tol=args.tol, lift=False,
+        allow_nonconverged=args.allow_nonconverged, lift=False,
     )
     # truth-IC runs get their own directory, so they never overwrite a weighted one
     suffix = "_truth" if args.ic == "truth" else ""
@@ -153,9 +156,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    study = pipeline.load_study(args.out)
-    rows, reports = pipeline.compare(study, args.targets, kind=args.weights,
-                                     neighbors=args.neighbors)
+    rows, reports = pipeline.compare(_load_study(args), args.targets)
     pipeline.write_compare_outputs(args.out, rows, reports)
     print("nu barycentric itsgm truth_pod")
     for row in rows:
@@ -174,9 +175,7 @@ def _cmd_bench(args) -> int:
     studies = []
     for nx in args.sizes:
         size_dir = Path(args.out) / f"bench_nx{nx}"
-        size_cfg = pipeline.config_from_dict({
-            **cfg.to_dict(), "q": cfg.q if args.q is None else args.q,
-            "grid": {"n": nx, "length": cfg.grid_length}})
+        size_cfg = cfg.replace(grid_n=nx, q=cfg.q if args.q is None else args.q)
         # a stored study is reused only if it was built from this very config,
         # by a generate that wrote the mean
         path = size_dir / "manifest.json"

@@ -66,6 +66,20 @@ def _check_full_rank(m, name="matrix"):
         )
 
 
+def _alignments(overlaps):
+    """Procrustes rotations Q_k = V_k U_k^T of a stack of q-by-q overlaps
+    U_k S_k V_k^T, shape (m, q, q), and the worst sigma_min/sigma_max among
+    them.  Raises SingularOverlapError when an overlap is numerically
+    singular, in which case its alignment is not unique.
+    """
+    u, s, vt = np.linalg.svd(overlaps)
+    with np.errstate(invalid="ignore"):  # nan for a zero overlap
+        worst = float(np.min(s[:, -1] / s[:, 0]))
+    if not worst > OVERLAP_TOL:
+        raise SingularOverlapError("overlap of representatives is numerically singular")
+    return (u @ vt).transpose(0, 2, 1), worst
+
+
 def procrustes_rotation(base, target):
     """Orthogonal Q = V U^T minimizing ||target Q - base||_F.
 
@@ -73,13 +87,7 @@ def procrustes_rotation(base, target):
     SingularOverlapError when the overlap is numerically singular, in
     which case the alignment is not unique.
     """
-    overlap = base.T @ target
-    u, s, vt = np.linalg.svd(overlap)
-    if s[0] == 0.0 or s[-1] <= OVERLAP_TOL * s[0]:
-        raise SingularOverlapError(
-            "overlap of representatives is numerically singular"
-        )
-    return vt.T @ u.T
+    return _alignments((base.T @ target)[None])[0][0]
 
 
 def exp_map(base, tangent):
@@ -228,14 +236,9 @@ def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
     # far extrapolation can overflow the iterate; that fails the tolerance below
     with np.errstate(over="ignore", invalid="ignore"):
         for sweep in range(1, max_iter + 1):
-            u, s, vt = np.linalg.svd((phi.T @ stack).reshape(q, -1, q).transpose(1, 0, 2))
-            worst = float(np.min(s[:, -1] / s[:, 0]))  # nan for a zero overlap
-            if not worst > OVERLAP_TOL:
-                raise SingularOverlapError(
-                    "overlap of representatives is numerically singular"
-                )
+            rotations[active], worst = _alignments(
+                (phi.T @ stack).reshape(q, -1, q).transpose(1, 0, 2))
             ratio = min(ratio, worst)
-            rotations[active] = (u @ vt).transpose(0, 2, 1)
             candidate = stack @ (w_active * rotations[active]).reshape(-1, q)
             gnorm = float(np.linalg.norm(phi - candidate))
             gnorm = math.inf if math.isnan(gnorm) else gnorm  # nan from an overflowed iterate
@@ -278,7 +281,9 @@ def itsgm_interpolate(bases, weights, ref_index):
     the arctan of the principal-angle singular values, the lifted
     velocities are combined entrywise with ``weights`` (one per basis),
     and the combination is mapped back through the cos/sin geodesic
-    formula.  Returns a matrix with orthonormal columns.
+    formula.  Zero-weight inputs are skipped, bar the reference, which is
+    the tangent base whatever its weight.  Returns a matrix with
+    orthonormal columns.
     """
     mats = _representatives(bases)
     w = np.asarray(weights, dtype=float)
@@ -286,30 +291,23 @@ def itsgm_interpolate(bases, weights, ref_index):
         raise ShapeMismatchError("one weight per basis required")
     if not 0 <= ref_index < len(mats):
         raise IndexError(f"ref_index {ref_index} out of range")
-    mats = [orthonormalize(m) for m in mats]
+    used = [k for k in range(len(mats)) if w[k] != 0.0 or k == ref_index]
+    ortho = {k: orthonormalize(mats[k]) for k in used}
 
-    ref = mats[ref_index]
+    ref = ortho[ref_index]
     gram = ref.T @ ref
     evals, evecs = np.linalg.eigh(gram)
     if evals[0] <= 1e-12 * evals[-1]:
         raise RankDeficientError("reference basis Gram matrix is singular")
     gram_isqrt = (evecs / np.sqrt(evals)) @ evecs.T
 
-    velocities = []
-    for m in mats:
-        overlap = ref.T @ m
-        sv = np.linalg.svd(overlap, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= OVERLAP_TOL * sv[0]:
-            raise SingularOverlapError(
-                "overlap with the reference basis is numerically singular"
-            )
-        lifted = m @ np.linalg.solve(overlap, gram_isqrt)
+    overlaps = [ref.T @ ortho[k] for k in used]
+    _alignments(np.array(overlaps))
+    combined = np.zeros(ref.shape)
+    for k, overlap in zip(used, overlaps):
+        lifted = ortho[k] @ np.linalg.solve(overlap, gram_isqrt)
         lifted -= ref @ (ref.T @ lifted)
         u, s, vt = np.linalg.svd(lifted, full_matrices=False)
-        velocities.append((u * np.arctan(s)) @ vt)
-
-    combined = np.zeros(ref.shape)
-    for wk, xi in zip(w, velocities):
-        combined += wk * xi
+        combined += w[k] * ((u * np.arctan(s)) @ vt)
     u, s, vt = np.linalg.svd(combined, full_matrices=False)
     return ref @ gram_isqrt @ (vt.T * np.cos(s)) + u * np.sin(s)

@@ -14,16 +14,19 @@ compare  -> mean errors of both interpolated models and the truth-POD
             [Phi | mean] a block of rows at a time
 bench    -> wall-clock of the q-sized online path vs direct projection,
             with the mesh sizes timed in alternation rep by rep
+
+Every study option comes from the study's StudyConfig (schema: ``_KEYS``); a
+caller overrides one with ``StudyConfig.replace``, checked as a config file is.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +85,7 @@ IC_MODES = ("truth", "weighted")
 GENERATE_BATCH_BYTES = 64 * 2**20
 
 
-@dataclass
+@dataclasses.dataclass
 class StudyConfig:
     grid_n: int = 256
     grid_length: float = 2.0 * np.pi
@@ -91,8 +94,8 @@ class StudyConfig:
     save_every: int = 5
     transient: int = 300
     initial: object = "two_mode"
-    trained_nu: list = field(default_factory=lambda: [0.05, 0.07, 0.09, 0.11])
-    test_nu: list = field(default_factory=lambda: [0.06, 0.08, 0.10])
+    trained_nu: list = dataclasses.field(default_factory=lambda: [0.05, 0.07, 0.09, 0.11])
+    test_nu: list = dataclasses.field(default_factory=lambda: [0.06, 0.08, 0.10])
     q: int = 7
     weights_kind: str = "lagrange"
     weights_power: float = 2.0
@@ -108,32 +111,18 @@ class StudyConfig:
                             save_every=self.save_every, transient=self.transient)
 
     def to_dict(self) -> dict:
-        return {
-            "grid": {"n": self.grid_n, "length": self.grid_length},
-            "dt": self.dt,
-            "steps": self.steps,
-            "save_every": self.save_every,
-            "transient": self.transient,
-            "initial": self.initial if isinstance(self.initial, str) else list(self.initial),
-            "trained_nu": list(self.trained_nu),
-            "test_nu": list(self.test_nu),
-            "q": self.q,
-            "weights": {
-                "kind": self.weights_kind,
-                "power": self.weights_power,
-                "neighbors": self.weights_neighbors,
-            },
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-        }
+        """The config-file form: ``_KEYS`` in order, a dotted key in its section."""
+        doc = {}
+        for key, (name, _) in _KEYS.items():
+            section, _, sub = key.rpartition(".")
+            value = getattr(self, name)
+            value = list(value) if isinstance(value, (list, tuple, np.ndarray)) else value
+            (doc.setdefault(section, {}) if section else doc)[sub] = value
+        return doc
 
-
-def _weight_kind(kind: str) -> str:
-    """Canonical weight-scheme name; ``idw`` is accepted for inverse distance."""
-    kind = "inverse_distance" if kind == "idw" else kind
-    if kind not in KINDS:
-        raise ConfigError(f"unknown weight kind {kind!r}")
-    return kind
+    def replace(self, **fields) -> StudyConfig:
+        """A copy with ``fields`` changed, checked as a config file is."""
+        return config_from_dict(dataclasses.replace(self, **fields).to_dict())
 
 
 def _number(value, key: str) -> float:
@@ -151,43 +140,61 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _numbers(values, key: str) -> list:
+    return [_number(v, f"{key} entry") for v in values]
+
+
+def _initial(value, key: str):
+    """The initial profile unchanged: a name, or a state whose entries are numbers."""
+    _numbers(value if isinstance(value, list) else [], key)
+    return value
+
+
+def _weight_kind(value, key: str) -> str:
+    """Canonical weight-scheme name; ``idw`` is accepted for inverse distance."""
+    kind = "inverse_distance" if str(value) == "idw" else str(value)
+    if kind not in KINDS:
+        raise ConfigError(f"unknown weight kind {kind!r}")
+    return kind
+
+
+# config-file key -> (StudyConfig field, parser(value, key)); a dotted key
+# lies in the section its prefix names, and to_dict writes them in this order
+_KEYS = {
+    "grid.n": ("grid_n", _integer),
+    "grid.length": ("grid_length", _number),
+    "dt": ("dt", _number),
+    "steps": ("steps", _integer),
+    "save_every": ("save_every", _integer),
+    "transient": ("transient", _integer),
+    "initial": ("initial", _initial),
+    "trained_nu": ("trained_nu", _numbers),
+    "test_nu": ("test_nu", _numbers),
+    "q": ("q", _integer),
+    "weights.kind": ("weights_kind", _weight_kind),
+    "weights.power": ("weights_power", _number),
+    "weights.neighbors": ("weights_neighbors", _integer),
+    "tol": ("tol", _number),
+    "max_iter": ("max_iter", _integer),
+}
+
+
 def config_from_dict(doc: dict) -> StudyConfig:
     """StudyConfig from its JSON form; absent keys keep the StudyConfig
-    default, and a key outside the schema or a value of the wrong type is
+    default, and a key outside ``_KEYS`` or a value of the wrong type is
     a ConfigError: a count takes an integral number, and no key takes a
     boolean or a string where a number is due."""
     base = StudyConfig().to_dict()
+    sections = [key for key, value in base.items() if isinstance(value, dict)]
     unknown = [k for k in doc if k not in base]
-    for section in ("grid", "weights"):
-        part = doc.get(section)
-        if isinstance(part, dict):
-            unknown += [f"{section}.{k}" for k in part if k not in base[section]]
+    unknown += [f"{s}.{k}" for s in sections if isinstance(doc.get(s), dict)
+                for k in doc[s] if k not in base[s]]
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(map(repr, unknown))}")
     try:
-        grid = {**base["grid"], **doc.get("grid", {})}
-        wts = {**base["weights"], **doc.get("weights", {})}
-        d = {**base, **doc}
-        if isinstance(d["initial"], list):
-            for v in d["initial"]:
-                _number(v, "initial entry")
-        cfg = StudyConfig(
-            grid_n=_integer(grid["n"], "grid.n"),
-            grid_length=_number(grid["length"], "grid.length"),
-            dt=_number(d["dt"], "dt"),
-            steps=_integer(d["steps"], "steps"),
-            save_every=_integer(d["save_every"], "save_every"),
-            transient=_integer(d["transient"], "transient"),
-            initial=d["initial"],
-            trained_nu=[_number(v, "trained_nu entry") for v in d["trained_nu"]],
-            test_nu=[_number(v, "test_nu entry") for v in d["test_nu"]],
-            q=_integer(d["q"], "q"),
-            weights_kind=_weight_kind(str(wts["kind"])),
-            weights_power=_number(wts["power"], "weights.power"),
-            weights_neighbors=_integer(wts["neighbors"], "weights.neighbors"),
-            tol=_number(d["tol"], "tol"),
-            max_iter=_integer(d["max_iter"], "max_iter"),
-        )
+        d = {**base, **doc, **{s: {**base[s], **doc.get(s, {})} for s in sections}}
+        cfg = StudyConfig(**{name: parse(reduce(dict.__getitem__, key.split("."), d), key)
+                             for key, (name, parse) in _KEYS.items()})
         if cfg.weights_neighbors < 1 or cfg.max_iter < 1:
             raise ValueError("weights.neighbors and max_iter must be >= 1")
         if not (0.0 < cfg.weights_power < np.inf and 0.0 <= cfg.tol < np.inf):
@@ -368,7 +375,8 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
     outdir = Path(outdir)
     manifest = read_manifest(outdir / "manifest.json")
     config = _field(manifest, "config", kind=dict)
-    cfg = config_from_dict(config if q is None else {**config, "q": q})
+    cfg = config_from_dict(config)
+    cfg = cfg if q is None else cfg.replace(q=q)
     if not cfg.trained_nu:
         raise ConfigError("offline needs at least one trained_nu")
     grid = cfg.grid()
@@ -413,7 +421,7 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
     return manifest
 
 
-@dataclass
+@dataclasses.dataclass
 class Study:
     """Everything the online stage needs, loaded from offline outputs.
 
@@ -423,8 +431,8 @@ class Study:
     initial states, ic_coords[:, j] = [Phi_1 ... Phi_Np]^T W (ics[j] -
     mean), (Np q, Np).  With them and the tensor archive, a barycentric
     prediction reads no mesh-sized array until it lifts its trajectory.
-    The ITSGM baseline interpolates the selected ``bases`` as they are
-    stored; it orthonormalizes them itself.
+    The ITSGM baseline interpolates the ``bases`` as they are stored; it
+    orthonormalizes those it weights itself.
     """
 
     outdir: Path
@@ -503,17 +511,14 @@ def check_viscosity(nu: float) -> None:
         raise ConfigError(f"viscosity must be positive and finite, got {nu!r}")
 
 
-def study_weights(study: Study, nu: float, kind=None, neighbors=None) -> WeightVector:
-    """Weights over all trained nodes: the chosen scheme on the nearest
-    neighbors, zero elsewhere.  A viscosity that is not positive and
-    finite, or whose weights overflow, is a ConfigError."""
+def study_weights(study: Study, nu: float) -> WeightVector:
+    """Weights over all trained nodes: the config's scheme on the nearest
+    weights.neighbors nodes, zero elsewhere.  A viscosity that is not
+    positive and finite, or whose weights overflow, is a ConfigError."""
     check_viscosity(nu)
-    params = study.params
-    kind = _weight_kind(kind) if kind else study.cfg.weights_kind
-    m = study.cfg.weights_neighbors if neighbors is None else int(neighbors)
-    m = min(m, params.size)
-    sel = select_neighbors(params, nu, m)
-    local = evaluate_weights(WeightScheme(kind, params[sel], study.cfg.weights_power), nu)
+    cfg, params = study.cfg, study.params
+    sel = select_neighbors(params, nu, min(cfg.weights_neighbors, params.size))
+    local = evaluate_weights(WeightScheme(cfg.weights_kind, params[sel], cfg.weights_power), nu)
     full = np.zeros(params.size)
     full[sel] = local.values
     if not np.isfinite(full).all():
@@ -534,7 +539,7 @@ def _timed(timings: dict, key: str):
     timings[key] = timings.get(key, 0.0) + (time.perf_counter() - t)
 
 
-def online_model(study: Study, w: WeightVector, nu: float, coords=None, tol=None,
+def online_model(study: Study, w: WeightVector, nu: float, coords=None,
                  allow_nonconverged: bool = False, timings=None):
     """The q-sized half of a barycentric prediction at nu, for weights w:
     the barycenter of the trained bases on their Gram coordinates, started
@@ -549,8 +554,8 @@ def online_model(study: Study, w: WeightVector, nu: float, coords=None, tol=None
     with _timed(timings, "barycenter_s"):
         try:
             bary = karcher_barycenter(
-                study.frame, w.values, tol=study.cfg.tol if tol is None else float(tol),
-                max_iter=study.cfg.max_iter, init=nearest_index(study.params, nu))
+                study.frame, w.values, tol=study.cfg.tol, max_iter=study.cfg.max_iter,
+                init=nearest_index(study.params, nu))
         except NotConvergedError as exc:
             if not (allow_nonconverged and np.isfinite(exc.result.final_gradient_norm)):
                 raise
@@ -565,8 +570,7 @@ def online_model(study: Study, w: WeightVector, nu: float, coords=None, tol=None
 
 def predict(study: Study, nu: float, method: str = "barycentric",
             ic_mode: str = "weighted", allow_nonconverged: bool = False,
-            kind=None, neighbors=None, tol=None, truth: SnapshotMatrix | None = None,
-            lift: bool = True):
+            truth: SnapshotMatrix | None = None, lift: bool = True):
     """Online stage at one viscosity.
 
     ``ic_mode="truth"`` starts from the first state of the stored run at
@@ -586,7 +590,7 @@ def predict(study: Study, nu: float, method: str = "barycentric",
     if ic_mode not in IC_MODES:
         raise ValueError(f"ic_mode must be one of {IC_MODES}, got {ic_mode!r}")
     cfg = study.cfg
-    w = study_weights(study, nu, kind=kind, neighbors=neighbors)
+    w = study_weights(study, nu)
     timings = {}
     report = {
         "nu": nu,
@@ -604,7 +608,7 @@ def predict(study: Study, nu: float, method: str = "barycentric",
             if method == "barycentric":
                 coords = _coords(study.bases, study.mean, study.ip, truth.values[:, :1])[:, 0]
     if method == "barycentric":
-        bary, model, alpha0 = online_model(study, w, nu, coords, tol=tol,
+        bary, model, alpha0 = online_model(study, w, nu, coords,
                                            allow_nonconverged=allow_nonconverged,
                                            timings=timings)
         report["barycenter"] = {
@@ -616,10 +620,8 @@ def predict(study: Study, nu: float, method: str = "barycentric",
         }
     else:
         with _timed(timings, "interpolation_s"):
-            sel = [k for k in range(study.params.size) if w.values[k] != 0.0]
-            ref_local = int(np.argmin(np.abs(study.params[sel] - nu)))
-            basis = itsgm_interpolate([study.bases[k].modes for k in sel], w.values[sel],
-                                      ref_local)
+            basis = itsgm_interpolate([b.modes for b in study.bases], w.values,
+                                      nearest_index(study.params, nu))
         with _timed(timings, "projection_s"):
             model = direct_project(basis, study.mean, study.ip, study.grid.gradient, nu)
         with _timed(timings, "initial_condition_s"):
@@ -653,7 +655,7 @@ def truth_pod_baseline(study: Study, truth: SnapshotMatrix) -> FactoredField:
     return factored_field(basis.modes, study.mean, traj, param=nu)
 
 
-def compare(study: Study, targets=None, kind=None, neighbors=None):
+def compare(study: Study, targets=None):
     """Mean errors of both interpolated models and the truth-POD floor.
 
     Returns (rows, reports): one row per target with columns
@@ -677,8 +679,8 @@ def compare(study: Study, targets=None, kind=None, neighbors=None):
         for method in methods:
             # method= stays a keyword: perfbench reads it from the predict calls
             approx = (truth_pod_baseline(study, truth) if method == "truth_pod" else
-                      predict(study, nu, method=method, ic_mode="truth", kind=kind,
-                              neighbors=neighbors, truth=truth, lift=False)[1])
+                      predict(study, nu, method=method, ic_mode="truth", truth=truth,
+                              lift=False)[1])
             rep = error_report(truth, approx, study.ip, method, ref_sq=ref_sq)
             reports.setdefault(nu, {})[method] = rep
             ref_sq = rep.ref_sq

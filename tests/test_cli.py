@@ -1,5 +1,7 @@
 import argparse
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
 import os
@@ -189,6 +191,50 @@ def test_predict_honours_a_valid_tol(workdir):
     assert health["1e-4"]["iterations"] < health[None]["iterations"]
 
 
+@pytest.mark.parametrize("fields", [
+    {"weights_neighbors": 0}, {"weights_neighbors": 2.7}, {"tol": -1.0},
+    {"tol": float("nan")}, {"weights_kind": ""},
+], ids=["neighbors=0", "neighbors=2.7", "tol=-1", "tol=nan", "kind=empty"])
+def test_an_override_is_a_config_error_before_any_sweep(study, monkeypatch, fields):
+    # every online option comes from the study config, and an override of
+    # one is checked as a config file is
+    sweeps = []
+    monkeypatch.setattr(pipeline, "karcher_barycenter", lambda *a, **k: sweeps.append(a))
+    with pytest.raises(pipeline.ConfigError):
+        pipeline.predict(dataclasses.replace(study, cfg=study.cfg.replace(**fields)), 0.08)
+    assert sweeps == []
+
+
+def test_online_functions_take_no_option_of_the_config():
+    for fn in (pipeline.predict, pipeline.compare, pipeline.study_weights,
+               pipeline.online_model):
+        assert not {"kind", "neighbors", "tol"} & set(inspect.signature(fn).parameters)
+
+
+def test_config_replace_round_trips_and_canonicalizes(study):
+    assert study.cfg.replace() == study.cfg
+    idw = study.cfg.replace(weights_kind="idw", tol=1e-8)
+    assert (idw.weights_kind, idw.tol) == ("inverse_distance", 1e-8)
+    assert dataclasses.replace(idw, weights_kind="lagrange", tol=study.cfg.tol) == study.cfg
+
+
+def test_cli_overrides_match_a_replaced_config(workdir):
+    _, _, out = workdir
+    nu = 0.085
+    assert main(["predict", "--out", str(out), "--nu", str(nu), "--weights", "idw",
+                 "--neighbors", "2", "--tol", "1e-8"]) == 0
+    study = pipeline.load_study(out)
+    study.cfg = study.cfg.replace(weights_kind="idw", weights_neighbors=2, tol=1e-8)
+    traj, _, report = pipeline.predict(study, nu, lift=False)
+    pdir = out / f"predict_nu{nu}_barycentric"
+    rows = (pdir / "trajectory.csv").read_text().strip().split("\n")[1:]
+    written = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert written[:, 0].tobytes() == traj.times.tobytes()
+    assert written[:, 1:].tobytes() == traj.alphas.tobytes()
+    assert json.loads((pdir / "report.json").read_text())["weights"] == report["weights"]
+    assert np.count_nonzero(report["weights"]) == 2
+
+
 def test_predict_trained_node_matches_truth_pod(workdir):
     _, _, out = workdir
     study = pipeline.load_study(out)
@@ -308,10 +354,11 @@ def test_itsgm_predict_follows_weight_kind(workdir):
     nu = 0.08
     # the truth IC keeps the weights out of the initial state
     lag = pipeline.predict(study, nu, method="itsgm", ic_mode="truth")[1].values
-    field = pipeline.predict(study, nu, method="itsgm", ic_mode="truth", kind="idw")[1].values
+    study.cfg = study.cfg.replace(weights_kind="idw")
+    field = pipeline.predict(study, nu, method="itsgm", ic_mode="truth")[1].values
     assert np.max(np.abs(field - lag)) > 1e-6 * np.max(np.abs(lag))
     # the predicted field lies in the subspace interpolated with the IDW weights
-    w = pipeline.study_weights(study, nu, kind="idw")
+    w = pipeline.study_weights(study, nu)
     sel = np.flatnonzero(w.values)
     ref = int(np.argmin(np.abs(study.params[sel] - nu)))
     basis = itsgm_interpolate([study.bases[k].modes for k in sel], w.values[sel],
@@ -1054,8 +1101,6 @@ class _Reached(Exception):
 
 
 def test_predict_reaches_the_reduced_solve_without_mesh_sized_arrays(workdir, monkeypatch):
-    import dataclasses
-
     _, _, out = workdir
     study = pipeline.load_study(out)
     meshless = dataclasses.replace(

@@ -450,6 +450,19 @@ def test_itsgm_interpolates_the_spans_of_its_inputs(rng):
     np.testing.assert_allclose(out.T @ out, np.eye(3), atol=1e-10)
 
 
+def test_itsgm_skips_zero_weight_inputs(rng):
+    # inputs in the first 10 rows, and one in the last 10, whose overlap with
+    # each of them is exactly zero: it has no alignment, but weighs nothing
+    bases = [np.vstack([b, np.zeros((10, 3))]) for b in close_family(rng, 10, 3, 3)]
+    orthogonal = np.vstack([np.zeros((10, 3)), rng.standard_normal((10, 3))])
+    w = lagrange([0.1, 0.2, 0.3], 0.17)
+    expected = itsgm_interpolate(bases, w, ref_index=1)
+    out = itsgm_interpolate([orthogonal, *bases], [0.0, *w], ref_index=2)
+    assert out.tobytes() == expected.tobytes()
+    with pytest.raises(SingularOverlapError):
+        itsgm_interpolate([orthogonal, *bases], [1e-3, w[0] - 1e-3, *w[1:]], ref_index=2)
+
+
 def test_itsgm_rejects_a_rank_deficient_input(rng):
     good = rng.standard_normal((20, 3))
     bad = good.copy()

@@ -37,7 +37,8 @@ def test_traced_names_are_bound_in_pipeline():
     assert not missing, f"perfbench traces unbound pipeline names: {missing}"
 
 
-def test_workload_names_are_bound_in_pipeline():
+def _workload_names():
+    """The pipeline names the workloads call or probe."""
     tree = _workload_tree()
     used = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -45,7 +46,20 @@ def test_workload_names_are_bound_in_pipeline():
     probed = next(ast.literal_eval(node.value) for node in tree.body
                   if isinstance(node, ast.Assign)
                   and getattr(node.targets[0], "id", None) == "PROBED")
-    used |= {name for names in probed.values() for name in names}
+    return used | {name for names in probed.values() for name in names}
+
+
+def _unused_imports(source: str) -> set:
+    """Names the imports of ``source`` bind that its code never reads."""
+    tree = ast.parse(source)
+    bound = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__" for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_workload_names_are_bound_in_pipeline():
+    used = _workload_names()
     assert {"predict", "update_reduced_model", "karcher_barycenter"} <= used
     missing = sorted(name for name in used if not hasattr(pipeline, name))
     assert not missing, f"perfbench calls unbound pipeline names: {missing}"
@@ -69,6 +83,14 @@ def test_counted_argument_positions_match_signatures():
     for span, index, name in sorted(read):
         params = list(inspect.signature(getattr(pipeline, attr_of[span])).parameters)
         assert params[index] == name, f"{span} argument {index} is {params[index]}, not {name}"
+
+
+def test_every_unused_pipeline_import_is_a_perfbench_name():
+    # a name pipeline imports only for perfbench goes once perfbench drops it
+    assert _unused_imports("from x import a, b as c\nimport d.e\na(e)") == {"c", "d"}
+    unused = _unused_imports(Path(pipeline.__file__).read_text(encoding="utf-8"))
+    stale = sorted(unused - set(_tracing().TRACED) - _workload_names())
+    assert not stale, f"pipeline imports names nothing uses: {stale}"
 
 
 def test_solver_backend_probe_exists():
