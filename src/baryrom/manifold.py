@@ -188,14 +188,6 @@ def _checked_weights(weights, count):
     return w
 
 
-def _stalled(result, tol):
-    return NotConvergedError(
-        f"barycenter fixed point stalled at gradient norm {result.final_gradient_norm:.3e} "
-        f"after {result.iterations} sweeps (tol {tol:.1e})",
-        result,
-    )
-
-
 def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
     """Weighted Karcher barycenter by fixed-point iteration.
 
@@ -247,8 +239,10 @@ def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
                 return BarycenterResult(phi, list(rotations), sweep, gnorm, True, norms, ratio)
             phi = candidate
 
-    result = BarycenterResult(phi, list(rotations), max_iter, gnorm, False, norms, ratio)
-    raise _stalled(result, tol)
+    raise NotConvergedError(
+        f"barycenter fixed point stalled at gradient norm {gnorm:.3e} "
+        f"after {max_iter} sweeps (tol {tol:.1e})",
+        BarycenterResult(phi, list(rotations), max_iter, gnorm, False, norms, ratio))
 
 
 def gram_coordinates(gram, q):
@@ -276,14 +270,14 @@ def gram_coordinates(gram, q):
 def itsgm_interpolate(bases, weights, ref_index):
     """Grassmann tangent-space interpolation of the spans of full-rank bases.
 
-    The inputs are orthonormalized first, so only their spans matter.
-    Each subspace is lifted to the tangent space at the reference with
-    the arctan of the principal-angle singular values, the lifted
-    velocities are combined entrywise with ``weights`` (one per basis),
-    and the combination is mapped back through the cos/sin geodesic
-    formula.  Zero-weight inputs are skipped, bar the reference, which is
-    the tangent base whatever its weight.  Returns a matrix with
-    orthonormal columns.
+    The inputs are orthonormalized first, Y_k, so only their spans matter.
+    Each is lifted to the tangent space at the reference Pi as T_k = U_k
+    arctan(S_k) V_k^T, U_k S_k V_k^T = (I - Pi Pi^T) Y_k (Pi^T Y_k)^-1; the
+    sum T = sum_k w_k T_k = U S V^T (one weight per basis) is mapped back
+    as Pi V cos(S) + U sin(S).  The Gram factor (Pi^T Pi)^(-1/2) of the
+    general map is the identity on orthonormal inputs.  Zero-weight inputs
+    are skipped, bar the reference, which is the tangent base whatever its
+    weight.  Returns a matrix with orthonormal columns.
     """
     mats = _representatives(bases)
     w = np.asarray(weights, dtype=float)
@@ -295,19 +289,13 @@ def itsgm_interpolate(bases, weights, ref_index):
     ortho = {k: orthonormalize(mats[k]) for k in used}
 
     ref = ortho[ref_index]
-    gram = ref.T @ ref
-    evals, evecs = np.linalg.eigh(gram)
-    if evals[0] <= 1e-12 * evals[-1]:
-        raise RankDeficientError("reference basis Gram matrix is singular")
-    gram_isqrt = (evecs / np.sqrt(evals)) @ evecs.T
-
     overlaps = [ref.T @ ortho[k] for k in used]
     _alignments(np.array(overlaps))
     combined = np.zeros(ref.shape)
     for k, overlap in zip(used, overlaps):
-        lifted = ortho[k] @ np.linalg.solve(overlap, gram_isqrt)
+        lifted = ortho[k] @ np.linalg.inv(overlap)
         lifted -= ref @ (ref.T @ lifted)
         u, s, vt = np.linalg.svd(lifted, full_matrices=False)
         combined += w[k] * ((u * np.arctan(s)) @ vt)
     u, s, vt = np.linalg.svd(combined, full_matrices=False)
-    return ref @ gram_isqrt @ (vt.T * np.cos(s)) + u * np.sin(s)
+    return ref @ (vt.T * np.cos(s)) + u * np.sin(s)

@@ -25,10 +25,9 @@ coordinates solve M alpha0 = S^T c with c = [Phi_1 ... Phi_Np]^T W (u0 -
 mean) (``online_model`` in pipeline).  Only the lift to the mesh needs
 Phi: ``combined_basis`` forms it once, Phi = sum_h w_h Phi_h Q_h, and a
 ``FactoredField`` holds the factor [Phi | mean] and the coefficients
-[alpha^T; 1] whose product is the field.  ``reconstruct_field`` fills one
-field block by block, and the error sums of ``metrics`` walk the blocks
-through one reused buffer.  Blocks are about BLOCK_BYTES of the field and
-bitwise equal to the whole product (``row_blocks``).
+[alpha^T; 1] whose product is the field.  ``reconstruct_field`` forms
+that product; the error sums of ``metrics`` take it one row block of about
+BLOCK_BYTES at a time (``row_blocks``) through one reused buffer.
 
 The reduced solve (``integrate_rom``) folds M^-1 into one stacked
 q-by-(1 + q + q^2) operator G = [f | -L | -Chat] by one solve, and builds
@@ -49,8 +48,8 @@ from .errors import DivergedSolutionError, ShapeMismatchError, SingularMassError
 from .pod import InnerProduct, SnapshotMatrix, sample_times
 from .weights import WeightVector
 
-# bytes of one row block of a lifted field, which stays in cache, so the
-# error sums of a lift hold no field-sized temporary
+# bytes of one row block of a lifted field scored by ``metrics``, which
+# stays in cache, so the error sums of a lift hold no field-sized temporary
 BLOCK_BYTES = 2 * 2**20
 
 
@@ -306,12 +305,13 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
 
 
 def row_blocks(nx: int, ns: int) -> list:
-    """(start, stop) of the row blocks in which a field of nx rows and ns
-    columns is lifted or scored: about BLOCK_BYTES of the field each, and
-    one block for a single column.  No block is a single row unless nx is
-    1, because numpy multiplies a single row by gemv, whose sums can differ
-    in the last bit from the GEMM of all rows, so a one-row tail joins the
-    block before it.  A lift in these blocks is bitwise the whole product."""
+    """(start, stop) of the row blocks in which ``metrics`` lifts and
+    scores a field of nx rows and ns columns: about BLOCK_BYTES of the
+    field each, and one block for a single column.  No block is a single
+    row unless nx is 1, because numpy multiplies a single row by gemv,
+    whose sums can differ in the last bit from the GEMM of all rows, so a
+    one-row tail joins the block before it.  A lift in these blocks is
+    bitwise the whole product."""
     starts = list(range(0, nx, max(2, nx if ns <= 1 else BLOCK_BYTES // (8 * ns))))
     if len(starts) > 1 and nx - starts[-1] == 1:
         starts.pop()
@@ -384,14 +384,11 @@ def factored_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> Factor
 
 def reconstruct_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> SnapshotMatrix:
     """Lift reduced states back to the full field, u(t) = mean + Phi a(t):
-    the ``factored_field`` of the same arguments, formed into one field
-    that is allocated once and filled one of its ``row_blocks`` at a time,
-    bitwise the whole product [Phi | mean] @ [alphas^T; 1]."""
+    the ``factored_field`` of the same arguments formed by the one product
+    [Phi | mean] @ [alphas^T; 1]."""
     field = factored_field(basis, mean, traj, param)
-    values = np.empty(field.shape)
-    for start, stop in row_blocks(*field.shape):
-        field.rows(start, stop, out=values[start:stop])
-    return SnapshotMatrix(values=values, times=field.times, param=field.param)
+    return SnapshotMatrix(values=field.factor @ field.coeffs, times=field.times,
+                          param=field.param)
 
 
 def initial_condition(basis, mean, ip: InnerProduct, u0) -> np.ndarray:

@@ -469,3 +469,36 @@ def test_itsgm_rejects_a_rank_deficient_input(rng):
     bad[:, 2] = bad[:, 1]
     with pytest.raises(RankDeficientError):
         itsgm_interpolate([good, bad], [0.5, 0.5], ref_index=0)
+
+
+def textbook_itsgm(bases, w, ref_index):
+    """The tangent-space map written out: with Pi the reference and Y_k the
+    inputs QR-orthonormalized, Gamma_k = (I - Pi Pi^T) Y_k (Pi^T Y_k)^-1 =
+    U_k S_k V_k^T, T = sum_k w_k U_k atan(S_k) V_k^T = U S V^T, and the
+    result is Pi V cos(S) + U sin(S)."""
+    ys = [np.linalg.qr(b)[0] for b in bases]
+    pi = ys[ref_index]
+    tangent = np.zeros(pi.shape)
+    for wk, y in zip(w, ys):
+        gamma = (y - pi @ (pi.T @ y)) @ np.linalg.inv(pi.T @ y)
+        u, s, vt = np.linalg.svd(gamma, full_matrices=False)
+        tangent += wk * (u @ np.diag(np.arctan(s)) @ vt)
+    u, s, vt = np.linalg.svd(tangent, full_matrices=False)
+    return pi @ vt.T @ np.diag(np.cos(s)) + u @ np.diag(np.sin(s))
+
+
+@pytest.mark.parametrize("target, ref_index", [(0.17, 1), (0.26, 2), (0.45, 0), (0.02, 3)])
+def test_itsgm_matches_the_textbook_tangent_map(rng, target, ref_index):
+    # full-rank inputs, columns scaled over six decades and mixed by an
+    # invertible q-by-q matrix; 0.45 and 0.02 extrapolate, and cubic
+    # Lagrange weights have negative entries at every target here
+    params = [0.1, 0.2, 0.3, 0.4]
+    scales = np.logspace(-3.0, 3.0, 5)
+    bases = [b * scales @ (np.eye(5) + 0.5 * rng.standard_normal((5, 5)))
+             for b in close_family(rng, 60, 5, 4, spread=0.3)]
+    w = lagrange(params, target)
+    assert (w < 0).any()
+    out = itsgm_interpolate(bases, w, ref_index)
+    want = textbook_itsgm(bases, w, ref_index)
+    assert np.linalg.norm(out @ out.T - want @ want.T) < 1e-10
+    np.testing.assert_allclose(out.T @ out, np.eye(5), atol=1e-10)

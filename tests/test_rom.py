@@ -707,19 +707,16 @@ def whole_mix(bases, w, rotations):
 
 def whole_lift(phi, mean, alphas):
     """The lift formed whole, [Phi | mean] @ [alphas^T; 1]: the bitwise
-    oracle of the blocked lift."""
+    oracle of ``reconstruct_field``."""
     return np.hstack([phi, mean[:, None]]) @ np.vstack([alphas.T, np.ones(len(alphas))])
 
 
 ROWS = rom.BLOCK_BYTES // (8 * 200)  # rows of one block of a 200-column field
 
 
-@pytest.mark.parametrize("nx, ns, block_bytes", [
-    (2000, 200, 64 * 2**10), (2000, 200, rom.BLOCK_BYTES), (3 * ROWS + 1, 200, rom.BLOCK_BYTES),
-    (ROWS + 17, 200, rom.BLOCK_BYTES), (41, 200, 64 * 2**10), (2, 200, 16), (1, 200, 16),
-    (5000, 1, 16), (7, 3, 16)])
-def test_blocked_lift_is_bitwise_the_whole_product(rng, monkeypatch, nx, ns, block_bytes):
-    monkeypatch.setattr(rom, "BLOCK_BYTES", block_bytes)
+@pytest.mark.parametrize("nx, ns", [(2000, 200), (3 * ROWS + 1, 200), (ROWS + 17, 200),
+                                    (41, 200), (2, 200), (1, 200), (5000, 1), (7, 3)])
+def test_lift_is_bitwise_the_whole_product(rng, nx, ns):
     q = 7
     bases = [rng.standard_normal((nx, q)) for _ in range(4)]
     rotations = [np.linalg.qr(rng.standard_normal((q, q)))[0] for _ in range(4)]
