@@ -737,6 +737,27 @@ def test_lift_is_bitwise_the_whole_product(rng, nx, ns):
     np.testing.assert_array_equal(explicit.values, whole_lift(bases[2], mean, traj.alphas))
 
 
+@pytest.mark.parametrize("nx, ns, block_bytes", [
+    (2000, 200, 64 * 2**10), (2000, 200, rom.BLOCK_BYTES), (3 * ROWS + 1, 200, rom.BLOCK_BYTES),
+    (ROWS + 17, 200, rom.BLOCK_BYTES), (41, 200, 64 * 2**10), (2, 200, 16), (1, 200, 16),
+    (5000, 1, 16), (7, 3, 16)])
+def test_blocked_lift_is_bitwise_the_whole_product(rng, monkeypatch, nx, ns, block_bytes):
+    """The lift the error sums of ``metrics`` take, ``FactoredField.rows``
+    over ``row_blocks`` into one reused buffer, is bitwise the whole
+    product at any block size."""
+    monkeypatch.setattr(rom, "BLOCK_BYTES", block_bytes)
+    q = 7
+    phi = rng.standard_normal((nx, q))
+    mean = 1.0 + rng.standard_normal(nx)
+    traj = ReducedTrajectory(times=0.3 + 0.005 * np.arange(ns),
+                             alphas=rng.standard_normal((ns, q)))
+    field = factored_field(phi, mean, traj)
+    bounds = rom.row_blocks(nx, ns)
+    block = np.empty((max(j - i for i, j in bounds), ns))
+    got = np.vstack([field.rows(i, j, out=block[:j - i]).copy() for i, j in bounds])
+    np.testing.assert_array_equal(got, whole_lift(phi, mean, traj.alphas))
+
+
 @pytest.mark.parametrize("nx, ns", [(1, 1), (1, 200), (2, 200), (3 * ROWS + 1, 200),
                                     (3 * ROWS + 2, 200), (5000, 1), (0, 5)])
 def test_row_blocks_cover_the_rows_with_no_single_row_block(nx, ns):
