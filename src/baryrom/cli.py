@@ -118,7 +118,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_offline(args) -> int:
     pipeline.run_offline(args.out, jobs=args.jobs, q=args.q)
-    print(f"wrote POD bases, initial states and tensor archive under {args.out}")
+    print(f"wrote the offline archive tensors.arc under {args.out}")
     return EXIT_OK
 
 
@@ -167,10 +167,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = pipeline.load_config(args.config)
-    nu = args.nu
-    if nu is None:
-        lo, hi = min(cfg.trained_nu), max(cfg.trained_nu)
-        nu = 0.5 * (lo + hi)
+    if not cfg.trained_nu:
+        raise ConfigError("bench needs at least one trained_nu")
+    nu = 0.5 * (min(cfg.trained_nu) + max(cfg.trained_nu)) if args.nu is None else args.nu
     pipeline.check_viscosity(nu)  # before any size is generated
     studies = []
     for nx in args.sizes:

@@ -2,8 +2,9 @@
 
 generate -> snapshot matrices per trained/test viscosity, the shared
             mean of the trained runs, and the manifest
-offline  -> per-parameter POD bases and initial states, cross-Galerkin
-            archive; it reads one trained run at a time
+offline  -> one archive of the per-parameter POD bases, spectra and
+            initial states and the cross-Galerkin tensors; it reads one
+            trained run at a time
 predict  -> weights, barycenter, cheap operator update and initial
             coordinates (all q-sized), reduced solve, then the one
             mesh-sized step: the interpolated basis and the field
@@ -370,8 +371,10 @@ def _stored_mean(outdir, manifest: dict, nx: int) -> np.ndarray:
 
 
 def run_offline(outdir, jobs: int = 1, q=None) -> dict:
-    """Build POD bases, initial states and the tensor archive from the
-    trained runs and the mean that generate wrote."""
+    """From the trained runs and the mean that generate wrote, write the one
+    archive tensors.arc: the six cross-Galerkin tensors, the POD ``bases``
+    (Np, nx, q), their spectra ``eigenvalues`` (Np, Ns) and the initial
+    states ``ics`` (Np, nx)."""
     outdir = Path(outdir)
     manifest = read_manifest(outdir / "manifest.json")
     config = _field(manifest, "config", kind=dict)
@@ -389,41 +392,32 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
     # basis, and dropped before the next is read: with ``jobs`` workers the
     # peak is ``jobs`` runs, as compute_pod's correlation is one syrk that
     # makes no weighted copy of a run.
-    def reduce(nu):
+    def pod_of(nu):
         values = _shaped(f"trained run nu={nu!r}",
                          load_snapshots(outdir, manifest, nu, role="trained").values, shape)
         ic = values[:, 0].copy()
         values -= mean[:, None]
         return ic, compute_pod(values, ip, cfg.q)
 
-    ics, bases = zip(*_fan_out(reduce, cfg.trained_nu, jobs))
-    ct = assemble_cross_tensors([b.modes for b in bases], mean, ip, grid.gradient)
-
-    pod_entries = []
-    ic_entries = []
-    for nu, basis, ic in zip(cfg.trained_nu, bases, ics):
-        tag = _nu_tag(nu)
-        pod_path = outdir / f"pod_nu{tag}.mat"
-        pod_entries.append(_entry(pod_path, write_matrix(pod_path, basis.modes), nu=nu,
-                                  eigenvalues=[float(v) for v in basis.eigenvalues]))
-        ic_path = outdir / f"ic_nu{tag}.mat"
-        ic_entries.append(_entry(ic_path, write_matrix(ic_path, ic), nu=nu))
-
+    ics, bases = zip(*_fan_out(pod_of, cfg.trained_nu, jobs))
+    modes = [b.modes for b in bases]
+    ct = assemble_cross_tensors(modes, mean, ip, grid.gradient)
+    arrays = {**vars(ct), "bases": np.stack(modes), "ics": np.stack(ics),
+              "eigenvalues": np.stack([b.eigenvalues for b in bases])}
     archive_path = outdir / "tensors.arc"
     manifest["config"] = cfg.to_dict()
-    manifest["offline"] = {
-        "pod": pod_entries,
-        "ics": ic_entries,
-        "archive": _entry(archive_path, write_archive(
-            archive_path, vars(ct), {"q": cfg.q, "nx": grid.n, "dx": grid.dx})),
-    }
+    manifest["offline"] = {"archive": _entry(archive_path, write_archive(
+        archive_path, arrays, {"q": cfg.q, "nx": grid.n, "dx": grid.dx}))}
     write_manifest(outdir / "manifest.json", manifest)
     return manifest
 
 
 @dataclasses.dataclass
 class Study:
-    """Everything the online stage needs, loaded from offline outputs.
+    """Everything the online stage needs, loaded from the mean and the
+    offline archive: ``bases`` holds one PODBasis per trained viscosity,
+    views of the archive's stacked bases and spectra, and ``ics`` the
+    (Np, nx) stored initial states.
 
     ``frame`` holds the trained bases in ``gram_coordinates``, one (Np q,
     q) block each, from the Gram matrix of the stacked bases [Phi_1 ...
@@ -442,7 +436,7 @@ class Study:
     ip: InnerProduct
     mean: np.ndarray
     bases: list
-    ics: list
+    ics: np.ndarray
     tensors: CrossGalerkinTensors
     frame: list
     ic_coords: np.ndarray
@@ -460,42 +454,35 @@ def load_study(outdir) -> Study:
     cfg = config_from_dict(_field(manifest, "config", kind=dict))
     grid = cfg.grid()
     ip = InnerProduct(grid.dx)
-    off = manifest["offline"]
-    nx, q, np_ = grid.n, cfg.q, len(cfg.trained_nu)
-    pod, ic_list = (_field(off, key, "offline section", kind=list) for key in ("pod", "ics"))
-    if len(pod) != np_ or len(ic_list) != np_:
-        raise DataIntegrityError(f"offline section lists other than {np_} bases and states")
-
-    def matrix(entry, cols):  # a stored (nx, cols) matrix
-        return _shaped(entry["path"], _read(read_matrix, outdir, entry), (nx, cols))
-
-    mean = _stored_mean(outdir, manifest, nx)
-    bases = [PODBasis(matrix(e, q), np.array(_field(e, "eigenvalues", "pod entry", kind=list)))
-             for e in pod]
-    ics = [matrix(entry, 1)[:, 0] for entry in ic_list]
-    arrays, meta = _read(read_archive, outdir, _field(off, "archive", "offline section"))
-    if meta.get("q") != cfg.q:
-        raise DataIntegrityError("archive truncation order disagrees with the config")
-    ct = _cross_tensors(arrays, np_, q)
+    mean = _stored_mean(outdir, manifest, grid.n)
+    arrays, _ = _read(read_archive, outdir,
+                      _field(manifest["offline"], "archive", "offline section"))
+    stored = _archive_arrays(arrays, len(cfg.trained_nu), grid.n, cfg.q,
+                             cfg.steps // cfg.save_every + 1)
+    bases = [PODBasis(*pair) for pair in zip(stored.pop("bases"), stored.pop("eigenvalues"))]
+    ics = stored.pop("ics")
+    ct = CrossGalerkinTensors(**stored)
     frame = gram_coordinates(ct.M / ip.weight, cfg.q)
     ic_coords = _coords(bases, mean, ip, np.column_stack(ics))
     return Study(outdir, manifest, cfg, grid, ip, mean, bases, ics, ct, frame, ic_coords)
 
 
-def _cross_tensors(arrays: dict, np_: int, q: int) -> CrossGalerkinTensors:
-    """The archive's tensors, each checked against its stacked shape for Np
-    bases of q modes; an archive in another layout is rebuilt by offline."""
+def _archive_arrays(arrays: dict, np_: int, nx: int, q: int, ns: int) -> dict:
+    """The nine arrays of the archive, each checked against its shape for
+    Np bases of q modes on nx points and runs of ns snapshots: the six
+    stacked tensors, the bases, the initial states and the POD spectra.
+    An archive in another layout, or one written before the bases joined
+    it, is rebuilt by offline."""
     n = np_ * q
     shapes = {"M": (n, n), "R": (n, n), "Cbar": (n, n), "C": (n, n * n),
-              "F_conv": (np_, q), "F_diff": (np_, q)}
+              "F_conv": (np_, q), "F_diff": (np_, q),
+              "bases": (np_, nx, q), "ics": (np_, nx), "eigenvalues": (np_, ns)}
     for name, shape in shapes.items():
-        if name not in arrays:
-            raise DataIntegrityError(f"tensor archive lacks the array {name!r}")
-        if arrays[name].shape != shape:
-            raise DataIntegrityError(
-                f"archive array {name!r} has shape {arrays[name].shape}, expected {shape}; "
-                "run offline again to rebuild the archive")
-    return CrossGalerkinTensors(**{name: arrays[name] for name in shapes})
+        found = f"has shape {arrays[name].shape}" if name in arrays else "is missing"
+        if name not in arrays or arrays[name].shape != shape:
+            raise DataIntegrityError(f"archive array {name!r} {found}, expected {shape}; "
+                                     "run offline again to rebuild the archive")
+    return {name: arrays[name] for name in shapes}
 
 
 def _coords(bases, mean, ip: InnerProduct, fields) -> np.ndarray:
@@ -522,8 +509,9 @@ def study_weights(study: Study, nu: float) -> WeightVector:
     full = np.zeros(params.size)
     full[sel] = local.values
     if not np.isfinite(full).all():
-        raise ConfigError(f"viscosity {nu!r} lies too far outside the trained range "
-                          "for its interpolation weights to be finite")
+        raise ConfigError(f"interpolation weights at viscosity {nu!r} are not finite (trained "
+                          f"range [{params.min():g}, {params.max():g}], weights.kind "
+                          f"{cfg.weights_kind}, weights.power {cfg.weights_power:g})")
     return WeightVector(values=full, target=float(nu))
 
 

@@ -121,6 +121,45 @@ def test_offline_without_trained_nu_is_a_config_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_offline_writes_one_archive(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(SMALL_CONFIG))
+    out = tmp_path / "o"
+    assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["offline", "--out", str(out)]) == 0
+    manifest = read_manifest(out / "manifest.json")
+    snaps = {e["path"] for e in manifest["runs"]}
+    assert all(name.startswith("snap_") for name in snaps)
+    assert ({p.name for p in out.iterdir()}
+            == snaps | {"mean.mat", "manifest.json", "tensors.arc"})
+    assert list(manifest["offline"]) == ["archive"]
+    arrays, _ = read_archive(out / "tensors.arc", manifest["offline"]["archive"]["sha256"])
+    mean = read_matrix(out / "mean.mat")
+    ip = InnerProduct(SMALL_CONFIG["grid"]["length"] / SMALL_CONFIG["grid"]["n"])
+    for k, nu in enumerate(SMALL_CONFIG["trained_nu"]):
+        run = read_matrix(out / f"snap_nu{nu:g}.mat")
+        oracle = compute_pod(run - mean, ip, SMALL_CONFIG["q"])
+        assert arrays["bases"][k].tobytes() == oracle.modes.tobytes()
+        assert arrays["eigenvalues"][k].tobytes() == oracle.eigenvalues.tobytes()
+        assert arrays["ics"][k].tobytes() == run[:, 0].tobytes()
+
+
+def test_load_study_reads_the_mean_and_the_archive_once_each(workdir, monkeypatch):
+    _, _, out = workdir
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("read_matrix", "read_archive"):
+        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    pipeline.load_study(out)
+    assert sorted(calls) == ["read_archive", "read_matrix"]
+
+
 def test_offline_archive_reload_bit_identical(workdir):
     _, _, out = workdir
     arrays1, meta1 = read_archive(out / "tensors.arc")
@@ -572,7 +611,7 @@ def test_bench_rebuild_removes_files_of_the_stale_study(workdir, tmp_path):
                      "--sizes", "64", "--reps", "2"]) == 0
     manifest = read_manifest(out / "bench_nx64" / "manifest.json")
     off = manifest["offline"]
-    listed = {e["path"] for e in manifest["runs"] + off["pod"] + off["ics"]}
+    listed = {e["path"] for e in manifest["runs"]}
     listed |= {manifest["mean"]["path"], off["archive"]["path"], "manifest.json"}
     assert {p.name for p in (out / "bench_nx64").iterdir()} == listed
     assert "snap_nu0.07.mat" not in listed and "snap_nu0.08.mat" in listed
@@ -713,6 +752,8 @@ MALFORMED_INPUT = [  # (argv, config overrides); "{out}" is a copy of the study
     (["bench", "--config", "{cfg}", "--out", "{out}", "--sizes", "64", "--nu", "1e300"], {}),
     (["bench", "--config", "{cfg}", "--out", "{out}", "--sizes", "64", "--nu=-0.05"], {}),
     (["bench", "--config", "{cfg}", "--out", "{out}", "--sizes", ","], {}),
+    (["bench", "--config", "{cfg}", "--out", "{out}", "--sizes", "64"],
+     {"trained_nu": [], "test_nu": []}),
     (["compare", "--out", "{out}", "--targets", "nan"], {}),
     (["compare", "--out", "{out}", "--targets=-0.06"], {}),
     (["predict", "--out", "{out}", "--nu", "1e200", "--weights", "idw"], {}),
@@ -817,6 +858,23 @@ def _block_layout(arrays):
     arrays["C"] = arrays["C"].reshape((np_, q) * 3).transpose(2, 4, 0, 1, 3, 5)
 
 
+def _pre_archive_layout(manifest, study):
+    """The layout of a study whose offline ran before the bases, spectra and
+    initial states joined the archive: a matrix file for each basis and
+    initial state, listed in the offline section, beside a tensor archive."""
+    arrays, meta = read_archive(study / "tensors.arc")
+    off = manifest["offline"]
+    off["pod"], off["ics"] = [], []
+    for nu, basis, spectrum, ic in zip(manifest["config"]["trained_nu"], arrays.pop("bases"),
+                                       arrays.pop("eigenvalues"), arrays.pop("ics")):
+        off["pod"].append({"path": f"pod_nu{nu:g}.mat", "nu": nu,
+                           "sha256": write_matrix(study / f"pod_nu{nu:g}.mat", basis),
+                           "eigenvalues": spectrum.tolist()})
+        off["ics"].append({"path": f"ic_nu{nu:g}.mat", "nu": nu,
+                           "sha256": write_matrix(study / f"ic_nu{nu:g}.mat", ic)})
+    off["archive"]["sha256"] = write_archive(study / "tensors.arc", arrays, meta)
+
+
 def _stale_bench(edit):
     """A bench directory that holds the copy, after ``edit(manifest)``, as
     its nx=64 study: stale, since it was built from another config."""
@@ -837,9 +895,11 @@ CORRUPT_STUDY = [  # (id, command, corruption of a copy of the study)
     ("run-without-path", "offline", _edit_manifest(lambda m, s: m["runs"][0].pop("path"))),
     ("run-without-hash", "offline", _edit_manifest(lambda m, s: m["runs"][0].pop("sha256"))),
     ("run-outside", "compare", _outside(lambda m: m["runs"][-1], absolute=False)),
-    ("pod-without-hash", "predict",
-     _edit_manifest(lambda m, s: m["offline"]["pod"][1].pop("sha256"))),
-    ("ic-missing", "predict", _edit_manifest(lambda m, s: m["offline"]["ics"].pop())),
+    ("archive-without-bases", "predict", _edit_archive(lambda a: a.pop("bases"))),
+    ("archive-ics-shape", "predict", _edit_archive(lambda a: a.update(ics=a["ics"][:, :-1]))),
+    ("archive-eigenvalues-shape", "predict",
+     _edit_archive(lambda a: a.update(eigenvalues=a["eigenvalues"][:-1]))),
+    ("pre-archive-layout", "predict", _edit_manifest(_pre_archive_layout)),
     ("mean-in-sibling", "predict", _outside(lambda m: m["mean"], absolute=False)),
     ("mean-absolute", "predict", _outside(lambda m: m["mean"], absolute=True)),
     ("mean-short", "predict", _edit_manifest(_short_mean)),
@@ -910,6 +970,39 @@ def test_study_with_a_block_layout_archive_names_offline(workdir, tmp_path, caps
     assert main([*COMMANDS[command], "--out", str(study)]) == 4
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "run offline again" in err
+
+
+@pytest.mark.parametrize("command", ["compare", "predict", "bench"])
+def test_study_from_before_the_one_archive_names_offline_until_it_runs(workdir, tmp_path,
+                                                                     capsys, command):
+    _, cfg_path, out = workdir
+    study = tmp_path / "bench" / "bench_nx64"  # where bench caches the nx=64 study
+    shutil.copytree(out, study)
+    _edit_manifest(_pre_archive_layout)(study)
+    argv = ([*COMMANDS[command], "--out", str(study)] if command != "bench" else
+            ["bench", "--config", str(cfg_path), "--out", str(study.parent), "--sizes", "64",
+             "--reps", "1"])
+    capsys.readouterr()
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "run offline again" in err
+    assert main(["offline", "--out", str(study)]) == 0
+    assert list(read_manifest(study / "manifest.json")["offline"]) == ["archive"]
+    assert main(argv) == 0
+
+
+def test_non_finite_weights_inside_the_trained_range_are_not_called_outside_it(
+        workdir, tmp_path, capsys):
+    _, _, out = workdir
+    study = tmp_path / "study"
+    shutil.copytree(out, study)
+    _edit_manifest(lambda m, s: m["config"]["weights"].update(
+        kind="inverse_distance", power=1e308))(study)
+    capsys.readouterr()
+    assert main(["predict", "--out", str(study), "--nu", "0.06"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: interpolation weights at viscosity 0.06 are not finite "
+        "(trained range [0.05, 0.11], weights.kind inverse_distance, weights.power 1e+308)"]
 
 
 def _tree(root):
