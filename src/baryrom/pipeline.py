@@ -6,9 +6,10 @@ offline  -> one archive of the per-parameter POD bases, spectra and
             initial states and the cross-Galerkin tensors; it reads one
             trained run at a time
 predict  -> weights, barycenter, cheap operator update and initial
-            coordinates (all q-sized), reduced solve, then the one
-            mesh-sized step: the interpolated basis and the field
-            reconstruction (or the tangent-interpolation baseline)
+            coordinates (all q-sized), reduced solve one step per
+            sample, then the one mesh-sized step: the interpolated basis
+            and the field reconstruction (or the tangent-interpolation
+            baseline)
 compare  -> mean errors of both interpolated models and the truth-POD
             floor against the stored high-fidelity runs, holding one
             truth run at a time and scoring each model's lift factors
@@ -26,7 +27,6 @@ import dataclasses
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from functools import partial, reduce
 from pathlib import Path
 
@@ -374,7 +374,8 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
     """From the trained runs and the mean that generate wrote, write the one
     archive tensors.arc: the six cross-Galerkin tensors, the POD ``bases``
     (Np, nx, q), their spectra ``eigenvalues`` (Np, Ns) and the initial
-    states ``ics`` (Np, nx)."""
+    states ``ics`` (Np, nx).  The files an earlier offline section lists
+    are deleted first, so a study in an older layout keeps none of them."""
     outdir = Path(outdir)
     manifest = read_manifest(outdir / "manifest.json")
     config = _field(manifest, "config", kind=dict)
@@ -405,6 +406,7 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
     arrays = {**vars(ct), "bases": np.stack(modes), "ics": np.stack(ics),
               "eigenvalues": np.stack([b.eigenvalues for b in bases])}
     archive_path = outdir / "tensors.arc"
+    remove_listed_files(outdir, {"offline": manifest.get("offline", {})})
     manifest["config"] = cfg.to_dict()
     manifest["offline"] = {"archive": _entry(archive_path, write_archive(
         archive_path, arrays, {"q": cfg.q, "nx": grid.n, "dx": grid.dx}))}
@@ -424,7 +426,8 @@ class Study:
     Phi_Np], and ``ic_coords`` the coordinates of the stored
     initial states, ic_coords[:, j] = [Phi_1 ... Phi_Np]^T W (ics[j] -
     mean), (Np q, Np).  With them and the tensor archive, a barycentric
-    prediction reads no mesh-sized array until it lifts its trajectory.
+    prediction from the weighted initial state reads no mesh-sized array
+    until it lifts its trajectory.
     The ITSGM baseline interpolates the ``bases`` as they are stored; it
     orthonormalizes those it weights itself.
     """
@@ -463,7 +466,8 @@ def load_study(outdir) -> Study:
     ics = stored.pop("ics")
     ct = CrossGalerkinTensors(**stored)
     frame = gram_coordinates(ct.M / ip.weight, cfg.q)
-    ic_coords = _coords(bases, mean, ip, np.column_stack(ics))
+    weighted = ip.apply(np.column_stack(ics) - mean[:, None])
+    ic_coords = np.vstack([b.modes.T @ weighted for b in bases])
     return Study(outdir, manifest, cfg, grid, ip, mean, bases, ics, ct, frame, ic_coords)
 
 
@@ -483,13 +487,6 @@ def _archive_arrays(arrays: dict, np_: int, nx: int, q: int, ns: int) -> dict:
             raise DataIntegrityError(f"archive array {name!r} {found}, expected {shape}; "
                                      "run offline again to rebuild the archive")
     return {name: arrays[name] for name in shapes}
-
-
-def _coords(bases, mean, ip: InnerProduct, fields) -> np.ndarray:
-    """c[:, j] = [Phi_1 ... Phi_Np]^T W (fields[:, j] - mean), shape (Np q, m):
-    one (q, m) product per basis, so the stacked bases are never formed."""
-    weighted = ip.apply(fields - mean[:, None])
-    return np.vstack([b.modes.T @ weighted for b in bases])
 
 
 def check_viscosity(nu: float) -> None:
@@ -519,25 +516,32 @@ def nearest_index(params, nu: float) -> int:
     return select_neighbors(params, nu, 1)[0]
 
 
-@contextmanager
-def _timed(timings: dict, key: str):
-    """Add the wall-clock seconds of the body to timings[key]."""
-    t = time.perf_counter()
-    yield
-    timings[key] = timings.get(key, 0.0) + (time.perf_counter() - t)
+class _timed:
+    """Adds the wall-clock seconds of its body to timings[key]: a plain
+    class, as a generator context manager costs twice as much per use."""
+
+    def __init__(self, timings: dict, key: str):
+        self.timings, self.key = timings, key
+
+    def __enter__(self):
+        self.start = time.perf_counter()
+
+    def __exit__(self, *exc):
+        elapsed = time.perf_counter() - self.start
+        self.timings[self.key] = self.timings.get(self.key, 0.0) + elapsed
 
 
-def online_model(study: Study, w: WeightVector, nu: float, coords=None,
+def online_model(study: Study, w: WeightVector, nu: float,
                  allow_nonconverged: bool = False, timings=None):
     """The q-sized half of a barycentric prediction at nu, for weights w:
     the barycenter of the trained bases on their Gram coordinates, started
     at the node nearest nu (a stalled one is kept if ``allow_nonconverged``
     and its gradient norm is finite), the operator update, and the initial
-    coordinates of the state whose trained-basis coordinates are
-    ``coords``, by default the weighted initial state's: the solution of
-    M alpha0 = S^T coords, with M the updated mass matrix and S the
-    ``weighted_rotations``.  ``timings`` gains barycenter_s, update_s and
-    initial_condition_s.  Returns (barycenter result, model, alpha0)."""
+    coordinates of the weighted initial state: the solution of M alpha0 =
+    S^T c, with M the updated mass matrix, S the ``weighted_rotations`` and
+    c the weighted trained-basis coordinates ``ic_coords`` w.  ``timings``
+    gains barycenter_s, update_s and initial_condition_s.  Returns
+    (barycenter result, model, alpha0)."""
     timings = {} if timings is None else timings
     with _timed(timings, "barycenter_s"):
         try:
@@ -551,8 +555,8 @@ def online_model(study: Study, w: WeightVector, nu: float, coords=None,
     with _timed(timings, "update_s"):
         model = update_reduced_model(study.tensors, w, bary.rotations, nu)
     with _timed(timings, "initial_condition_s"):
-        coords = study.ic_coords @ w.values if coords is None else coords
-        alpha0 = np.linalg.solve(model.M, weighted_rotations(w, bary.rotations).T @ coords)
+        alpha0 = np.linalg.solve(model.M, weighted_rotations(w, bary.rotations).T
+                                 @ (study.ic_coords @ w.values))
     return bary, model, alpha0
 
 
@@ -563,15 +567,22 @@ def predict(study: Study, nu: float, method: str = "barycentric",
 
     ``ic_mode="truth"`` starts from the first state of the stored run at
     nu: ``truth`` when given, else the run read from disk.  Up to the lift,
-    the barycentric method does q-sized work only: barycenter, operator
-    update and, with the weighted initial state, its coordinates.
+    the barycentric method with the weighted initial state does q-sized
+    work only: barycenter, operator update and initial coordinates.  With
+    the truth initial state it projects that state onto the interpolated
+    basis by ``initial_condition``, as ITSGM and the truth-POD floor do.
+
+    The reduced model is marched steps // save_every RK4 steps of h =
+    save_every dt, every state recorded, at the instants of the stored
+    runs; the report records h as reduced_step and the step count as
+    reduced_steps.
 
     Returns (trajectory, reconstruction, report) where the report is a
     JSON-ready dict with the interpolation diagnostics and timings.  The
     reconstruction is the lift onto the interpolated basis, which the
-    barycentric method forms here, once, by ``combined_basis``; with
+    barycentric method forms once, by ``combined_basis``; with
     ``lift=False`` it is left unformed: the second item is the
-    trajectory's ``FactoredField``, the factor [Phi | mean] and [alpha^T; 1].
+    trajectory's ``FactoredField`` of that basis, the mean and [alpha^T; 1].
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -584,19 +595,17 @@ def predict(study: Study, nu: float, method: str = "barycentric",
         "nu": nu,
         "method": method,
         "ic_mode": ic_mode,
-        "weights": [float(v) for v in w.values],
-        "trained_nu": [float(v) for v in study.params],
+        "weights": w.values.tolist(),
+        "trained_nu": study.params.tolist(),
         "timings": timings,
     }
 
-    coords = None  # online_model's default: the weighted initial state
-    if ic_mode == "truth":
+    basis = None  # the barycentric basis is formed for the lift, or for a truth IC
+    if ic_mode == "truth" and truth is None:
         with _timed(timings, "initial_condition_s"):
-            truth = load_snapshots(study.outdir, study.manifest, nu) if truth is None else truth
-            if method == "barycentric":
-                coords = _coords(study.bases, study.mean, study.ip, truth.values[:, :1])[:, 0]
+            truth = load_snapshots(study.outdir, study.manifest, nu)
     if method == "barycentric":
-        bary, model, alpha0 = online_model(study, w, nu, coords,
+        bary, model, alpha0 = online_model(study, w, nu,
                                            allow_nonconverged=allow_nonconverged,
                                            timings=timings)
         report["barycenter"] = {
@@ -606,6 +615,10 @@ def predict(study: Study, nu: float, method: str = "barycentric",
             "gradient_norms": bary.gradient_norms,
             "min_overlap_ratio": bary.min_overlap_ratio,
         }
+        if ic_mode == "truth":
+            with _timed(timings, "initial_condition_s"):
+                basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
+                alpha0 = initial_condition(basis, study.mean, study.ip, truth.values[:, 0])
     else:
         with _timed(timings, "interpolation_s"):
             basis = itsgm_interpolate([b.modes for b in study.bases], w.values,
@@ -617,14 +630,13 @@ def predict(study: Study, nu: float, method: str = "barycentric",
                   sum(wk * ic for wk, ic in zip(w.values, study.ics) if wk != 0.0))
             alpha0 = initial_condition(basis, study.mean, study.ip, u0)
 
+    h, n = cfg.save_every * cfg.dt, cfg.steps // cfg.save_every
+    report["reduced_step"], report["reduced_steps"] = h, n
     with _timed(timings, "integrate_s"):
-        traj = integrate_rom(model, alpha0, cfg.dt, cfg.steps,
-                             record_every=cfg.save_every, t0=cfg.transient * cfg.dt)
-    # roundoff amplification bound of the folded M^-1; M is finite SPD once
-    # the integrator has factored it
-    report["mass_condition"] = float(np.linalg.cond(model.M))
+        traj = integrate_rom(model, alpha0, h, n, t0=cfg.transient * cfg.dt)
+    report["mass_condition"] = traj.mass_condition
     with _timed(timings, "lift_s"):
-        if method == "barycentric":
+        if basis is None:
             basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
         lifter = reconstruct_field if lift else factored_field
         recon = lifter(basis, study.mean, traj, param=nu)
@@ -633,13 +645,14 @@ def predict(study: Study, nu: float, method: str = "barycentric",
 
 def truth_pod_baseline(study: Study, truth: SnapshotMatrix) -> FactoredField:
     """ROM built from the target's own truth snapshots, the accuracy floor,
-    with its lift left unformed."""
-    nu = truth.param
-    basis = compute_pod(truth.values - study.mean[:, None], study.ip, study.cfg.q)
+    with its lift left unformed; marched at the sampling interval, as
+    ``predict`` marches."""
+    nu, cfg = truth.param, study.cfg
+    basis = compute_pod(truth.values - study.mean[:, None], study.ip, cfg.q)
     model = direct_project(basis.modes, study.mean, study.ip, study.grid.gradient, nu)
     alpha0 = initial_condition(basis.modes, study.mean, study.ip, truth.values[:, 0])
-    traj = integrate_rom(model, alpha0, study.cfg.dt, study.cfg.steps,
-                         record_every=study.cfg.save_every, t0=float(truth.times[0]))
+    traj = integrate_rom(model, alpha0, cfg.save_every * cfg.dt, cfg.steps // cfg.save_every,
+                         t0=float(truth.times[0]))
     return factored_field(basis.modes, study.mean, traj, param=nu)
 
 
@@ -672,6 +685,7 @@ def compare(study: Study, targets=None):
             rep = error_report(truth, approx, study.ip, method, ref_sq=ref_sq)
             reports.setdefault(nu, {})[method] = rep
             ref_sq = rep.ref_sq
+            del approx  # before the next model is built
         del truth  # before the next target's is read
         e_b, e_i, e_t = (reports[nu][m].mean for m in methods)
         rows.append([nu, e_b, e_i, e_t, e_b / e_i if e_i > 0 else np.inf])

@@ -49,14 +49,15 @@ class SnapshotMatrix:
 
 
 def sample_times(t0: float, dt: float, every: int, count: int) -> np.ndarray:
-    """The ``count`` instants t0 + (every k) dt of a run sampled every
+    """The ``count`` instants t0 + k (every dt) of a run sampled every
     ``every`` steps of dt from t0.  The solver, the stored runs and the
     reduced trajectories all take their instants from here, so their
-    instants agree bit for bit.  The step counts every k are exact in
-    floating point, and the one array is worked in place."""
+    instants agree bit for bit: a march of steps h = every dt that records
+    every state, ``sample_times(t0, h, 1, count)``, has the same instants
+    as one of steps dt that records every ``every``-th, since 1 h is h.
+    The one array is worked in place."""
     times = np.arange(count, dtype=float)
-    times *= every
-    times *= dt
+    times *= every * dt
     times += t0
     return times
 

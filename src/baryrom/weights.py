@@ -69,8 +69,8 @@ def select_neighbors(params, target, m):
     Distance ties go to the smaller parameter value; the selection is
     returned sorted by ascending parameter value.
     """
-    params = np.asarray(params, dtype=float)
-    if not 0 < m <= params.size:
-        raise ValueError(f"m must lie in 1..{params.size}, got {m}")
-    order = sorted(range(params.size), key=lambda k: (abs(params[k] - target), params[k]))
+    params = np.asarray(params, dtype=float).tolist()  # Python floats sort faster
+    if not 0 < m <= len(params):
+        raise ValueError(f"m must lie in 1..{len(params)}, got {m}")
+    order = sorted(range(len(params)), key=lambda k: (abs(params[k] - target), params[k]))
     return sorted(order[:m], key=lambda k: params[k])

@@ -208,6 +208,7 @@ def test_predict_untrained_smoke(workdir):
                                       "initial_condition_s", "integrate_s", "lift_s"}
     assert all(v >= 0 for v in report["timings"].values())
     assert 1.0 <= report["mass_condition"] < 1e3
+    assert (report["reduced_step"], report["reduced_steps"]) == (4 * 1e-3, 120 // 4)
     assert report["lift_sha256"] == sha256_file(pdir / "lift.mat")
     lift = read_matrix(pdir / "lift.mat")
     assert lift.shape == (64, 5)
@@ -347,6 +348,7 @@ def test_barycentric_predict_forms_the_combined_basis_once(workdir, monkeypatch)
     monkeypatch.setattr(pipeline, "combined_basis", counted)
     field = pipeline.predict(study, 0.075, lift=False)[1]
     assert len(calls) == 1
+    assert not {"factor", "coeffs"} & set(vars(field))  # each is formed on first use
     w = pipeline.study_weights(study, 0.075)
     rotations = pipeline.online_model(study, w, 0.075)[0].rotations
     want = np.column_stack([combined_basis([b.modes for b in study.bases], w, rotations),
@@ -991,6 +993,22 @@ def test_study_from_before_the_one_archive_names_offline_until_it_runs(workdir, 
     assert main(argv) == 0
 
 
+def test_offline_deletes_the_files_of_the_pre_archive_layout(workdir, tmp_path):
+    # the pod_nu*.mat and ic_nu*.mat files the old offline section lists go,
+    # and every other file stays
+    _, _, out = workdir
+    study = tmp_path / "study"
+    shutil.copytree(out, study)
+    _edit_manifest(_pre_archive_layout)(study)
+    before = {p.name for p in study.iterdir()}
+    off = read_manifest(study / "manifest.json")["offline"]
+    old = {entry["path"] for key in ("pod", "ics") for entry in off[key]}
+    assert len(old) == 2 * len(SMALL_CONFIG["trained_nu"]) and old <= before
+    assert main(["offline", "--out", str(study)]) == 0
+    assert {p.name for p in study.iterdir()} == before - old
+    assert main(["predict", "--out", str(study), "--nu", "0.08"]) == 0
+
+
 def test_non_finite_weights_inside_the_trained_range_are_not_called_outside_it(
         workdir, tmp_path, capsys):
     _, _, out = workdir
@@ -1208,6 +1226,33 @@ def test_predict_reaches_the_reduced_solve_without_mesh_sized_arrays(workdir, mo
     for nu in (0.08, 0.05, 0.12):
         with pytest.raises(_Reached):
             pipeline.predict(meshless, nu)
+
+
+def test_predictions_and_the_floor_march_at_the_sampling_interval(workdir, monkeypatch):
+    # predict, either method from either initial state, and the truth-POD
+    # floor take steps // save_every RK4 steps of h = save_every dt and
+    # record every state; the report names that step and the trajectory's
+    # mass condition
+    _, _, out = workdir
+    study = pipeline.load_study(out)
+    cfg = study.cfg
+    integrate, calls = pipeline.integrate_rom, []
+
+    def sentinel(model, alpha0, dt, steps, *args, **kwargs):
+        calls.append((dt, steps, kwargs.get("record_every", args[0] if args else 1)))
+        return integrate(model, alpha0, dt, steps, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "integrate_rom", sentinel)
+    truth = pipeline.load_snapshots(out, study.manifest, 0.08)
+    for method in pipeline.METHODS:
+        for ic_mode in pipeline.IC_MODES:
+            traj, _, report = pipeline.predict(study, 0.08, method=method, ic_mode=ic_mode,
+                                               truth=truth, lift=False)
+            assert (report["reduced_step"], report["reduced_steps"]) == (4 * 1e-3, 30)
+            assert report["mass_condition"] == traj.mass_condition
+            np.testing.assert_array_equal(traj.times, truth.times)
+    pipeline.truth_pod_baseline(study, truth)
+    assert calls == [(cfg.save_every * cfg.dt, cfg.steps // cfg.save_every, 1)] * 5
 
 
 def test_compare_reads_each_truth_run_once(workdir, monkeypatch):

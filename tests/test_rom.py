@@ -265,11 +265,22 @@ def test_integrate_singular_mass():
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_integrate_non_finite_mass_is_singular(bad):
-    # np.linalg.cholesky factors an inf or nan diagonal without an error
+    # the eigenvalue check cannot judge an inf or nan entry
     model = zero_model(2)
     model.M[0, 0] = bad
     with pytest.raises(SingularMassError, match="not finite"):
         integrate_rom(model, np.zeros(2), dt=0.1, steps=1)
+
+
+def test_integrate_reports_the_mass_condition_and_refuses_an_indefinite_mass(rng):
+    model = zero_model(5)
+    Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    model.M = (Q * np.logspace(0, -4, 5)) @ Q.T
+    traj = integrate_rom(model, np.zeros(5), dt=0.1, steps=1)
+    assert traj.mass_condition == pytest.approx(np.linalg.cond(model.M), rel=1e-8)
+    model.M = np.diag([1.0, 2.0, -1e-3, 3.0, 1.0])
+    with pytest.raises(SingularMassError, match="not SPD"):
+        integrate_rom(model, np.zeros(5), dt=0.1, steps=1)
 
 
 def test_integrate_failed_fold_is_singular(monkeypatch):
@@ -566,6 +577,23 @@ def test_integrate_roundoff_against_extended_precision_rk4(study):
         assert np.abs(traj.alphas - ref).max() <= 32 * eps * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("nu", [0.06, 0.08, 0.10, 0.03, 0.13])
+def test_predict_march_at_the_sampling_interval_matches_the_dt_march(study, nu):
+    # predict marches steps // save_every steps of h = save_every dt; the
+    # oracle is the same model marched at dt, every save_every-th state
+    # recorded.  The instants agree bitwise, and the states differ by RK4's
+    # truncation at h (measured: 0.6-4.7e-9 of the largest coordinate, the
+    # most at nu = 0.03)
+    cfg = study.cfg
+    _, model, a0 = pipeline.online_model(study, pipeline.study_weights(study, nu), nu)
+    got = pipeline.predict(study, nu, lift=False)[0]
+    want = integrate_rom(model, a0, cfg.dt, cfg.steps, record_every=cfg.save_every,
+                         t0=cfg.transient * cfg.dt)
+    np.testing.assert_array_equal(got.times, want.times)
+    assert got.alphas.shape == want.alphas.shape
+    assert np.abs(got.alphas - want.alphas).max() <= 1e-8 * np.abs(want.alphas).max()
+
+
 def _c_calls(fn):
     """(fn(), number of calls fn made to functions implemented in C)."""
     calls = [0]
@@ -735,6 +763,17 @@ def test_lift_is_bitwise_the_whole_product(rng, nx, ns):
     # an explicit basis (ITSGM, truth-POD) is lifted as it is
     explicit = reconstruct_field(bases[2], mean, traj)
     np.testing.assert_array_equal(explicit.values, whole_lift(bases[2], mean, traj.alphas))
+
+
+def test_factored_field_forms_each_factor_once_on_first_use(rng):
+    phi, mean = rng.standard_normal((50, 3)), rng.standard_normal(50)
+    traj = ReducedTrajectory(times=np.arange(4.0), alphas=rng.standard_normal((4, 3)))
+    field = factored_field(phi, mean, traj)
+    assert not {"factor", "coeffs"} & set(vars(field)) and field.shape == (50, 4)
+    factor, coeffs = field.factor, field.coeffs
+    assert field.factor is factor and field.coeffs is coeffs
+    np.testing.assert_array_equal(factor, np.column_stack([phi, mean]))
+    np.testing.assert_array_equal(coeffs, np.vstack([traj.alphas.T, np.ones(4)]))
 
 
 @pytest.mark.parametrize("nx, ns, block_bytes", [
