@@ -17,25 +17,41 @@ diagonalization in Fourier space: one rfft, a product with the reciprocal
 of the symbol of I - nu*dt*L and one irfft per step.
 
 Each run is one loop, set up once (the symbol's reciprocal, the buffers
-and N(u^{n-2})), with one convection per step: N(u^{n-1}) is carried,
-halved, into the next step as its N(u^{n-2}) term.  The state is the body
-of a padded (n+2) buffer whose end cells hold the periodic wrap, so the
-+-1 shifts are views of it.  The FFTs write into the run's own buffers,
-irfft straight into the state, so the step loop makes no array.
+and N(u^{n-2})), with one convection per step: the N(u^{n-1}) buffer
+becomes the next step's N(u^{n-2}) by a swap.  The state lives in one
+flat buffer P of B*(n+2) cells, each row's body between its two periodic
+wrap cells; the convection, rhs and scratch buffers are flat too and
+line up with P[1:-1], so the +-1 shifts are P[2:] and P[:-2] and every
+elementwise pass runs over contiguous memory.  The cells between rows
+hold finite values that nothing reads.  The FFTs write into the run's
+own buffers, irfft straight into the body; rfft reads the rhs through a
+(B, n) row view.  The wrap cells are refreshed once per step, right
+after the irfft, which serves both the next convection and the
+divergence check, a max and a min over P.  The step loop makes no array.
 Saved states are written into the snapshot matrix from inside the loop,
-and steps are counted from the run's first step.  The floating-point
-operations and their order are those of the plain expression above
-(numpy divides a complex by a real as a product with the real's
-reciprocal), so the snapshots are bitwise the same as evaluating it term
-by term.
+and steps are counted from the run's first step.
+
+The snapshots are bitwise those of the plain expression above, evaluated
+term by term (numpy divides a complex by a real as a product with the
+real's reciprocal).  Two of its products are folded by powers of two,
+which are exact whenever no product is subnormal, since scaling by 2^k
+commutes with rounding:
+
+    (0.5*v*(v+ - v-) + 0.25*s)*inv2dx  =  (v*(v+ - v-) + 0.5*s)*(0.5*inv2dx)
+    dt*(1.5*c - 0.5*c')                =  (3*c - c')*(dt/2)
+
+with s = v+*v+ - v-*v- and c, c' the two convections: each rounded
+intermediate on the left is exactly half of the one on the right, and
+both sides round the same exact product last.
 
 Every run marches a (B, n) state through that loop, B runs that differ
-only in nu (and the initial state) at once: every operation acts along
-the last axis, the symbol's reciprocal is (B, n/2+1), and each numpy
-call serves all B runs.  ``run`` is the case B = 1, and each member of a
+only in nu (and the initial state) at once: the FFTs act along the last
+axis, the symbol's reciprocal is (B, n/2+1), and each numpy call serves
+all B runs.  ``run`` is the case B = 1, and each member of a
 ``run_batch`` is bitwise its own ``run``.  The divergence check is one
-max over the whole batch per step; only when it fails is the first
-offending member located, and the error names its nu and the substep.
+max and one min over the whole batch per step; only when it fails is the
+first offending member located, and the error names its nu and the
+substep.
 """
 
 from __future__ import annotations
@@ -130,27 +146,22 @@ def diffusion_symbol(n, r):
     return 1.0 + 4.0 * r * np.sin(np.pi * k / n) ** 2
 
 
-def _convection(state, squares, out, tmp, inv2dx):
-    """N(v) = (0.5*v*(v+ - v-) + 0.25*(v+*v+ - v-*v-)) * inv2dx into ``out``,
-    the split skew form with central differences along the last axis.
+def _convection(flat, squares, out, tmp, scale):
+    """N(v) = (v*(v+ - v-) + 0.5*(v+*v+ - v-*v-)) * scale into ``out``,
+    the split skew form with central differences; ``scale`` is 0.5*(1/(2 dx)).
 
-    ``state`` is (pad, v, v+, v-): a padded (B, n+2) buffer, its body v and
-    its +-1 shifted views; the end cells get the periodic wrap here.
-    ``squares`` is (sq, sq+, sq-): one pad*pad pass into sq gives both
-    squares through the same shifted views.  ``tmp`` is scratch.
+    ``flat`` is the flat padded state P with current wrap cells; ``out``
+    and ``tmp`` line up with P[1:-1], so v, v+ and v- are P[1:-1], P[2:]
+    and P[:-2].  One P*P pass into ``squares`` gives both squares through
+    the same shifts.  ``tmp`` is scratch.
     """
-    pad, v, vp, vm = state
-    sq, sqp, sqm = squares
-    n = v.shape[-1]
-    pad[:, ::n + 1] = v[:, ::1 - n]  # cells 0 and n+1 <- cells n-1 and 0 of v
-    np.subtract(vp, vm, out=tmp)
-    np.multiply(v, 0.5, out=out)
-    out *= tmp
-    np.multiply(pad, pad, out=sq)
-    np.subtract(sqp, sqm, out=tmp)
-    tmp *= 0.25
+    np.subtract(flat[2:], flat[:-2], out=tmp)
+    np.multiply(flat[1:-1], tmp, out=out)
+    np.multiply(flat, flat, out=squares)
+    np.subtract(squares[2:], squares[:-2], out=tmp)
+    tmp *= 0.5
     out += tmp
-    out *= inv2dx
+    out *= scale
 
 
 def _march(u0, cfgs, grid: Grid1D, nsteps, values):
@@ -159,41 +170,43 @@ def _march(u0, cfgs, grid: Grid1D, nsteps, values):
     into column (k - transient) / save_every of the (B, n, S) ``values``
     whenever that is a whole number >= 0.  Row b is run cfgs[b].
 
-    rhs = u - dt*(1.5*N(u) - 0.5*N(up)) with one convection per step:
-    0.5*N(u) is kept as the next step's 0.5*N(up).  ``rhs`` doubles as
-    scratch for the convection and for |u|.
+    rhs = u - (3*N(u) - N(up))*(dt/2) with one convection per step: the
+    N(u) buffer becomes the next step's N(up) by a swap.  The rhs buffer
+    is shaped like the padded state and doubles as convection scratch.
     """
     cfg = cfgs[0]
     dt, n = cfg.dt, grid.n
     inv = 1.0 / np.array([diffusion_symbol(n, c.nu * dt / grid.dx**2) for c in cfgs])
     inv = inv.astype(complex)  # the cast spec *= inv would make on every step
     spec, pad = np.empty(inv.shape, dtype=complex), np.empty((len(cfgs), n + 2))
-    state = pad, pad[:, 1:-1], pad[:, 2:], pad[:, :-2]
-    u = state[1]
+    flat, u = pad.reshape(-1), pad[:, 1:-1]
+    ends, wrap = pad[:, ::n + 1], u[:, ::1 - n]  # cells 0 and n+1 <- cells n-1 and 0 of u
     u[...] = u0
-    rhs = np.empty(u.shape)
+    ends[...] = wrap
     if cfg.convection:
-        inv2dx = 1.0 / (2.0 * grid.dx)
-        sq, conv, half_prev = np.empty(pad.shape), np.empty(u.shape), np.empty(u.shape)
-        squares = sq, sq[:, 2:], sq[:, :-2]
-        _convection(state, squares, half_prev, rhs, inv2dx)
-        half_prev *= 0.5
+        scale, half_dt = 0.5 * (1.0 / (2.0 * grid.dx)), 0.5 * dt
+        rhs_pad, sq = np.empty(pad.shape), np.empty(flat.shape)
+        # rhs lines up with flat[1:-1], so rows[b, j] lines up with u[b, j]
+        rhs, rows = rhs_pad.reshape(-1)[:-2], rhs_pad[:, :n]
+        conv, prev = np.empty(rhs.shape), np.empty(rhs.shape)
+        _convection(flat, sq, prev, rhs, scale)
     for k in range(1, nsteps + 1):
         if cfg.convection:
-            _convection(state, squares, conv, rhs, inv2dx)
-            np.multiply(conv, 1.5, out=rhs)
-            rhs -= half_prev
-            rhs *= dt
-            np.subtract(u, rhs, out=rhs)
-            np.multiply(conv, 0.5, out=half_prev)
-            np.fft.rfft(rhs, out=spec)
+            _convection(flat, sq, conv, rhs, scale)
+            np.multiply(conv, 3.0, out=rhs)
+            rhs -= prev
+            rhs *= half_dt
+            np.subtract(flat[1:-1], rhs, out=rhs)
+            conv, prev = prev, conv
+            np.fft.rfft(rows, out=spec)
         else:
             np.fft.rfft(u, out=spec)
         spec *= inv
         np.fft.irfft(spec, n=n, out=u)
-        mag = np.abs(u, out=rhs)
-        if not (mag.max() <= DIVERGENCE_CAP):  # true for nan too
-            bad = cfgs[np.flatnonzero(~(mag.max(axis=-1) <= DIVERGENCE_CAP))[0]]
+        ends[...] = wrap
+        # true for nan too; the wrap cells are copies of body cells
+        if not (flat.max() <= DIVERGENCE_CAP and -flat.min() <= DIVERGENCE_CAP):
+            bad = cfgs[np.flatnonzero(~(np.abs(u).max(axis=-1) <= DIVERGENCE_CAP))[0]]
             raise DivergedSolutionError(
                 f"solution exceeded {DIVERGENCE_CAP:.0e} or is not finite at substep "
                 f"{k} (nu={bad.nu}, dt={bad.dt})"

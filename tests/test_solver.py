@@ -324,17 +324,41 @@ def test_run_batch_is_bitwise_the_reference_loop_at_a_large_grid():
         assert snap.values.tobytes() == run_reference(cfg, grid).tobytes()
 
 
+def test_run_batch_is_bitwise_the_reference_loop_at_the_study_shape():
+    # the default study: 7 viscosities at n=2000 in one batch, past a transient
+    grid = Grid1D(2000, 2 * np.pi)
+    cfgs = [SolverConfig(nu=nu, dt=1e-3, steps=995, save_every=5, transient=300)
+            for nu in (0.05, 0.07, 0.09, 0.11, 0.06, 0.08, 0.10)]
+    for cfg, snap in zip(cfgs, run_batch(cfgs, grid)):
+        assert snap.values.tobytes() == run_reference(cfg, grid).tobytes()
+
+
+def test_run_batch_is_bitwise_the_reference_loop_across_amplitudes():
+    # the loop's power-of-two folds, (v*d + 0.5*s)*(0.5*inv2dx) for the
+    # reference's (0.5*v*d + 0.25*s)*inv2dx and (3c - c')*(dt/2) for
+    # dt*(1.5c - 0.5c'), are exact at every scale without subnormal products
+    grid = Grid1D(256, 2 * np.pi)
+    base = initial_profile(SolverConfig(nu=0.07, dt=1e-3, steps=1), grid)
+    cfgs = [SolverConfig(nu=0.07, dt=1e-3, steps=42, save_every=5, transient=13,
+                         initial=amplitude * base)
+            for amplitude in np.logspace(-6, 0, 7)]
+    for cfg, snap in zip(cfgs, run_batch(cfgs, grid)):
+        assert snap.values.tobytes() == run_reference(cfg, grid).tobytes()
+
+
 @pytest.mark.parametrize("convection", [True, False])
-def test_step_loop_allocates_no_array(convection):
+@pytest.mark.parametrize("B, n", [(2, 20000), (7, 2000)])
+def test_step_loop_allocates_no_array(B, n, convection):
     # Beyond the snapshot array, the traced peak is the loop's fixed buffers:
-    # the padded state and its squares, N(u), N(up)/2 and rhs, the spectrum
+    # the padded state, its squares and rhs (each B*(n+2)), N(u) and N(up)
+    # (each B*(n+2) - 2, aligned with the state's inner cells), the spectrum
     # and the complex symbol reciprocal (without convection: the padded
-    # state, rhs and the two spectra).  An rfft, product or irfft result
-    # made on each step would add a state-sized array or more.
-    B, n = 2, 20000
+    # state and the two spectra).  An rfft, product or irfft result made on
+    # each step would add a state-sized array or more, and so would a ufunc
+    # that buffers a strided operand (numpy does below n = 8192 for B >= 2).
     grid = Grid1D(n, 2 * np.pi)
-    cfgs = [SolverConfig(nu=nu, dt=1e-3, steps=20, save_every=10, transient=5,
-                         convection=convection) for nu in (0.05, 0.09)]
+    cfgs = [SolverConfig(nu=0.05 + 0.01 * b, dt=1e-3, steps=20, save_every=10,
+                         transient=5, convection=convection) for b in range(B)]
     run_batch(cfgs, grid)  # numpy's one-off FFT set-up
     tracemalloc.start()
     try:
@@ -342,8 +366,9 @@ def test_step_loop_allocates_no_array(convection):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    padded, state, spectrum = 8 * B * (n + 2), 8 * B * n, 16 * B * (n // 2 + 1)
-    fixed = (2 * padded + 3 * state if convection else padded + state) + 2 * spectrum
+    padded, flat = 8 * B * (n + 2), 8 * (B * (n + 2) - 2)
+    state, spectrum = 8 * B * n, 16 * B * (n // 2 + 1)
+    fixed = (3 * padded + 2 * flat if convection else padded) + 2 * spectrum
     assert peak - snaps[0].values.base.nbytes <= fixed + state // 20
 
 
@@ -367,3 +392,20 @@ def test_batch_divergence_names_the_diverging_member_and_its_substep():
         run_batch(cfgs, grid)
     assert str(batch.value) == str(alone.value)
     assert "(nu=0.001," in str(batch.value)
+
+
+@pytest.mark.parametrize("convection", [True, False])
+@pytest.mark.parametrize("cell, value", [(0, 4e6), (-1, 4e6), (5, -4e6)])
+def test_divergence_at_the_row_ends_and_below_the_cap(cell, value, convection):
+    # a state above the cap only in its first or last cell, whose copies
+    # are the wrap cells, or below -cap: named at the substep of its own run
+    grid = Grid1D(32, 2 * np.pi)
+    u0 = np.ones(32)
+    u0[cell] = value
+    cfgs = [SolverConfig(nu=nu, dt=1e-3, steps=10, initial=initial, convection=convection)
+            for nu, initial in [(0.05, "two_mode"), (0.01, u0), (0.09, "sine")]]
+    with pytest.raises(DivergedSolutionError, match=r"at substep 1 \(nu=0.01,") as alone:
+        run(cfgs[1], grid)
+    with pytest.raises(DivergedSolutionError) as batch:
+        run_batch(cfgs, grid)
+    assert str(batch.value) == str(alone.value)
