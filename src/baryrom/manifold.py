@@ -66,18 +66,20 @@ def _check_full_rank(m, name="matrix"):
         )
 
 
-def _alignments(overlaps):
+def _alignments(overlaps, out=None):
     """Procrustes rotations Q_k = V_k U_k^T of a stack of q-by-q overlaps
     U_k S_k V_k^T, shape (m, q, q), and the worst sigma_min/sigma_max among
-    them.  Raises SingularOverlapError when an overlap is numerically
-    singular, in which case its alignment is not unique.
+    them; the products U_k V_k^T are written into ``out`` when given, and
+    the rotations are their transposed view.  Raises SingularOverlapError
+    when an overlap is numerically singular, in which case its alignment is
+    not unique.
     """
     u, s, vt = np.linalg.svd(overlaps)
     with np.errstate(invalid="ignore"):  # nan for a zero overlap
-        worst = float(np.min(s[:, -1] / s[:, 0]))
+        worst = float(np.minimum.reduce(s[:, -1] / s[:, 0]))
     if not worst > OVERLAP_TOL:
         raise SingularOverlapError("overlap of representatives is numerically singular")
-    return (u @ vt).transpose(0, 2, 1), worst
+    return np.matmul(u, vt, out=out).transpose(0, 2, 1), worst
 
 
 def procrustes_rotation(base, target):
@@ -196,7 +198,10 @@ def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
     weighted sum of the aligned inputs; the gradient norm of the
     underlying weighted squared-distance objective is exactly the
     Frobenius distance between iterate and that weighted sum.  The
-    overlaps of one sweep are one stacked product and one stacked SVD.
+    overlaps of one sweep are one stacked product and one stacked SVD; the
+    overlaps, the active inputs' rotations and the gradient live in buffers
+    reused from sweep to sweep, and the rotations are placed among the
+    identities of the zero-weight inputs once, for the result.
 
     Parameters
     ----------
@@ -217,32 +222,48 @@ def karcher_barycenter(bases, weights, tol=1e-10, max_iter=100, init=0):
     mats = _representatives(bases)
     w = _checked_weights(weights, len(mats))
     active = np.flatnonzero(w)
-    q = mats[0].shape[1]
-    stack = np.hstack([mats[k] for k in active])  # [Phi_k], active k
+    k, q = active.size, mats[0].shape[1]
+    stack = np.hstack([mats[i] for i in active])  # [Phi_k], active k
     w_active = w[active, None, None]
     phi = mats[int(init)].copy()
-    rotations = np.tile(np.eye(q), (len(mats), 1, 1))
+    # reused per sweep: the overlaps phi^T Phi_k, the products U_k V_k^T whose
+    # transposes are the active rotations, the weighted rotations and the
+    # gradient phi - candidate
+    overlaps = np.empty((q, k * q))
+    per_input = overlaps.reshape(q, k, q).transpose(1, 0, 2)
+    products, weighted = np.empty((2, k, q, q))
+    stacked = weighted.reshape(-1, q)
+    gradient = np.empty(phi.shape)
+    flat = gradient.reshape(-1)
     norms = []
     ratio = np.inf
     gnorm = np.inf
+
+    def result(sweep, converged):
+        rotations = np.tile(np.eye(q), (len(mats), 1, 1))
+        if norms:  # a sweep ran
+            rotations[active] = products.transpose(0, 2, 1)
+        return BarycenterResult(phi, list(rotations), sweep, gnorm, converged, norms, ratio)
+
     # far extrapolation can overflow the iterate; that fails the tolerance below
     with np.errstate(over="ignore", invalid="ignore"):
         for sweep in range(1, max_iter + 1):
-            rotations[active], worst = _alignments(
-                (phi.T @ stack).reshape(q, -1, q).transpose(1, 0, 2))
+            np.matmul(phi.T, stack, out=overlaps)
+            rotations, worst = _alignments(per_input, out=products)
             ratio = min(ratio, worst)
-            candidate = stack @ (w_active * rotations[active]).reshape(-1, q)
-            gnorm = float(np.linalg.norm(phi - candidate))
+            np.multiply(w_active, rotations, out=weighted)
+            candidate = stack @ stacked
+            np.subtract(phi, candidate, out=gradient)
+            gnorm = math.sqrt(flat.dot(flat))  # np.linalg.norm's own formula
             gnorm = math.inf if math.isnan(gnorm) else gnorm  # nan from an overflowed iterate
             norms.append(gnorm)
             if gnorm <= tol:
-                return BarycenterResult(phi, list(rotations), sweep, gnorm, True, norms, ratio)
+                return result(sweep, True)
             phi = candidate
 
     raise NotConvergedError(
         f"barycenter fixed point stalled at gradient norm {gnorm:.3e} "
-        f"after {max_iter} sweeps (tol {tol:.1e})",
-        BarycenterResult(phi, list(rotations), max_iter, gnorm, False, norms, ratio))
+        f"after {max_iter} sweeps (tol {tol:.1e})", result(max_iter, False))
 
 
 def gram_coordinates(gram, q):

@@ -536,12 +536,8 @@ def online_model(study: Study, w: WeightVector, nu: float,
     """The q-sized half of a barycentric prediction at nu, for weights w:
     the barycenter of the trained bases on their Gram coordinates, started
     at the node nearest nu (a stalled one is kept if ``allow_nonconverged``
-    and its gradient norm is finite), the operator update, and the initial
-    coordinates of the weighted initial state: the solution of M alpha0 =
-    S^T c, with M the updated mass matrix, S the ``weighted_rotations`` and
-    c the weighted trained-basis coordinates ``ic_coords`` w.  ``timings``
-    gains barycenter_s, update_s and initial_condition_s.  Returns
-    (barycenter result, model, alpha0)."""
+    and its gradient norm is finite), and the operator update.  ``timings``
+    gains barycenter_s and update_s.  Returns (barycenter result, model)."""
     timings = {} if timings is None else timings
     with _timed(timings, "barycenter_s"):
         try:
@@ -554,10 +550,16 @@ def online_model(study: Study, w: WeightVector, nu: float,
             bary = exc.result
     with _timed(timings, "update_s"):
         model = update_reduced_model(study.tensors, w, bary.rotations, nu)
-    with _timed(timings, "initial_condition_s"):
-        alpha0 = np.linalg.solve(model.M, weighted_rotations(w, bary.rotations).T
-                                 @ (study.ic_coords @ w.values))
-    return bary, model, alpha0
+    return bary, model
+
+
+def weighted_initial_condition(study: Study, w: WeightVector, rotations, M) -> np.ndarray:
+    """Coordinates of the weighted initial state sum_k w_k ics[k] in the
+    interpolated basis of ``rotations``, without that basis: the solution of
+    M alpha0 = S^T c, with M the updated mass matrix, S the
+    ``weighted_rotations`` and c the weighted trained-basis coordinates
+    ``ic_coords`` w."""
+    return np.linalg.solve(M, weighted_rotations(w, rotations).T @ (study.ic_coords @ w.values))
 
 
 def predict(study: Study, nu: float, method: str = "barycentric",
@@ -605,9 +607,8 @@ def predict(study: Study, nu: float, method: str = "barycentric",
         with _timed(timings, "initial_condition_s"):
             truth = load_snapshots(study.outdir, study.manifest, nu)
     if method == "barycentric":
-        bary, model, alpha0 = online_model(study, w, nu,
-                                           allow_nonconverged=allow_nonconverged,
-                                           timings=timings)
+        bary, model = online_model(study, w, nu, allow_nonconverged=allow_nonconverged,
+                                   timings=timings)
         report["barycenter"] = {
             "iterations": bary.iterations,
             "final_gradient_norm": bary.final_gradient_norm,
@@ -615,8 +616,10 @@ def predict(study: Study, nu: float, method: str = "barycentric",
             "gradient_norms": bary.gradient_norms,
             "min_overlap_ratio": bary.min_overlap_ratio,
         }
-        if ic_mode == "truth":
-            with _timed(timings, "initial_condition_s"):
+        with _timed(timings, "initial_condition_s"):
+            if ic_mode == "weighted":
+                alpha0 = weighted_initial_condition(study, w, bary.rotations, model.M)
+            else:
                 basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
                 alpha0 = initial_condition(basis, study.mean, study.ip, truth.values[:, 0])
     else:
@@ -721,16 +724,20 @@ def _timed_alternating(fns, reps: int) -> np.ndarray:
 
 
 def bench_update(studies, nu: float, reps: int = 20):
-    """Seconds of the whole q-sized online path (weights, then
-    ``online_model`` with the weighted initial state) and of direct
-    projection onto the interpolated basis, one (reps, len(studies)) array
-    each, the studies timed in alternation."""
+    """Seconds of the whole q-sized online path (weights, ``online_model``
+    and the ``weighted_initial_condition``) and of direct projection onto
+    the interpolated basis, one (reps, len(studies)) array each, the
+    studies timed in alternation."""
+    def online_path(study):
+        w = study_weights(study, nu)
+        bary, model = online_model(study, w, nu)
+        return w, bary, weighted_initial_condition(study, w, bary.rotations, model.M)
+
     updates, directs = [], []
     for study in studies:
-        w = study_weights(study, nu)
-        basis = combined_basis([b.modes for b in study.bases], w,
-                               online_model(study, w, nu)[0].rotations)
-        updates.append(lambda study=study: online_model(study, study_weights(study, nu), nu))
+        w, bary, _ = online_path(study)
+        basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
+        updates.append(partial(online_path, study))
         directs.append(partial(direct_project, basis, study.mean, study.ip,
                                study.grid.gradient, nu))
     return _timed_alternating(updates, reps), _timed_alternating(directs, reps)

@@ -22,23 +22,27 @@ and every reduced operator is S^T A S for a stacked operator A.  On the
 uniform grid the stacked bases' Gram matrix, which the barycenter needs,
 is the stacked mass matrix over the cell size, and the coordinates of
 the weighted initial state solve M alpha0 = S^T c with c = [Phi_1 ...
-Phi_Np]^T W (u0 - mean) (``online_model`` in pipeline).  Only the lift to
-the mesh, and a truth initial state, need Phi: ``combined_basis`` forms
-it once, Phi = sum_h w_h Phi_h Q_h, and a ``FactoredField`` holds Phi,
-the mean and the coordinates alpha: the field is [Phi | mean] @ [alpha^T;
-1], each factor formed on first use.  ``reconstruct_field`` forms that
-product; the error sums of ``metrics`` take it one row block of about
-BLOCK_BYTES at a time (``row_blocks``) through one reused buffer.
+Phi_Np]^T W (u0 - mean) (``weighted_initial_condition`` in pipeline).
+Only the lift to the mesh, and a truth initial state, need Phi:
+``combined_basis`` forms it once, Phi = sum_h w_h Phi_h Q_h, and a
+``FactoredField`` holds Phi, the mean and the coordinates alpha: the
+field is [Phi | mean] @ [alpha^T; 1], each factor formed on first use.
+``reconstruct_field`` forms that product; the error sums of ``metrics``
+take it one row block of about BLOCK_BYTES at a time (``row_blocks``)
+through one reused buffer.
 
 The reduced solve (``integrate_rom``) folds M^-1 into one stacked
 q-by-(1 + q + q^2) operator G = [f | -L | -Chat] by one solve, and builds
 from it four stage operators over one flat buffer [z3 | z2 | z1 | z0 | s]
 of the stage vectors z_i = [1; vec(a_i outer a_i); a_i] and a copy s of
 the state.  Each RK4 stage is one outer product and one product that
-writes the next stage state, s added last by an identity block, so a
-step is nine small numpy calls with roundoff far below RK4's truncation.
-A prediction takes one step per sampling interval, h = save_every dt,
-and records every state, at the instants of the stored runs.
+writes the next stage state, s added last by an identity block, and the
+step's product writes the new state straight into its row of the
+trajectory, so a step is eight small numpy products and one copy back
+into the buffer, with roundoff far below RK4's truncation.  Finiteness is
+checked once per CHECK_RECORDS recorded states.  A prediction takes one
+step per sampling interval, h = save_every dt, and records every state,
+at the instants of the stored runs.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ from .weights import WeightVector
 # bytes of one row block of a lifted field scored by ``metrics``, which
 # stays in cache, so the error sums of a lift hold no field-sized temporary
 BLOCK_BYTES = 2 * 2**20
+# recorded states that ``integrate_rom`` checks for finiteness by one product
+CHECK_RECORDS = 32
 
 
 @dataclass
@@ -218,11 +224,12 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     c = dt/2, dt/2, dt, as one product of [c_i G | 0 | I] with the
     contiguous tail of Z from z_{i-1}.  The new state s + dt/6 G (z0 + 2 z1
     + 2 z2 + z3) is one product of [(dt/6) G | (dt/3) G | (dt/3) G | (dt/6)
-    G | I] with all of Z, written into a q-vector and copied by one
-    broadcast copy into a_0 and s, which are adjacent.  With the four outer
-    products a step is nine small numpy calls, all bound before the loop; no
-    array is allocated in it, and no product writes over its own input,
-    which would make numpy copy through a hidden temporary.
+    G | I] with all of Z, written straight into the state's row of the
+    trajectory and copied from there by one broadcast copy into a_0 and s,
+    which are adjacent.  With the four outer products a step is eight small
+    numpy products, all bound before the loop, and that copy; no array is
+    allocated in it, and no product writes over its own input, which would
+    make numpy copy through a hidden temporary.
 
     The state is added last, from its own copy: an identity folded into
     G's linear columns instead, coefficient 1 + c g, rounds worse.  On the
@@ -241,16 +248,19 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     eps against the same march at h/8; the roundoff of the 199 steps is
     1.3-6.1 eps.
 
-    States are recorded (as copies) at step multiples of ``record_every``,
+    States are recorded at step multiples of ``record_every``,
     step 0 included, at the ``sample_times`` t0 + k (record_every dt) --
     the instants of the stored runs when dt record_every is their
     sampling interval, whichever of the two marches is taken -- and the
     march stops at the last of them: the steps % record_every steps after
-    it would be neither recorded nor checked.  Each recorded state is checked
-    once for finiteness, as a . 0 == 0 (a finite entry times 0 is +-0, an
-    infinite or nan one gives nan), so a run that overflows raises
-    DivergedSolutionError at the first recorded step past the blow-up, not
-    after ``steps``.
+    it would be neither recorded nor checked.  Every recorded state is
+    checked for finiteness, a block of CHECK_RECORDS of them at a time by
+    one product of the block with zeros, b . 0 == 0 (a finite entry times 0
+    is +-0, an infinite or nan one gives nan).  A block that fails is
+    searched for its first non-finite state, and DivergedSolutionError
+    names that state's step, as a check of every state would; the run
+    stops at the end of that block, not after ``steps``.  The state at step
+    0 is checked before the march.
     """
     alpha0 = np.asarray(alpha0, dtype=float)
     q = model.M.shape[0]
@@ -268,19 +278,19 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     p = 1 + q + q * q
     Z = np.empty(4 * p + q)
     z3, z2, z1, z0 = (Z[i * p:(i + 1) * p] for i in range(4))
-    out = np.empty(q)
-    zero = np.zeros(q)
     (outer0, row0), (outer1, row1), (outer2, row2), (outer3, row3) = (
         (z_i[p - q:, None].dot, z_i[None, p - q:]) for z_i in (z0, z1, z2, z3))
     zz0, zz1, zz2, zz3 = (z_i[1:p - q].reshape(q, q) for z_i in (z0, z1, z2, z3))
     a1, a2, a3 = (z_i[p - q:] for z_i in (z1, z2, z3))
-    pair, state = Z[4 * p - q:].reshape(2, q), Z[4 * p:]
+    pair = Z[4 * p - q:].reshape(2, q)
     Z[0:4 * p:p] = 1.0
     pair[:] = alpha0
 
     n_rec = steps // record_every
     alphas = np.empty((n_rec + 1, q))
     alphas[0] = alpha0
+    flat = alphas.reshape(-1)
+    zeros = np.zeros(CHECK_RECORDS * q)
     # M is checked finite first, as the eigenvalue check cannot judge an inf
     # or nan entry.  A non-finite or overflowing R, Cbar, C, F or nu passes
     # into G and shows up in the states, which are checked instead
@@ -297,31 +307,33 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     except np.linalg.LinAlgError as exc:
         raise SingularMassError(f"reduced mass matrix not SPD: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
-        if alpha0.dot(zero) != 0.0:
+        if alpha0.dot(zeros[:q]) != 0.0:
             raise DivergedSolutionError("reduced state is non-finite at step 0")
         # G's columns in z's order [1 | pairs | linear]
-        Gz = np.hstack([G[:, :1], G[:, 1 + q:], G[:, 1:1 + q]])
+        Gz = np.concatenate([G[:, :1], G[:, 1 + q:], G[:, 1:1 + q]], axis=1)
         half, full, third, sixth = (c * Gz for c in (0.5 * dt, dt, dt / 3.0, dt / 6.0))
         O, I = np.zeros((q, p)), np.eye(q)
-        stage1, stage2, stage3, step = (np.hstack(blocks).dot for blocks in (
+        stage1, stage2, stage3, step = (np.concatenate(blocks, axis=1).dot for blocks in (
             [half, I], [half, O, I], [full, O, O, I], [sixth, third, third, sixth, I]))
         tail1, tail2, tail3 = Z[3 * p:], Z[2 * p:], Z[p:]
         per_record = range(record_every)
-        for rec in range(1, n_rec + 1):
-            for _ in per_record:
-                outer0(row0, zz0)
-                stage1(tail1, a1)
-                outer1(row1, zz1)
-                stage2(tail2, a2)
-                outer2(row2, zz2)
-                stage3(tail3, a3)
-                outer3(row3, zz3)
-                step(Z, out)
-                pair[:] = out
-            if state.dot(zero) != 0.0:
+        for start in range(1, n_rec + 1, CHECK_RECORDS):
+            stop = min(start + CHECK_RECORDS, n_rec + 1)
+            for row in alphas[start:stop]:
+                for _ in per_record:
+                    outer0(row0, zz0)
+                    stage1(tail1, a1)
+                    outer1(row1, zz1)
+                    stage2(tail2, a2)
+                    outer2(row2, zz2)
+                    stage3(tail3, a3)
+                    outer3(row3, zz3)
+                    step(Z, row)
+                    pair[:] = row
+            if flat[start * q:stop * q].dot(zeros[:(stop - start) * q]) != 0.0:
+                rec = start + int(np.argmin(np.isfinite(alphas[start:stop]).all(axis=1)))
                 raise DivergedSolutionError(f"reduced state diverged to a non-finite "
                                             f"value by step {rec * record_every}")
-            alphas[rec] = state
     return ReducedTrajectory(times=sample_times(t0, dt, record_every, n_rec + 1),
                              alphas=alphas, mass_condition=float(lam[-1] / lam[0]))
 

@@ -54,9 +54,15 @@ def evaluate_weights(scheme: WeightScheme, target: float) -> WeightVector:
         if hit.size:
             values[hit[0]] = 1.0
         elif scheme.kind == "lagrange":
-            for k in range(nodes.size):
-                others = np.delete(nodes, k)
-                values[k] = np.prod((target - others) / (nodes[k] - others))
+            # over Python floats: the same IEEE operations, in the same order,
+            # as np.prod((target - others) / (x_k - others)), with no numpy call
+            xs = nodes.tolist()
+            for k, xk in enumerate(xs):
+                prod = 1.0
+                for j, xj in enumerate(xs):
+                    if j != k:
+                        prod *= (target - xj) / (xk - xj)
+                values[k] = prod
         else:
             inv = np.abs(target - nodes) ** (-scheme.power)
             values = inv / inv.sum()

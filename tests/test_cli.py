@@ -333,6 +333,23 @@ def test_predict_writes_the_factors_of_the_predicted_field(workdir, monkeypatch,
     assert field.tobytes() == want.tobytes()
 
 
+def test_only_a_weighted_predict_solves_for_the_weighted_initial_condition(workdir,
+                                                                         monkeypatch):
+    # a truth initial state is projected onto the combined basis; the
+    # weighted coordinates would be thrown away, so they are not formed
+    _, _, out = workdir
+    study = pipeline.load_study(out)
+    calls = []
+    solve = pipeline.weighted_initial_condition
+    monkeypatch.setattr(pipeline, "weighted_initial_condition",
+                        lambda *args: calls.append(args) or solve(*args))
+    nu = study.cfg.test_nu[0]
+    pipeline.predict(study, nu, ic_mode="truth", lift=False)
+    assert calls == []
+    pipeline.predict(study, nu, lift=False)
+    assert len(calls) == 1
+
+
 def test_barycentric_predict_forms_the_combined_basis_once(workdir, monkeypatch):
     # the barycentric lift factor is [combined_basis | mean], formed by one
     # call through pipeline's binding of combined_basis; ITSGM lifts its own

@@ -363,11 +363,19 @@ def test_integrate_folded_operators_match_solve_oracle(rng):
     assert np.abs(ref[-1] - a0).max() > 1e-2
 
 
+def weighted_model(study, nu):
+    """(model, alpha0) of a barycentric prediction at nu from the weighted
+    initial state."""
+    w = pipeline.study_weights(study, nu)
+    bary, model = pipeline.online_model(study, w, nu)
+    return model, pipeline.weighted_initial_condition(study, w, bary.rotations, model.M)
+
+
 @pytest.mark.parametrize("nu", [0.052, 0.083, 0.108])
 def test_integrate_matches_solve_oracle_on_default_study(study, nu):
     # the stacked stage operators against textbook stages with a solve in
     # each, on the barycentric operators of the default nx=256, q=7 study
-    _, model, a0 = pipeline.online_model(study, pipeline.study_weights(study, nu), nu)
+    model, a0 = weighted_model(study, nu)
     cfg = study.cfg
     assert a0.shape == (7,)
     traj = integrate_rom(model, a0, cfg.dt, cfg.steps)
@@ -431,7 +439,7 @@ def test_integrate_matches_cholesky_fold_trajectory(study, nu):
     # the same RK4 loop run with the oracle fold: the two trajectories of
     # 995 steps agree to 64 eps of the largest coordinate (measured: at
     # most 2.9 eps over the twelve FOLD_NU)
-    _, model, a0 = pipeline.online_model(study, pipeline.study_weights(study, nu), nu)
+    model, a0 = weighted_model(study, nu)
     cfg = study.cfg
     traj = integrate_rom(model, a0, cfg.dt, cfg.steps)
     ref = folded_run(model, a0, cfg.dt, cfg.steps, fold=cholesky_fold)[1].alphas
@@ -439,7 +447,7 @@ def test_integrate_matches_cholesky_fold_trajectory(study, nu):
 
 
 def test_integrate_records_copies_at_exact_times(study):
-    _, model, a0 = pipeline.online_model(study, pipeline.study_weights(study, 0.083), 0.083)
+    model, a0 = weighted_model(study, 0.083)
     a0_before = a0.copy()
     dt, steps, t0 = study.cfg.dt, 203, 0.37
     traj = integrate_rom(model, a0, dt, steps, record_every=5, t0=t0)
@@ -524,7 +532,7 @@ def test_integrate_matches_the_parent_step_loop_to_roundoff(study, rng, record_e
     # coordinate (measured: at most 12.4 eps on the study and 11.5 eps on
     # 20 random models), times bitwise.  995 steps leave no tail at 1 and 5
     # and one unrecorded step at 7
-    _, model, a0 = pipeline.online_model(study, pipeline.study_weights(study, 0.083), 0.083)
+    model, a0 = weighted_model(study, 0.083)
     cfg = study.cfg
     cases = [(model, a0, cfg.dt, cfg.steps),
              (random_stable_model(rng), rng.standard_normal(5), 1e-3, 200)]
@@ -570,7 +578,7 @@ def test_integrate_roundoff_against_extended_precision_rk4(study):
     eps = np.finfo(float).eps
     cfg = study.cfg
     for nu in FOLD_NU:
-        _, model, a0 = pipeline.online_model(study, pipeline.study_weights(study, nu), nu)
+        model, a0 = weighted_model(study, nu)
         G, traj = folded_run(model, a0, cfg.dt, cfg.steps)
         ref = longdouble_rk4(G, a0, cfg.dt, cfg.steps)
         assert traj.alphas.shape == ref.shape
@@ -585,7 +593,7 @@ def test_predict_march_at_the_sampling_interval_matches_the_dt_march(study, nu):
     # truncation at h (measured: 0.6-4.7e-9 of the largest coordinate, the
     # most at nu = 0.03)
     cfg = study.cfg
-    _, model, a0 = pipeline.online_model(study, pipeline.study_weights(study, nu), nu)
+    model, a0 = weighted_model(study, nu)
     got = pipeline.predict(study, nu, lift=False)[0]
     want = integrate_rom(model, a0, cfg.dt, cfg.steps, record_every=cfg.save_every,
                          t0=cfg.transient * cfg.dt)
@@ -610,7 +618,7 @@ def _c_calls(fn):
 
 
 def test_integrate_stops_at_the_last_recorded_step(study):
-    _, model, a0 = pipeline.online_model(study, pipeline.study_weights(study, 0.083), 0.083)
+    model, a0 = weighted_model(study, 0.083)
     dt = study.cfg.dt
     whole, tail = (integrate_rom(model, a0, dt, steps, record_every=5, t0=0.3)
                    for steps in (995, 997))
@@ -624,6 +632,57 @@ def test_integrate_stops_at_the_last_recorded_step(study):
     counts = [_c_calls(lambda s=s: integrate_rom(model, a0, dt, s, record_every=5))[1]
               for s in (10, 12, 0, 4)]
     assert counts[0] == counts[1] and counts[2] == counts[3] < counts[0]
+
+
+def test_integrate_runs_at_the_call_floor(study):
+    # a step is the 8 products of the four outer products, the three stages
+    # and the step, which writes the new state into its row of the
+    # trajectory; the copy back into the buffer calls no function, and the
+    # finiteness check is one product per rom.CHECK_RECORDS recorded states
+    model, a0 = weighted_model(study, 0.083)
+    h = study.cfg.save_every * study.cfg.dt
+    short, long = (_c_calls(lambda s=s: integrate_rom(model, a0, h, s))[1] for s in (200, 400))
+    assert (long - short) / 200 <= 8.25
+
+
+def test_barycenter_runs_at_the_call_floor(study):
+    # the default study's barycenter at nu = 0.083 takes 6 sweeps; each
+    # reuses its overlap, rotation and gradient buffers, and the rotations
+    # are scattered among the inputs once, for the result
+    nu = 0.083
+    w = pipeline.study_weights(study, nu)
+    init = pipeline.nearest_index(study.params, nu)
+    res, calls = _c_calls(lambda: karcher_barycenter(
+        study.frame, w.values, tol=study.cfg.tol, max_iter=study.cfg.max_iter, init=init))
+    assert res.iterations == 6
+    assert calls <= 216
+
+
+FIRST_BAD_RECORDS = [1, 32, 33, 64, 65, 67, 70]  # of 70: blocks 1-32, 33-64, 65-70
+
+
+@pytest.mark.parametrize("record_every", [1, 10])
+@pytest.mark.parametrize("rec", FIRST_BAD_RECORDS)
+def test_integrate_names_the_first_non_finite_record_of_its_block(record_every, rec):
+    # a' = a at dt = 1 grows the state by r = 1 + 1 + 1/2 + 1/6 + 1/24 a
+    # step, and the outer product of the last stage state, 2.75 a, overflows
+    # (into nan, through the zero quadratic columns) in the first step that
+    # starts above sqrt(max) / 2.75.  a0 puts that step half a step of
+    # growth past the start of step s, inside the record ``rec``; the
+    # oracle marches every step and checks every state
+    assert rom.CHECK_RECORDS == 32
+    model = zero_model(2)
+    model.R = -np.eye(2)
+    steps = max(FIRST_BAD_RECORDS) * record_every
+    s = rec * record_every - record_every // 2
+    r = 1 + 1 + 1 / 2 + 1 / 6 + 1 / 24
+    a0 = np.sqrt(np.finfo(float).max) / 2.75 * np.sqrt(r) / r ** (s - 1) * np.array([1.0, -0.5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = unbound_integrate(model, a0, 1.0, steps, record_every=record_every)
+    first_bad = np.flatnonzero(~np.isfinite(want.alphas).all(axis=1))[0]
+    assert first_bad == rec
+    with pytest.raises(DivergedSolutionError, match=rf"by step {first_bad * record_every}$"):
+        integrate_rom(model, a0, 1.0, steps, record_every=record_every)
 
 
 def test_integrate_peak_memory_grows_only_by_the_recorded_states(rng):

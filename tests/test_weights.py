@@ -66,6 +66,31 @@ def test_lagrange_polynomial_exactness(rng):
         )
 
 
+def array_lagrange(nodes, target):
+    """The Lagrange weights as array products, np.prod((t - others) / (x_k
+    - others)) per node: the oracle of evaluate_weights' float loop."""
+    values = np.empty(nodes.size)
+    for k in range(nodes.size):
+        others = np.delete(nodes, k)
+        values[k] = np.prod((target - others) / (nodes[k] - others))
+    return values
+
+
+@pytest.mark.parametrize("count", range(1, 7))
+def test_lagrange_weights_are_bitwise_the_array_products(count, rng):
+    for _ in range(40):
+        nodes = rng.uniform(0.01, 0.2, count)
+        lo, hi = nodes.min(), nodes.max()
+        scheme = WeightScheme("lagrange", nodes)
+        targets = [*rng.uniform(lo, hi, 4), *rng.uniform(hi, hi + 0.5, 2),
+                   *rng.uniform(lo - 0.5, lo, 2), 1e3 * hi]
+        for target in targets:
+            got = evaluate_weights(scheme, target).values
+            assert got.tobytes() == array_lagrange(nodes, target).tobytes()
+        for h, node in enumerate(nodes):
+            assert evaluate_weights(scheme, node).values.tobytes() == np.eye(count)[h].tobytes()
+
+
 def test_duplicate_nodes_rejected():
     with pytest.raises(DuplicateNodesError):
         WeightScheme("lagrange", [1.0, 1.0, 2.0])
