@@ -350,13 +350,23 @@ def _run_entry(manifest: dict, nu: float, role=None) -> dict:
 
 def load_snapshots(outdir, manifest: dict, nu: float, role=None) -> SnapshotMatrix:
     """The stored run at nu, at the ``sample_times`` of its t0 and of the
-    config's dt and save_every, the instants of a reduced trajectory."""
+    config's dt and save_every, the instants of a reduced trajectory.  A
+    run that does not start at the config's transient dt, or is not
+    (grid n, steps // save_every + 1), is a DataIntegrityError naming it:
+    generate writes exactly those."""
     entry = _run_entry(manifest, nu, role)
     config = _field(manifest, "config", kind=dict)
     t0 = _field(entry, "t0", "run entry", kind=(int, float))
     dt = _field(config, "dt", "config", kind=(int, float))
     every = _field(config, "save_every", "config", kind=int)
-    values = _read(read_matrix, outdir, entry)
+    steps = _field(config, "steps", "config", kind=int)
+    start = _field(config, "transient", "config", kind=int) * dt
+    nx = _field(_field(config, "grid", "config", kind=dict), "n", "config grid", kind=int)
+    if t0 != start:
+        raise DataIntegrityError(f"run nu={nu!r} starts at t0={t0!r}, expected the "
+                                 f"config's transient * dt = {start!r}")
+    values = _shaped(f"run nu={nu!r}", _read(read_matrix, outdir, entry),
+                     (nx, steps // every + 1))
     return SnapshotMatrix(values=values, times=sample_times(t0, dt, every, values.shape[1]),
                           param=nu)
 
@@ -386,7 +396,6 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
     grid = cfg.grid()
     ip = InnerProduct(grid.dx)
     mean = _stored_mean(outdir, manifest, grid.n)
-    shape = (grid.n, cfg.steps // cfg.save_every + 1)
 
     # One trained run is read, its first state kept as its stored initial
     # state, the run made its fluctuations in place and reduced to its POD
@@ -394,8 +403,7 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
     # peak is ``jobs`` runs, as compute_pod's correlation is one syrk that
     # makes no weighted copy of a run.
     def pod_of(nu):
-        values = _shaped(f"trained run nu={nu!r}",
-                         load_snapshots(outdir, manifest, nu, role="trained").values, shape)
+        values = load_snapshots(outdir, manifest, nu, role="trained").values
         ic = values[:, 0].copy()
         values -= mean[:, None]
         return ic, compute_pod(values, ip, cfg.q)
@@ -655,7 +663,7 @@ def truth_pod_baseline(study: Study, truth: SnapshotMatrix) -> FactoredField:
     model = direct_project(basis.modes, study.mean, study.ip, study.grid.gradient, nu)
     alpha0 = initial_condition(basis.modes, study.mean, study.ip, truth.values[:, 0])
     traj = integrate_rom(model, alpha0, cfg.save_every * cfg.dt, cfg.steps // cfg.save_every,
-                         t0=float(truth.times[0]))
+                         t0=cfg.transient * cfg.dt)
     return factored_field(basis.modes, study.mean, traj, param=nu)
 
 

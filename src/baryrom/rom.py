@@ -39,10 +39,10 @@ the state.  Each RK4 stage is one outer product and one product that
 writes the next stage state, s added last by an identity block, and the
 step's product writes the new state straight into its row of the
 trajectory, so a step is eight small numpy products and one copy back
-into the buffer, with roundoff far below RK4's truncation.  Finiteness is
-checked once per CHECK_RECORDS recorded states.  A prediction takes one
-step per sampling interval, h = save_every dt, and records every state,
-at the instants of the stored runs.
+into the buffer, with roundoff far below RK4's truncation.  Every state is
+recorded, and finiteness is checked once per CHECK_RECORDS of them.  A
+prediction takes one step per sampling interval, h = save_every dt, so
+its states fall at the instants of the stored runs.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def direct_project(basis, mean, ip: InnerProduct, grad_op, nu: float) -> Reduced
 
 
 def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
-                  record_every: int = 1, t0: float = 0.0) -> ReducedTrajectory:
+                  t0: float = 0.0) -> ReducedTrajectory:
     """Advance the reduced system with classical 4th-order Runge-Kutta.
 
     M must be finite and SPD (its smallest eigenvalue positive), else
@@ -239,25 +239,19 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     error at dt = 1e-3 is 5.1e3-2.0e4 eps.
 
     The reduced system does not need the solver's step: predictions march
-    at the sampling interval h = save_every dt and record every state
-    (record_every 1).  On the default study, for nu from 0.03 to 0.13,
-    rho(M^-1 J) h along the trajectories is at most 0.050, far inside
-    RK4's real-axis stability bound of about 2.8, and the states differ
-    from the march at dt that records every save_every-th state by at most
-    6.1e-9 of the largest coordinate.  That is truncation at h, 3.2e6-1.2e7
-    eps against the same march at h/8; the roundoff of the 199 steps is
-    1.3-6.1 eps.
+    at the sampling interval h = save_every dt.  On the default study, for
+    nu from 0.03 to 0.13, rho(M^-1 J) h along the trajectories is at most
+    0.050, far inside RK4's real-axis stability bound of about 2.8, and
+    the states differ from every save_every-th state of the march at dt by
+    at most 6.1e-9 of the largest coordinate.  That is truncation at h,
+    3.2e6-1.2e7 eps against the same march at h/8; the roundoff of the 199
+    steps is 1.3-6.1 eps.
 
-    States are recorded at step multiples of ``record_every``,
-    step 0 included, at the ``sample_times`` t0 + k (record_every dt) --
-    the instants of the stored runs when dt record_every is their
-    sampling interval, whichever of the two marches is taken -- and the
-    march stops at the last of them: the steps % record_every steps after
-    it would be neither recorded nor checked.  Every recorded state is
-    checked for finiteness, a block of CHECK_RECORDS of them at a time by
-    one product of the block with zeros, b . 0 == 0 (a finite entry times 0
-    is +-0, an infinite or nan one gives nan).  A block that fails is
-    searched for its first non-finite state, and DivergedSolutionError
+    Every state is recorded, step 0 included, at the ``sample_times`` t0 +
+    k dt, and checked for finiteness, a block of CHECK_RECORDS of them at a
+    time by one product of the block with zeros, b . 0 == 0 (a finite entry
+    times 0 is +-0, an infinite or nan one gives nan).  A block that fails
+    is searched for its first non-finite state, and DivergedSolutionError
     names that state's step, as a check of every state would; the run
     stops at the end of that block, not after ``steps``.  The state at step
     0 is checked before the march.
@@ -268,8 +262,6 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
         raise ShapeMismatchError(f"alpha0 must have length {q}, got {alpha0.shape}")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
     # a_i, zz_i = vec(a_i outer a_i) and the state s are views into Z, and
     # ``pair`` is the adjacent a_0 and s.  The outer product is the
     # (q,1)(1,q) product of a_i's column and row views: one term per entry,
@@ -286,8 +278,7 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     Z[0:4 * p:p] = 1.0
     pair[:] = alpha0
 
-    n_rec = steps // record_every
-    alphas = np.empty((n_rec + 1, q))
+    alphas = np.empty((steps + 1, q))
     alphas[0] = alpha0
     flat = alphas.reshape(-1)
     zeros = np.zeros(CHECK_RECORDS * q)
@@ -316,25 +307,23 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
         stage1, stage2, stage3, step = (np.concatenate(blocks, axis=1).dot for blocks in (
             [half, I], [half, O, I], [full, O, O, I], [sixth, third, third, sixth, I]))
         tail1, tail2, tail3 = Z[3 * p:], Z[2 * p:], Z[p:]
-        per_record = range(record_every)
-        for start in range(1, n_rec + 1, CHECK_RECORDS):
-            stop = min(start + CHECK_RECORDS, n_rec + 1)
+        for start in range(1, steps + 1, CHECK_RECORDS):
+            stop = min(start + CHECK_RECORDS, steps + 1)
             for row in alphas[start:stop]:
-                for _ in per_record:
-                    outer0(row0, zz0)
-                    stage1(tail1, a1)
-                    outer1(row1, zz1)
-                    stage2(tail2, a2)
-                    outer2(row2, zz2)
-                    stage3(tail3, a3)
-                    outer3(row3, zz3)
-                    step(Z, row)
-                    pair[:] = row
+                outer0(row0, zz0)
+                stage1(tail1, a1)
+                outer1(row1, zz1)
+                stage2(tail2, a2)
+                outer2(row2, zz2)
+                stage3(tail3, a3)
+                outer3(row3, zz3)
+                step(Z, row)
+                pair[:] = row
             if flat[start * q:stop * q].dot(zeros[:(stop - start) * q]) != 0.0:
                 rec = start + int(np.argmin(np.isfinite(alphas[start:stop]).all(axis=1)))
                 raise DivergedSolutionError(f"reduced state diverged to a non-finite "
-                                            f"value by step {rec * record_every}")
-    return ReducedTrajectory(times=sample_times(t0, dt, record_every, n_rec + 1),
+                                            f"value by step {rec}")
+    return ReducedTrajectory(times=sample_times(t0, dt, 1, steps + 1),
                              alphas=alphas, mass_condition=float(lam[-1] / lam[0]))
 
 

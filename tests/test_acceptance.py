@@ -132,17 +132,17 @@ def test_c5_trained_point_consistency(study):
         single = direct_project(study.bases[h].modes, study.mean, study.ip,
                                 study.grid.gradient, nu)
         a0 = initial_condition(study.bases[h].modes, study.mean, study.ip, u0)
-        traj_single = integrate_rom(single, a0, cfg.dt, cfg.steps,
-                                    record_every=cfg.save_every)
+        traj_single = integrate_rom(single, a0, cfg.dt, cfg.steps)
 
         model = update_reduced_model(study.tensors, w, res.rotations, nu)
         phi = combined_basis(mats, w, res.rotations)
         a0b = initial_condition(phi, study.mean, study.ip, u0)
-        traj_bary = integrate_rom(model, a0b, cfg.dt, cfg.steps,
-                                  record_every=cfg.save_every)
+        traj_bary = integrate_rom(model, a0b, cfg.dt, cfg.steps)
 
-        aligned = traj_single.alphas @ res.rotations[h]
-        worst = max(worst, float(np.max(np.abs(traj_bary.alphas - aligned))))
+        # each march at dt, at the stored instants: every save_every-th state
+        every = cfg.save_every
+        aligned = traj_single.alphas[::every] @ res.rotations[h]
+        worst = max(worst, float(np.max(np.abs(traj_bary.alphas[::every] - aligned))))
     report(5, "trained-point-consistency", worst < 1e-8,
            f"max reduced-coordinate deviation {worst:.3e}")
 

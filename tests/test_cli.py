@@ -862,10 +862,18 @@ def _short_mean(manifest, study):
     manifest["mean"]["sha256"] = write_matrix(path, read_matrix(path)[1:])
 
 
-def _short_trained_run(manifest, study):
-    entry = manifest["runs"][0]
-    path = study / entry["path"]
-    entry["sha256"] = write_matrix(path, read_matrix(path)[1:])
+def _rewritten_run(index, edit):
+    """A corruption storing ``edit(values)`` as run ``index`` of the
+    manifest, with its hash kept in step."""
+    def rewrite(manifest, study):
+        entry = manifest["runs"][index]
+        path = study / entry["path"]
+        entry["sha256"] = write_matrix(path, edit(read_matrix(path)))
+    return _edit_manifest(rewrite)
+
+
+def _moved_t0(manifest, study):
+    manifest["runs"][-1]["t0"] += manifest["config"]["dt"]
 
 
 def _block_layout(arrays):
@@ -931,7 +939,12 @@ CORRUPT_STUDY = [  # (id, command, corruption of a copy of the study)
     ("run-without-t0", "compare", _edit_manifest(lambda m, s: m["runs"][-1].pop("t0"))),
     ("offline-without-archive", "predict",
      _edit_manifest(lambda m, s: m["offline"].pop("archive"))),
-    ("trained-run-short", "offline", _edit_manifest(_short_trained_run)),
+    ("trained-run-short", "offline", _rewritten_run(0, lambda v: v[1:])),
+    ("test-run-short", "compare", _rewritten_run(-1, lambda v: v[1:])),
+    ("test-run-short", "predict-truth", _rewritten_run(-1, lambda v: v[1:])),
+    ("test-run-short", "predict-itsgm-truth", _rewritten_run(-1, lambda v: v[1:])),
+    ("test-run-column-short", "compare", _rewritten_run(-1, lambda v: v[:, :-1])),
+    ("test-run-t0-moved", "compare", _edit_manifest(_moved_t0)),
     ("config-list", "offline", _edit_manifest(lambda m, s: m.update(config=[1]))),
     ("runs-number", "compare", _edit_manifest(lambda m, s: m.update(runs=5))),
     ("t0-string", "offline", _edit_manifest(lambda m, s: m["runs"][0].update(t0="x"))),
@@ -941,6 +954,9 @@ CORRUPT_STUDY = [  # (id, command, corruption of a copy of the study)
     ("stale-offline-list", "bench", _stale_bench(lambda m: m.update(offline=[1]))),
 ]
 COMMANDS = {"offline": ["offline"], "predict": ["predict", "--nu", "0.08"],
+            "predict-truth": ["predict", "--nu", "0.08", "--ic", "truth"],
+            "predict-itsgm-truth": ["predict", "--nu", "0.08", "--ic", "truth",
+                                    "--method", "itsgm"],
             "compare": ["compare"],
             "bench": ["bench", "--config", str(Path(__file__).resolve().parent.parent
                                                / "configs" / "burgers.json"),
@@ -1255,9 +1271,9 @@ def test_predictions_and_the_floor_march_at_the_sampling_interval(workdir, monke
     cfg = study.cfg
     integrate, calls = pipeline.integrate_rom, []
 
-    def sentinel(model, alpha0, dt, steps, *args, **kwargs):
-        calls.append((dt, steps, kwargs.get("record_every", args[0] if args else 1)))
-        return integrate(model, alpha0, dt, steps, *args, **kwargs)
+    def sentinel(model, alpha0, dt, steps, t0=0.0):
+        calls.append((dt, steps, t0))
+        return integrate(model, alpha0, dt, steps, t0=t0)
 
     monkeypatch.setattr(pipeline, "integrate_rom", sentinel)
     truth = pipeline.load_snapshots(out, study.manifest, 0.08)
@@ -1269,7 +1285,8 @@ def test_predictions_and_the_floor_march_at_the_sampling_interval(workdir, monke
             assert report["mass_condition"] == traj.mass_condition
             np.testing.assert_array_equal(traj.times, truth.times)
     pipeline.truth_pod_baseline(study, truth)
-    assert calls == [(cfg.save_every * cfg.dt, cfg.steps // cfg.save_every, 1)] * 5
+    assert calls == [(cfg.save_every * cfg.dt, cfg.steps // cfg.save_every,
+                      cfg.transient * cfg.dt)] * 5
 
 
 def test_compare_reads_each_truth_run_once(workdir, monkeypatch):

@@ -27,6 +27,7 @@ from baryrom import (
     update_reduced_model,
 )
 from baryrom import pipeline, rom
+from baryrom.pod import sample_times
 from conftest import close_family
 
 
@@ -296,13 +297,11 @@ def test_integrate_negative_diffusion_diverges():
     model = zero_model(2)
     model.R = -100.0 * np.eye(2)  # anti-diffusion: every step multiplies a by ~640
     with pytest.raises(DivergedSolutionError):
-        integrate_rom(model, np.array([1.0, -1.0]), dt=0.1, steps=1000,
-                      record_every=10)
-    # overflow past float64 takes ~110 steps: the run stops at the first
-    # recorded state after that instead of stepping on to the end
+        integrate_rom(model, np.array([1.0, -1.0]), dt=0.1, steps=1000)
+    # overflow past float64 takes ~110 steps: the run stops at the end of
+    # that block of checked states instead of stepping on to the end
     with pytest.raises(DivergedSolutionError, match=r"by step \d+") as exc:
-        integrate_rom(model, np.array([1.0, -1.0]), dt=0.1, steps=10**6,
-                      record_every=10)
+        integrate_rom(model, np.array([1.0, -1.0]), dt=0.1, steps=10**6)
     step = int(re.search(r"by step (\d+)", str(exc.value)).group(1))
     assert step <= 200
 
@@ -317,11 +316,11 @@ def test_integrate_checks_each_recorded_state_once_for_finiteness():
             a0 = np.array([1e308, -1e308, 1.0])
             a0[i] = bad
             with pytest.raises(DivergedSolutionError, match=r"at step 0$"):
-                integrate_rom(zero_model(3), a0, dt=0.1, steps=10, record_every=5)
+                integrate_rom(zero_model(3), a0, dt=0.1, steps=10)
             model = zero_model(3)
             model.F[i] = bad  # a finite start that turns non-finite in step 1
-            with pytest.raises(DivergedSolutionError, match=r"by step 5$"):
-                integrate_rom(model, np.ones(3), dt=0.1, steps=10, record_every=5)
+            with pytest.raises(DivergedSolutionError, match=r"by step 1$"):
+                integrate_rom(model, np.ones(3), dt=0.1, steps=10)
 
 
 def rk4_reference(model, a0, dt, steps):
@@ -450,33 +449,32 @@ def test_integrate_records_copies_at_exact_times(study):
     model, a0 = weighted_model(study, 0.083)
     a0_before = a0.copy()
     dt, steps, t0 = study.cfg.dt, 203, 0.37
-    traj = integrate_rom(model, a0, dt, steps, record_every=5, t0=t0)
+    traj = integrate_rom(model, a0, dt, steps, t0=t0)
     np.testing.assert_array_equal(a0, a0_before)
-    np.testing.assert_array_equal(traj.times,
-                                  [t0 + s * dt for s in range(0, steps + 1, 5)])
-    ref = rk4_reference(model, a0, dt, steps)[::5]
+    np.testing.assert_array_equal(traj.times, [t0 + s * dt for s in range(steps + 1)])
+    ref = rk4_reference(model, a0, dt, steps)
     assert np.abs(traj.alphas - ref).max() <= 1e-12 * np.abs(ref).max()
     # a second call, from another state, leaves the first result alone
     first = traj.alphas.copy()
-    other = integrate_rom(model, 0.5 * a0, dt, steps, record_every=5, t0=t0)
+    other = integrate_rom(model, 0.5 * a0, dt, steps, t0=t0)
     np.testing.assert_array_equal(traj.alphas, first)
     assert not np.shares_memory(traj.alphas, other.alphas)
     assert np.abs(other.alphas - first).max() > 1e-3 * np.abs(first).max()
 
 
-def test_integrate_record_every():
-    model = zero_model(1)
-    traj = integrate_rom(model, np.array([2.0]), dt=0.5, steps=10, record_every=5,
-                         t0=1.0)
-    np.testing.assert_allclose(traj.times, [1.0, 3.5, 6.0])
+def test_integrate_records_every_state_at_the_sample_times():
+    for steps in (0, 1, 31, 32, 33, 203):  # about the CHECK_RECORDS block edges
+        traj = integrate_rom(zero_model(1), np.array([2.0]), dt=0.7, steps=steps, t0=1.3)
+        assert traj.alphas.shape == (steps + 1, 1)
+        np.testing.assert_array_equal(traj.times, sample_times(1.3, 0.7, 1, steps + 1))
 
 
-def unbound_integrate(model, alpha0, dt, steps, record_every=1, t0=0.0):
+def unbound_integrate(model, alpha0, dt, steps, t0=0.0):
     """Classical RK4 with staged slopes: each stage fills its z = [1; a;
     vec(a outer a)] and one product of (dt/2) G or dt G gives its scaled
-    slope K_i, the step adds [1/3, 2/3, 1/3, 1/6] K to the state, a record
-    check follows every step and all ``steps`` are marched.  The roundoff
-    oracle of integrate_rom's folded stage operators."""
+    slope K_i, the step adds [1/3, 2/3, 1/3, 1/6] K to the state, every
+    state is recorded and all ``steps`` are marched.  The roundoff oracle
+    of integrate_rom's folded stage operators."""
     q = model.M.shape[0]
     Z = np.empty((4, 1 + q + q * q))
     Z[:, 0] = 1.0
@@ -509,9 +507,8 @@ def unbound_integrate(model, alpha0, dt, steps, record_every=1, t0=0.0):
         full.dot(z[3], k[3])
         wts.dot(K, dK)
         np.add(state, dK, state)
-        if s % record_every == 0:
-            alphas.append(state.copy())
-            times.append(t0 + s * dt)
+        alphas.append(state.copy())
+        times.append(t0 + s * dt)
     return ReducedTrajectory(times=np.array(times), alphas=np.array(alphas))
 
 
@@ -524,21 +521,19 @@ def random_stable_model(rng, q=5):
                         F=rng.standard_normal(q), nu=0.3)
 
 
-@pytest.mark.parametrize("record_every", [1, 5, 7])
-def test_integrate_matches_the_parent_step_loop_to_roundoff(study, rng, record_every):
+def test_integrate_matches_the_parent_step_loop_to_roundoff(study, rng):
     # integrate_rom writes each stage state with one stage operator [c G | 0
     # | I] that adds the state last, so its sums differ from the staged
     # slopes in the last bits: alphas agree to 64 eps of the largest
     # coordinate (measured: at most 12.4 eps on the study and 11.5 eps on
-    # 20 random models), times bitwise.  995 steps leave no tail at 1 and 5
-    # and one unrecorded step at 7
+    # 20 random models), times bitwise
     model, a0 = weighted_model(study, 0.083)
     cfg = study.cfg
     cases = [(model, a0, cfg.dt, cfg.steps),
              (random_stable_model(rng), rng.standard_normal(5), 1e-3, 200)]
     for model, a0, dt, steps in cases:
-        got = integrate_rom(model, a0, dt, steps, record_every=record_every, t0=0.37)
-        want = unbound_integrate(model, a0, dt, steps, record_every=record_every, t0=0.37)
+        got = integrate_rom(model, a0, dt, steps, t0=0.37)
+        want = unbound_integrate(model, a0, dt, steps, t0=0.37)
         assert got.alphas.shape == want.alphas.shape
         bound = 64 * np.finfo(float).eps * np.abs(want.alphas).max()
         assert np.abs(got.alphas - want.alphas).max() <= bound
@@ -588,18 +583,18 @@ def test_integrate_roundoff_against_extended_precision_rk4(study):
 @pytest.mark.parametrize("nu", [0.06, 0.08, 0.10, 0.03, 0.13])
 def test_predict_march_at_the_sampling_interval_matches_the_dt_march(study, nu):
     # predict marches steps // save_every steps of h = save_every dt; the
-    # oracle is the same model marched at dt, every save_every-th state
-    # recorded.  The instants agree bitwise, and the states differ by RK4's
-    # truncation at h (measured: 0.6-4.7e-9 of the largest coordinate, the
-    # most at nu = 0.03)
+    # oracle is every save_every-th state of the same model marched at dt.
+    # The instants agree bitwise, and the states differ by RK4's truncation
+    # at h (measured: 0.6-4.7e-9 of the largest coordinate, the most at
+    # nu = 0.03)
     cfg = study.cfg
     model, a0 = weighted_model(study, nu)
     got = pipeline.predict(study, nu, lift=False)[0]
-    want = integrate_rom(model, a0, cfg.dt, cfg.steps, record_every=cfg.save_every,
-                         t0=cfg.transient * cfg.dt)
-    np.testing.assert_array_equal(got.times, want.times)
-    assert got.alphas.shape == want.alphas.shape
-    assert np.abs(got.alphas - want.alphas).max() <= 1e-8 * np.abs(want.alphas).max()
+    fine = integrate_rom(model, a0, cfg.dt, cfg.steps, t0=cfg.transient * cfg.dt)
+    want = fine.alphas[::cfg.save_every]
+    np.testing.assert_array_equal(got.times, fine.times[::cfg.save_every])
+    assert got.alphas.shape == want.shape
+    assert np.abs(got.alphas - want).max() <= 1e-8 * np.abs(want).max()
 
 
 def _c_calls(fn):
@@ -615,23 +610,6 @@ def _c_calls(fn):
     finally:
         sys.setprofile(None)
     return result, calls[0]
-
-
-def test_integrate_stops_at_the_last_recorded_step(study):
-    model, a0 = weighted_model(study, 0.083)
-    dt = study.cfg.dt
-    whole, tail = (integrate_rom(model, a0, dt, steps, record_every=5, t0=0.3)
-                   for steps in (995, 997))
-    np.testing.assert_array_equal(tail.alphas, whole.alphas)
-    np.testing.assert_array_equal(tail.times, whole.times)
-    short = integrate_rom(model, a0, dt, 4, record_every=5, t0=0.3)
-    np.testing.assert_array_equal(short.alphas, [a0])
-    np.testing.assert_array_equal(short.times, [0.3])
-    # the steps after the last recorded one are not marched: a run of 12
-    # steps makes the calls of a run of 10, and one of 4 those of none
-    counts = [_c_calls(lambda s=s: integrate_rom(model, a0, dt, s, record_every=5))[1]
-              for s in (10, 12, 0, 4)]
-    assert counts[0] == counts[1] and counts[2] == counts[3] < counts[0]
 
 
 def test_integrate_runs_at_the_call_floor(study):
@@ -661,28 +639,26 @@ def test_barycenter_runs_at_the_call_floor(study):
 FIRST_BAD_RECORDS = [1, 32, 33, 64, 65, 67, 70]  # of 70: blocks 1-32, 33-64, 65-70
 
 
-@pytest.mark.parametrize("record_every", [1, 10])
 @pytest.mark.parametrize("rec", FIRST_BAD_RECORDS)
-def test_integrate_names_the_first_non_finite_record_of_its_block(record_every, rec):
+def test_integrate_names_the_first_non_finite_record_of_its_block(rec):
     # a' = a at dt = 1 grows the state by r = 1 + 1 + 1/2 + 1/6 + 1/24 a
     # step, and the outer product of the last stage state, 2.75 a, overflows
     # (into nan, through the zero quadratic columns) in the first step that
     # starts above sqrt(max) / 2.75.  a0 puts that step half a step of
-    # growth past the start of step s, inside the record ``rec``; the
-    # oracle marches every step and checks every state
+    # growth past the start of step ``rec``; the oracle marches every step
+    # and checks every state
     assert rom.CHECK_RECORDS == 32
     model = zero_model(2)
     model.R = -np.eye(2)
-    steps = max(FIRST_BAD_RECORDS) * record_every
-    s = rec * record_every - record_every // 2
+    steps = max(FIRST_BAD_RECORDS)
     r = 1 + 1 + 1 / 2 + 1 / 6 + 1 / 24
-    a0 = np.sqrt(np.finfo(float).max) / 2.75 * np.sqrt(r) / r ** (s - 1) * np.array([1.0, -0.5])
+    a0 = np.sqrt(np.finfo(float).max) / 2.75 * np.sqrt(r) / r ** (rec - 1) * np.array([1.0, -0.5])
     with np.errstate(over="ignore", invalid="ignore"):
-        want = unbound_integrate(model, a0, 1.0, steps, record_every=record_every)
+        want = unbound_integrate(model, a0, 1.0, steps)
     first_bad = np.flatnonzero(~np.isfinite(want.alphas).all(axis=1))[0]
     assert first_bad == rec
-    with pytest.raises(DivergedSolutionError, match=rf"by step {first_bad * record_every}$"):
-        integrate_rom(model, a0, 1.0, steps, record_every=record_every)
+    with pytest.raises(DivergedSolutionError, match=rf"by step {first_bad}$"):
+        integrate_rom(model, a0, 1.0, steps)
 
 
 def test_integrate_peak_memory_grows_only_by_the_recorded_states(rng):
@@ -690,15 +666,15 @@ def test_integrate_peak_memory_grows_only_by_the_recorded_states(rng):
     a0 = 0.1 * rng.standard_normal(q)
 
     def peak(steps):
-        integrate_rom(model, a0, 1e-4, steps, record_every=5)  # one-off allocations
+        integrate_rom(model, a0, 1e-4, steps)  # one-off allocations
         tracemalloc.start()
         try:
-            integrate_rom(model, a0, 1e-4, steps, record_every=5)
+            integrate_rom(model, a0, 1e-4, steps)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    grown = peak(4000) - peak(1000)
+    grown = peak(1000) - peak(400)
     # 600 more recorded states and times, (q + 1) floats each
     assert grown <= 600 * (q + 1) * 8 + 1024
 
