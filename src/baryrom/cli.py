@@ -1,7 +1,7 @@
 """Command-line pipeline: generate / offline / predict / compare / bench.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 missing or corrupted data.
+4 missing or corrupted data, or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -219,6 +219,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except DataIntegrityError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:  # the readers raise DataIntegrityError: an output failed
+        print(f"data error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_DATA
 
 

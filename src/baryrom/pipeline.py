@@ -220,12 +220,11 @@ def config_from_dict(doc: dict) -> StudyConfig:
 
 
 def load_config(path) -> StudyConfig:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSON and UTF-8 decoding errors are ValueErrors
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -317,8 +316,7 @@ def run_generate(cfg: StudyConfig, outdir, jobs: int = 1) -> dict:
         for (nu, role), snap in zip(members, snaps):
             path = outdir / f"snap_nu{_nu_tag(nu)}.mat"
             entries.append(_entry(path, write_matrix(path, snap.values), nu=nu, role=role,
-                                  t0=float(snap.times[0]),
-                                  n_snapshots=int(snap.values.shape[1])))
+                                  t0=float(snap.times[0])))
             if role == "trained":
                 row_sums.append(snap.values.sum(axis=1))
         return entries, row_sums
@@ -348,26 +346,22 @@ def _run_entry(manifest: dict, nu: float, role=None) -> dict:
                              + (f" with role {role!r}" if role else ""))
 
 
-def load_snapshots(outdir, manifest: dict, nu: float, role=None) -> SnapshotMatrix:
-    """The stored run at nu, at the ``sample_times`` of its t0 and of the
-    config's dt and save_every, the instants of a reduced trajectory.  A
-    run that does not start at the config's transient dt, or is not
-    (grid n, steps // save_every + 1), is a DataIntegrityError naming it:
-    generate writes exactly those."""
+def load_snapshots(outdir, manifest: dict, cfg: StudyConfig, nu: float,
+                   role=None) -> SnapshotMatrix:
+    """The stored run at nu, checked against the study's parsed ``cfg`` as
+    generate writes it: the entry's t0 must be cfg.transient * cfg.dt and
+    the matrix (grid n, steps // save_every + 1), else a DataIntegrityError
+    names the run.  Its instants, the ``sample_times`` t0 + k save_every
+    dt, are those of a reduced trajectory.  No field of the manifest's
+    config is read: ``cfg`` is the one source of them."""
     entry = _run_entry(manifest, nu, role)
-    config = _field(manifest, "config", kind=dict)
-    t0 = _field(entry, "t0", "run entry", kind=(int, float))
-    dt = _field(config, "dt", "config", kind=(int, float))
-    every = _field(config, "save_every", "config", kind=int)
-    steps = _field(config, "steps", "config", kind=int)
-    start = _field(config, "transient", "config", kind=int) * dt
-    nx = _field(_field(config, "grid", "config", kind=dict), "n", "config grid", kind=int)
-    if t0 != start:
-        raise DataIntegrityError(f"run nu={nu!r} starts at t0={t0!r}, expected the "
-                                 f"config's transient * dt = {start!r}")
-    values = _shaped(f"run nu={nu!r}", _read(read_matrix, outdir, entry),
-                     (nx, steps // every + 1))
-    return SnapshotMatrix(values=values, times=sample_times(t0, dt, every, values.shape[1]),
+    t0 = cfg.transient * cfg.dt
+    if _field(entry, "t0", "run entry", kind=(int, float)) != t0:
+        raise DataIntegrityError(f"run nu={nu!r} starts at t0={entry['t0']!r}, expected the "
+                                 f"config's transient * dt = {t0!r}")
+    ns = cfg.steps // cfg.save_every + 1
+    values = _shaped(f"run nu={nu!r}", _read(read_matrix, outdir, entry), (cfg.grid_n, ns))
+    return SnapshotMatrix(values=values, times=sample_times(t0, cfg.dt, cfg.save_every, ns),
                           param=nu)
 
 
@@ -388,8 +382,7 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
     are deleted first, so a study in an older layout keeps none of them."""
     outdir = Path(outdir)
     manifest = read_manifest(outdir / "manifest.json")
-    config = _field(manifest, "config", kind=dict)
-    cfg = config_from_dict(config)
+    cfg = config_from_dict(_field(manifest, "config", kind=dict))
     cfg = cfg if q is None else cfg.replace(q=q)
     if not cfg.trained_nu:
         raise ConfigError("offline needs at least one trained_nu")
@@ -403,7 +396,7 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
     # peak is ``jobs`` runs, as compute_pod's correlation is one syrk that
     # makes no weighted copy of a run.
     def pod_of(nu):
-        values = load_snapshots(outdir, manifest, nu, role="trained").values
+        values = load_snapshots(outdir, manifest, cfg, nu, role="trained").values
         ic = values[:, 0].copy()
         values -= mean[:, None]
         return ic, compute_pod(values, ip, cfg.q)
@@ -613,7 +606,7 @@ def predict(study: Study, nu: float, method: str = "barycentric",
     basis = None  # the barycentric basis is formed for the lift, or for a truth IC
     if ic_mode == "truth" and truth is None:
         with _timed(timings, "initial_condition_s"):
-            truth = load_snapshots(study.outdir, study.manifest, nu)
+            truth = load_snapshots(study.outdir, study.manifest, cfg, nu)
     if method == "barycentric":
         bary, model = online_model(study, w, nu, allow_nonconverged=allow_nonconverged,
                                    timings=timings)
@@ -686,7 +679,7 @@ def compare(study: Study, targets=None):
     rows = []
     reports = {}
     for nu in targets:
-        truth = load_snapshots(study.outdir, study.manifest, nu)
+        truth = load_snapshots(study.outdir, study.manifest, cfg, nu)
         ref_sq = None
         for method in methods:
             # method= stays a keyword: perfbench reads it from the predict calls

@@ -262,6 +262,8 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
         raise ShapeMismatchError(f"alpha0 must have length {q}, got {alpha0.shape}")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     # a_i, zz_i = vec(a_i outer a_i) and the state s are views into Z, and
     # ``pair`` is the adjacent a_0 and s.  The outer product is the
     # (q,1)(1,q) product of a_i's column and row views: one term per entry,

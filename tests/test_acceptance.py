@@ -126,7 +126,7 @@ def test_c5_trained_point_consistency(study):
         mats = [b.modes for b in study.bases]
         res = karcher_barycenter(mats, w.values, tol=cfg.tol,
                                  init=pipeline.nearest_index(study.params, nu))
-        truth = pipeline.load_snapshots(study.outdir, study.manifest, nu)
+        truth = pipeline.load_snapshots(study.outdir, study.manifest, study.cfg, nu)
         u0 = truth.values[:, 0]
 
         single = direct_project(study.bases[h].modes, study.mean, study.ip,
@@ -218,7 +218,7 @@ def test_c7_solver_verification():
 def test_c8_pod_oracle(study):
     worst_spec, worst_orth = 0.0, 0.0
     for nu in study.params:
-        truth = pipeline.load_snapshots(study.outdir, study.manifest, nu)
+        truth = pipeline.load_snapshots(study.outdir, study.manifest, study.cfg, nu)
         fluct = truth.values - study.mean[:, None]
         basis = compute_pod(fluct, study.ip, study.cfg.q)
         w = study.ip.weight

@@ -279,7 +279,7 @@ def test_predict_trained_node_matches_truth_pod(workdir):
     _, _, out = workdir
     study = pipeline.load_study(out)
     nu = 0.07
-    truth = pipeline.load_snapshots(out, study.manifest, nu)
+    truth = pipeline.load_snapshots(out, study.manifest, study.cfg, nu)
     _, rec, report = pipeline.predict(study, nu, ic_mode="truth")
     # delta weights at the node
     w = np.array(report["weights"])
@@ -491,7 +491,7 @@ def test_compare_samples_a_long_time_study_as_its_models(tmp_path, capsys):
     assert main(["compare", "--out", out]) == 0
     assert capsys.readouterr().err == ""
     study = pipeline.load_study(out)
-    truth = pipeline.load_snapshots(study.outdir, study.manifest, 2.5e-5)
+    truth = pipeline.load_snapshots(study.outdir, study.manifest, study.cfg, 2.5e-5)
     traj = pipeline.predict(study, 2.5e-5, ic_mode="truth", truth=truth, lift=False)[0]
     np.testing.assert_array_equal(truth.times, traj.times)
 
@@ -1056,6 +1056,104 @@ def test_non_finite_weights_inside_the_trained_range_are_not_called_outside_it(
         "(trained range [0.05, 0.11], weights.kind inverse_distance, weights.power 1e+308)"]
 
 
+@pytest.mark.parametrize("field, step, message", [("steps", 4, "has shape"),
+                                                  ("grid_n", 8, "has shape"),
+                                                  ("transient", 1, "starts at t0=")])
+def test_load_snapshots_checks_a_run_against_the_config_it_is_given(workdir, field, step,
+                                                                   message):
+    _, _, out = workdir
+    study = pipeline.load_study(out)
+    cfg = study.cfg.replace(**{field: getattr(study.cfg, field) + step})
+    with pytest.raises(pipeline.DataIntegrityError, match=rf"^run nu=0\.08 {message}"):
+        pipeline.load_snapshots(out, study.manifest, cfg, 0.08)
+
+
+def _older_run_fields(manifest, study):
+    """Run entries as older versions wrote them, with the unhashed and
+    unread ``n_snapshots`` and ``save_dt`` fields."""
+    config = manifest["config"]
+    for entry in manifest["runs"]:
+        entry["n_snapshots"] = read_matrix(study / entry["path"]).shape[1]
+        entry["save_dt"] = config["save_every"] * config["dt"]
+
+
+def _written_outputs(study):
+    """Every file under study but the manifest, a report without its timings."""
+    files = {}
+    for p in sorted(study.rglob("*")):
+        if p.is_file() and p.name != "manifest.json":
+            doc = json.loads(p.read_text()) if p.name == "report.json" else None
+            files[p.relative_to(study).as_posix()] = (
+                p.read_bytes() if doc is None else {k: v for k, v in doc.items()
+                                                    if k != "timings"})
+    return files
+
+
+def test_run_entries_with_fields_older_versions_wrote_give_the_same_outputs(workdir,
+                                                                             tmp_path):
+    _, _, out = workdir
+    assert not any({"n_snapshots", "save_dt"} & set(entry)
+                   for entry in read_manifest(out / "manifest.json")["runs"])
+    outputs = []
+    for edit in (None, _older_run_fields):
+        study = tmp_path / ("older" if edit else "fresh")
+        shutil.copytree(out, study)
+        if edit:
+            _edit_manifest(edit)(study)
+        for argv in (["compare"], ["predict", "--nu", "0.08", "--ic", "truth"]):
+            assert main([*argv, "--out", str(study)]) == 0
+        outputs.append(_written_outputs(study))
+    assert "compare.csv" in outputs[0]
+    assert "predict_nu0.08_barycentric_truth/lift.mat" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+def _file_at(path):
+    """``path`` made a plain file, whatever was there."""
+    shutil.rmtree(path, ignore_errors=True)
+    path.write_text("not a directory\n")
+    return path
+
+
+def _directory_at(path):
+    """``path`` made an empty directory, whatever was there."""
+    if path.is_file():
+        path.unlink()
+    shutil.rmtree(path, ignore_errors=True)
+    path.mkdir()
+    return path
+
+
+# (id, argv before --out with None standing for the config, the maker of the
+# blocking file or directory, and its name in the study copy, or None when the
+# blocked path is --out itself)
+UNWRITABLE = [
+    ("generate-out-is-a-file", ["generate", "--config", None], _file_at, None),
+    ("offline-archive-is-a-directory", ["offline"], _directory_at, "tensors.arc"),
+    ("compare-csv-is-a-directory", ["compare"], _directory_at, "compare.csv"),
+    ("predict-directory-is-a-file", ["predict", "--nu", "0.08"], _file_at,
+     "predict_nu0.08_barycentric"),
+    ("bench-out-is-a-file", ["bench", "--config", None, "--sizes", "64", "--reps", "1"],
+     _file_at, None),
+]
+
+
+@pytest.mark.parametrize("argv, block, name", [pytest.param(*case[1:], id=case[0])
+                                               for case in UNWRITABLE])
+def test_an_output_that_cannot_be_written_exits_4_with_one_line(workdir, tmp_path, capsys,
+                                                                argv, block, name):
+    _, cfg_path, out = workdir
+    study = tmp_path / "study"
+    shutil.copytree(out, study)
+    blocked = block(study / name if name else tmp_path / "taken")
+    capsys.readouterr()
+    argv = [str(cfg_path) if a is None else a for a in argv]
+    assert main([*argv, "--out", str(study if name else blocked)]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("data error: cannot write ")
+    assert str(blocked) in err and "Traceback" not in err
+
+
 def _tree(root):
     """Each path under root with its size and modification time."""
     return {p: (p.stat().st_size, p.stat().st_mtime_ns) for p in Path(root).rglob("*")}
@@ -1074,10 +1172,23 @@ def _json_array_config(tmp_path):
     return tmp_path / "o"
 
 
+def _directory_config(tmp_path):
+    (tmp_path / "config.json").mkdir()
+    return tmp_path / "o"
+
+
+def _undecodable_config(tmp_path):
+    (tmp_path / "config.json").write_bytes(b"\xff{}")
+    return tmp_path / "o"
+
+
 FAILURE_PATHS = [  # (id, study maker or None for the default study, argv, exit code)
     ("predict-before-offline", _generated_only, ["predict", "--nu", "0.08"], 4),
     ("offline-without-manifest", lambda tmp_path: tmp_path, ["offline"], 4),
     ("config-json-array", _json_array_config, ["generate", "--config", "{cfg}"], 2),
+    ("config-missing", lambda tmp_path: tmp_path / "o", ["generate", "--config", "{cfg}"], 2),
+    ("config-is-a-directory", _directory_config, ["generate", "--config", "{cfg}"], 2),
+    ("config-not-utf8", _undecodable_config, ["generate", "--config", "{cfg}"], 2),
     ("predict-truth-without-run", None, ["predict", "--ic", "truth", "--nu", "0.083"], 4),
     ("compare-without-run", None, ["compare", "--targets", "0.083"], 4),
 ]
@@ -1206,7 +1317,7 @@ def test_predict_initial_state_matches_projection_oracle(workdir, ic_mode):
         bary = karcher_barycenter([b.modes for b in study.bases], w.values,
                                   init=pipeline.nearest_index(study.params, nu))
         basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
-        u0 = (pipeline.load_snapshots(out, study.manifest, nu).values[:, 0]
+        u0 = (pipeline.load_snapshots(out, study.manifest, study.cfg, nu).values[:, 0]
               if ic_mode == "truth" else sum(wk * ic for wk, ic in zip(w.values, study.ics)))
         oracle = initial_condition(basis, study.mean, study.ip, u0)
         assert np.linalg.norm(traj.alphas[0] - oracle) <= 1e-10 * np.linalg.norm(oracle)
@@ -1276,7 +1387,7 @@ def test_predictions_and_the_floor_march_at_the_sampling_interval(workdir, monke
         return integrate(model, alpha0, dt, steps, t0=t0)
 
     monkeypatch.setattr(pipeline, "integrate_rom", sentinel)
-    truth = pipeline.load_snapshots(out, study.manifest, 0.08)
+    truth = pipeline.load_snapshots(out, study.manifest, study.cfg, 0.08)
     for method in pipeline.METHODS:
         for ic_mode in pipeline.IC_MODES:
             traj, _, report = pipeline.predict(study, 0.08, method=method, ic_mode=ic_mode,
@@ -1296,13 +1407,13 @@ def test_compare_reads_each_truth_run_once(workdir, monkeypatch):
     load = pipeline.load_snapshots
 
     def counted(*args, **kwargs):
-        reads.append(args[2])
+        reads.append(args[3])
         return load(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "load_snapshots", counted)
     pipeline.compare(study, targets=[0.08, 0.09])
     assert reads == [0.08, 0.09]
-    truth = load(out, study.manifest, 0.08)
+    truth = load(out, study.manifest, study.cfg, 0.08)
     reads.clear()
     for method in pipeline.METHODS:
         given = pipeline.predict(study, 0.08, method=method, ic_mode="truth", truth=truth)

@@ -42,7 +42,7 @@ def peaks(tmp_path_factory):
     assert pipeline.GENERATE_BATCH_BYTES >= 5 * unit  # one chunk
     manifest, generate = _peak(lambda: pipeline.run_generate(cfg, out))
     _, offline = _peak(lambda: pipeline.run_offline(out))
-    snap, load = _peak(lambda: pipeline.load_snapshots(out, manifest, 0.08))
+    snap, load = _peak(lambda: pipeline.load_snapshots(out, manifest, cfg, 0.08))
     assert snap.values.nbytes == unit
     approx = pipeline.SnapshotMatrix(snap.values * 1.01, snap.times, snap.param)
     ip = pipeline.InnerProduct(cfg.grid().dx)

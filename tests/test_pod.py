@@ -133,7 +133,7 @@ def test_pod_eigenpairs_match_scipy_eigh_on_the_study(study):
     # through modes = u v / sqrt(lambda) (measured: at most 4 % of it)
     eps, q = np.finfo(float).eps, study.cfg.q
     for nu in study.cfg.trained_nu:
-        u = pipeline.load_snapshots(study.outdir, study.manifest, nu).values
+        u = pipeline.load_snapshots(study.outdir, study.manifest, study.cfg, nu).values
         u -= study.mean[:, None]
         basis = compute_pod(u, study.ip, q)
         corr = u.T @ study.ip.apply(u)

@@ -257,6 +257,14 @@ def test_integrate_quadratic_term_matches_analytic():
     assert traj.alphas[-1, 0] == pytest.approx(0.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("dt, steps, match", [(0.0, 1, "dt must be positive"),
+                                               (-0.1, 1, "dt must be positive"),
+                                               (0.1, -1, "steps must be >= 0")])
+def test_integrate_rejects_a_nonpositive_step_or_a_negative_step_count(dt, steps, match):
+    with pytest.raises(ValueError, match=match):
+        integrate_rom(zero_model(2), np.zeros(2), dt=dt, steps=steps)
+
+
 def test_integrate_singular_mass():
     model = zero_model(2)
     model.M = np.zeros((2, 2))
