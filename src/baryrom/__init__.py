@@ -31,7 +31,6 @@ from .manifold import (
 )
 from .metrics import ErrorReport, mean_error
 from .pod import (
-    InnerProduct,
     PODBasis,
     SnapshotMatrix,
     compute_pod,

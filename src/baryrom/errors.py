@@ -33,7 +33,7 @@ class SingularMassError(NumericalError):
     """The reduced mass matrix is not invertible."""
 
 
-class ZeroReferenceError(BaryromError):
+class ZeroReferenceError(NumericalError):
     """Relative error is undefined against a zero reference field."""
 
 

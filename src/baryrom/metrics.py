@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatchError, ZeroReferenceError
-from .pod import InnerProduct, SnapshotMatrix
+from .pod import SnapshotMatrix
 from .rom import FactoredField, row_blocks
 
 
@@ -21,7 +21,7 @@ class ErrorReport:
     ref_sq: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def _column_sums(ref: SnapshotMatrix, approx, ip: InnerProduct, den=None):
+def _column_sums(ref: SnapshotMatrix, approx, ip: float, den=None):
     """Squared weighted norms of ref - approx and of ref, one per instant.
 
     ``approx`` is a SnapshotMatrix or a FactoredField, whose rows are lifted
@@ -31,7 +31,7 @@ def _column_sums(ref: SnapshotMatrix, approx, ip: InnerProduct, den=None):
 
     The rows are summed in the ``row_blocks`` of the field, each block's
     first row carrying the sums so far, so for C-ordered inputs the rows
-    add in the order ``np.sum(ip.apply(d) * d, axis=0)`` adds them and the
+    add in the order ``np.sum(ip * d * d, axis=0)`` adds them and the
     sums are bitwise the same.  numpy sums a single column pairwise
     instead, which is why a single column is one block.
     """
@@ -59,7 +59,7 @@ def _column_sums(ref: SnapshotMatrix, approx, ip: InnerProduct, den=None):
         else:
             np.subtract(r, approx.values[i:j], out=d)
         for acc, x in ((num, d), (den, r))[:pairs]:
-            t = ip.apply(x)
+            t = ip * x
             t *= x
             t[0] += acc
             np.sum(t, axis=0, out=acc)
@@ -67,7 +67,7 @@ def _column_sums(ref: SnapshotMatrix, approx, ip: InnerProduct, den=None):
     return num, den
 
 
-def mean_error(ref: SnapshotMatrix, approx, ip: InnerProduct) -> float:
+def mean_error(ref: SnapshotMatrix, approx, ip: float) -> float:
     """Time-mean relative error percentage over a shared uniform sampling.
 
     Both time integrals use the rectangle rule, so the common time step
@@ -80,10 +80,11 @@ def mean_error(ref: SnapshotMatrix, approx, ip: InnerProduct) -> float:
     return 100.0 * float(np.sqrt(num.sum() / den.sum()))
 
 
-def error_report(ref: SnapshotMatrix, approx, ip: InnerProduct, method: str = "",
+def error_report(ref: SnapshotMatrix, approx, ip: float, method: str = "",
                  ref_sq=None) -> ErrorReport:
-    """Per-instant errors 100 * ||ref - approx||_W / ||ref||_W and their
-    time mean (as ``mean_error``), from one pass of weighted column sums.
+    """Per-instant errors 100 * ||ref - approx|| / ||ref||, norms weighted
+    by the cell size ``ip``, and their time mean (as ``mean_error``), from
+    one pass of weighted column sums.
     ``approx`` is a SnapshotMatrix or a FactoredField, which is scored a
     block of rows at a time.  ``ref_sq`` is an earlier report's ``ref_sq``
     on the same ref: given it, ref is not squared and summed again."""

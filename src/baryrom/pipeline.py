@@ -51,7 +51,6 @@ from .manifold import gram_coordinates, itsgm_interpolate, karcher_barycenter
 from .metrics import error_report, mean_error, write_csv  # noqa: F401
 # global_mean stays bound here: perfbench's Tracer wraps it by name
 from .pod import (  # noqa: F401
-    InnerProduct,
     PODBasis,
     SnapshotMatrix,
     compute_pod,
@@ -74,6 +73,7 @@ from .rom import (
 )
 # run stays bound here for perfbench's Tracer, which wraps it by name
 from .solver import Grid1D, SolverConfig, initial_profile, run, run_batch  # noqa: F401
+from .solver import _inverse_symbols
 from .weights import KINDS, WeightScheme, WeightVector, evaluate_weights, select_neighbors
 
 METHODS = ("barycentric", "itsgm")
@@ -206,6 +206,8 @@ def config_from_dict(doc: dict) -> StudyConfig:
             raise ValueError("initial vector entries must be finite")
         for nu in cfg.trained_nu + cfg.test_nu:
             cfg.solver_config(nu)
+        if cfg.trained_nu or cfg.test_nu:  # the largest nu has the largest nu dt / dx^2
+            _inverse_symbols([cfg.solver_config(max(cfg.trained_nu + cfg.test_nu))], cfg.grid())
     except (TypeError, ValueError, OverflowError, ShapeMismatchError) as exc:
         raise ConfigError(f"bad configuration value: {exc}") from exc
     if not cfg.trained_nu and cfg.test_nu:
@@ -387,7 +389,6 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
     if not cfg.trained_nu:
         raise ConfigError("offline needs at least one trained_nu")
     grid = cfg.grid()
-    ip = InnerProduct(grid.dx)
     mean = _stored_mean(outdir, manifest, grid.n)
 
     # One trained run is read, its first state kept as its stored initial
@@ -399,11 +400,11 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
         values = load_snapshots(outdir, manifest, cfg, nu, role="trained").values
         ic = values[:, 0].copy()
         values -= mean[:, None]
-        return ic, compute_pod(values, ip, cfg.q)
+        return ic, compute_pod(values, grid.dx, cfg.q)
 
     ics, bases = zip(*_fan_out(pod_of, cfg.trained_nu, jobs))
     modes = [b.modes for b in bases]
-    ct = assemble_cross_tensors(modes, mean, ip, grid.gradient)
+    ct = assemble_cross_tensors(modes, mean, grid.dx, grid.gradient)
     arrays = {**vars(ct), "bases": np.stack(modes), "ics": np.stack(ics),
               "eigenvalues": np.stack([b.eigenvalues for b in bases])}
     archive_path = outdir / "tensors.arc"
@@ -425,7 +426,7 @@ class Study:
     ``frame`` holds the trained bases in ``gram_coordinates``, one (Np q,
     q) block each, from the Gram matrix of the stacked bases [Phi_1 ...
     Phi_Np], and ``ic_coords`` the coordinates of the stored
-    initial states, ic_coords[:, j] = [Phi_1 ... Phi_Np]^T W (ics[j] -
+    initial states, ic_coords[:, j] = dx [Phi_1 ... Phi_Np]^T (ics[j] -
     mean), (Np q, Np).  With them and the tensor archive, a barycentric
     prediction from the weighted initial state reads no mesh-sized array
     until it lifts its trajectory.
@@ -437,7 +438,7 @@ class Study:
     manifest: dict
     cfg: StudyConfig
     grid: Grid1D
-    ip: InnerProduct
+    ip: float  # the quadrature weight of every inner product, grid.dx
     mean: np.ndarray
     bases: list
     ics: np.ndarray
@@ -457,7 +458,6 @@ def load_study(outdir) -> Study:
         raise DataIntegrityError("manifest has no offline section; run offline first")
     cfg = config_from_dict(_field(manifest, "config", kind=dict))
     grid = cfg.grid()
-    ip = InnerProduct(grid.dx)
     mean = _stored_mean(outdir, manifest, grid.n)
     arrays, _ = _read(read_archive, outdir,
                       _field(manifest["offline"], "archive", "offline section"))
@@ -466,10 +466,10 @@ def load_study(outdir) -> Study:
     bases = [PODBasis(*pair) for pair in zip(stored.pop("bases"), stored.pop("eigenvalues"))]
     ics = stored.pop("ics")
     ct = CrossGalerkinTensors(**stored)
-    frame = gram_coordinates(ct.M / ip.weight, cfg.q)
-    weighted = ip.apply(np.column_stack(ics) - mean[:, None])
+    frame = gram_coordinates(ct.M / grid.dx, cfg.q)
+    weighted = grid.dx * (np.column_stack(ics) - mean[:, None])
     ic_coords = np.vstack([b.modes.T @ weighted for b in bases])
-    return Study(outdir, manifest, cfg, grid, ip, mean, bases, ics, ct, frame, ic_coords)
+    return Study(outdir, manifest, cfg, grid, grid.dx, mean, bases, ics, ct, frame, ic_coords)
 
 
 def _archive_arrays(arrays: dict, np_: int, nx: int, q: int, ns: int) -> dict:

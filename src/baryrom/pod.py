@@ -14,20 +14,6 @@ import numpy as np
 from .errors import RankTooSmallError, ShapeMismatchError
 
 
-class InnerProduct:
-    """Discrete weighted L2 inner product with a scalar weight, the uniform
-    quadrature cell size.  The weight must be positive and finite."""
-
-    def __init__(self, weight):
-        self.weight = float(weight)
-        if not 0.0 < self.weight < np.inf:
-            raise ValueError(f"weight must be positive and finite, got {self.weight}")
-
-    def apply(self, a):
-        """Multiply a field (N,) or stacked fields (N, k) by the weight."""
-        return self.weight * np.asarray(a, dtype=float)
-
-
 @dataclass
 class SnapshotMatrix:
     """Stored states of one run: one column per saved instant."""
@@ -99,12 +85,12 @@ def mean_of_row_sums(row_sums, ns: int) -> np.ndarray:
     return total / (len(row_sums) * ns)
 
 
-def compute_pod(fluct, ip: InnerProduct, q: int) -> PODBasis:
+def compute_pod(fluct, ip: float, q: int) -> PODBasis:
     """POD of mean-subtracted snapshots through the correlation matrix.
 
-    Builds C_ij = <u_i, u_j>_W from the (N, Ns) fluctuations ``fluct``,
-    eigendecomposes it, and assembles the q leading modes as eigenvalue-
-    normalized snapshot combinations.  The modes come out W-orthonormal.
+    Builds C_ij = ip u_i . u_j (``ip`` the cell size) from the (N, Ns)
+    fluctuations ``fluct``, eigendecomposes it, and assembles the q leading
+    modes as eigenvalue-normalized snapshot combinations, ip-orthonormal.
     Mean subtraction is the caller's job.
 
     Raises RankTooSmallError when the q-th eigenvalue falls below
@@ -119,7 +105,7 @@ def compute_pod(fluct, ip: InnerProduct, q: int) -> PODBasis:
     # u.T @ u runs as one symmetric rank-k update (syrk), which fills both
     # triangles alike and makes no weighted copy of u
     corr = u.T @ u
-    corr *= ip.weight
+    corr *= ip
     evals, evecs = np.linalg.eigh(corr)
     evals = evals[::-1].copy()
     evecs = evecs[:, ::-1]

@@ -21,8 +21,8 @@ Phi_Np] S with S = [w_1 Q_1; ...; w_Np Q_Np] (``weighted_rotations``),
 and every reduced operator is S^T A S for a stacked operator A.  On the
 uniform grid the stacked bases' Gram matrix, which the barycenter needs,
 is the stacked mass matrix over the cell size, and the coordinates of
-the weighted initial state solve M alpha0 = S^T c with c = [Phi_1 ...
-Phi_Np]^T W (u0 - mean) (``weighted_initial_condition`` in pipeline).
+the weighted initial state solve M alpha0 = S^T c with c = dx [Phi_1
+... Phi_Np]^T (u0 - mean) (``weighted_initial_condition`` in pipeline).
 Only the lift to the mesh, and a truth initial state, need Phi:
 ``combined_basis`` forms it once, Phi = sum_h w_h Phi_h Q_h, and a
 ``FactoredField`` holds Phi, the mean and the coordinates alpha: the
@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DivergedSolutionError, ShapeMismatchError, SingularMassError
-from .pod import InnerProduct, SnapshotMatrix, sample_times
+from .pod import SnapshotMatrix, sample_times
 from .weights import WeightVector
 
 # bytes of one row block of a lifted field scored by ``metrics``, which
@@ -112,7 +112,7 @@ def _mode_matrices(bases):
     return mats
 
 
-def assemble_cross_tensors(bases, mean, ip: InnerProduct, grad_op) -> CrossGalerkinTensors:
+def assemble_cross_tensors(bases, mean, ip: float, grad_op) -> CrossGalerkinTensors:
     """Offline projection of mass, diffusion, convection and forcing blocks.
 
     ``grad_op`` maps stacked fields (N, k) to their spatial derivative.
@@ -132,12 +132,12 @@ def assemble_cross_tensors(bases, mean, ip: InnerProduct, grad_op) -> CrossGaler
 
     phi = np.hstack(mats)
     dphi = grad_op(phi)
-    wphi = ip.apply(phi)
+    wphi = ip * phi
     dmean = grad_op(mean)
 
     M = phi.T @ wphi
-    R = dphi.T @ ip.apply(dphi)
-    Cbar = phi.T @ ip.apply(mean[:, None] * dphi + dmean[:, None] * phi)
+    R = dphi.T @ (ip * dphi)
+    Cbar = phi.T @ (ip * (mean[:, None] * dphi + dmean[:, None] * phi))
 
     # band h of C: column i*n + k*q + j of row e*q + s is sum_x w phi^h_i phi^k_j (d phi^e_s)
     n = np_ * q
@@ -147,8 +147,8 @@ def assemble_cross_tensors(bases, mean, ip: InnerProduct, grad_op) -> CrossGaler
         np.multiply(wphi[:, h * q:(h + 1) * q, None], phi[:, None, :], out=pairs)
         C[:, h * q * n:(h + 1) * q * n] = dphi.T @ pairs.reshape(nx, -1)
 
-    F_diff = -(dphi.T @ ip.apply(dmean)).reshape(np_, q)
-    F_conv = -(phi.T @ ip.apply(mean * dmean)).reshape(np_, q)
+    F_diff = -(dphi.T @ (ip * dmean)).reshape(np_, q)
+    F_conv = -(phi.T @ (ip * (mean * dmean))).reshape(np_, q)
     return CrossGalerkinTensors(M, R, Cbar, C, F_conv, F_diff)
 
 
@@ -187,7 +187,7 @@ def update_reduced_model(
             F=S.T @ (ct.F_conv + nu * ct.F_diff).ravel(), nu=float(nu))
 
 
-def direct_project(basis, mean, ip: InnerProduct, grad_op, nu: float) -> ReducedModel:
+def direct_project(basis, mean, ip: float, grad_op, nu: float) -> ReducedModel:
     """Galerkin projection onto one explicit N-by-q basis by straight
     quadrature: its one-basis ``assemble_cross_tensors`` at viscosity nu,
     C the (q, q^2) archive block as q-by-q slices and F = F_conv + nu
@@ -425,12 +425,12 @@ def reconstruct_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> Sna
                           param=field.param)
 
 
-def initial_condition(basis, mean, ip: InnerProduct, u0) -> np.ndarray:
+def initial_condition(basis, mean, ip: float, u0) -> np.ndarray:
     """Weighted least-squares coordinates of u0 - mean in the basis span."""
     phi = np.asarray(basis, float)
     u0 = np.asarray(u0, dtype=float)
     mean = np.asarray(mean, dtype=float)
     if u0.shape != (phi.shape[0],) or mean.shape != (phi.shape[0],):
         raise ShapeMismatchError("field length does not match basis rows")
-    gram = phi.T @ ip.apply(phi)
-    return np.linalg.solve(gram, phi.T @ ip.apply(u0 - mean))
+    gram = phi.T @ (ip * phi)
+    return np.linalg.solve(gram, phi.T @ (ip * (u0 - mean)))

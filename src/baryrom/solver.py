@@ -77,8 +77,10 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 8:
             raise ValueError(f"grid needs n >= 8, got {self.n}")
-        if not (np.isfinite(self.length) and self.length > 0):
-            raise ValueError(f"length must be positive and finite, got {self.length!r}")
+        dx = float(self.dx)  # the quadrature weight; the solver divides by its square
+        if not (self.length > 0 and 0.0 < dx * dx < np.inf):
+            raise ValueError(f"length must be > 0 with (length/n)**2 finite and nonzero, "
+                             f"got {self.length!r}")
 
     @property
     def dx(self) -> float:
@@ -146,6 +148,17 @@ def diffusion_symbol(n, r):
     return 1.0 + 4.0 * r * np.sin(np.pi * k / n) ** 2
 
 
+def _inverse_symbols(cfgs, grid: Grid1D) -> np.ndarray:
+    """1 / diffusion_symbol of each run's nu dt / dx^2, (B, n/2+1); a
+    ValueError if a symbol is not finite, which the largest nu's is first."""
+    with np.errstate(all="ignore"):  # a symbol that overflows is caught below
+        symbols = np.array([diffusion_symbol(grid.n, c.nu * c.dt / grid.dx**2) for c in cfgs])
+    if not np.isfinite(symbols).all():
+        raise ValueError(f"nu*dt/dx^2 of nu={max(c.nu for c in cfgs)!r} overflows the implicit "
+                         f"step on cells of {grid.dx!r}")
+    return 1.0 / symbols
+
+
 def _convection(flat, squares, out, tmp, scale):
     """N(v) = (v*(v+ - v-) + 0.5*(v+*v+ - v-*v-)) * scale into ``out``,
     the split skew form with central differences; ``scale`` is 0.5*(1/(2 dx)).
@@ -176,8 +189,8 @@ def _march(u0, cfgs, grid: Grid1D, nsteps, values):
     """
     cfg = cfgs[0]
     dt, n = cfg.dt, grid.n
-    inv = 1.0 / np.array([diffusion_symbol(n, c.nu * dt / grid.dx**2) for c in cfgs])
-    inv = inv.astype(complex)  # the cast spec *= inv would make on every step
+    # cast once, as spec *= inv would on every step
+    inv = _inverse_symbols(cfgs, grid).astype(complex)
     spec, pad = np.empty(inv.shape, dtype=complex), np.empty((len(cfgs), n + 2))
     flat, u = pad.reshape(-1), pad[:, 1:-1]
     ends, wrap = pad[:, ::n + 1], u[:, ::1 - n]  # cells 0 and n+1 <- cells n-1 and 0 of u

@@ -11,7 +11,6 @@ import numpy as np
 
 from baryrom import (
     Grid1D,
-    InnerProduct,
     SolverConfig,
     WeightScheme,
     WeightVector,
@@ -221,12 +220,12 @@ def test_c8_pod_oracle(study):
         truth = pipeline.load_snapshots(study.outdir, study.manifest, study.cfg, nu)
         fluct = truth.values - study.mean[:, None]
         basis = compute_pod(fluct, study.ip, study.cfg.q)
-        w = study.ip.weight
+        w = study.ip
         singular = np.linalg.svd(np.sqrt(w) * fluct, compute_uv=False) ** 2
         k = min(singular.size, basis.eigenvalues.size)
         gap = np.abs(basis.eigenvalues[:k] - singular[:k]) / singular[0]
         worst_spec = max(worst_spec, float(gap.max()))
-        gram = basis.modes.T @ study.ip.apply(basis.modes)
+        gram = basis.modes.T @ (study.ip * basis.modes)
         worst_orth = max(worst_orth, float(np.max(np.abs(gram - np.eye(study.cfg.q)))))
     ok = worst_spec < 1e-10 and worst_orth < 1e-10
     report(8, "pod-oracle", ok,

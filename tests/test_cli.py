@@ -18,7 +18,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from baryrom import (
-    InnerProduct,
     NotConvergedError,
     NumericalError,
     SnapshotMatrix,
@@ -39,7 +38,7 @@ from baryrom.io import (
     write_manifest,
     write_matrix,
 )
-from baryrom import manifold, pipeline, rom
+from baryrom import manifold, pipeline, rom, solver
 
 SMALL_CONFIG = {
     "grid": {"n": 64, "length": 6.283185307179586},
@@ -135,7 +134,7 @@ def test_offline_writes_one_archive(tmp_path):
     assert list(manifest["offline"]) == ["archive"]
     arrays, _ = read_archive(out / "tensors.arc", manifest["offline"]["archive"]["sha256"])
     mean = read_matrix(out / "mean.mat")
-    ip = InnerProduct(SMALL_CONFIG["grid"]["length"] / SMALL_CONFIG["grid"]["n"])
+    ip = SMALL_CONFIG["grid"]["length"] / SMALL_CONFIG["grid"]["n"]
     for k, nu in enumerate(SMALL_CONFIG["trained_nu"]):
         run = read_matrix(out / f"snap_nu{nu:g}.mat")
         oracle = compute_pod(run - mean, ip, SMALL_CONFIG["q"])
@@ -799,6 +798,10 @@ MALFORMED_INPUT = [  # (argv, config overrides); "{out}" is a copy of the study
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"grid": {"length": True}}),
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"initial": [True] * 64}),
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"initial": ["1.0"] * 64}),
+    # a cell size whose square underflows or overflows, or whose nu dt / dx^2 overflows
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"grid": {"n": 64, "length": 1e-200}}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"grid": {"n": 64, "length": 1e160}}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"grid": {"n": 256, "length": 1e-158}}),
 ]
 
 
@@ -974,6 +977,20 @@ def test_corrupt_study_exits_4_with_one_line(workdir, tmp_path, capsys, command,
     assert main([*COMMANDS[command], "--out", str(study)]) == 4
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("data error:")
+
+
+def test_compare_on_a_run_with_a_zero_norm_instant_exits_3(workdir, tmp_path, capsys):
+    _, _, out = workdir
+    study = tmp_path / "study"
+    shutil.copytree(out, study)
+    (study / "compare.csv").unlink(missing_ok=True)
+    _rewritten_run(-1, lambda v: np.where(np.arange(v.shape[1]) == 3, 0.0, v))(study)
+    capsys.readouterr()
+    assert main(["compare", "--out", str(study)]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["numerical failure: reference field has zero norm at some "
+                                "instant"]
+    assert not (study / "compare.csv").exists()
 
 
 def _offline_mean_layout(manifest, study):
@@ -1546,6 +1563,9 @@ _CONFIG_KEYS = list(pipeline.StudyConfig().to_dict()) + ["n", "length", "kind", 
 @example(doc={"initial": [1.0] * 255 + [float("nan")]})
 @example(doc={"grid": {"length": float("nan")}})
 @example(doc={"grid": {"length": float("inf")}})
+@example(doc={"grid": {"length": 1e-200}})
+@example(doc={"grid": {"length": 1e160}})
+@example(doc={"grid": {"length": 1e-158}})
 @given(doc=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON_VALUES, max_size=5)
        | st.fixed_dictionaries({}, optional={
            "grid": st.dictionaries(st.sampled_from(["n", "length"]), _JSON_SCALARS),
@@ -1567,6 +1587,14 @@ def test_config_documents_parse_or_exit_2(tmp_path_factory, doc):
             assert np.isfinite(value) and value > 0
         if not isinstance(cfg.initial, str):
             assert np.isfinite(np.asarray(cfg.initial, dtype=float)).all()
+        # an accepted config sets up the solver: the square of the cell size
+        # and the implicit step's symbol for every viscosity
+        grid = cfg.grid()
+        grid.dx ** 2
+        with np.errstate(all="raise"):
+            inv = solver._inverse_symbols(
+                [cfg.solver_config(nu) for nu in cfg.trained_nu + cfg.test_nu], grid)
+        assert np.isfinite(inv).all()
         return
     root = tmp_path_factory.mktemp("cfg")
     path = root / "config.json"

@@ -45,7 +45,7 @@ def peaks(tmp_path_factory):
     snap, load = _peak(lambda: pipeline.load_snapshots(out, manifest, cfg, 0.08))
     assert snap.values.nbytes == unit
     approx = pipeline.SnapshotMatrix(snap.values * 1.01, snap.times, snap.param)
-    ip = pipeline.InnerProduct(cfg.grid().dx)
+    ip = cfg.grid().dx
     _, errors = _peak(lambda: metrics.error_report(snap, approx, ip))
     del snap, approx
     study = pipeline.load_study(out)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from baryrom import (
-    InnerProduct,
     ReducedTrajectory,
     ShapeMismatchError,
     SnapshotMatrix,
@@ -14,7 +13,7 @@ from baryrom import (
 from baryrom.metrics import _column_sums, error_report, format_float, write_csv
 from baryrom.rom import BLOCK_BYTES
 
-UNIT = InnerProduct(1.0)
+UNIT = 1.0
 
 
 def traj(values, t0=0.0, dt=1.0, param=0.1):
@@ -85,12 +84,12 @@ def test_mean_error_formula_recomputation(rng):
     # independent loop over instants, no shared code path
     ref = traj(rng.standard_normal((6, 5)) + 3.0)
     approx = traj(ref.values + 0.1 * rng.standard_normal((6, 5)))
-    ip = InnerProduct(0.7)
+    ip = 0.7
     num = den = 0.0
     for j in range(5):
         d = ref.values[:, j] - approx.values[:, j]
-        num += float(np.sum(ip.apply(d) * d))
-        den += float(np.sum(ip.apply(ref.values[:, j]) * ref.values[:, j]))
+        num += float(np.sum(ip * d * d))
+        den += float(np.sum(ip * ref.values[:, j] * ref.values[:, j]))
     expected = 100.0 * np.sqrt(num / den)
     assert mean_error(ref, approx, ip) == pytest.approx(expected, rel=1e-12)
 
@@ -118,11 +117,11 @@ def test_error_report_structure(rng):
 def test_error_report_per_time_matches_column_loop(rng):
     ref = traj(rng.standard_normal((6, 5)) + 3.0)
     approx = traj(ref.values + 0.1 * rng.standard_normal((6, 5)))
-    ip = InnerProduct(0.7)
+    ip = 0.7
     rep = error_report(ref, approx, ip)
     d = ref.values - approx.values
-    expected = [100.0 * np.sqrt(float(np.sum(ip.apply(d[:, j]) * d[:, j])))
-                / np.sqrt(float(np.sum(ip.apply(ref.values[:, j]) * ref.values[:, j])))
+    expected = [100.0 * np.sqrt(float(np.sum(ip * d[:, j] * d[:, j])))
+                / np.sqrt(float(np.sum(ip * ref.values[:, j] * ref.values[:, j])))
                 for j in range(5)]
     np.testing.assert_allclose([e for _, e in rep.per_time], expected, rtol=1e-12)
     assert [t for t, _ in rep.per_time] == list(ref.times)
@@ -142,8 +141,8 @@ BLOCK = BLOCK_BYTES // (8 * NS)  # rows of one block of the error sums
 def _full_column_sums(ref, approx, ip):
     """The sums as one expression over whole snapshot-sized arrays: the oracle."""
     d = ref.values - approx.values
-    return (np.sum(ip.apply(d) * d, axis=0),
-            np.sum(ip.apply(ref.values) * ref.values, axis=0))
+    return (np.sum(ip * d * d, axis=0),
+            np.sum(ip * ref.values * ref.values, axis=0))
 
 
 @pytest.mark.parametrize("nx, ns", [(n, NS) for n in (1, BLOCK - 1, BLOCK, BLOCK + 1,
@@ -152,7 +151,7 @@ def _full_column_sums(ref, approx, ip):
 def test_blocked_column_sums_are_bitwise_the_full_sums(rng, nx, ns):
     ref = traj(rng.standard_normal((nx, ns)) * 3.0 + 1.0)
     approx = traj(ref.values + 1e-3 * rng.standard_normal((nx, ns)))
-    ip = InnerProduct(2.0 * np.pi / 2000)
+    ip = 2.0 * np.pi / 2000
     for got, want in zip(_column_sums(ref, approx, ip), _full_column_sums(ref, approx, ip)):
         np.testing.assert_array_equal(got, want)
 
@@ -163,7 +162,7 @@ def test_blocked_lift_and_score_is_bitwise_the_reconstruction_score(rng, nx, ns)
     # the same ref scored against the field reconstruct_field forms and
     # against its factors, lifted a block of rows at a time; then again with
     # the ref sums of the first report
-    q, ip = 7, InnerProduct(2.0 * np.pi / 2000)
+    q, ip = 7, 2.0 * np.pi / 2000
     rtraj = ReducedTrajectory(times=0.3 + 0.005 * np.arange(ns),
                               alphas=rng.standard_normal((ns, q)))
     basis, mean = rng.standard_normal((nx, q)), 1.0 + rng.standard_normal(nx)

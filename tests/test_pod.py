@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from baryrom import (
-    InnerProduct,
     RankTooSmallError,
     ShapeMismatchError,
     SnapshotMatrix,
@@ -21,23 +20,8 @@ def snaps(values, param=0.1):
 
 def pod_spectrum_oracle(values, ip):
     """Squared singular values of the weight-scaled snapshot matrix."""
-    s = np.linalg.svd(np.sqrt(ip.weight) * values, compute_uv=False)
+    s = np.linalg.svd(np.sqrt(ip) * values, compute_uv=False)
     return s**2
-
-
-# ------------------------------------------------------------ inner product
-
-def test_inner_product_scalar_weight():
-    np.testing.assert_array_equal(InnerProduct(0.5).apply([1.0, 2.0]), [0.5, 1.0])
-    ip3 = InnerProduct(3.0)
-    np.testing.assert_array_equal(ip3.apply(np.ones((2, 3))), np.full((2, 3), 3.0))
-
-
-def test_inner_product_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        InnerProduct(0.0)
-    with pytest.raises(ValueError):
-        InnerProduct(-1.0)
 
 
 # -------------------------------------------------------------- global mean
@@ -75,7 +59,7 @@ def test_pod_axis_snapshots():
     u = np.zeros((3, 2))
     u[0, 0] = 2.0  # 2*e1
     u[1, 1] = 1.0  # e2
-    basis = compute_pod(u, InnerProduct(1.0), q=2)
+    basis = compute_pod(u, 1.0, q=2)
     np.testing.assert_allclose(basis.eigenvalues, [4.0, 1.0], atol=1e-14)
     np.testing.assert_allclose(basis.modes[:, 0], [1.0, 0.0, 0.0], atol=1e-14)
     np.testing.assert_allclose(basis.modes[:, 1], [0.0, 1.0, 0.0], atol=1e-14)
@@ -85,9 +69,9 @@ def test_pod_rank_one_snapshots(rng):
     v = rng.standard_normal(20)
     coeffs = np.array([1.0, -2.0, 0.5])
     u = np.outer(v, coeffs)
-    ip = InnerProduct(0.25)
+    ip = 0.25
     basis = compute_pod(u, ip, q=1)
-    vnorm = np.sqrt(float(np.sum(ip.apply(v) * v)))
+    vnorm = np.sqrt(float(np.sum(ip * v * v)))
     lam = float(np.sum(coeffs**2)) * vnorm**2
     assert basis.eigenvalues[0] == pytest.approx(lam, rel=1e-12)
     np.testing.assert_allclose(basis.eigenvalues[1:], 0.0, atol=1e-10 * lam)
@@ -100,24 +84,24 @@ def test_pod_rank_one_snapshots(rng):
 
 def test_pod_full_rank_reproduces_snapshots(rng):
     u = rng.standard_normal((40, 6))
-    ip = InnerProduct(0.1)
+    ip = 0.1
     basis = compute_pod(u, ip, q=6)
-    proj = basis.modes @ (basis.modes.T @ ip.apply(u))
+    proj = basis.modes @ (basis.modes.T @ (ip * u))
     assert np.linalg.norm(u - proj) < 1e-10
     np.testing.assert_allclose(pod_spectrum_oracle(u, ip)[:6],
                                basis.eigenvalues[:6], rtol=1e-10)
 
 
 def test_pod_weighted_orthonormality(rng):
-    ip = InnerProduct(1.7)
+    ip = 1.7
     u = rng.standard_normal((30, 8))
     basis = compute_pod(u, ip, q=5)
-    gram = basis.modes.T @ ip.apply(basis.modes)
+    gram = basis.modes.T @ (ip * basis.modes)
     assert np.max(np.abs(gram - np.eye(5))) < 1e-10
 
 
 def test_pod_spectrum_matches_svd_oracle(rng):
-    ip = InnerProduct(0.37)
+    ip = 0.37
     u = rng.standard_normal((50, 7))
     basis = compute_pod(u, ip, q=3)
     np.testing.assert_allclose(basis.eigenvalues, pod_spectrum_oracle(u, ip),
@@ -136,7 +120,7 @@ def test_pod_eigenpairs_match_scipy_eigh_on_the_study(study):
         u = pipeline.load_snapshots(study.outdir, study.manifest, study.cfg, nu).values
         u -= study.mean[:, None]
         basis = compute_pod(u, study.ip, q)
-        corr = u.T @ study.ip.apply(u)
+        corr = u.T @ (study.ip * u)
         evals, evecs = scipy.linalg.eigh(0.5 * (corr + corr.T))
         evals, evecs = evals[::-1], evecs[:, ::-1]
         ns, lam1 = evals.size, evals[0]
@@ -147,7 +131,7 @@ def test_pod_eigenpairs_match_scipy_eigh_on_the_study(study):
             mode *= np.sign(mode[np.argmax(np.abs(mode))])  # compute_pod's sign
             bound = ns * eps * (lam1 / gap) * np.sqrt(lam1 / evals[k])
             d = basis.modes[:, k] - mode
-            assert np.sqrt(float(np.sum(study.ip.apply(d) * d))) <= bound
+            assert np.sqrt(float(np.sum(study.ip * d * d))) <= bound
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
@@ -157,7 +141,7 @@ def test_pod_correlation_matches_the_weighted_copy_and_scipy_eigh(rng, layout, m
     # the eigenpairs against scipy's eigh of that copy's correlation, with
     # the bounds of the study test above
     nx, ns, q, eps = 300, 40, 6, np.finfo(float).eps
-    ip = InnerProduct(0.37)
+    ip = 0.37
     base = np.cumsum(rng.standard_normal((nx, 2 * ns)), axis=1)
     u = {"C": np.ascontiguousarray(base[:, :ns]), "F": np.asfortranarray(base[:, :ns]),
          "strided": base[:, ::2]}[layout]
@@ -171,8 +155,8 @@ def test_pod_correlation_matches_the_weighted_copy_and_scipy_eigh(rng, layout, m
     basis = compute_pod(u, ip, q)
     corr, = factored
     np.testing.assert_array_equal(corr, corr.T)
-    oracle = u.T @ ip.apply(u)
-    assert np.all(np.abs(corr - oracle) <= nx * eps * ip.weight * (np.abs(u).T @ np.abs(u)))
+    oracle = u.T @ (ip * u)
+    assert np.all(np.abs(corr - oracle) <= nx * eps * ip * (np.abs(u).T @ np.abs(u)))
     evals, evecs = scipy.linalg.eigh(0.5 * (oracle + oracle.T))
     evals, evecs = evals[::-1], evecs[:, ::-1]
     lam1 = evals[0]
@@ -182,17 +166,17 @@ def test_pod_correlation_matches_the_weighted_copy_and_scipy_eigh(rng, layout, m
         mode = u @ evecs[:, k] / np.sqrt(evals[k])
         mode *= np.sign(mode[np.argmax(np.abs(mode))])
         d = basis.modes[:, k] - mode
-        assert np.sqrt(float(np.sum(ip.apply(d) * d))) <= (
+        assert np.sqrt(float(np.sum(ip * d * d))) <= (
             ns * eps * (lam1 / gap) * np.sqrt(lam1 / evals[k]))
 
 
 def test_pod_residual_energy_is_tail_sum(rng):
-    ip = InnerProduct(0.2)
+    ip = 0.2
     u = rng.standard_normal((25, 6))
     for q in range(1, 6):
         basis = compute_pod(u, ip, q=q)
-        resid = u - basis.modes @ (basis.modes.T @ ip.apply(u))
-        energy = float(np.sum(ip.apply(resid) * resid))
+        resid = u - basis.modes @ (basis.modes.T @ (ip * u))
+        energy = float(np.sum(ip * resid * resid))
         tail = float(basis.eigenvalues[q:].sum())
         assert energy == pytest.approx(tail, rel=1e-10, abs=1e-12)
 
@@ -200,17 +184,17 @@ def test_pod_residual_energy_is_tail_sum(rng):
 def test_pod_rank_too_small():
     u = np.outer(np.arange(1.0, 9.0), [1.0, 2.0, 3.0])  # rank one
     with pytest.raises(RankTooSmallError):
-        compute_pod(u, InnerProduct(1.0), q=2)
+        compute_pod(u, 1.0, q=2)
 
 
 def test_pod_rejects_non_matrix_fluctuations():
     with pytest.raises(ShapeMismatchError):
-        compute_pod(np.arange(1.0, 9.0), InnerProduct(1.0), q=1)
+        compute_pod(np.arange(1.0, 9.0), 1.0, q=1)
 
 
 def test_pod_sign_convention(rng):
     u = rng.standard_normal((15, 4))
-    basis = compute_pod(u, InnerProduct(1.0), q=4)
+    basis = compute_pod(u, 1.0, q=4)
     for k in range(4):
         col = basis.modes[:, k]
         assert col[np.argmax(np.abs(col))] > 0

@@ -9,7 +9,6 @@ import scipy.linalg
 from baryrom import (
     DivergedSolutionError,
     Grid1D,
-    InnerProduct,
     ReducedModel,
     ReducedTrajectory,
     ShapeMismatchError,
@@ -33,7 +32,7 @@ from conftest import close_family
 
 def make_setup(rng, nx=24, q=2, count=2, length=2 * np.pi):
     grid = Grid1D(nx, length)
-    ip = InnerProduct(grid.dx)
+    ip = grid.dx
     mean = 1.0 + 0.4 * np.sin(grid.x) + 0.1 * np.cos(2 * grid.x)
     bases = close_family(rng, nx, q, count, spread=0.2, scale=1.0 / np.sqrt(grid.dx))
     return grid, ip, mean, bases
@@ -114,7 +113,7 @@ def test_direct_project_matches_quadrature_oracle(rng):
 
 def test_single_basis_mass_is_identity(rng):
     grid = Grid1D(40, 2 * np.pi)
-    ip = InnerProduct(grid.dx)
+    ip = grid.dx
     basis = compute_pod(np.cumsum(rng.standard_normal((40, 8)), axis=1), ip, q=3)
     ct = assemble_cross_tensors([basis.modes], np.zeros(40), ip, grid.gradient)
     assert np.max(np.abs(ct.M - np.eye(3))) < 1e-10
@@ -128,7 +127,7 @@ def test_constant_mean_kills_gradient_half_of_cbar(rng):
     q = bases[0].shape[1]
     for h in range(len(bases)):
         for k in range(len(bases)):
-            expected = bases[h].T @ ip.apply(c * grid.gradient(bases[k]))
+            expected = bases[h].T @ (ip * (c * grid.gradient(bases[k])))
             np.testing.assert_allclose(ct.Cbar[h * q:(h + 1) * q, k * q:(k + 1) * q],
                                        expected, atol=1e-12)
 
@@ -222,7 +221,7 @@ def test_direct_project_quadratic_block_matches_einsum_oracle(rng, nx, q):
     grid, ip, mean, bases = make_setup(rng, nx=nx, q=q, count=1)
     phi = bases[0]
     C = direct_project(phi, mean, ip, grid.gradient, nu=0.07).C
-    oracle = np.einsum("xi,xj,xe->eij", ip.apply(phi), phi, grid.gradient(phi),
+    oracle = np.einsum("xi,xj,xe->eij", ip * phi, phi, grid.gradient(phi),
                        optimize=True)
     assert C.shape == (q, q, q)
     assert np.max(np.abs(C - oracle)) <= 1e-13 * np.max(np.abs(oracle))
@@ -722,15 +721,15 @@ def test_reconstruct_projection_identity(rng):
     # projecting the truth onto a POD basis then lifting reproduces the
     # truth up to exactly the truncation residual
     grid = Grid1D(48, 2 * np.pi)
-    ip = InnerProduct(grid.dx)
+    ip = grid.dx
     truth = np.cumsum(rng.standard_normal((48, 10)), axis=1)
     mean = truth.mean(axis=1)
     fluct = truth - mean[:, None]
     basis = compute_pod(fluct, ip, q=4)
-    alphas = (basis.modes.T @ ip.apply(fluct)).T
+    alphas = (basis.modes.T @ (ip * fluct)).T
     rec = reconstruct_field(basis.modes, mean,
                             ReducedTrajectory(times=np.arange(10.0), alphas=alphas))
-    err_sq = float(np.sum(ip.apply(truth - rec.values) * (truth - rec.values)))
+    err_sq = float(np.sum(ip * (truth - rec.values) * (truth - rec.values)))
     assert err_sq == pytest.approx(float(basis.eigenvalues[4:].sum()),
                                    rel=1e-10, abs=1e-12)
 
@@ -754,7 +753,7 @@ def test_initial_condition_least_squares_residual_orthogonal(rng):
     u0 = mean + rng.standard_normal(grid.n)
     alpha = initial_condition(bases[0], mean, ip, u0)
     resid = (u0 - mean) - bases[0] @ alpha
-    assert np.max(np.abs(bases[0].T @ ip.apply(resid))) < 1e-10
+    assert np.max(np.abs(bases[0].T @ (ip * resid))) < 1e-10
 
 
 def test_reconstruct_matches_mean_plus_modes(rng):
@@ -869,7 +868,7 @@ def test_block_initial_condition_matches_projection_oracle(rng):
         S = np.vstack([wk * r for wk, r in zip(w, res.rotations)])
         oracle_basis = combined_basis(bases, w, res.rotations)
         for u0 in (ics @ w, ics[:, 0]):
-            coords = phi.T @ ip.apply(u0 - mean)
+            coords = phi.T @ (ip * (u0 - mean))
             oracle = initial_condition(oracle_basis, mean, ip, u0)
             alpha0 = np.linalg.solve(model.M, S.T @ coords)
             assert relative_gap(alpha0, oracle) < 1e-10

@@ -275,6 +275,22 @@ def test_grid_length_must_be_positive_and_finite(length):
         Grid1D(32, length)
 
 
+@pytest.mark.parametrize("n", [8, 256])
+def test_grid_cell_size_has_a_finite_nonzero_square(n):
+    # the cell size is the quadrature weight, and the solver divides by its square
+    for length in (1e-200, 1e160):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            Grid1D(n, length)
+    for length in (1e-150, 1e150):
+        assert 0.0 < Grid1D(n, length).dx ** 2 < np.inf
+
+
+def test_a_diffusion_number_that_overflows_is_a_value_error():
+    # dx**2 is subnormal here, so nu dt / dx**2 overflows and the symbol is not finite
+    with pytest.raises(ValueError, match=r"nu=0\.05 overflows the implicit step"):
+        run(SolverConfig(nu=0.05, dt=1e-3, steps=1), Grid1D(256, 1e-158))
+
+
 def test_unknown_profile_rejected():
     grid = Grid1D(32, 2 * np.pi)
     with pytest.raises(ValueError):
