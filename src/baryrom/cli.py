@@ -132,15 +132,23 @@ def _load_study(args) -> pipeline.Study:
 
 def _cmd_predict(args) -> int:
     study = _load_study(args)
-    # lift.mat is [Phi | mean], not the field: that is lift.mat @ [alpha^T; 1]
-    traj, field, report = pipeline.predict(
-        study, args.nu, method=args.method, ic_mode=args.ic,
-        allow_nonconverged=args.allow_nonconverged, lift=False,
-    )
-    # truth-IC runs get their own directory, so they never overwrite a weighted one
+    # truth-IC runs get their own directory, so they never overwrite a weighted
+    # one.  It is made before the prediction, so an output that cannot be
+    # written fails before any work is done, and removed if the prediction fails
     suffix = "_truth" if args.ic == "truth" else ""
     outdir = Path(args.out) / f"predict_nu{pipeline._nu_tag(args.nu)}_{args.method}{suffix}"
+    made = not outdir.is_dir()
     outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        # lift.mat is [Phi | mean], not the field: that is lift.mat @ [alpha^T; 1]
+        traj, field, report = pipeline.predict(
+            study, args.nu, method=args.method, ic_mode=args.ic,
+            allow_nonconverged=args.allow_nonconverged, lift=False,
+        )
+    except BaseException:
+        if made:
+            outdir.rmdir()
+        raise
     q = traj.alphas.shape[1]
     write_csv(
         outdir / "trajectory.csv",

@@ -48,7 +48,7 @@ from .io import (  # noqa: F401
 )
 from .manifold import gram_coordinates, itsgm_interpolate, karcher_barycenter
 # mean_error stays bound here: perfbench's Tracer wraps every name in its TRACED
-from .metrics import error_report, mean_error, write_csv  # noqa: F401
+from .metrics import error_report, mean_error, reference_sq, write_csv  # noqa: F401
 # global_mean stays bound here: perfbench's Tracer wraps it by name
 from .pod import (  # noqa: F401
     PODBasis,
@@ -667,7 +667,9 @@ def compare(study: Study, targets=None):
     nu, barycentric, itsgm, truth_pod, ratio_barycentric_itsgm, and the
     per-time error reports keyed as reports[nu][method].  No model's field
     is formed: each is scored from its ``FactoredField`` a block of rows at
-    a time, and the truth is squared and summed once, by the first report.
+    a time.  The truth is squared and summed once, by ``reference_sq`` as
+    soon as it is read, so a truth with a zero-norm instant raises
+    ZeroReferenceError before any model is built.
     """
     cfg = study.cfg
     targets = list(cfg.test_nu) if targets is None else [float(v) for v in targets]
@@ -680,7 +682,7 @@ def compare(study: Study, targets=None):
     reports = {}
     for nu in targets:
         truth = load_snapshots(study.outdir, study.manifest, cfg, nu)
-        ref_sq = None
+        ref_sq = reference_sq(truth, study.ip)
         for method in methods:
             # method= stays a keyword: perfbench reads it from the predict calls
             approx = (truth_pod_baseline(study, truth) if method == "truth_pod" else
@@ -688,7 +690,6 @@ def compare(study: Study, targets=None):
                               lift=False)[1])
             rep = error_report(truth, approx, study.ip, method, ref_sq=ref_sq)
             reports.setdefault(nu, {})[method] = rep
-            ref_sq = rep.ref_sq
             del approx  # before the next model is built
         del truth  # before the next target's is read
         e_b, e_i, e_t = (reports[nu][m].mean for m in methods)

@@ -27,9 +27,11 @@ Only the lift to the mesh, and a truth initial state, need Phi:
 ``combined_basis`` forms it once, Phi = sum_h w_h Phi_h Q_h, and a
 ``FactoredField`` holds Phi, the mean and the coordinates alpha: the
 field is [Phi | mean] @ [alpha^T; 1], each factor formed on first use.
-``reconstruct_field`` forms that product; the error sums of ``metrics``
-take it one row block of about BLOCK_BYTES at a time (``row_blocks``)
-through one reused buffer.
+Every mesh-sized pass walks the field in the ``row_blocks`` of about
+BLOCK_BYTES, 256 KiB, so three blocks fit in one core's L2:
+``reconstruct_field`` (the lift of ``pipeline.predict``) fills the field
+one row block at a time, and the error sums of ``metrics`` lift and
+score one row block at a time through reused buffers.
 
 The reduced solve (``integrate_rom``) folds M^-1 into one stacked
 q-by-(1 + q + q^2) operator G = [f | -L | -Chat] by one solve, and builds
@@ -56,9 +58,13 @@ from .errors import DivergedSolutionError, ShapeMismatchError, SingularMassError
 from .pod import SnapshotMatrix, sample_times
 from .weights import WeightVector
 
-# bytes of one row block of a lifted field scored by ``metrics``, which
-# stays in cache, so the error sums of a lift hold no field-sized temporary
-BLOCK_BYTES = 2 * 2**20
+# bytes of one row block of a mesh-sized field, lifted by ``reconstruct_field``
+# and scored by ``metrics``.  The error sums hold three blocks (truth,
+# difference, squares), which fit in one core's 2 MiB L2 at this size and not
+# at 2 MiB: at nx=20000, ns=200 (one BLAS thread, Xeon with 2 MiB of L2 per
+# core) one scored report took 7.9 ms here and 13.3 ms at 2 MiB, and the lift
+# 3.2 ms and 4.1 ms.  Lifts and sums are bitwise the same at any block size
+BLOCK_BYTES = 256 * 2**10
 # recorded states that ``integrate_rom`` checks for finiteness by one product
 CHECK_RECORDS = 32
 
@@ -330,13 +336,13 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
 
 
 def row_blocks(nx: int, ns: int) -> list:
-    """(start, stop) of the row blocks in which ``metrics`` lifts and
-    scores a field of nx rows and ns columns: about BLOCK_BYTES of the
-    field each, and one block for a single column.  No block is a single
-    row unless nx is 1, because numpy multiplies a single row by gemv,
-    whose sums can differ in the last bit from the GEMM of all rows, so a
-    one-row tail joins the block before it.  A lift in these blocks is
-    bitwise the whole product."""
+    """(start, stop) of the row blocks in which ``reconstruct_field`` lifts
+    and ``metrics`` scores a field of nx rows and ns columns: about
+    BLOCK_BYTES of the field each, and one block for a single column.  No
+    block is a single row unless nx is 1, because numpy multiplies a
+    single row by gemv, whose sums can differ in the last bit from the
+    GEMM of all rows, so a one-row tail joins the block before it.  A lift
+    in these blocks is bitwise the whole product."""
     starts = list(range(0, nx, max(2, nx if ns <= 1 else BLOCK_BYTES // (8 * ns))))
     if len(starts) > 1 and nx - starts[-1] == 1:
         starts.pop()
@@ -418,11 +424,15 @@ def factored_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> Factor
 
 def reconstruct_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> SnapshotMatrix:
     """Lift reduced states back to the full field, u(t) = mean + Phi a(t):
-    the ``factored_field`` of the same arguments formed by the one product
+    the ``factored_field`` of the same arguments, allocated once and filled
+    by ``FactoredField.rows`` one ``row_blocks`` block of about 256 KiB at a
+    time, three blocks to one core's L2.  It is bitwise the one product
     [Phi | mean] @ [alphas^T; 1]."""
     field = factored_field(basis, mean, traj, param)
-    return SnapshotMatrix(values=field.factor @ field.coeffs, times=field.times,
-                          param=field.param)
+    values = np.empty(field.shape)
+    for i, j in row_blocks(*field.shape):
+        field.rows(i, j, out=values[i:j])
+    return SnapshotMatrix(values=values, times=field.times, param=field.param)
 
 
 def initial_condition(basis, mean, ip: float, u0) -> np.ndarray:

@@ -979,18 +979,30 @@ def test_corrupt_study_exits_4_with_one_line(workdir, tmp_path, capsys, command,
     assert len(err.splitlines()) == 1 and err.startswith("data error:")
 
 
-def test_compare_on_a_run_with_a_zero_norm_instant_exits_3(workdir, tmp_path, capsys):
+def _predict_calls(monkeypatch):
+    """The list that each later call to pipeline.predict appends its arguments to."""
+    calls, predict = [], pipeline.predict
+    monkeypatch.setattr(pipeline, "predict",
+                        lambda *args, **kwargs: calls.append(args) or predict(*args, **kwargs))
+    return calls
+
+
+def test_compare_on_a_run_with_a_zero_norm_instant_exits_3(workdir, tmp_path, capsys,
+                                                           monkeypatch):
+    # the zero-norm truth is found as soon as it is read, before any model is built
     _, _, out = workdir
     study = tmp_path / "study"
     shutil.copytree(out, study)
     (study / "compare.csv").unlink(missing_ok=True)
     _rewritten_run(-1, lambda v: np.where(np.arange(v.shape[1]) == 3, 0.0, v))(study)
+    predicts = _predict_calls(monkeypatch)
     capsys.readouterr()
     assert main(["compare", "--out", str(study)]) == 3
     err = capsys.readouterr().err
     assert err.splitlines() == ["numerical failure: reference field has zero norm at some "
                                 "instant"]
     assert not (study / "compare.csv").exists()
+    assert predicts == []
 
 
 def _offline_mean_layout(manifest, study):
@@ -1158,17 +1170,20 @@ UNWRITABLE = [
 @pytest.mark.parametrize("argv, block, name", [pytest.param(*case[1:], id=case[0])
                                                for case in UNWRITABLE])
 def test_an_output_that_cannot_be_written_exits_4_with_one_line(workdir, tmp_path, capsys,
-                                                                argv, block, name):
+                                                                monkeypatch, argv, block, name):
     _, cfg_path, out = workdir
     study = tmp_path / "study"
     shutil.copytree(out, study)
     blocked = block(study / name if name else tmp_path / "taken")
+    predicts = _predict_calls(monkeypatch)
     capsys.readouterr()
     argv = [str(cfg_path) if a is None else a for a in argv]
     assert main([*argv, "--out", str(study if name else blocked)]) == 4
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("data error: cannot write ")
     assert str(blocked) in err and "Traceback" not in err
+    if argv[0] == "predict":  # the blocked output is found before the prediction
+        assert predicts == []
 
 
 def _tree(root):

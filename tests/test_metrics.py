@@ -10,7 +10,8 @@ from baryrom import (
     mean_error,
     reconstruct_field,
 )
-from baryrom.metrics import _column_sums, error_report, format_float, write_csv
+from baryrom import pipeline, rom
+from baryrom.metrics import _column_sums, error_report, format_float, reference_sq, write_csv
 from baryrom.rom import BLOCK_BYTES
 
 UNIT = 1.0
@@ -135,7 +136,15 @@ def test_error_report_zero_reference_column_raises():
 
 
 NS = 201  # columns of a default study's snapshot matrix
-BLOCK = BLOCK_BYTES // (8 * NS)  # rows of one block of the error sums
+# the block size the field sizes below sit at the edges of; the sums are
+# bitwise the same at any block size, the default among them (see below)
+EDGE_BLOCK_BYTES = 2 * 2**20
+BLOCK = EDGE_BLOCK_BYTES // (8 * NS)  # rows of one such block of the error sums
+
+
+@pytest.fixture
+def edge_blocks(monkeypatch):
+    monkeypatch.setattr(rom, "BLOCK_BYTES", EDGE_BLOCK_BYTES)
 
 
 def _full_column_sums(ref, approx, ip):
@@ -145,6 +154,7 @@ def _full_column_sums(ref, approx, ip):
             np.sum(ip * ref.values * ref.values, axis=0))
 
 
+@pytest.mark.usefixtures("edge_blocks")
 @pytest.mark.parametrize("nx, ns", [(n, NS) for n in (1, BLOCK - 1, BLOCK, BLOCK + 1,
                                                       3 * BLOCK + 17)]
                          + [(1, 1), (5000, 1), (7, 2)])
@@ -156,6 +166,7 @@ def test_blocked_column_sums_are_bitwise_the_full_sums(rng, nx, ns):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.usefixtures("edge_blocks")
 @pytest.mark.parametrize("nx, ns", [(3 * BLOCK + 17, NS), (BLOCK - 1, NS), (BLOCK + 1, NS),
                                     (7, NS), (5000, 1), (1, 1)])
 def test_blocked_lift_and_score_is_bitwise_the_reconstruction_score(rng, nx, ns):
@@ -185,11 +196,55 @@ def test_error_report_rejects_ref_sums_of_another_length(rng):
         error_report(ref, ref, UNIT, ref_sq=np.ones(4))
 
 
+@pytest.mark.usefixtures("edge_blocks")
 def test_blocked_error_report_raises_on_an_instant_of_zero_reference_norm(rng):
     values = rng.standard_normal((3 * BLOCK + 5, NS))
     values[:, 17] = 0.0
     with pytest.raises(ZeroReferenceError):
         error_report(traj(values), traj(values + 1.0), UNIT)
+    with pytest.raises(ZeroReferenceError):
+        reference_sq(traj(values), UNIT)
+
+
+# 16 B makes blocks of two rows; 2**40 B is more than any field here
+BLOCK_SIZES = [16, 64 * 2**10, BLOCK_BYTES, EDGE_BLOCK_BYTES, 2**40]
+
+
+def _report_bits(rep):
+    return np.array(rep.per_time).tobytes(), rep.mean, rep.ref_sq.tobytes()
+
+
+def test_block_size_changes_no_bit_of_a_lift_or_an_error_report(rng, monkeypatch):
+    # a field of more than 2 MiB, so every size but the last splits it
+    nx, ns, q, ip = 6000, 60, 7, 2.0 * np.pi / 6000
+    assert EDGE_BLOCK_BYTES < 8 * nx * ns < 2**40
+    rtraj = ReducedTrajectory(times=0.3 + 0.005 * np.arange(ns),
+                              alphas=rng.standard_normal((ns, q)))
+    basis, mean = rng.standard_normal((nx, q)), 1.0 + rng.standard_normal(nx)
+    ref = traj(rng.standard_normal((nx, ns)) + mean[:, None], t0=0.3, dt=0.005)
+    runs = []
+    for block_bytes in BLOCK_SIZES:
+        monkeypatch.setattr(rom, "BLOCK_BYTES", block_bytes)
+        lift = reconstruct_field(basis, mean, rtraj, ref.param)
+        field = factored_field(basis, mean, rtraj, ref.param)
+        ref_sq = reference_sq(ref, ip)
+        reports = [_report_bits(error_report(ref, approx, ip, "m", ref_sq=given))
+                   for approx in (field, lift) for given in (None, ref_sq)]
+        # the ref sums are the same with or without ref_sq, as are both lifts
+        assert all(bits == reports[0] for bits in reports)
+        assert reports[0][2] == ref_sq.tobytes()
+        runs.append((lift.values.tobytes(), reports[0]))
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_block_size_changes_no_bit_of_compare(study, monkeypatch):
+    runs = []
+    for block_bytes in BLOCK_SIZES:
+        monkeypatch.setattr(rom, "BLOCK_BYTES", block_bytes)
+        rows, reports = pipeline.compare(study)
+        runs.append((np.array(rows).tobytes(),
+                     [_report_bits(rep) for reps in reports.values() for rep in reps.values()]))
+    assert all(run == runs[0] for run in runs[1:])
 
 
 # --------------------------------------------------------------------- csv

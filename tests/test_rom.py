@@ -781,9 +781,18 @@ def whole_lift(phi, mean, alphas):
     return np.hstack([phi, mean[:, None]]) @ np.vstack([alphas.T, np.ones(len(alphas))])
 
 
-ROWS = rom.BLOCK_BYTES // (8 * 200)  # rows of one block of a 200-column field
+# the block size the field sizes below sit at the edges of; a lift is bitwise
+# the same at any block size, the default among them (test_metrics)
+EDGE_BLOCK_BYTES = 2 * 2**20
+ROWS = EDGE_BLOCK_BYTES // (8 * 200)  # rows of one such block of a 200-column field
 
 
+@pytest.fixture
+def edge_blocks(monkeypatch):
+    monkeypatch.setattr(rom, "BLOCK_BYTES", EDGE_BLOCK_BYTES)
+
+
+@pytest.mark.usefixtures("edge_blocks")
 @pytest.mark.parametrize("nx, ns", [(2000, 200), (3 * ROWS + 1, 200), (ROWS + 17, 200),
                                     (41, 200), (2, 200), (1, 200), (5000, 1), (7, 3)])
 def test_lift_is_bitwise_the_whole_product(rng, nx, ns):
@@ -819,9 +828,9 @@ def test_factored_field_forms_each_factor_once_on_first_use(rng):
 
 
 @pytest.mark.parametrize("nx, ns, block_bytes", [
-    (2000, 200, 64 * 2**10), (2000, 200, rom.BLOCK_BYTES), (3 * ROWS + 1, 200, rom.BLOCK_BYTES),
-    (ROWS + 17, 200, rom.BLOCK_BYTES), (41, 200, 64 * 2**10), (2, 200, 16), (1, 200, 16),
-    (5000, 1, 16), (7, 3, 16)])
+    (2000, 200, 64 * 2**10), (2000, 200, rom.BLOCK_BYTES), (2000, 200, EDGE_BLOCK_BYTES),
+    (3 * ROWS + 1, 200, EDGE_BLOCK_BYTES), (ROWS + 17, 200, EDGE_BLOCK_BYTES),
+    (41, 200, 64 * 2**10), (2, 200, 16), (1, 200, 16), (5000, 1, 16), (7, 3, 16)])
 def test_blocked_lift_is_bitwise_the_whole_product(rng, monkeypatch, nx, ns, block_bytes):
     """The lift the error sums of ``metrics`` take, ``FactoredField.rows``
     over ``row_blocks`` into one reused buffer, is bitwise the whole
@@ -839,6 +848,7 @@ def test_blocked_lift_is_bitwise_the_whole_product(rng, monkeypatch, nx, ns, blo
     np.testing.assert_array_equal(got, whole_lift(phi, mean, traj.alphas))
 
 
+@pytest.mark.usefixtures("edge_blocks")
 @pytest.mark.parametrize("nx, ns", [(1, 1), (1, 200), (2, 200), (3 * ROWS + 1, 200),
                                     (3 * ROWS + 2, 200), (5000, 1), (0, 5)])
 def test_row_blocks_cover_the_rows_with_no_single_row_block(nx, ns):
