@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -130,25 +131,32 @@ def _load_study(args) -> pipeline.Study:
     return study
 
 
+@contextmanager
+def _made_first(path: Path, make):
+    """``make(path)`` before the work in the block, so an output that cannot
+    be written fails before any work is done; ``path`` is removed if this
+    made it and the block fails, so a failed command writes nothing."""
+    made = not path.exists()
+    make(path)
+    try:
+        yield
+    except BaseException:
+        if made:
+            path.rmdir() if path.is_dir() else path.unlink()
+        raise
+
+
 def _cmd_predict(args) -> int:
     study = _load_study(args)
-    # truth-IC runs get their own directory, so they never overwrite a weighted
-    # one.  It is made before the prediction, so an output that cannot be
-    # written fails before any work is done, and removed if the prediction fails
+    # truth-IC runs get their own directory, so they never overwrite a weighted one
     suffix = "_truth" if args.ic == "truth" else ""
     outdir = Path(args.out) / f"predict_nu{pipeline._nu_tag(args.nu)}_{args.method}{suffix}"
-    made = not outdir.is_dir()
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
+    with _made_first(outdir, lambda p: p.mkdir(parents=True, exist_ok=True)):
         # lift.mat is [Phi | mean], not the field: that is lift.mat @ [alpha^T; 1]
         traj, field, report = pipeline.predict(
             study, args.nu, method=args.method, ic_mode=args.ic,
             allow_nonconverged=args.allow_nonconverged, lift=False,
         )
-    except BaseException:
-        if made:
-            outdir.rmdir()
-        raise
     q = traj.alphas.shape[1]
     write_csv(
         outdir / "trajectory.csv",
@@ -164,7 +172,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rows, reports = pipeline.compare(_load_study(args), args.targets)
+    study = _load_study(args)
+    with _made_first(Path(args.out) / "compare.csv", lambda p: p.open("a").close()):
+        rows, reports = pipeline.compare(study, args.targets)
     pipeline.write_compare_outputs(args.out, rows, reports)
     print("nu barycentric itsgm truth_pod")
     for row in rows:

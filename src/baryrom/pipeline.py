@@ -667,14 +667,16 @@ def compare(study: Study, targets=None):
     nu, barycentric, itsgm, truth_pod, ratio_barycentric_itsgm, and the
     per-time error reports keyed as reports[nu][method].  No model's field
     is formed: each is scored from its ``FactoredField`` a block of rows at
-    a time.  The truth is squared and summed once, by ``reference_sq`` as
-    soon as it is read, so a truth with a zero-norm instant raises
-    ZeroReferenceError before any model is built.
+    a time.  Every target's stored run is found before the first is read.
+    Each truth is squared and summed once, by ``reference_sq`` as soon as
+    it is read, so a truth with a zero-norm instant raises
+    ZeroReferenceError before any model is built against it.
     """
     cfg = study.cfg
     targets = list(cfg.test_nu) if targets is None else [float(v) for v in targets]
-    for nu in targets:  # before any run is read
+    for nu in targets:  # before any run is read or any target scored
         check_viscosity(nu)
+        _run_entry(study.manifest, nu)
     if len(set(targets)) < len(targets):
         raise ConfigError(f"compare targets must be distinct, got {targets}")
     methods = (*METHODS, "truth_pod")
@@ -688,7 +690,7 @@ def compare(study: Study, targets=None):
             approx = (truth_pod_baseline(study, truth) if method == "truth_pod" else
                       predict(study, nu, method=method, ic_mode="truth", truth=truth,
                               lift=False)[1])
-            rep = error_report(truth, approx, study.ip, method, ref_sq=ref_sq)
+            rep = error_report(truth, approx, study.ip, ref_sq=ref_sq)
             reports.setdefault(nu, {})[method] = rep
             del approx  # before the next model is built
         del truth  # before the next target's is read

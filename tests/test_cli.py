@@ -1005,6 +1005,16 @@ def test_compare_on_a_run_with_a_zero_norm_instant_exits_3(workdir, tmp_path, ca
     assert predicts == []
 
 
+def test_compare_finds_a_missing_target_run_before_it_scores_any_target(workdir, capsys,
+                                                                       monkeypatch):
+    _, _, out = workdir
+    predicts = _predict_calls(monkeypatch)
+    capsys.readouterr()
+    assert main(["compare", "--targets", "0.08,0.5", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.splitlines() == ["data error: no stored run for nu=0.5"]
+    assert predicts == []
+
+
 def _offline_mean_layout(manifest, study):
     """The layout of a study whose mean entry lives in its offline section."""
     manifest["offline"]["mean"] = manifest.pop("mean")
@@ -1182,7 +1192,7 @@ def test_an_output_that_cannot_be_written_exits_4_with_one_line(workdir, tmp_pat
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("data error: cannot write ")
     assert str(blocked) in err and "Traceback" not in err
-    if argv[0] == "predict":  # the blocked output is found before the prediction
+    if argv[0] in ("predict", "compare"):  # the blocked output is found before any model
         assert predicts == []
 
 

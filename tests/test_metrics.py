@@ -11,7 +11,7 @@ from baryrom import (
     reconstruct_field,
 )
 from baryrom import pipeline, rom
-from baryrom.metrics import _column_sums, error_report, format_float, reference_sq, write_csv
+from baryrom.metrics import _square_sums, error_report, format_float, reference_sq, write_csv
 from baryrom.rom import BLOCK_BYTES
 
 UNIT = 1.0
@@ -107,9 +107,7 @@ def test_mean_error_shape_and_time_checks():
 def test_error_report_structure(rng):
     ref = traj(rng.standard_normal((4, 3)) + 2.0, param=0.08)
     approx = traj(ref.values * 1.01, param=0.08)
-    rep = error_report(ref, approx, UNIT, method="barycentric")
-    assert rep.method == "barycentric"
-    assert rep.param == 0.08
+    rep = error_report(ref, approx, UNIT)
     assert len(rep.per_time) == 3
     assert rep.mean == pytest.approx(1.0, rel=1e-10)
     assert all(e >= 0 for _, e in rep.per_time)
@@ -162,7 +160,8 @@ def test_blocked_column_sums_are_bitwise_the_full_sums(rng, nx, ns):
     ref = traj(rng.standard_normal((nx, ns)) * 3.0 + 1.0)
     approx = traj(ref.values + 1e-3 * rng.standard_normal((nx, ns)))
     ip = 2.0 * np.pi / 2000
-    for got, want in zip(_column_sums(ref, approx, ip), _full_column_sums(ref, approx, ip)):
+    sums = _square_sums(ref, ip, approx), _square_sums(ref, ip)
+    for got, want in zip(sums, _full_column_sums(ref, approx, ip)):
         np.testing.assert_array_equal(got, want)
 
 
@@ -178,14 +177,13 @@ def test_blocked_lift_and_score_is_bitwise_the_reconstruction_score(rng, nx, ns)
                               alphas=rng.standard_normal((ns, q)))
     basis, mean = rng.standard_normal((nx, q)), 1.0 + rng.standard_normal(nx)
     ref = traj(rng.standard_normal((nx, ns)) + mean[:, None], t0=0.3, dt=0.005)
-    want = error_report(ref, reconstruct_field(basis, mean, rtraj, ref.param), ip, "m")
+    want = error_report(ref, reconstruct_field(basis, mean, rtraj, ref.param), ip)
     field = factored_field(basis, mean, rtraj, ref.param)
-    got = error_report(ref, field, ip, "m")
-    again = error_report(ref, field, ip, "m", ref_sq=got.ref_sq)
+    got = error_report(ref, field, ip)
+    again = error_report(ref, field, ip, ref_sq=reference_sq(ref, ip))
     for rep in (got, again):
         assert rep.per_time == want.per_time
         assert rep.mean == want.mean
-        np.testing.assert_array_equal(rep.ref_sq, want.ref_sq)
     assert mean_error(ref, field, ip) == mean_error(
         ref, reconstruct_field(basis, mean, rtraj), ip)
 
@@ -194,6 +192,22 @@ def test_error_report_rejects_ref_sums_of_another_length(rng):
     ref = traj(rng.standard_normal((4, 3)) + 2.0)
     with pytest.raises(ShapeMismatchError):
         error_report(ref, ref, UNIT, ref_sq=np.ones(4))
+
+
+def test_error_report_rejects_given_ref_sums_with_a_zero_instant(rng):
+    ref = traj(rng.standard_normal((4, 3)) + 2.0)
+    ref_sq = reference_sq(ref, UNIT)
+    ref_sq[1] = 0.0
+    with pytest.raises(ZeroReferenceError):
+        error_report(ref, ref, UNIT, ref_sq=ref_sq)
+
+
+def test_mean_error_raises_on_one_zero_norm_instant_of_a_nonzero_ref():
+    # one rule for every score: a zero-norm instant raises, even when the
+    # trajectory's total norm is not zero
+    values = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0]])
+    with pytest.raises(ZeroReferenceError):
+        mean_error(traj(values), traj(values + 1.0), UNIT)
 
 
 @pytest.mark.usefixtures("edge_blocks")
@@ -211,7 +225,7 @@ BLOCK_SIZES = [16, 64 * 2**10, BLOCK_BYTES, EDGE_BLOCK_BYTES, 2**40]
 
 
 def _report_bits(rep):
-    return np.array(rep.per_time).tobytes(), rep.mean, rep.ref_sq.tobytes()
+    return np.array(rep.per_time).tobytes(), rep.mean
 
 
 def test_block_size_changes_no_bit_of_a_lift_or_an_error_report(rng, monkeypatch):
@@ -228,12 +242,11 @@ def test_block_size_changes_no_bit_of_a_lift_or_an_error_report(rng, monkeypatch
         lift = reconstruct_field(basis, mean, rtraj, ref.param)
         field = factored_field(basis, mean, rtraj, ref.param)
         ref_sq = reference_sq(ref, ip)
-        reports = [_report_bits(error_report(ref, approx, ip, "m", ref_sq=given))
+        reports = [_report_bits(error_report(ref, approx, ip, ref_sq=given))
                    for approx in (field, lift) for given in (None, ref_sq)]
-        # the ref sums are the same with or without ref_sq, as are both lifts
+        # the reports are the same with or without ref_sq, as are both lifts
         assert all(bits == reports[0] for bits in reports)
-        assert reports[0][2] == ref_sq.tobytes()
-        runs.append((lift.values.tobytes(), reports[0]))
+        runs.append((lift.values.tobytes(), ref_sq.tobytes(), reports[0]))
     assert all(run == runs[0] for run in runs[1:])
 
 
@@ -242,8 +255,11 @@ def test_block_size_changes_no_bit_of_compare(study, monkeypatch):
     for block_bytes in BLOCK_SIZES:
         monkeypatch.setattr(rom, "BLOCK_BYTES", block_bytes)
         rows, reports = pipeline.compare(study)
+        truths = [pipeline.load_snapshots(study.outdir, study.manifest, study.cfg, nu)
+                  for nu in reports]
         runs.append((np.array(rows).tobytes(),
-                     [_report_bits(rep) for reps in reports.values() for rep in reps.values()]))
+                     [_report_bits(rep) for reps in reports.values() for rep in reps.values()],
+                     [reference_sq(truth, study.ip).tobytes() for truth in truths]))
     assert all(run == runs[0] for run in runs[1:])
 
 
