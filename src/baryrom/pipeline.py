@@ -11,9 +11,10 @@ predict  -> weights, barycenter, cheap operator update and initial
             and the field reconstruction (or the tangent-interpolation
             baseline)
 compare  -> mean errors of both interpolated models and the truth-POD
-            floor against the stored high-fidelity runs, holding one
-            truth run at a time and scoring each model's lift factors
-            [Phi | mean] a block of rows at a time
+            floor (on the offline basis at a trained target) against
+            the stored high-fidelity runs, holding one truth run at a
+            time and scoring each model's lift factors [Phi | mean] a
+            block of rows at a time
 bench    -> wall-clock of the q-sized online path vs direct projection,
             with the mesh sizes timed in alternation rep by rep
 
@@ -421,7 +422,9 @@ class Study:
     """Everything the online stage needs, loaded from the mean and the
     offline archive: ``bases`` holds one PODBasis per trained viscosity,
     views of the archive's stacked bases and spectra, and ``ics`` the
-    (Np, nx) stored initial states.
+    (Np, nx) stored initial states.  ``bases[k]`` is the POD of the
+    stored run at ``cfg.trained_nu[k]``, so it is also the truth-POD floor's
+    basis when that viscosity is a compare target.
 
     ``frame`` holds the trained bases in ``gram_coordinates``, one (Np q,
     q) block each, from the Gram matrix of the stacked bases [Phi_1 ...
@@ -650,9 +653,15 @@ def predict(study: Study, nu: float, method: str = "barycentric",
 def truth_pod_baseline(study: Study, truth: SnapshotMatrix) -> FactoredField:
     """ROM built from the target's own truth snapshots, the accuracy floor,
     with its lift left unformed; marched at the sampling interval, as
-    ``predict`` marches."""
+    ``predict`` marches.  At a trained viscosity (matched exactly, as
+    ``_run_entry`` matches) the basis is the study's offline one, the POD
+    of that same run, so no fluctuation copy is made and no POD is
+    computed again; at any other the truth's POD is computed here."""
     nu, cfg = truth.param, study.cfg
-    basis = compute_pod(truth.values - study.mean[:, None], study.ip, cfg.q)
+    if nu in cfg.trained_nu:
+        basis = study.bases[cfg.trained_nu.index(nu)]
+    else:
+        basis = compute_pod(truth.values - study.mean[:, None], study.ip, cfg.q)
     model = direct_project(basis.modes, study.mean, study.ip, study.grid.gradient, nu)
     alpha0 = initial_condition(basis.modes, study.mean, study.ip, truth.values[:, 0])
     traj = integrate_rom(model, alpha0, cfg.save_every * cfg.dt, cfg.steps // cfg.save_every,
@@ -670,7 +679,9 @@ def compare(study: Study, targets=None):
     a time.  Every target's stored run is found before the first is read.
     Each truth is squared and summed once, by ``reference_sq`` as soon as
     it is read, so a truth with a zero-norm instant raises
-    ZeroReferenceError before any model is built against it.
+    ZeroReferenceError before any model is built against it.  The
+    truth-POD floor of a trained target is built on its offline basis
+    (``truth_pod_baseline``), so only an untrained target costs a POD.
     """
     cfg = study.cfg
     targets = list(cfg.test_nu) if targets is None else [float(v) for v in targets]

@@ -29,6 +29,7 @@ from baryrom import (
     mean_error,
 )
 from baryrom.cli import build_parser, main
+from baryrom.metrics import error_report
 from baryrom.io import (
     read_archive,
     read_manifest,
@@ -473,6 +474,78 @@ def test_compare_at_trained_node_matches_floor(workdir):
     nu, e_b, e_i, e_t, _ = rows[0]
     assert abs(e_b - e_t) < 1e-6
     assert abs(e_i - e_t) < 1e-6
+
+
+def _per_time_oracle(study, truth):
+    """Per-time errors of the three compare models at truth.param, each
+    built without ``compare``: the floor from the POD of the truth's own
+    fluctuations, as it is built at any target."""
+    cfg, nu = study.cfg, truth.param
+    modes = compute_pod(truth.values - study.mean[:, None], study.ip, cfg.q).modes
+    model = rom.direct_project(modes, study.mean, study.ip, study.grid.gradient, nu)
+    alpha0 = initial_condition(modes, study.mean, study.ip, truth.values[:, 0])
+    traj = rom.integrate_rom(model, alpha0, cfg.save_every * cfg.dt,
+                             cfg.steps // cfg.save_every, t0=cfg.transient * cfg.dt)
+    floor = rom.factored_field(modes, study.mean, traj, param=nu)
+    models = {m: pipeline.predict(study, nu, method=m, ic_mode="truth", truth=truth,
+                                  lift=False)[1] for m in pipeline.METHODS}
+    return {m: error_report(truth, approx, study.ip).per_time
+            for m, approx in {**models, "truth_pod": floor}.items()}
+
+
+def _archive_bytes(study):
+    arrays = [study.mean, study.ics, study.ic_coords, *vars(study.tensors).values(),
+              *study.frame, *(a for b in study.bases for a in (b.modes, b.eigenvalues))]
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def _trained_compare_without_a_pod(study, nu, monkeypatch):
+    truth = pipeline.load_snapshots(study.outdir, study.manifest, study.cfg, nu)
+    expected = _per_time_oracle(study, truth)
+    stored = _archive_bytes(study)
+
+    def no_pod(*args, **kwargs):
+        raise AssertionError("compute_pod called at a trained viscosity")
+
+    monkeypatch.setattr(pipeline, "compute_pod", no_pod)
+    _, reports = pipeline.compare(study, targets=[nu])
+    assert sorted(reports[nu]) == sorted(expected)
+    for method, per_time in expected.items():
+        assert np.array(reports[nu][method].per_time).tobytes() == \
+            np.array(per_time).tobytes(), method
+    assert _archive_bytes(study) == stored
+
+
+def test_compare_takes_a_trained_floor_from_the_offline_basis(workdir, monkeypatch):
+    _, _, out = workdir
+    _trained_compare_without_a_pod(pipeline.load_study(out), 0.07, monkeypatch)
+
+
+def test_compare_takes_the_floor_from_a_q_override_offline_basis(workdir, tmp_path,
+                                                                 monkeypatch):
+    _, _, out = workdir
+    copy = tmp_path / "q5"
+    shutil.copytree(out, copy)
+    pipeline.run_offline(copy, q=5)
+    study = pipeline.load_study(copy)
+    assert study.cfg.q == 5 and study.bases[0].modes.shape[1] == 5
+    _trained_compare_without_a_pod(study, 0.11, monkeypatch)
+
+
+def test_compare_computes_one_pod_per_untrained_target(workdir, monkeypatch):
+    _, _, out = workdir
+    study = pipeline.load_study(out)
+    stored = _archive_bytes(study)
+    pod, shapes = pipeline.compute_pod, []
+
+    def counted(fluct, *args, **kwargs):
+        shapes.append(np.shape(fluct))
+        return pod(fluct, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "compute_pod", counted)
+    pipeline.compare(study, targets=[0.07, 0.08, 0.11])
+    assert shapes == [(64, 120 // 4 + 1)]  # 0.08 alone is untrained
+    assert _archive_bytes(study) == stored
 
 
 def test_compare_samples_a_long_time_study_as_its_models(tmp_path, capsys):

@@ -3,18 +3,22 @@
 A unit is the bytes of one run's snapshot matrix.  The study is the
 default one at nx=2000 with one held-out viscosity, so generate marches
 its 5 runs in one chunk.  Offline reads its 4 trained runs one at a time
-and holds one of them; the POD makes no weighted copy.  Compare holds the
-truth run, the fluctuations its truth-POD floor is built from and two row
-blocks of ``rom.BLOCK_BYTES``, with no model's field formed; its
-bound is taken on a second call, so the first call's one-off allocations
-(a third of a unit) do not count, and with 64 kB blocks, so the two runs
-it must hold are nearly the whole of it.  CLI predict, bounded the same
-way, holds the loaded study and forms no field: it writes lift.mat, the
-N-by-(q+1) factor [Phi | mean]; ITSGM adds the N-by-q^2 pair products of
-its direct projection.  Each bound leaves half a unit or less above what
-the stage holds: its outputs in generate and load, two row blocks in the
-error sums, and the measured peak in offline (1.68 units), compare (2.30
-units) and CLI predict (0.46 barycentric, 0.69 ITSGM).
+and holds one of them; the POD makes no weighted copy.  Compare at an
+untrained target holds the truth run, the fluctuations its truth-POD floor
+is built from and two row blocks of ``rom.BLOCK_BYTES``, with no model's
+field formed.  At a trained target the floor's basis is the offline one,
+so compare holds the truth and no fluctuations: the rest is the N-by-q^2
+pair products of the direct projection that ITSGM and the floor make.
+Both bounds are taken on a second call, so the first call's one-off
+allocations (a third of a unit) do not count, and with 64 kB blocks, so
+the runs it must hold are nearly the whole of it.  CLI predict, bounded
+the same way, holds the loaded study and forms no field: it writes
+lift.mat, the N-by-(q+1) factor [Phi | mean]; ITSGM adds the N-by-q^2
+pair products of its direct projection.  Each bound leaves half a unit or
+less above what the stage holds: its outputs in generate and load, two
+row blocks in the error sums, and the measured peak in offline (1.68
+units), compare (2.26 units untrained, 1.44 trained) and CLI predict
+(0.34 barycentric, 0.68 ITSGM).
 """
 
 import tracemalloc
@@ -54,6 +58,8 @@ def peaks(tmp_path_factory):
         mp.setattr(rom, "BLOCK_BYTES", 64 * 2**10)
         first = pipeline.compare(study)
         second, compare = _peak(lambda: pipeline.compare(study))
+        pipeline.compare(study, targets=[0.07])
+        _, compare_trained = _peak(lambda: pipeline.compare(study, targets=[0.07]))
         for method in pipeline.METHODS:
             argv = ["predict", "--out", str(out), "--nu", "0.075", "--method", method]
             assert cli.main(argv) == 0
@@ -63,6 +69,7 @@ def peaks(tmp_path_factory):
     return {"runs": len(manifest["runs"]), "np": len(cfg.trained_nu), "unit": unit,
             "generate": generate / unit, "offline": offline / unit, "load": load / unit,
             "errors": errors / unit, "compare": compare / unit,
+            "compare_trained": compare_trained / unit,
             **{f"predict_{m}": peak / unit for m, peak in predicts.items()}}
 
 
@@ -76,6 +83,10 @@ def test_offline_holds_one_trained_run_and_no_weighted_copy(peaks):
 
 def test_compare_holds_the_truth_and_its_fluctuations_and_forms_no_field(peaks):
     assert peaks["compare"] <= 2.5
+
+
+def test_compare_at_a_trained_target_holds_the_truth_and_no_fluctuations(peaks):
+    assert peaks["compare_trained"] <= 1.6
 
 
 def test_cli_predict_holds_the_study_and_row_blocks_and_forms_no_field(peaks):

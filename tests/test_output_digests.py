@@ -1,9 +1,12 @@
 """Byte identity of every file the default study writes, as a tier-1 check.
 
-generate -> offline -> compare -> predict --nu 0.075 -> predict --nu 0.08
---ic truth --method itsgm run on configs/burgers.json, all five in one
-child interpreter, and the sha256 of each file they write is compared
-with output_digests.json.  A report.json is hashed as ``write_manifest``
+generate -> offline -> compare --targets 0.06,0.07,0.08,0.1,0.11 ->
+predict --nu 0.075 -> predict --nu 0.08 --ic truth --method itsgm run on
+configs/burgers.json, all five in one child interpreter, and the sha256
+of each file they write is compared with output_digests.json.  The
+compare targets take in the trained nodes 0.07 and 0.11, so the
+truth-POD floor a trained target takes from the offline archive is
+pinned too.  A report.json is hashed as ``write_manifest``
 writes it, with its ``timings`` removed: they are the only values that
 differ between runs.
 
@@ -44,7 +47,7 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 COMMANDS = [
     ["generate", "--config", str(ROOT / "configs" / "burgers.json")],
     ["offline"],
-    ["compare"],
+    ["compare", "--targets", "0.06,0.07,0.08,0.1,0.11"],
     ["predict", "--nu", "0.075"],
     ["predict", "--nu", "0.08", "--ic", "truth", "--method", "itsgm"],
 ]
@@ -109,7 +112,7 @@ def test_every_output_byte_matches_the_recorded_digests(tmp_path):
                   if recorded["build"].get(k) != v}
         pytest.skip(f"digests were recorded on another build, (recorded, here): {differ}")
     digests = pinned_digests(tmp_path)
-    assert len(digests) == 20
+    assert len(digests) == 22
     assert sorted(digests) == sorted(recorded["files"])
     changed = [name for name, d in digests.items() if d != recorded["files"][name]]
     assert not changed, f"output bytes changed: {changed}"
