@@ -232,6 +232,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # an oversized grid or run fails at its first allocation
+        print(f"configuration error: the study does not fit in memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

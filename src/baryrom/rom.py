@@ -42,9 +42,9 @@ writes the next stage state, s added last by an identity block, and the
 step's product writes the new state straight into its row of the
 trajectory, so a step is eight small numpy products and one copy back
 into the buffer, with roundoff far below RK4's truncation.  Every state is
-recorded, and finiteness is checked once per CHECK_RECORDS of them.  A
-prediction takes one step per sampling interval, h = save_every dt, so
-its states fall at the instants of the stored runs.
+recorded, and the trajectory is checked for finiteness once, after the
+last step.  A prediction takes one step per sampling interval, h =
+save_every dt, so its states fall at the instants of the stored runs.
 """
 
 from __future__ import annotations
@@ -65,8 +65,6 @@ from .weights import WeightVector
 # core) one scored report took 7.9 ms here and 13.3 ms at 2 MiB, and the lift
 # 3.2 ms and 4.1 ms.  Lifts and sums are bitwise the same at any block size
 BLOCK_BYTES = 256 * 2**10
-# recorded states that ``integrate_rom`` checks for finiteness by one product
-CHECK_RECORDS = 32
 
 
 @dataclass
@@ -254,13 +252,9 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     steps is 1.3-6.1 eps.
 
     Every state is recorded, step 0 included, at the ``sample_times`` t0 +
-    k dt, and checked for finiteness, a block of CHECK_RECORDS of them at a
-    time by one product of the block with zeros, b . 0 == 0 (a finite entry
-    times 0 is +-0, an infinite or nan one gives nan).  A block that fails
-    is searched for its first non-finite state, and DivergedSolutionError
-    names that state's step, as a check of every state would; the run
-    stops at the end of that block, not after ``steps``.  The state at step
-    0 is checked before the march.
+    k dt.  After the last step the trajectory is checked for finiteness
+    once, and DivergedSolutionError names the step of its first non-finite
+    state; a diverging march runs on to ``steps`` before it raises.
     """
     alpha0 = np.asarray(alpha0, dtype=float)
     q = model.M.shape[0]
@@ -288,8 +282,6 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
 
     alphas = np.empty((steps + 1, q))
     alphas[0] = alpha0
-    flat = alphas.reshape(-1)
-    zeros = np.zeros(CHECK_RECORDS * q)
     # M is checked finite first, as the eigenvalue check cannot judge an inf
     # or nan entry.  A non-finite or overflowing R, Cbar, C, F or nu passes
     # into G and shows up in the states, which are checked instead
@@ -306,8 +298,6 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
     except np.linalg.LinAlgError as exc:
         raise SingularMassError(f"reduced mass matrix not SPD: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
-        if alpha0.dot(zeros[:q]) != 0.0:
-            raise DivergedSolutionError("reduced state is non-finite at step 0")
         # G's columns in z's order [1 | pairs | linear]
         Gz = np.concatenate([G[:, :1], G[:, 1 + q:], G[:, 1:1 + q]], axis=1)
         half, full, third, sixth = (c * Gz for c in (0.5 * dt, dt, dt / 3.0, dt / 6.0))
@@ -315,22 +305,20 @@ def integrate_rom(model: ReducedModel, alpha0, dt: float, steps: int,
         stage1, stage2, stage3, step = (np.concatenate(blocks, axis=1).dot for blocks in (
             [half, I], [half, O, I], [full, O, O, I], [sixth, third, third, sixth, I]))
         tail1, tail2, tail3 = Z[3 * p:], Z[2 * p:], Z[p:]
-        for start in range(1, steps + 1, CHECK_RECORDS):
-            stop = min(start + CHECK_RECORDS, steps + 1)
-            for row in alphas[start:stop]:
-                outer0(row0, zz0)
-                stage1(tail1, a1)
-                outer1(row1, zz1)
-                stage2(tail2, a2)
-                outer2(row2, zz2)
-                stage3(tail3, a3)
-                outer3(row3, zz3)
-                step(Z, row)
-                pair[:] = row
-            if flat[start * q:stop * q].dot(zeros[:(stop - start) * q]) != 0.0:
-                rec = start + int(np.argmin(np.isfinite(alphas[start:stop]).all(axis=1)))
-                raise DivergedSolutionError(f"reduced state diverged to a non-finite "
-                                            f"value by step {rec}")
+        for row in alphas[1:]:
+            outer0(row0, zz0)
+            stage1(tail1, a1)
+            outer1(row1, zz1)
+            stage2(tail2, a2)
+            outer2(row2, zz2)
+            stage3(tail3, a3)
+            outer3(row3, zz3)
+            step(Z, row)
+            pair[:] = row
+    finite = np.isfinite(alphas).all(axis=1)
+    if not finite.all():
+        raise DivergedSolutionError(f"reduced state diverged to a non-finite value "
+                                    f"by step {int(np.argmin(finite))}")
     return ReducedTrajectory(times=sample_times(t0, dt, 1, steps + 1),
                              alphas=alphas, mass_condition=float(lam[-1] / lam[0]))
 

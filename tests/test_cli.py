@@ -245,6 +245,24 @@ def test_an_override_is_a_config_error_before_any_sweep(study, monkeypatch, fiel
     assert sweeps == []
 
 
+@pytest.mark.parametrize("change", [
+    {"grid": {"n": 10**15, "length": 6.283185307179586}},  # its initial profile: 7 PiB
+    {"steps": 10**13, "save_every": 1},  # the snapshots of one run: 18 PiB
+], ids=["grid-n", "steps"])
+def test_a_study_that_does_not_fit_in_memory_exits_2_with_one_line(tmp_path, change):
+    # each allocation is far past any address space, so it fails at once
+    config = Path(__file__).resolve().parent.parent / "configs" / "burgers.json"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**json.loads(config.read_text()), **change}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["generate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err.getvalue()
+    assert lines[0].startswith("configuration error: the study does not fit in memory: ")
+
+
 def test_online_functions_take_no_option_of_the_config():
     for fn in (pipeline.predict, pipeline.compare, pipeline.study_weights,
                pipeline.online_model):

@@ -1,12 +1,14 @@
 """Byte identity of every file the default study writes, as a tier-1 check.
 
-generate -> offline -> compare --targets 0.06,0.07,0.08,0.1,0.11 ->
-predict --nu 0.075 -> predict --nu 0.08 --ic truth --method itsgm run on
-configs/burgers.json, all five in one child interpreter, and the sha256
-of each file they write is compared with output_digests.json.  The
-compare targets take in the trained nodes 0.07 and 0.11, so the
-truth-POD floor a trained target takes from the offline archive is
-pinned too.  A report.json is hashed as ``write_manifest``
+generate -> offline -> compare --targets 0.06,0.07,0.08,0.1,0.11 -> four
+predicts run on configs/burgers.json, all seven in one child interpreter,
+and the sha256 of each file they write is compared with
+output_digests.json.  The predicts are every pairing of method and
+initial state: barycentric and ITSGM, each from the weighted and from the
+truth initial state, so each way ``predict`` builds a model and its
+reduced march is pinned.  The compare targets take in the trained nodes
+0.07 and 0.11, so the truth-POD floor a trained target takes from the
+offline archive is pinned too.  A report.json is hashed as ``write_manifest``
 writes it, with its ``timings`` removed: they are the only values that
 differ between runs.
 
@@ -49,6 +51,8 @@ COMMANDS = [
     ["offline"],
     ["compare", "--targets", "0.06,0.07,0.08,0.1,0.11"],
     ["predict", "--nu", "0.075"],
+    ["predict", "--nu", "0.08", "--ic", "truth"],
+    ["predict", "--nu", "0.075", "--method", "itsgm"],
     ["predict", "--nu", "0.08", "--ic", "truth", "--method", "itsgm"],
 ]
 
@@ -112,7 +116,7 @@ def test_every_output_byte_matches_the_recorded_digests(tmp_path):
                   if recorded["build"].get(k) != v}
         pytest.skip(f"digests were recorded on another build, (recorded, here): {differ}")
     digests = pinned_digests(tmp_path)
-    assert len(digests) == 22
+    assert len(digests) == 28
     assert sorted(digests) == sorted(recorded["files"])
     changed = [name for name, d in digests.items() if d != recorded["files"][name]]
     assert not changed, f"output bytes changed: {changed}"

@@ -303,12 +303,10 @@ def test_integrate_failed_fold_is_singular(monkeypatch):
 def test_integrate_negative_diffusion_diverges():
     model = zero_model(2)
     model.R = -100.0 * np.eye(2)  # anti-diffusion: every step multiplies a by ~640
-    with pytest.raises(DivergedSolutionError):
+    # the stage outer product overflows after ~55 steps; the march goes on
+    # to its last step and names the first non-finite state
+    with pytest.raises(DivergedSolutionError, match=r"by step \d+$") as exc:
         integrate_rom(model, np.array([1.0, -1.0]), dt=0.1, steps=1000)
-    # overflow past float64 takes ~110 steps: the run stops at the end of
-    # that block of checked states instead of stepping on to the end
-    with pytest.raises(DivergedSolutionError, match=r"by step \d+") as exc:
-        integrate_rom(model, np.array([1.0, -1.0]), dt=0.1, steps=10**6)
     step = int(re.search(r"by step (\d+)", str(exc.value)).group(1))
     assert step <= 200
 
@@ -322,7 +320,7 @@ def test_integrate_checks_each_recorded_state_once_for_finiteness():
         for i in range(3):
             a0 = np.array([1e308, -1e308, 1.0])
             a0[i] = bad
-            with pytest.raises(DivergedSolutionError, match=r"at step 0$"):
+            with pytest.raises(DivergedSolutionError, match=r"by step 0$"):
                 integrate_rom(zero_model(3), a0, dt=0.1, steps=10)
             model = zero_model(3)
             model.F[i] = bad  # a finite start that turns non-finite in step 1
@@ -470,7 +468,7 @@ def test_integrate_records_copies_at_exact_times(study):
 
 
 def test_integrate_records_every_state_at_the_sample_times():
-    for steps in (0, 1, 31, 32, 33, 203):  # about the CHECK_RECORDS block edges
+    for steps in (0, 1, 31, 32, 33, 203):
         traj = integrate_rom(zero_model(1), np.array([2.0]), dt=0.7, steps=steps, t0=1.3)
         assert traj.alphas.shape == (steps + 1, 1)
         np.testing.assert_array_equal(traj.times, sample_times(1.3, 0.7, 1, steps + 1))
@@ -623,7 +621,7 @@ def test_integrate_runs_at_the_call_floor(study):
     # a step is the 8 products of the four outer products, the three stages
     # and the step, which writes the new state into its row of the
     # trajectory; the copy back into the buffer calls no function, and the
-    # finiteness check is one product per rom.CHECK_RECORDS recorded states
+    # trajectory is checked for finiteness once, after the last step
     model, a0 = weighted_model(study, 0.083)
     h = study.cfg.save_every * study.cfg.dt
     short, long = (_c_calls(lambda s=s: integrate_rom(model, a0, h, s))[1] for s in (200, 400))
@@ -643,7 +641,7 @@ def test_barycenter_runs_at_the_call_floor(study):
     assert calls <= 216
 
 
-FIRST_BAD_RECORDS = [1, 32, 33, 64, 65, 67, 70]  # of 70: blocks 1-32, 33-64, 65-70
+FIRST_BAD_RECORDS = [1, 32, 33, 64, 65, 67, 70]  # of 70: the first, the last and between
 
 
 @pytest.mark.parametrize("rec", FIRST_BAD_RECORDS)
@@ -653,8 +651,8 @@ def test_integrate_names_the_first_non_finite_record_of_its_block(rec):
     # (into nan, through the zero quadratic columns) in the first step that
     # starts above sqrt(max) / 2.75.  a0 puts that step half a step of
     # growth past the start of step ``rec``; the oracle marches every step
-    # and checks every state
-    assert rom.CHECK_RECORDS == 32
+    # and checks every state.  A march of ``rec`` steps ends on that state,
+    # so the check after the march must see the last recorded state too
     model = zero_model(2)
     model.R = -np.eye(2)
     steps = max(FIRST_BAD_RECORDS)
@@ -666,6 +664,8 @@ def test_integrate_names_the_first_non_finite_record_of_its_block(rec):
     assert first_bad == rec
     with pytest.raises(DivergedSolutionError, match=rf"by step {first_bad}$"):
         integrate_rom(model, a0, 1.0, steps)
+    with pytest.raises(DivergedSolutionError, match=rf"by step {rec}$"):
+        integrate_rom(model, a0, 1.0, rec)
 
 
 def test_integrate_peak_memory_grows_only_by_the_recorded_states(rng):
