@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -112,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     cfg = pipeline.load_config(args.config)
-    pipeline.run_generate(cfg, args.out, jobs=args.jobs)
+    with _made_first(Path(args.out), lambda p: p.mkdir(parents=True, exist_ok=True)):
+        pipeline.run_generate(cfg, args.out, jobs=args.jobs)
     print(f"wrote snapshots and manifest under {args.out}")
     return EXIT_OK
 
@@ -134,15 +136,15 @@ def _load_study(args) -> pipeline.Study:
 @contextmanager
 def _made_first(path: Path, make):
     """``make(path)`` before the work in the block, so an output that cannot
-    be written fails before any work is done; ``path`` is removed if this
-    made it and the block fails, so a failed command writes nothing."""
+    be written fails before any work is done; if this made ``path`` and the
+    block fails, ``path`` is removed with all in it, so nothing is left."""
     made = not path.exists()
     make(path)
     try:
         yield
     except BaseException:
         if made:
-            path.rmdir() if path.is_dir() else path.unlink()
+            shutil.rmtree(path) if path.is_dir() else path.unlink()
         raise
 
 

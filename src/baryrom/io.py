@@ -13,9 +13,9 @@ writers are byte-deterministic for equal inputs.
 Each file goes through memory and SHA-256 once.  A reader reads the
 header, then reads every payload straight into a freshly allocated
 float64 array of its final shape, hashing the header and those arrays
-as it goes, and returns the arrays themselves.  Given the digest a
-manifest recorded, it raises the hash-mismatch DataIntegrityError for
-any file whose bytes do not hash to it, before any format error.  A
+as it goes, and returns the arrays themselves.  Every read takes the
+digest a manifest recorded and raises the hash-mismatch error for any
+file whose bytes do not hash to it, before any format error.  A
 writer hashes the bytes it writes from the array's own buffer and
 returns the hex digest, so a manifest entry needs no second read.
 """
@@ -95,20 +95,19 @@ def _hash_rest(fh, h):
     return h
 
 
-def _verify(path, digest: str, sha256) -> None:
-    """The hash-mismatch error, unless no digest was recorded or they agree."""
-    if sha256 is not None and digest != sha256:
+def _verify(path, digest: str, sha256: str) -> None:
+    """The hash-mismatch error, unless the file's digest is the recorded one."""
+    if digest != sha256:
         raise DataIntegrityError(
             f"hash mismatch for {path}: expected {sha256[:12]}..., got {digest[:12]}..."
         )
 
 
-def _malformed(path, fh, h, sha256, what: str):
-    """Raise the format error ``what``; with a recorded digest, the rest of
-    the file is hashed first, so a file that does not hash to it raises the
-    hash mismatch instead."""
-    if sha256 is not None:
-        _verify(path, _hash_rest(fh, h).hexdigest(), sha256)
+def _malformed(path, fh, h, sha256: str, what: str):
+    """Raise the format error ``what`` after hashing the rest of the file, so
+    a file that does not hash to the recorded digest raises the hash
+    mismatch instead."""
+    _verify(path, _hash_rest(fh, h).hexdigest(), sha256)
     raise DataIntegrityError(f"{path}: {what}")
 
 
@@ -124,9 +123,9 @@ def _read_into(path, fh, h, arr: np.ndarray) -> None:
     h.update(view)
 
 
-def read_matrix(path, sha256=None) -> np.ndarray:
+def read_matrix(path, sha256: str) -> np.ndarray:
     """The (rows, cols) float64 array of a matrix file, read and hashed in
-    one pass; with ``sha256``, verified against that hex digest."""
+    one pass and verified against the recorded hex digest ``sha256``."""
     h = hashlib.sha256()
     with _open(path) as fh:
         head = fh.read(24)
@@ -167,9 +166,9 @@ def _archive_layout(header, payload_bytes: int):
     return layout
 
 
-def read_archive(path, sha256=None):
+def read_archive(path, sha256: str):
     """(name -> float64 array, metadata) of an archive, read and hashed in
-    one pass; with ``sha256``, verified against that hex digest."""
+    one pass and verified against the recorded hex digest ``sha256``."""
     h = hashlib.sha256()
     with _open(path) as fh:
         head = fh.read(16)

@@ -74,16 +74,15 @@ def reference_sq(ref: SnapshotMatrix, ip: float) -> np.ndarray:
 
 def mean_error(ref: SnapshotMatrix, approx, ip: float) -> float:
     """Time-mean relative error percentage of ``error_report``."""
-    return error_report(ref, approx, ip).mean
+    return error_report(ref, approx, ip, reference_sq(ref, ip)).mean
 
 
-def error_report(ref: SnapshotMatrix, approx, ip: float, ref_sq=None) -> ErrorReport:
+def error_report(ref: SnapshotMatrix, approx, ip: float, ref_sq) -> ErrorReport:
     """Per-instant errors 100 * ||ref - approx|| / ||ref||, norms weighted by
     the cell size ``ip``, and their time mean (both time integrals by the
     rectangle rule, so the time step cancels).  ``approx`` is a SnapshotMatrix
-    or a FactoredField.  ``ref_sq`` is ``reference_sq`` of ref, computed if
-    not given; a zero-norm instant raises ZeroReferenceError."""
-    ref_sq = reference_sq(ref, ip) if ref_sq is None else np.asarray(ref_sq, dtype=float)
+    or a FactoredField.  ``ref_sq`` holds the sums ``reference_sq`` returned
+    for ref; a zero-norm instant among them raises ZeroReferenceError."""
     if ref_sq.shape != ref.times.shape:
         raise ShapeMismatchError("one squared reference norm per instant required")
     if not ref_sq.all():

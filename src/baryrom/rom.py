@@ -156,10 +156,10 @@ def assemble_cross_tensors(bases, mean, ip: float, grad_op) -> CrossGalerkinTens
     return CrossGalerkinTensors(M, R, Cbar, C, F_conv, F_diff)
 
 
-def weighted_rotations(w, rotations) -> np.ndarray:
-    """S = [w_1 Q_1; ...; w_Np Q_Np], (Np q)-by-q: the interpolated basis
-    sum_h w_h Phi_h Q_h is [Phi_1 ... Phi_Np] S."""
-    wv = np.asarray(w.values if isinstance(w, WeightVector) else w, dtype=float)
+def weighted_rotations(w: WeightVector, rotations) -> np.ndarray:
+    """S = [w_1 Q_1; ...; w_Np Q_Np], (Np q)-by-q, w the values of a WeightVector:
+    the interpolated basis sum_h w_h Phi_h Q_h is [Phi_1 ... Phi_Np] S."""
+    wv = np.asarray(w.values, dtype=float)
     Q = np.asarray(rotations, dtype=float)
     if Q.ndim != 3 or Q.shape[1] != Q.shape[2] or wv.shape != Q.shape[:1]:
         raise ShapeMismatchError("one weight and one q-by-q rotation per basis required")

@@ -29,7 +29,7 @@ from baryrom import (
     mean_error,
 )
 from baryrom.cli import build_parser, main
-from baryrom.metrics import error_report
+from baryrom.metrics import error_report, reference_sq
 from baryrom.io import (
     read_archive,
     read_manifest,
@@ -73,7 +73,7 @@ def test_generate_outputs(workdir):
     trained = [r for r in manifest["runs"] if r["role"] == "trained"]
     assert len(trained) == 4
     for entry in trained:
-        values = read_matrix(out / entry["path"])
+        values = read_matrix(out / entry["path"], entry["sha256"])
         assert values.shape == (64, 120 // 4 + 1)
 
 
@@ -134,10 +134,12 @@ def test_offline_writes_one_archive(tmp_path):
             == snaps | {"mean.mat", "manifest.json", "tensors.arc"})
     assert list(manifest["offline"]) == ["archive"]
     arrays, _ = read_archive(out / "tensors.arc", manifest["offline"]["archive"]["sha256"])
-    mean = read_matrix(out / "mean.mat")
+    mean = read_matrix(out / "mean.mat", manifest["mean"]["sha256"])
     ip = SMALL_CONFIG["grid"]["length"] / SMALL_CONFIG["grid"]["n"]
     for k, nu in enumerate(SMALL_CONFIG["trained_nu"]):
-        run = read_matrix(out / f"snap_nu{nu:g}.mat")
+        entry = manifest["runs"][k]
+        assert entry["nu"] == nu
+        run = read_matrix(out / entry["path"], entry["sha256"])
         oracle = compute_pod(run - mean, ip, SMALL_CONFIG["q"])
         assert arrays["bases"][k].tobytes() == oracle.modes.tobytes()
         assert arrays["eigenvalues"][k].tobytes() == oracle.eigenvalues.tobytes()
@@ -162,8 +164,9 @@ def test_load_study_reads_the_mean_and_the_archive_once_each(workdir, monkeypatc
 
 def test_offline_archive_reload_bit_identical(workdir):
     _, _, out = workdir
-    arrays1, meta1 = read_archive(out / "tensors.arc")
-    arrays2, meta2 = read_archive(out / "tensors.arc")
+    digest = read_manifest(out / "manifest.json")["offline"]["archive"]["sha256"]
+    arrays1, meta1 = read_archive(out / "tensors.arc", digest)
+    arrays2, meta2 = read_archive(out / "tensors.arc", digest)
     assert meta1 == meta2
     for name in arrays1:
         assert arrays1[name].tobytes() == arrays2[name].tobytes()
@@ -187,7 +190,7 @@ def test_archive_with_extra_arrays_still_loads(workdir, tmp_path):
     _, _, out = workdir
     old = tmp_path / "old"
     shutil.copytree(out, old)
-    arrays, meta = read_archive(old / "tensors.arc")
+    arrays, meta = read_archive(old / "tensors.arc", sha256_file(old / "tensors.arc"))
     extra = {"F_body": np.zeros_like(arrays["F_diff"]),
              "params": np.array(SMALL_CONFIG["trained_nu"])}
     write_archive(old / "tensors.arc", {**arrays, **extra}, meta)
@@ -210,7 +213,7 @@ def test_predict_untrained_smoke(workdir):
     assert 1.0 <= report["mass_condition"] < 1e3
     assert (report["reduced_step"], report["reduced_steps"]) == (4 * 1e-3, 120 // 4)
     assert report["lift_sha256"] == sha256_file(pdir / "lift.mat")
-    lift = read_matrix(pdir / "lift.mat")
+    lift = read_matrix(pdir / "lift.mat", report["lift_sha256"])
     assert lift.shape == (64, 5)
     assert np.all(np.isfinite(lift))
     lines = (pdir / "trajectory.csv").read_text().strip().split("\n")
@@ -261,6 +264,7 @@ def test_a_study_that_does_not_fit_in_memory_exits_2_with_one_line(tmp_path, cha
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and "Traceback" not in err.getvalue()
     assert lines[0].startswith("configuration error: the study does not fit in memory: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_online_functions_take_no_option_of_the_config():
@@ -337,7 +341,7 @@ def test_predict_writes_the_factors_of_the_predicted_field(workdir, monkeypatch,
     pdir = out / f"predict_nu{nu}_{method}{'_truth' if ic == 'truth' else ''}"
     assert sorted(p.name for p in pdir.iterdir()) == ["lift.mat", "report.json",
                                                       "trajectory.csv"]
-    lift = read_matrix(pdir / "lift.mat")
+    lift = read_matrix(pdir / "lift.mat", sha256_file(pdir / "lift.mat"))
     assert lift.shape == (64, 5)
     alphas = np.loadtxt(pdir / "trajectory.csv", delimiter=",", skiprows=1)[:, 1:]
     coeffs = np.vstack([alphas.T, np.ones(len(alphas))])
@@ -507,7 +511,8 @@ def _per_time_oracle(study, truth):
     floor = rom.factored_field(modes, study.mean, traj, param=nu)
     models = {m: pipeline.predict(study, nu, method=m, ic_mode="truth", truth=truth,
                                   lift=False)[1] for m in pipeline.METHODS}
-    return {m: error_report(truth, approx, study.ip).per_time
+    ref_sq = reference_sq(truth, study.ip)
+    return {m: error_report(truth, approx, study.ip, ref_sq).per_time
             for m, approx in {**models, "truth_pod": floor}.items()}
 
 
@@ -621,7 +626,7 @@ def test_single_trained_parameter_collapses_to_plain_rom(tmp_path):
     out = tmp_path / "o"
     assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert main(["offline", "--out", str(out)]) == 0
-    arrays, meta = read_archive(out / "tensors.arc")
+    arrays, meta = read_archive(out / "tensors.arc", sha256_file(out / "tensors.arc"))
     assert arrays["M"].shape == (3, 3) and arrays["C"].shape == (3, 9)
     assert np.max(np.abs(arrays["M"] - np.eye(3))) < 1e-10
     # constant interpolant: prediction works at any target
@@ -704,7 +709,8 @@ def test_bench_rebuilds_a_study_built_from_another_config(workdir, tmp_path):
         study = pipeline.load_study(out / "bench_nx64")
         assert (study.cfg.steps, study.cfg.q) == (steps, q)
         assert study.bases[0].modes.shape == (64, q)
-        snaps = read_matrix(out / "bench_nx64" / "snap_nu0.05.mat")
+        path = out / "bench_nx64" / "snap_nu0.05.mat"
+        snaps = read_matrix(path, sha256_file(path))
         assert snaps.shape == (64, steps // 4 + 1)
 
 
@@ -932,7 +938,8 @@ def _edit_archive(edit):
     """A corruption applying ``edit(arrays)`` to the archive, with the
     manifest hash kept in step."""
     def update(manifest, study):
-        arrays, meta = read_archive(study / "tensors.arc")
+        arrays, meta = read_archive(study / "tensors.arc",
+                                    manifest["offline"]["archive"]["sha256"])
         edit(arrays)
         manifest["offline"]["archive"]["sha256"] = write_archive(
             study / "tensors.arc", arrays, meta)
@@ -953,7 +960,8 @@ def _outside(entry_of, absolute):
 
 def _short_mean(manifest, study):
     path = study / "mean.mat"
-    manifest["mean"]["sha256"] = write_matrix(path, read_matrix(path)[1:])
+    mean = read_matrix(path, manifest["mean"]["sha256"])
+    manifest["mean"]["sha256"] = write_matrix(path, mean[1:])
 
 
 def _rewritten_run(index, edit):
@@ -962,7 +970,7 @@ def _rewritten_run(index, edit):
     def rewrite(manifest, study):
         entry = manifest["runs"][index]
         path = study / entry["path"]
-        entry["sha256"] = write_matrix(path, edit(read_matrix(path)))
+        entry["sha256"] = write_matrix(path, edit(read_matrix(path, entry["sha256"])))
     return _edit_manifest(rewrite)
 
 
@@ -983,8 +991,8 @@ def _pre_archive_layout(manifest, study):
     """The layout of a study whose offline ran before the bases, spectra and
     initial states joined the archive: a matrix file for each basis and
     initial state, listed in the offline section, beside a tensor archive."""
-    arrays, meta = read_archive(study / "tensors.arc")
     off = manifest["offline"]
+    arrays, meta = read_archive(study / "tensors.arc", off["archive"]["sha256"])
     off["pod"], off["ics"] = [], []
     for nu, basis, spectrum, ic in zip(manifest["config"]["trained_nu"], arrays.pop("bases"),
                                        arrays.pop("eigenvalues"), arrays.pop("ics")):
@@ -1203,7 +1211,7 @@ def _older_run_fields(manifest, study):
     unread ``n_snapshots`` and ``save_dt`` fields."""
     config = manifest["config"]
     for entry in manifest["runs"]:
-        entry["n_snapshots"] = read_matrix(study / entry["path"]).shape[1]
+        entry["n_snapshots"] = read_matrix(study / entry["path"], entry["sha256"]).shape[1]
         entry["save_dt"] = config["save_every"] * config["dt"]
 
 
@@ -1647,7 +1655,34 @@ def test_generate_names_the_one_diverging_viscosity(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert re.search(r"at substep 191 \(nu=0\.001,", err)
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new out", "existing out"])
+def test_a_failed_generate_removes_the_out_it_made_with_what_earlier_chunks_wrote(
+        tmp_path, monkeypatch, capsys, existed):
+    # one run per chunk, so the two trained runs before nu=0.001 are written
+    # before it blows up, at substep 191
+    monkeypatch.setattr(pipeline, "GENERATE_BATCH_BYTES", 1)
+    written = []
+    write = pipeline.write_matrix
+    monkeypatch.setattr(pipeline, "write_matrix",
+                        lambda path, arr: written.append(path.name) or write(path, arr))
+    cfg = {**SMALL_CONFIG, "dt": 0.03, "steps": 400, "transient": 40,
+           "trained_nu": [0.05, 0.09, 0.001], "test_nu": [0.08]}
+    cfg_path = tmp_path / "diverge.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    if existed:
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+    assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert "nu=0.001" in capsys.readouterr().err
+    assert written == ["snap_nu0.05.mat", "snap_nu0.09.mat"]
+    if existed:
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", *written]
+    else:
+        assert not out.exists()
 
 
 # ------------------------------------------------------ config documents

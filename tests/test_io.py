@@ -19,15 +19,14 @@ from baryrom.io import (
 def test_matrix_roundtrip(tmp_path, rng):
     arr = rng.standard_normal((7, 3))
     path = tmp_path / "m.mat"
-    write_matrix(path, arr)
-    back = read_matrix(path)
+    back = read_matrix(path, write_matrix(path, arr))
     assert back.tobytes() == arr.tobytes()
 
 
 def test_matrix_vector_promoted_to_column(tmp_path):
     path = tmp_path / "v.mat"
-    write_matrix(path, np.array([1.0, 2.0, 3.0]))
-    assert read_matrix(path).shape == (3, 1)
+    digest = write_matrix(path, np.array([1.0, 2.0, 3.0]))
+    assert read_matrix(path, digest).shape == (3, 1)
 
 
 def test_matrix_header_layout(tmp_path):
@@ -43,8 +42,8 @@ def test_matrix_header_layout(tmp_path):
 def test_matrix_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.mat"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
-    with pytest.raises(DataIntegrityError):
-        read_matrix(path)
+    with pytest.raises(DataIntegrityError, match="not a matrix file"):
+        read_matrix(path, sha256_file(path))
 
 
 def test_matrix_rejects_truncated_payload(tmp_path):
@@ -52,8 +51,8 @@ def test_matrix_rejects_truncated_payload(tmp_path):
     write_matrix(path, np.zeros((4, 4)))
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
-    with pytest.raises(DataIntegrityError):
-        read_matrix(path)
+    with pytest.raises(DataIntegrityError, match="does not match the declared"):
+        read_matrix(path, sha256_file(path))
 
 
 def test_archive_roundtrip_and_determinism(tmp_path, rng):
@@ -65,10 +64,10 @@ def test_archive_roundtrip_and_determinism(tmp_path, rng):
     meta = {"q": 3, "nx": 64, "dx": 0.1}
     p1 = tmp_path / "a.arc"
     p2 = tmp_path / "b.arc"
-    write_archive(p1, arrays, meta)
+    digest = write_archive(p1, arrays, meta)
     write_archive(p2, arrays, meta)
     assert p1.read_bytes() == p2.read_bytes()
-    back, meta_back = read_archive(p1)
+    back, meta_back = read_archive(p1, digest)
     assert meta_back == meta
     for name, arr in arrays.items():
         assert back[name].tobytes() == arr.tobytes()
@@ -78,8 +77,8 @@ def test_archive_roundtrip_and_determinism(tmp_path, rng):
 def test_archive_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.arc"
     path.write_bytes(b"WRONGMAG" + b"\x00" * 16)
-    with pytest.raises(DataIntegrityError):
-        read_archive(path)
+    with pytest.raises(DataIntegrityError, match="not an archive file"):
+        read_archive(path, sha256_file(path))
 
 
 def test_check_file_hash_mismatch(tmp_path):
@@ -137,7 +136,7 @@ def test_damaged_file_is_a_hash_mismatch_given_a_digest(tmp_path, writer, reader
     with pytest.raises(DataIntegrityError, match="hash mismatch"):
         reader(path, digest)
     with pytest.raises(DataIntegrityError, match=magic_error if kind == "magic" else length_error):
-        reader(path)
+        reader(path, sha256_file(path))
 
 
 @pytest.mark.parametrize("writer, reader, magic_error, length_error", FORMATS, ids=FORMAT_IDS)
@@ -148,15 +147,16 @@ def test_changed_payload_is_a_hash_mismatch(tmp_path, writer, reader, magic_erro
     raw = bytearray(path.read_bytes())
     raw[-1] ^= 1
     path.write_bytes(bytes(raw))
-    reader(path)  # still well formed
+    reader(path, sha256_file(path))  # still well formed
     with pytest.raises(DataIntegrityError, match="hash mismatch"):
         reader(path, digest)
 
 
 @pytest.mark.parametrize("reader", [read_matrix, read_archive, sha256_file])
 def test_missing_file_is_a_data_error(tmp_path, reader):
+    args = () if reader is sha256_file else ("0" * 64,)
     with pytest.raises(DataIntegrityError, match="No such file"):
-        reader(tmp_path / "absent")
+        reader(tmp_path / "absent", *args)
 
 
 def test_read_arrays_are_owned_writable_contiguous_float64(tmp_path):
@@ -188,7 +188,7 @@ def test_archive_whose_arrays_do_not_tile_the_payload_is_malformed(tmp_path, arr
     path = tmp_path / "bad.arc"
     _archive_with_header(path, arrays, payload)
     with pytest.raises(DataIntegrityError, match="bad archive header"):
-        read_archive(path)
+        read_archive(path, sha256_file(path))
 
 
 def test_archive_arrays_in_any_name_order_read_back(tmp_path):
@@ -196,7 +196,7 @@ def test_archive_arrays_in_any_name_order_read_back(tmp_path):
     _archive_with_header(path, {"z": {"shape": [1], "offset": 0},
                                 "a": {"shape": [1, 1], "offset": 8}},
                          struct.pack("<dd", 1.5, -2.0))
-    arrays, meta = read_archive(path)
+    arrays, meta = read_archive(path, sha256_file(path))
     assert meta == {} and arrays["z"].tolist() == [1.5] and arrays["a"].tolist() == [[-2.0]]
 
 

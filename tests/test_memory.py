@@ -50,7 +50,8 @@ def peaks(tmp_path_factory):
     assert snap.values.nbytes == unit
     approx = pipeline.SnapshotMatrix(snap.values * 1.01, snap.times, snap.param)
     ip = cfg.grid().dx
-    _, errors = _peak(lambda: metrics.error_report(snap, approx, ip))
+    _, errors = _peak(lambda: metrics.error_report(snap, approx, ip,
+                                                   metrics.reference_sq(snap, ip)))
     del snap, approx
     study = pipeline.load_study(out)
     predicts = {}

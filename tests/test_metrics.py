@@ -27,7 +27,8 @@ def traj(values, t0=0.0, dt=1.0, param=0.1):
 
 def single_field_error(ref, approx):
     """The one per-instant error of a one-column error_report."""
-    rep = error_report(traj(np.c_[ref]), traj(np.c_[approx]), UNIT)
+    ref = traj(np.c_[ref])
+    rep = error_report(ref, traj(np.c_[approx]), UNIT, reference_sq(ref, UNIT))
     (_, percent), = rep.per_time
     return percent
 
@@ -107,7 +108,7 @@ def test_mean_error_shape_and_time_checks():
 def test_error_report_structure(rng):
     ref = traj(rng.standard_normal((4, 3)) + 2.0, param=0.08)
     approx = traj(ref.values * 1.01, param=0.08)
-    rep = error_report(ref, approx, UNIT)
+    rep = error_report(ref, approx, UNIT, reference_sq(ref, UNIT))
     assert len(rep.per_time) == 3
     assert rep.mean == pytest.approx(1.0, rel=1e-10)
     assert all(e >= 0 for _, e in rep.per_time)
@@ -117,7 +118,7 @@ def test_error_report_per_time_matches_column_loop(rng):
     ref = traj(rng.standard_normal((6, 5)) + 3.0)
     approx = traj(ref.values + 0.1 * rng.standard_normal((6, 5)))
     ip = 0.7
-    rep = error_report(ref, approx, ip)
+    rep = error_report(ref, approx, ip, reference_sq(ref, ip))
     d = ref.values - approx.values
     expected = [100.0 * np.sqrt(float(np.sum(ip * d[:, j] * d[:, j])))
                 / np.sqrt(float(np.sum(ip * ref.values[:, j] * ref.values[:, j])))
@@ -128,9 +129,9 @@ def test_error_report_per_time_matches_column_loop(rng):
 
 
 def test_error_report_zero_reference_column_raises():
-    values = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0]])
+    ref = traj(np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0]]))
     with pytest.raises(ZeroReferenceError):
-        error_report(traj(values), traj(values + 1.0), UNIT)
+        error_report(ref, traj(ref.values + 1.0), UNIT, _square_sums(ref, UNIT))
 
 
 NS = 201  # columns of a default study's snapshot matrix
@@ -170,20 +171,18 @@ def test_blocked_column_sums_are_bitwise_the_full_sums(rng, nx, ns):
                                     (7, NS), (5000, 1), (1, 1)])
 def test_blocked_lift_and_score_is_bitwise_the_reconstruction_score(rng, nx, ns):
     # the same ref scored against the field reconstruct_field forms and
-    # against its factors, lifted a block of rows at a time; then again with
-    # the ref sums of the first report
+    # against its factors, lifted a block of rows at a time
     q, ip = 7, 2.0 * np.pi / 2000
     rtraj = ReducedTrajectory(times=0.3 + 0.005 * np.arange(ns),
                               alphas=rng.standard_normal((ns, q)))
     basis, mean = rng.standard_normal((nx, q)), 1.0 + rng.standard_normal(nx)
     ref = traj(rng.standard_normal((nx, ns)) + mean[:, None], t0=0.3, dt=0.005)
-    want = error_report(ref, reconstruct_field(basis, mean, rtraj, ref.param), ip)
+    ref_sq = reference_sq(ref, ip)
+    want = error_report(ref, reconstruct_field(basis, mean, rtraj, ref.param), ip, ref_sq)
     field = factored_field(basis, mean, rtraj, ref.param)
-    got = error_report(ref, field, ip)
-    again = error_report(ref, field, ip, ref_sq=reference_sq(ref, ip))
-    for rep in (got, again):
-        assert rep.per_time == want.per_time
-        assert rep.mean == want.mean
+    got = error_report(ref, field, ip, ref_sq)
+    assert got.per_time == want.per_time
+    assert got.mean == want.mean
     assert mean_error(ref, field, ip) == mean_error(
         ref, reconstruct_field(basis, mean, rtraj), ip)
 
@@ -214,10 +213,11 @@ def test_mean_error_raises_on_one_zero_norm_instant_of_a_nonzero_ref():
 def test_blocked_error_report_raises_on_an_instant_of_zero_reference_norm(rng):
     values = rng.standard_normal((3 * BLOCK + 5, NS))
     values[:, 17] = 0.0
+    ref = traj(values)
     with pytest.raises(ZeroReferenceError):
-        error_report(traj(values), traj(values + 1.0), UNIT)
+        error_report(ref, traj(values + 1.0), UNIT, _square_sums(ref, UNIT))
     with pytest.raises(ZeroReferenceError):
-        reference_sq(traj(values), UNIT)
+        reference_sq(ref, UNIT)
 
 
 # 16 B makes blocks of two rows; 2**40 B is more than any field here
@@ -242,10 +242,10 @@ def test_block_size_changes_no_bit_of_a_lift_or_an_error_report(rng, monkeypatch
         lift = reconstruct_field(basis, mean, rtraj, ref.param)
         field = factored_field(basis, mean, rtraj, ref.param)
         ref_sq = reference_sq(ref, ip)
-        reports = [_report_bits(error_report(ref, approx, ip, ref_sq=given))
-                   for approx in (field, lift) for given in (None, ref_sq)]
-        # the reports are the same with or without ref_sq, as are both lifts
-        assert all(bits == reports[0] for bits in reports)
+        reports = [_report_bits(error_report(ref, approx, ip, ref_sq))
+                   for approx in (field, lift)]
+        # the factors and the lift score the same
+        assert reports[1] == reports[0]
         runs.append((lift.values.tobytes(), ref_sq.tobytes(), reports[0]))
     assert all(run == runs[0] for run in runs[1:])
 
