@@ -52,4 +52,4 @@ from .rom import (
     weighted_rotations,
 )
 from .solver import Grid1D, SolverConfig, initial_profile, run, run_batch
-from .weights import WeightScheme, WeightVector, evaluate_weights, select_neighbors
+from .weights import WeightVector, lagrange_weights, select_neighbors

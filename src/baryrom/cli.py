@@ -57,14 +57,12 @@ _FLAGS = {
     "--jobs": dict(type=_positive_int, default=1,
                    help="worker threads: one generate chunk or one offline POD each"),
     "--q": dict(type=int, default=None, help="POD truncation order (default: config q)"),
-    "--weights": dict(choices=["lagrange", "idw"], default=None,
-                      help="weight scheme (default: config weights.kind)"),
     "--neighbors": dict(type=int, default=None,
                         help="nearest trained viscosities weighted (default: config)"),
 }
 
 # flag -> the StudyConfig field it overrides in predict and compare
-_OVERRIDES = {"weights": "weights_kind", "neighbors": "weights_neighbors", "tol": "tol"}
+_OVERRIDES = {"neighbors": "weights_neighbors", "tol": "tol"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("offline", "build POD bases and the tensor archive", "--out", "--jobs", "--q")
 
     p = command("predict", "online prediction at one viscosity",
-                "--out", "--weights", "--neighbors")
+                "--out", "--neighbors")
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--method", choices=list(pipeline.METHODS), default="barycentric")
     p.add_argument("--tol", type=float, default=None,
@@ -97,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-nonconverged", action="store_true")
 
     p = command("compare", "errors of both interpolated models vs the truth-POD floor",
-                "--out", "--weights", "--neighbors")
+                "--out", "--neighbors")
     p.add_argument("--targets", type=_comma_list(float), default=None,
                    help="comma-separated viscosities (default: config test_nu)")
 

@@ -75,7 +75,7 @@ from .rom import (
 # run stays bound here for perfbench's Tracer, which wraps it by name
 from .solver import Grid1D, SolverConfig, initial_profile, run, run_batch  # noqa: F401
 from .solver import _inverse_symbols
-from .weights import KINDS, WeightScheme, WeightVector, evaluate_weights, select_neighbors
+from .weights import WeightVector, lagrange_weights, select_neighbors
 
 METHODS = ("barycentric", "itsgm")
 IC_MODES = ("truth", "weighted")
@@ -99,8 +99,6 @@ class StudyConfig:
     trained_nu: list = dataclasses.field(default_factory=lambda: [0.05, 0.07, 0.09, 0.11])
     test_nu: list = dataclasses.field(default_factory=lambda: [0.06, 0.08, 0.10])
     q: int = 7
-    weights_kind: str = "lagrange"
-    weights_power: float = 2.0
     weights_neighbors: int = 3
     tol: float = 1e-10
     max_iter: int = 100
@@ -152,14 +150,6 @@ def _initial(value, key: str):
     return value
 
 
-def _weight_kind(value, key: str) -> str:
-    """Canonical weight-scheme name; ``idw`` is accepted for inverse distance."""
-    kind = "inverse_distance" if str(value) == "idw" else str(value)
-    if kind not in KINDS:
-        raise ConfigError(f"unknown weight kind {kind!r}")
-    return kind
-
-
 # config-file key -> (StudyConfig field, parser(value, key)); a dotted key
 # lies in the section its prefix names, and to_dict writes them in this order
 _KEYS = {
@@ -173,8 +163,6 @@ _KEYS = {
     "trained_nu": ("trained_nu", _numbers),
     "test_nu": ("test_nu", _numbers),
     "q": ("q", _integer),
-    "weights.kind": ("weights_kind", _weight_kind),
-    "weights.power": ("weights_power", _number),
     "weights.neighbors": ("weights_neighbors", _integer),
     "tol": ("tol", _number),
     "max_iter": ("max_iter", _integer),
@@ -199,8 +187,8 @@ def config_from_dict(doc: dict) -> StudyConfig:
                              for key, (name, parse) in _KEYS.items()})
         if cfg.weights_neighbors < 1 or cfg.max_iter < 1:
             raise ValueError("weights.neighbors and max_iter must be >= 1")
-        if not (0.0 < cfg.weights_power < np.inf and 0.0 <= cfg.tol < np.inf):
-            raise ValueError("weights.power must be > 0 and tol >= 0, both finite")
+        if not 0.0 <= cfg.tol < np.inf:
+            raise ValueError("tol must be >= 0 and finite")
         # checks grid, dt, step counts and the initial state even with no viscosities
         u0 = initial_profile(cfg.solver_config(1.0), cfg.grid())
         if not np.isfinite(u0).all():
@@ -500,20 +488,18 @@ def check_viscosity(nu: float) -> None:
 
 
 def study_weights(study: Study, nu: float) -> WeightVector:
-    """Weights over all trained nodes: the config's scheme on the nearest
+    """Weights over all trained nodes: Lagrange weights on the nearest
     weights.neighbors nodes, zero elsewhere.  A viscosity that is not
     positive and finite, or whose weights overflow, is a ConfigError."""
     check_viscosity(nu)
     cfg, params = study.cfg, study.params
     sel = select_neighbors(params, nu, min(cfg.weights_neighbors, params.size))
-    local = evaluate_weights(WeightScheme(cfg.weights_kind, params[sel], cfg.weights_power), nu)
     full = np.zeros(params.size)
-    full[sel] = local.values
+    full[sel] = lagrange_weights(params[sel], nu)
     if not np.isfinite(full).all():
         raise ConfigError(f"interpolation weights at viscosity {nu!r} are not finite (trained "
-                          f"range [{params.min():g}, {params.max():g}], weights.kind "
-                          f"{cfg.weights_kind}, weights.power {cfg.weights_power:g})")
-    return WeightVector(values=full, target=float(nu))
+                          f"range [{params.min():g}, {params.max():g}])")
+    return WeightVector(full)
 
 
 def nearest_index(params, nu: float) -> int:

@@ -337,15 +337,15 @@ def row_blocks(nx: int, ns: int) -> list:
     return list(zip(starts, starts[1:] + [nx]))
 
 
-def combined_basis(bases, weights, rotations) -> np.ndarray:
-    """Weighted sum of rotated bases, Phi = sum_h w_h Phi_h Q_h, one weight
-    and one q-by-q rotation per basis: the interpolated basis the updated
-    reduced operators are exact for, and the one a barycentric prediction
-    lifts with.  The terms of the nonzero weights are added in basis
-    order, each one product, one scaling and one add."""
+def combined_basis(bases, weights: WeightVector, rotations) -> np.ndarray:
+    """Weighted sum of rotated bases, Phi = sum_h w_h Phi_h Q_h, w the values
+    of a WeightVector, one weight and one q-by-q rotation per basis: the
+    interpolated basis the updated reduced operators are exact for, and
+    the one a barycentric prediction lifts with.  The terms of the
+    nonzero weights are added in basis order, each one product, one
+    scaling and one add."""
     mats = _mode_matrices(bases)
-    wv = np.asarray(weights.values if isinstance(weights, WeightVector) else weights,
-                    dtype=float)
+    wv = np.asarray(weights.values, dtype=float)
     rots = [np.asarray(r, dtype=float) for r in rotations]
     q = mats[0].shape[1]
     if wv.shape != (len(mats),) or [r.shape for r in rots] != [(q, q)] * len(mats):

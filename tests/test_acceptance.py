@@ -12,17 +12,16 @@ import numpy as np
 from baryrom import (
     Grid1D,
     SolverConfig,
-    WeightScheme,
     WeightVector,
     combined_basis,
     compute_pod,
     direct_project,
-    evaluate_weights,
     exp_map,
     initial_condition,
     integrate_rom,
     itsgm_interpolate,
     karcher_barycenter,
+    lagrange_weights,
     log_map,
     orthonormalize,
     run,
@@ -53,11 +52,10 @@ def test_c1_geometry_roundtrip():
 
 def test_c2_barycenter_node_reproduction(study):
     params = study.params
-    scheme = WeightScheme("lagrange", params)
     worst_d, worst_g, worst_it = 0.0, 0.0, 0
     for h, nu in enumerate(params):
-        w = evaluate_weights(scheme, nu)
-        res = karcher_barycenter([b.modes for b in study.bases], w.values,
+        w = lagrange_weights(params, nu)
+        res = karcher_barycenter([b.modes for b in study.bases], w,
                                  tol=1e-10, init=pipeline.nearest_index(params, nu))
         d = subspace_distance(res.representative, study.bases[h].modes)
         worst_d = max(worst_d, d)
@@ -75,12 +73,11 @@ def test_c3_update_exactness(study):
     params = study.params
     mats = [b.modes for b in study.bases]
     grad = study.grid.gradient
-    scheme = WeightScheme("lagrange", params)
 
     vectors = []
     for _ in range(10):  # weights as produced at random targets (extrapolation incl.)
         target = rng.uniform(0.04, 0.12)
-        vectors.append(evaluate_weights(scheme, target).values)
+        vectors.append(lagrange_weights(params, target))
     while len(vectors) < 20:  # plus generic sum-to-one vectors
         w = rng.uniform(-0.2, 1.0, size=params.size)
         if w.sum() >= 0.5:
@@ -90,9 +87,9 @@ def test_c3_update_exactness(study):
     for w in vectors:
         res = karcher_barycenter(mats, w, tol=1e-12, init=int(np.argmax(np.abs(w))))
         nu = rng.uniform(0.05, 0.11)
-        model = update_reduced_model(study.tensors, WeightVector(w, 0.0),
+        model = update_reduced_model(study.tensors, WeightVector(w),
                                      res.rotations, nu)
-        phi = combined_basis(mats, w, res.rotations)
+        phi = combined_basis(mats, WeightVector(w), res.rotations)
         oracle = direct_project(phi, study.mean, study.ip, grad, nu)
         for name in ("M", "R", "Cbar", "C", "F"):
             a = getattr(model, name)
@@ -237,9 +234,8 @@ def test_c9_itsgm_node_reproduction(study):
     mats = [orthonormalize(b.modes) for b in study.bases]
     params = study.params
     worst = 0.0
-    scheme = WeightScheme("lagrange", params)
     for k, nu in enumerate(params):
-        out = itsgm_interpolate(mats, evaluate_weights(scheme, nu).values, ref_index=0)
+        out = itsgm_interpolate(mats, lagrange_weights(params, nu), ref_index=0)
         worst = max(worst, subspace_distance(out, mats[k]))
     report(9, "itsgm-node-reproduction", worst < 1e-8,
            f"max subspace distance {worst:.3e}")

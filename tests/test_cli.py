@@ -51,7 +51,7 @@ SMALL_CONFIG = {
     "trained_nu": [0.05, 0.07, 0.09, 0.11],
     "test_nu": [0.08],
     "q": 4,
-    "weights": {"kind": "lagrange", "power": 2.0, "neighbors": 3},
+    "weights": {"neighbors": 3},
 }
 
 
@@ -236,8 +236,8 @@ def test_predict_honours_a_valid_tol(workdir):
 
 @pytest.mark.parametrize("fields", [
     {"weights_neighbors": 0}, {"weights_neighbors": 2.7}, {"tol": -1.0},
-    {"tol": float("nan")}, {"weights_kind": ""},
-], ids=["neighbors=0", "neighbors=2.7", "tol=-1", "tol=nan", "kind=empty"])
+    {"tol": float("nan")},
+], ids=["neighbors=0", "neighbors=2.7", "tol=-1", "tol=nan"])
 def test_an_override_is_a_config_error_before_any_sweep(study, monkeypatch, fields):
     # every online option comes from the study config, and an override of
     # one is checked as a config file is
@@ -275,18 +275,20 @@ def test_online_functions_take_no_option_of_the_config():
 
 def test_config_replace_round_trips_and_canonicalizes(study):
     assert study.cfg.replace() == study.cfg
-    idw = study.cfg.replace(weights_kind="idw", tol=1e-8)
-    assert (idw.weights_kind, idw.tol) == ("inverse_distance", 1e-8)
-    assert dataclasses.replace(idw, weights_kind="lagrange", tol=study.cfg.tol) == study.cfg
+    # an integral float count reads as an int, an int number as a float
+    two = study.cfg.replace(weights_neighbors=2.0, tol=1)
+    assert (two.weights_neighbors, two.tol) == (2, 1.0)
+    assert (type(two.weights_neighbors), type(two.tol)) == (int, float)
+    assert dataclasses.replace(two, weights_neighbors=3, tol=study.cfg.tol) == study.cfg
 
 
 def test_cli_overrides_match_a_replaced_config(workdir):
     _, _, out = workdir
     nu = 0.085
-    assert main(["predict", "--out", str(out), "--nu", str(nu), "--weights", "idw",
+    assert main(["predict", "--out", str(out), "--nu", str(nu),
                  "--neighbors", "2", "--tol", "1e-8"]) == 0
     study = pipeline.load_study(out)
-    study.cfg = study.cfg.replace(weights_kind="idw", weights_neighbors=2, tol=1e-8)
+    study.cfg = study.cfg.replace(weights_neighbors=2, tol=1e-8)
     traj, _, report = pipeline.predict(study, nu, lift=False)
     pdir = out / f"predict_nu{nu}_barycentric"
     rows = (pdir / "trajectory.csv").read_text().strip().split("\n")[1:]
@@ -428,17 +430,18 @@ def test_only_itsgm_orthonormalizes(workdir, monkeypatch):
     assert nonzero > 1 and calls == [True] * nonzero
 
 
-def test_itsgm_predict_follows_weight_kind(workdir):
+def test_itsgm_predict_follows_neighbors(workdir):
     _, _, out = workdir
     study = pipeline.load_study(out)
     nu = 0.08
     # the truth IC keeps the weights out of the initial state
-    lag = pipeline.predict(study, nu, method="itsgm", ic_mode="truth")[1].values
-    study.cfg = study.cfg.replace(weights_kind="idw")
+    three = pipeline.predict(study, nu, method="itsgm", ic_mode="truth")[1].values
+    study.cfg = study.cfg.replace(weights_neighbors=2)
     field = pipeline.predict(study, nu, method="itsgm", ic_mode="truth")[1].values
-    assert np.max(np.abs(field - lag)) > 1e-6 * np.max(np.abs(lag))
-    # the predicted field lies in the subspace interpolated with the IDW weights
+    assert np.max(np.abs(field - three)) > 1e-6 * np.max(np.abs(three))
+    # the predicted field lies in the subspace interpolated with the 2-neighbour weights
     w = pipeline.study_weights(study, nu)
+    assert np.count_nonzero(w.values) == 2
     sel = np.flatnonzero(w.values)
     ref = int(np.argmin(np.abs(study.params[sel] - nu)))
     basis = itsgm_interpolate([study.bases[k].modes for k in sel], w.values[sel],
@@ -857,8 +860,9 @@ MALFORMED_INPUT = [  # (argv, config overrides); "{out}" is a copy of the study
     (["predict", "--out", "{out}", "--nu", "0.08", "--tol=-1e-10"], {}),
     (["predict", "--out", "{out}", "--nu", "0.08", "--tol", "nan"], {}),
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"weights": {"neighbors": 0}}),
-    (["generate", "--config", "{cfg}", "--out", "{out}"], {"weights": {"power": 0.0}}),
-    (["generate", "--config", "{cfg}", "--out", "{out}"], {"weights": {"power": -2.0}}),
+    # a section that is not a JSON object
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"weights": [3]}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"grid": 64}),
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"max_iter": 0}),
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"tol": -1e-10}),
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"tol": float("nan")}),
@@ -871,7 +875,7 @@ MALFORMED_INPUT = [  # (argv, config overrides); "{out}" is a copy of the study
      {"trained_nu": [], "test_nu": []}),
     (["compare", "--out", "{out}", "--targets", "nan"], {}),
     (["compare", "--out", "{out}", "--targets=-0.06"], {}),
-    (["predict", "--out", "{out}", "--nu", "1e200", "--weights", "idw"], {}),
+    (["predict", "--out", "{out}", "--nu", "1e200"], {}),
     (["compare", "--out", "{out}", "--targets", ","], {}),
     (["compare", "--out", "{out}", "--targets", ""], {}),
     (["compare", "--out", "{out}", "--targets", "0.08,0.08"], {}),
@@ -890,7 +894,7 @@ MALFORMED_INPUT = [  # (argv, config overrides); "{out}" is a copy of the study
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"steps": 120.5}),
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"transient": False}),
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"weights": {"neighbors": 2.5}}),
-    (["generate", "--config", "{cfg}", "--out", "{out}"], {"weights": {"power": "2"}}),
+    (["generate", "--config", "{cfg}", "--out", "{out}"], {"weights": {"neighbors": "3"}}),
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"tol": "1e-10"}),
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"grid": {"length": True}}),
     (["generate", "--config", "{cfg}", "--out", "{out}"], {"initial": [True] * 64}),
@@ -1180,18 +1184,45 @@ def test_offline_deletes_the_files_of_the_pre_archive_layout(workdir, tmp_path):
     assert main(["predict", "--out", str(study), "--nu", "0.08"]) == 0
 
 
-def test_non_finite_weights_inside_the_trained_range_are_not_called_outside_it(
-        workdir, tmp_path, capsys):
+def test_non_finite_weights_exit_2_with_one_line(workdir, capsys):
+    # Lagrange weights far outside the trained range overflow to +-inf
     _, _, out = workdir
+    capsys.readouterr()
+    assert main(["predict", "--out", str(out), "--nu", "1e200"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "configuration error: interpolation weights at viscosity 1e+200 are not finite "
+        "(trained range [0.05, 0.11])"]
+    assert not (out / "predict_nu1e+200_barycentric").exists()
+
+
+@pytest.mark.parametrize("key, value", [("kind", "lagrange"), ("power", 2.0)])
+def test_a_retired_weights_key_exits_2_naming_it(workdir, tmp_path, capsys, key, value):
+    # one weight rule is left, so a config file or a stored manifest that
+    # still names a key of the retired schemes is refused, not read and ignored
+    _, _, out = workdir
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**SMALL_CONFIG, "weights": {key: value, "neighbors": 3}}))
     study = tmp_path / "study"
     shutil.copytree(out, study)
-    _edit_manifest(lambda m, s: m["config"]["weights"].update(
-        kind="inverse_distance", power=1e308))(study)
+    _edit_manifest(lambda m, s: m["config"]["weights"].update({key: value}))(study)
+    for argv in (["generate", "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+                 ["predict", "--out", str(study), "--nu", "0.08"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: unknown config keys: 'weights.{key}'"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["predict", "--nu", "0.08"], ["compare"]])
+def test_the_weights_flag_is_a_usage_error(workdir, capsys, command):
+    _, _, out = workdir
     capsys.readouterr()
-    assert main(["predict", "--out", str(study), "--nu", "0.06"]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "configuration error: interpolation weights at viscosity 0.06 are not finite "
-        "(trained range [0.05, 0.11], weights.kind inverse_distance, weights.power 1e+308)"]
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--out", str(out), "--weights", "lagrange"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "unrecognized arguments: --weights lagrange" in err[0]
 
 
 @pytest.mark.parametrize("field, step, message", [("steps", 4, "has shape"),

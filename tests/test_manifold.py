@@ -9,23 +9,18 @@ from baryrom import (
     RankDeficientError,
     ShapeMismatchError,
     SingularOverlapError,
-    WeightScheme,
     distance,
-    evaluate_weights,
     exp_map,
     gram_coordinates,
     itsgm_interpolate,
     karcher_barycenter,
+    lagrange_weights,
     log_map,
     orthonormalize,
     procrustes_rotation,
     subspace_distance,
 )
 from conftest import close_family
-
-
-def lagrange(params, target):
-    return evaluate_weights(WeightScheme("lagrange", params), target).values
 
 
 def col(*vals):
@@ -382,7 +377,7 @@ def test_gram_barycenter_far_extrapolation_matches_oracle_sweep_by_sweep(rng):
     # Lagrange weights far outside the nodes: the fixed point does not
     # settle, so both are stopped after the same number of sweeps
     bases = close_family(rng, 50, 4, 3, spread=0.05)
-    w = lagrange([0.05, 0.07, 0.09], 0.4)
+    w = lagrange_weights([0.05, 0.07, 0.09], 0.4)
     for sweeps in (1, 2, 4):
         oracle = karcher_reference(bases, w, tol=0.0, max_iter=sweeps, init=2)
         for barycenter in (karcher_barycenter, on_gram):
@@ -419,7 +414,7 @@ def test_gram_barycenter_health_at_a_node(rng):
 def test_itsgm_target_at_reference(rng):
     bases = [orthonormalize(b) for b in close_family(rng, 40, 4, 3)]
     params = [0.1, 0.2, 0.3]
-    out = itsgm_interpolate(bases, lagrange(params, 0.2), ref_index=1)
+    out = itsgm_interpolate(bases, lagrange_weights(params, 0.2), ref_index=1)
     assert subspace_distance(out, bases[1]) < 1e-10
     np.testing.assert_allclose(out.T @ out, np.eye(4), atol=1e-10)
 
@@ -428,21 +423,21 @@ def test_itsgm_node_reproduction(rng):
     bases = [orthonormalize(b) for b in close_family(rng, 50, 5, 4)]
     params = [0.05, 0.07, 0.09, 0.11]
     for k in range(4):
-        out = itsgm_interpolate(bases, lagrange(params, params[k]), ref_index=0)
+        out = itsgm_interpolate(bases, lagrange_weights(params, params[k]), ref_index=0)
         assert subspace_distance(out, bases[k]) < 1e-8
 
 
 def test_itsgm_single_basis_constant(rng):
     basis = orthonormalize(rng.standard_normal((30, 3)))
     for target in (0.0, 0.5, 2.0):
-        out = itsgm_interpolate([basis], lagrange([1.0], target), ref_index=0)
+        out = itsgm_interpolate([basis], lagrange_weights([1.0], target), ref_index=0)
         assert subspace_distance(out, basis) < 1e-10
 
 
 def test_itsgm_interpolates_the_spans_of_its_inputs(rng):
     # scaled, rotated representatives of orthonormal bases span the same subspaces
     ortho = close_family(rng, 20, 3, 3)
-    w = lagrange([0.1, 0.2, 0.3], 0.17)
+    w = lagrange_weights([0.1, 0.2, 0.3], 0.17)
     expected = itsgm_interpolate(ortho, w, ref_index=1)
     rotated = [3.0 * b @ np.linalg.qr(rng.standard_normal((3, 3)))[0] for b in ortho]
     out = itsgm_interpolate(rotated, w, ref_index=1)
@@ -455,7 +450,7 @@ def test_itsgm_skips_zero_weight_inputs(rng):
     # each of them is exactly zero: it has no alignment, but weighs nothing
     bases = [np.vstack([b, np.zeros((10, 3))]) for b in close_family(rng, 10, 3, 3)]
     orthogonal = np.vstack([np.zeros((10, 3)), rng.standard_normal((10, 3))])
-    w = lagrange([0.1, 0.2, 0.3], 0.17)
+    w = lagrange_weights([0.1, 0.2, 0.3], 0.17)
     expected = itsgm_interpolate(bases, w, ref_index=1)
     out = itsgm_interpolate([orthogonal, *bases], [0.0, *w], ref_index=2)
     assert out.tobytes() == expected.tobytes()
@@ -496,7 +491,7 @@ def test_itsgm_matches_the_textbook_tangent_map(rng, target, ref_index):
     scales = np.logspace(-3.0, 3.0, 5)
     bases = [b * scales @ (np.eye(5) + 0.5 * rng.standard_normal((5, 5)))
              for b in close_family(rng, 60, 5, 4, spread=0.3)]
-    w = lagrange(params, target)
+    w = lagrange_weights(params, target)
     assert (w < 0).any()
     out = itsgm_interpolate(bases, w, ref_index)
     want = textbook_itsgm(bases, w, ref_index)

@@ -162,8 +162,8 @@ def test_update_exact_against_direct_projection(rng):
     for trial in range(5):
         w = bounded_weight_vector(rng, 3)
         res = karcher_barycenter(bases, w, init=int(np.argmax(w)))
-        model = update_reduced_model(ct, WeightVector(w, 0.0), res.rotations, nu=0.07)
-        phi = combined_basis(bases, w, res.rotations)
+        model = update_reduced_model(ct, WeightVector(w), res.rotations, nu=0.07)
+        phi = combined_basis(bases, WeightVector(w), res.rotations)
         oracle = direct_project(phi, mean, ip, grid.gradient, nu=0.07)
         for name in ("M", "R", "Cbar", "C", "F"):
             assert relative_gap(getattr(model, name), getattr(oracle, name)) < 1e-10
@@ -176,7 +176,7 @@ def test_update_delta_weights_give_identity_mass(rng):
     ct = assemble_cross_tensors([p.modes for p in pods], mean, ip, grid.gradient)
     w = np.array([0.0, 0.0, 1.0])
     res = karcher_barycenter([p.modes for p in pods], w, init=2)
-    model = update_reduced_model(ct, WeightVector(w, 0.0), res.rotations, nu=0.05)
+    model = update_reduced_model(ct, WeightVector(w), res.rotations, nu=0.05)
     assert np.max(np.abs(model.M - np.eye(3))) < 1e-10
 
 
@@ -804,7 +804,7 @@ def test_lift_is_bitwise_the_whole_product(rng, nx, ns):
     traj = ReducedTrajectory(times=0.3 + 0.005 * np.arange(ns),
                              alphas=rng.standard_normal((ns, q)))
     phi = whole_mix(bases, w, rotations)
-    basis = combined_basis(bases, WeightVector(w, 0.07), rotations)
+    basis = combined_basis(bases, WeightVector(w), rotations)
     np.testing.assert_array_equal(basis, phi)
     got = reconstruct_field(basis, mean, traj, 0.07)
     np.testing.assert_array_equal(got.values, whole_lift(phi, mean, traj.alphas))
@@ -864,7 +864,7 @@ def test_combined_basis_checks_one_weight_and_rotation_per_basis(rng):
     for w, rotations in (([1.0, 0.0], [np.eye(2)] * 3), ([1.0, 0.0, 0.0], [np.eye(2)] * 2),
                          ([1.0, 0.0, 0.0], [np.eye(2), np.eye(2), np.eye(3)])):
         with pytest.raises(ShapeMismatchError):
-            combined_basis(bases, w, rotations)
+            combined_basis(bases, WeightVector(np.array(w)), rotations)
 
 
 def test_block_initial_condition_matches_projection_oracle(rng):
@@ -874,9 +874,9 @@ def test_block_initial_condition_matches_projection_oracle(rng):
     ics = mean[:, None] + rng.standard_normal((grid.n, 3))
     for w in ([0.2, 0.5, 0.3], [0.0, 1.0, 0.0], [1.6, -0.9, 0.3]):
         res = karcher_barycenter(bases, w, init=int(np.argmax(w)))
-        model = update_reduced_model(ct, WeightVector(np.array(w), 0.0), res.rotations, 0.07)
+        model = update_reduced_model(ct, WeightVector(np.array(w)), res.rotations, 0.07)
         S = np.vstack([wk * r for wk, r in zip(w, res.rotations)])
-        oracle_basis = combined_basis(bases, w, res.rotations)
+        oracle_basis = combined_basis(bases, WeightVector(np.array(w)), res.rotations)
         for u0 in (ics @ w, ics[:, 0]):
             coords = phi.T @ (ip * (u0 - mean))
             oracle = initial_condition(oracle_basis, mean, ip, u0)
@@ -911,8 +911,8 @@ def test_delta_weights_reproduce_single_basis_trajectory(rng):
     a0 = initial_condition(pods[h].modes, mean, ip, u0)
     traj_single = integrate_rom(single, a0, dt, steps)
 
-    model = update_reduced_model(ct, WeightVector(w, 0.0), res.rotations, nu)
-    phi = combined_basis([p.modes for p in pods], w, res.rotations)
+    model = update_reduced_model(ct, WeightVector(w), res.rotations, nu)
+    phi = combined_basis([p.modes for p in pods], WeightVector(w), res.rotations)
     a0b = initial_condition(phi, mean, ip, u0)
     traj_bary = integrate_rom(model, a0b, dt, steps)
 
