@@ -56,7 +56,6 @@ _FLAGS = {
     "--out": dict(default="out", help="working directory"),
     "--jobs": dict(type=_positive_int, default=1,
                    help="worker threads: one generate chunk or one offline POD each"),
-    "--q": dict(type=int, default=None, help="POD truncation order (default: config q)"),
     "--neighbors": dict(type=int, default=None,
                         help="nearest trained viscosities weighted (default: config)"),
 }
@@ -83,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("generate", "run the high-fidelity solver per viscosity",
             "--config", "--out", "--jobs")
 
-    command("offline", "build POD bases and the tensor archive", "--out", "--jobs", "--q")
+    p = command("offline", "build POD bases and the tensor archive", "--out", "--jobs")
+    p.add_argument("--q", type=int, default=None, help="POD truncation order (default: config q)")
 
     p = command("predict", "online prediction at one viscosity",
                 "--out", "--neighbors")
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated viscosities (default: config test_nu)")
 
     p = command("bench", "median update vs direct-projection time across mesh sizes",
-                "--config", "--out", "--jobs", "--q")
+                "--config", "--out", "--jobs")
     p.add_argument("--sizes", type=_comma_list(int), default="2000,20000",
                    help="comma-separated mesh sizes")
     p.add_argument("--reps", type=_positive_int, default=20)
@@ -189,20 +189,11 @@ def _cmd_bench(args) -> int:
         raise ConfigError("bench needs at least one trained_nu")
     nu = 0.5 * (min(cfg.trained_nu) + max(cfg.trained_nu)) if args.nu is None else args.nu
     pipeline.check_viscosity(nu)  # before any size is generated
-    studies = []
-    for nx in args.sizes:
-        size_dir = Path(args.out) / f"bench_nx{nx}"
-        size_cfg = cfg.replace(grid_n=nx, q=cfg.q if args.q is None else args.q)
-        # a stored study is reused only if it was built from this very config,
-        # by a generate that wrote the mean
-        path = size_dir / "manifest.json"
-        stored = pipeline.read_manifest(path) if path.exists() else {}
-        if stored.get("config") != size_cfg.to_dict() or "mean" not in stored:
-            pipeline.remove_listed_files(size_dir, stored)
-            stored = pipeline.run_generate(size_cfg, size_dir, jobs=args.jobs)
-        if "offline" not in stored:
-            pipeline.run_offline(size_dir, jobs=args.jobs)
-        studies.append(pipeline.load_study(size_dir))
+    # each size's study is cached under bench_nx<n>/ and rebuilt when its
+    # config is not this one at that size
+    studies = [pipeline.cached_study(cfg.replace(grid_n=nx), Path(args.out) / f"bench_nx{nx}",
+                                     jobs=args.jobs)
+               for nx in args.sizes]
     t_update, t_direct = pipeline.bench_update(studies, nu, reps=args.reps)
     rows = []
     for j, nx in enumerate(args.sizes):

@@ -246,24 +246,6 @@ def _field(doc, key: str, where: str = "manifest", kind=object):
     return doc[key]
 
 
-def remove_listed_files(outdir, manifest: dict) -> None:
-    """Delete the data files a manifest lists in those of its runs, mean and
-    offline section it holds.  A section of the wrong JSON type is a
-    DataIntegrityError; an entry that names no plain file inside outdir is
-    skipped."""
-    off = _field(manifest, "offline", kind=dict) if "offline" in manifest else {}
-    entries = [doc[key] for doc, key in ((manifest, "mean"), (off, "archive")) if key in doc]
-    for doc, key in ((manifest, "runs"), (off, "pod"), (off, "ics")):
-        entries += _field(doc, key, kind=list) if key in doc else []
-    for entry in entries:
-        try:
-            path = entry_path(outdir, entry)
-        except DataIntegrityError:
-            continue
-        if path.is_file():
-            path.unlink()
-
-
 def _entry(path: Path, digest: str, **fields) -> dict:
     """Manifest entry of a written file: its name, its hash and ``fields``."""
     return {"path": path.name, "sha256": digest, **fields}
@@ -369,8 +351,7 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
     """From the trained runs and the mean that generate wrote, write the one
     archive tensors.arc: the six cross-Galerkin tensors, the POD ``bases``
     (Np, nx, q), their spectra ``eigenvalues`` (Np, Ns) and the initial
-    states ``ics`` (Np, nx).  The files an earlier offline section lists
-    are deleted first, so a study in an older layout keeps none of them."""
+    states ``ics`` (Np, nx).  It deletes no file."""
     outdir = Path(outdir)
     manifest = read_manifest(outdir / "manifest.json")
     cfg = config_from_dict(_field(manifest, "config", kind=dict))
@@ -397,7 +378,6 @@ def run_offline(outdir, jobs: int = 1, q=None) -> dict:
     arrays = {**vars(ct), "bases": np.stack(modes), "ics": np.stack(ics),
               "eigenvalues": np.stack([b.eigenvalues for b in bases])}
     archive_path = outdir / "tensors.arc"
-    remove_listed_files(outdir, {"offline": manifest.get("offline", {})})
     manifest["config"] = cfg.to_dict()
     manifest["offline"] = {"archive": _entry(archive_path, write_archive(
         archive_path, arrays, {"q": cfg.q, "nx": grid.n, "dx": grid.dx}))}
@@ -467,8 +447,8 @@ def _archive_arrays(arrays: dict, np_: int, nx: int, q: int, ns: int) -> dict:
     """The nine arrays of the archive, each checked against its shape for
     Np bases of q modes on nx points and runs of ns snapshots: the six
     stacked tensors, the bases, the initial states and the POD spectra.
-    An archive in another layout, or one written before the bases joined
-    it, is rebuilt by offline."""
+    An archive with an array missing or of another shape is rebuilt by
+    offline."""
     n = np_ * q
     shapes = {"M": (n, n), "R": (n, n), "Cbar": (n, n), "C": (n, n * n),
               "F_conv": (np_, q), "F_diff": (np_, q),
@@ -479,6 +459,31 @@ def _archive_arrays(arrays: dict, np_: int, nx: int, q: int, ns: int) -> dict:
             raise DataIntegrityError(f"archive array {name!r} {found}, expected {shape}; "
                                      "run offline again to rebuild the archive")
     return {name: arrays[name] for name in shapes}
+
+
+def cached_study(cfg: StudyConfig, outdir, jobs: int = 1) -> Study:
+    """The study of ``cfg`` under outdir, reused if its manifest was written
+    from ``cfg`` (offline runs if it has not).  Otherwise the stale
+    manifest's runs are deleted, each entry that names a plain file inside
+    outdir, and the study is generated and built again; generate and
+    offline rewrite the mean and the archive under their own names.  A
+    ``runs`` that is not a list is a DataIntegrityError before anything
+    is deleted."""
+    outdir = Path(outdir)
+    path = outdir / "manifest.json"
+    manifest = read_manifest(path) if path.exists() else {}
+    if manifest.get("config") != cfg.to_dict():
+        for entry in _field(manifest, "runs", kind=list) if "runs" in manifest else []:
+            try:
+                run = entry_path(outdir, entry)
+            except DataIntegrityError:
+                continue
+            if run.is_file():
+                run.unlink()
+        manifest = run_generate(cfg, outdir, jobs=jobs)
+    if "offline" not in manifest:
+        run_offline(outdir, jobs=jobs)
+    return load_study(outdir)
 
 
 def check_viscosity(nu: float) -> None:

@@ -706,9 +706,9 @@ def test_bench_rebuilds_a_study_built_from_another_config(workdir, tmp_path):
            "test_nu": []}
     for steps, q in ((40, 4), (80, 2)):
         cfg_small = tmp_path / f"bench{steps}.json"
-        cfg_small.write_text(json.dumps({**cfg, "steps": steps}))
+        cfg_small.write_text(json.dumps({**cfg, "steps": steps, "q": q}))
         assert main(["bench", "--config", str(cfg_small), "--out", str(out),
-                     "--sizes", "64", "--reps", "2", "--q", str(q)]) == 0
+                     "--sizes", "64", "--reps", "2"]) == 0
         study = pipeline.load_study(out / "bench_nx64")
         assert (study.cfg.steps, study.cfg.q) == (steps, q)
         assert study.bases[0].modes.shape == (64, q)
@@ -814,11 +814,16 @@ def test_nonpositive_viscosity_is_a_config_error(workdir, nu):
     ["offline", "--method", "itsgm"],
     ["generate", "--config", "c.json", "--seed", "1"],
     ["predict", "--nu", "0.08", "--jobs", "2"],
+    # bench takes q from its --config file, the key of its cached studies
+    ["bench", "--config", "c.json", "--q", "2"],
 ])
-def test_flag_a_command_does_not_honour_is_a_usage_error(argv):
+def test_flag_a_command_does_not_honour_is_a_usage_error(argv, capsys):
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"unrecognized arguments: {argv[-2]}" in err[0]
 
 
 def test_cli_import_loads_no_scipy():
@@ -1057,7 +1062,6 @@ CORRUPT_STUDY = [  # (id, command, corruption of a copy of the study)
     ("mean-entry-missing", "offline", _edit_manifest(lambda m, s: m.pop("mean"))),
     ("mean-entry-missing", "compare", _edit_manifest(lambda m, s: m.pop("mean"))),
     ("stale-runs-number", "bench", _stale_bench(lambda m: m.update(runs=5))),
-    ("stale-offline-list", "bench", _stale_bench(lambda m: m.update(offline=[1]))),
 ]
 COMMANDS = {"offline": ["offline"], "predict": ["predict", "--nu", "0.08"],
             "predict-truth": ["predict", "--nu", "0.08", "--ic", "truth"],
@@ -1080,6 +1084,17 @@ def test_corrupt_study_exits_4_with_one_line(workdir, tmp_path, capsys, command,
     assert main([*COMMANDS[command], "--out", str(study)]) == 4
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("data error:")
+
+
+def test_bench_rebuilds_a_stale_study_whatever_its_offline_section(workdir, tmp_path):
+    # of a study built from another config, bench reads only the runs
+    _, _, out = workdir
+    study = tmp_path / "study"
+    shutil.copytree(out, study)
+    _stale_bench(lambda m: m.update(offline=[1]))(study)
+    assert main([*COMMANDS["bench"], "--out", str(study)]) == 0
+    cfg = pipeline.load_config(COMMANDS["bench"][2]).replace(grid_n=64)
+    assert pipeline.load_study(study / "bench_nx64").cfg == cfg
 
 
 def _predict_calls(monkeypatch):
@@ -1168,20 +1183,24 @@ def test_study_from_before_the_one_archive_names_offline_until_it_runs(workdir, 
     assert main(argv) == 0
 
 
-def test_offline_deletes_the_files_of_the_pre_archive_layout(workdir, tmp_path):
-    # the pod_nu*.mat and ic_nu*.mat files the old offline section lists go,
-    # and every other file stays
+def test_offline_deletes_no_file_its_old_offline_section_names(workdir, tmp_path):
+    # an offline section pointing at a stored run and listing the mean: offline
+    # writes its own archive and every run and the mean stay as generate wrote them
     _, _, out = workdir
     study = tmp_path / "study"
     shutil.copytree(out, study)
-    _edit_manifest(_pre_archive_layout)(study)
-    before = {p.name for p in study.iterdir()}
-    off = read_manifest(study / "manifest.json")["offline"]
-    old = {entry["path"] for key in ("pod", "ics") for entry in off[key]}
-    assert len(old) == 2 * len(SMALL_CONFIG["trained_nu"]) and old <= before
+
+    def point_at_the_data(manifest, study):
+        manifest["offline"]["archive"] = dict(manifest["runs"][0])
+        manifest["offline"]["pod"] = [dict(manifest["mean"])]
+
+    _edit_manifest(point_at_the_data)(study)
     assert main(["offline", "--out", str(study)]) == 0
-    assert {p.name for p in study.iterdir()} == before - old
-    assert main(["predict", "--out", str(study), "--nu", "0.08"]) == 0
+    manifest = read_manifest(study / "manifest.json")
+    for entry in [*manifest["runs"], manifest["mean"]]:
+        assert sha256_file(study / entry["path"]) == entry["sha256"]
+    nu = manifest["runs"][0]["nu"]
+    assert main(["compare", "--out", str(study), "--targets", str(nu)]) == 0
 
 
 def test_non_finite_weights_exit_2_with_one_line(workdir, capsys):
@@ -1380,7 +1399,8 @@ def test_failure_exits_with_one_line_and_writes_nothing(study, tmp_path, capsys,
     assert (_tree(tmp_path), _tree(out)) == before
 
 
-def test_bench_regenerates_a_study_with_an_offline_mean_entry(workdir, tmp_path):
+def test_bench_on_a_study_with_an_offline_mean_entry_names_generate(workdir, tmp_path,
+                                                                  capsys):
     _, cfg_path, _ = workdir
     out = tmp_path / "bench"
     cfg_small = tmp_path / "bench.json"
@@ -1391,10 +1411,10 @@ def test_bench_regenerates_a_study_with_an_offline_mean_entry(workdir, tmp_path)
     assert main(argv) == 0
     study = out / "bench_nx64"
     _edit_manifest(_offline_mean_layout)(study)
-    assert main(argv) == 0
-    manifest = read_manifest(study / "manifest.json")
-    assert "mean" in manifest and "mean" not in manifest["offline"]
-    assert pipeline.load_study(study).mean.shape == (64,)
+    capsys.readouterr()
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "generate" in err
 
 
 NU_EDGES = [0.0, -0.0, -0.05, -np.inf, np.inf, np.nan, 1e300, -1e300, 5e-324,
