@@ -557,6 +557,27 @@ def weighted_initial_condition(study: Study, w: WeightVector, rotations, M) -> n
     return np.linalg.solve(M, weighted_rotations(w, rotations).T @ (study.ic_coords @ w.values))
 
 
+def _explicit_model(study: Study, basis, nu: float, u0, timings: dict):
+    """(model, alpha0) on one explicit N-by-q basis, ITSGM's or the floor's:
+    ``direct_project`` at nu and the ``initial_condition`` of the state u0,
+    timed in ``timings`` as projection_s and initial_condition_s."""
+    with _timed(timings, "projection_s"):
+        model = direct_project(basis, study.mean, study.ip, study.grid.gradient, nu)
+    with _timed(timings, "initial_condition_s"):
+        alpha0 = initial_condition(basis, study.mean, study.ip, u0)
+    return model, alpha0
+
+
+def _march(cfg: StudyConfig, model, alpha0, report: dict):
+    """``integrate_rom`` at the instants of the stored runs: steps //
+    save_every steps of h = save_every dt from t0 = transient dt.  ``report``
+    gains h as reduced_step, the step count and the mass_condition."""
+    h, n = cfg.save_every * cfg.dt, cfg.steps // cfg.save_every
+    traj = integrate_rom(model, alpha0, h, n, t0=cfg.transient * cfg.dt)
+    report.update(reduced_step=h, reduced_steps=n, mass_condition=traj.mass_condition)
+    return traj
+
+
 def predict(study: Study, nu: float, method: str = "barycentric",
             ic_mode: str = "weighted", allow_nonconverged: bool = False,
             truth: SnapshotMatrix | None = None, lift: bool = True):
@@ -567,19 +588,15 @@ def predict(study: Study, nu: float, method: str = "barycentric",
     the barycentric method with the weighted initial state does q-sized
     work only: barycenter, operator update and initial coordinates.  With
     the truth initial state it projects that state onto the interpolated
-    basis by ``initial_condition``, as ITSGM and the truth-POD floor do.
-
-    The reduced model is marched steps // save_every RK4 steps of h =
-    save_every dt, every state recorded, at the instants of the stored
-    runs; the report records h as reduced_step and the step count as
-    reduced_steps.
+    basis by ``initial_condition``.  As for the truth-POD floor, ITSGM's
+    model is built by ``_explicit_model``, and either model is marched by
+    ``_march``.
 
     Returns (trajectory, reconstruction, report) where the report is a
     JSON-ready dict with the interpolation diagnostics and timings.  The
     reconstruction is the lift onto the interpolated basis, which the
     barycentric method forms once, by ``combined_basis``; with
-    ``lift=False`` it is left unformed: the second item is the
-    trajectory's ``FactoredField`` of that basis, the mean and [alpha^T; 1].
+    ``lift=False`` it is left unformed, the trajectory's ``FactoredField``.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -621,18 +638,13 @@ def predict(study: Study, nu: float, method: str = "barycentric",
         with _timed(timings, "interpolation_s"):
             basis = itsgm_interpolate([b.modes for b in study.bases], w.values,
                                       nearest_index(study.params, nu))
-        with _timed(timings, "projection_s"):
-            model = direct_project(basis, study.mean, study.ip, study.grid.gradient, nu)
         with _timed(timings, "initial_condition_s"):
             u0 = (truth.values[:, 0] if ic_mode == "truth" else
                   sum(wk * ic for wk, ic in zip(w.values, study.ics) if wk != 0.0))
-            alpha0 = initial_condition(basis, study.mean, study.ip, u0)
+        model, alpha0 = _explicit_model(study, basis, nu, u0, timings)
 
-    h, n = cfg.save_every * cfg.dt, cfg.steps // cfg.save_every
-    report["reduced_step"], report["reduced_steps"] = h, n
     with _timed(timings, "integrate_s"):
-        traj = integrate_rom(model, alpha0, h, n, t0=cfg.transient * cfg.dt)
-    report["mass_condition"] = traj.mass_condition
+        traj = _march(cfg, model, alpha0, report)
     with _timed(timings, "lift_s"):
         if basis is None:
             basis = combined_basis([b.modes for b in study.bases], w, bary.rotations)
@@ -643,21 +655,18 @@ def predict(study: Study, nu: float, method: str = "barycentric",
 
 def truth_pod_baseline(study: Study, truth: SnapshotMatrix) -> FactoredField:
     """ROM built from the target's own truth snapshots, the accuracy floor,
-    with its lift left unformed; marched at the sampling interval, as
-    ``predict`` marches.  At a trained viscosity (matched exactly, as
-    ``_run_entry`` matches) the basis is the study's offline one, the POD
-    of that same run, so no fluctuation copy is made and no POD is
-    computed again; at any other the truth's POD is computed here."""
+    with its lift left unformed; built and marched as ``predict``'s ITSGM.
+    At a trained viscosity (matched exactly, as ``_run_entry`` matches) the
+    basis is the study's offline one, the POD of that same run, so no
+    fluctuation copy is made and no POD is computed again; at any other the
+    truth's POD is computed here."""
     nu, cfg = truth.param, study.cfg
     if nu in cfg.trained_nu:
         basis = study.bases[cfg.trained_nu.index(nu)]
     else:
         basis = compute_pod(truth.values - study.mean[:, None], study.ip, cfg.q)
-    model = direct_project(basis.modes, study.mean, study.ip, study.grid.gradient, nu)
-    alpha0 = initial_condition(basis.modes, study.mean, study.ip, truth.values[:, 0])
-    traj = integrate_rom(model, alpha0, cfg.save_every * cfg.dt, cfg.steps // cfg.save_every,
-                         t0=cfg.transient * cfg.dt)
-    return factored_field(basis.modes, study.mean, traj, param=nu)
+    model, alpha0 = _explicit_model(study, basis.modes, nu, truth.values[:, 0], {})
+    return factored_field(basis.modes, study.mean, _march(cfg, model, alpha0, {}), param=nu)
 
 
 def compare(study: Study, targets=None):

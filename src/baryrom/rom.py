@@ -25,8 +25,8 @@ the weighted initial state solve M alpha0 = S^T c with c = dx [Phi_1
 ... Phi_Np]^T (u0 - mean) (``weighted_initial_condition`` in pipeline).
 Only the lift to the mesh, and a truth initial state, need Phi:
 ``combined_basis`` forms it once, Phi = sum_h w_h Phi_h Q_h, and a
-``FactoredField`` holds Phi, the mean and the coordinates alpha: the
-field is [Phi | mean] @ [alpha^T; 1], each factor formed on first use.
+``FactoredField`` holds the field's two factors, [Phi | mean] and
+[alpha^T; 1], formed once when the record is made.
 Every mesh-sized pass walks the field in the ``row_blocks`` of about
 BLOCK_BYTES, 256 KiB, so three blocks fit in one core's L2:
 ``reconstruct_field`` (the lift of ``pipeline.predict``) fills the field
@@ -50,7 +50,6 @@ save_every dt, so its states fall at the instants of the stored runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -364,29 +363,18 @@ def combined_basis(bases, weights: WeightVector, rotations) -> np.ndarray:
 class FactoredField:
     """A lifted trajectory kept as its two factors: the values are
     ``factor @ coeffs``, with factor = [Phi | mean], N-by-(q + 1), and
-    coeffs = [alphas^T; 1], (q + 1)-by-n_times.  Each factor is formed from
-    the ``basis`` Phi, the ``mean`` and the ``alphas`` on its first use and
-    kept, so a field that is never lifted or written makes no mesh-sized
-    copy.  ``rows`` forms one block of rows of the field, so a caller that
-    walks the rows never holds the field whole."""
+    coeffs = [alphas^T; 1], (q + 1)-by-n_times, both formed by
+    ``factored_field``.  ``rows`` forms one block of rows of the field, so
+    a caller that walks the rows never holds the field whole."""
 
-    basis: np.ndarray
-    mean: np.ndarray
-    alphas: np.ndarray
+    factor: np.ndarray
+    coeffs: np.ndarray
     times: np.ndarray
     param: float
 
-    @cached_property
-    def factor(self) -> np.ndarray:
-        return np.column_stack([self.basis, self.mean])
-
-    @cached_property
-    def coeffs(self) -> np.ndarray:
-        return np.vstack([self.alphas.T, np.ones(self.alphas.shape[0])])
-
     @property
     def shape(self) -> tuple:
-        return self.basis.shape[0], self.alphas.shape[0]
+        return self.factor.shape[0], self.coeffs.shape[1]
 
     def rows(self, start: int, stop: int, out=None) -> np.ndarray:
         """Rows start:stop of the field, written into ``out`` when given."""
@@ -395,8 +383,8 @@ class FactoredField:
 
 def factored_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> FactoredField:
     """The lift u(t) = mean + Phi a(t) of a trajectory onto the N-by-q
-    ``basis`` Phi, unformed: the basis, mean and coordinates its factors
-    [Phi | mean] and [alphas^T; 1] are formed from."""
+    ``basis`` Phi, left unformed as its two factors [Phi | mean] and
+    [alphas^T; 1]."""
     (phi,) = _mode_matrices([basis])
     nx, q = phi.shape
     mean = np.asarray(mean, dtype=float)
@@ -407,7 +395,9 @@ def factored_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> Factor
         )
     if mean.shape != (nx,):
         raise ShapeMismatchError("mean length does not match basis rows")
-    return FactoredField(phi, mean, traj.alphas, traj.times.copy(), float(param))
+    return FactoredField(np.column_stack([phi, mean]),
+                         np.vstack([traj.alphas.T, np.ones(traj.alphas.shape[0])]),
+                         traj.times.copy(), float(param))
 
 
 def reconstruct_field(basis, mean, traj: ReducedTrajectory, param=np.nan) -> SnapshotMatrix:

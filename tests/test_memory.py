@@ -18,7 +18,7 @@ pair products of its direct projection.  Each bound leaves half a unit or
 less above what the stage holds: its outputs in generate and load, two
 row blocks in the error sums, and the measured peak in offline (1.68
 units), compare (2.26 units untrained, 1.44 trained) and CLI predict
-(0.34 barycentric, 0.68 ITSGM).
+(0.35 barycentric, 0.68 ITSGM).
 """
 
 import tracemalloc

@@ -816,15 +816,15 @@ def test_lift_is_bitwise_the_whole_product(rng, nx, ns):
     np.testing.assert_array_equal(explicit.values, whole_lift(bases[2], mean, traj.alphas))
 
 
-def test_factored_field_forms_each_factor_once_on_first_use(rng):
+def test_factored_field_holds_only_its_two_factors(rng):
     phi, mean = rng.standard_normal((50, 3)), rng.standard_normal(50)
     traj = ReducedTrajectory(times=np.arange(4.0), alphas=rng.standard_normal((4, 3)))
     field = factored_field(phi, mean, traj)
-    assert not {"factor", "coeffs"} & set(vars(field)) and field.shape == (50, 4)
-    factor, coeffs = field.factor, field.coeffs
-    assert field.factor is factor and field.coeffs is coeffs
-    np.testing.assert_array_equal(factor, np.column_stack([phi, mean]))
-    np.testing.assert_array_equal(coeffs, np.vstack([traj.alphas.T, np.ones(4)]))
+    assert set(vars(field)) == {"factor", "coeffs", "times", "param"}
+    assert field.shape == (50, 4)
+    want = np.column_stack([phi, mean]), np.vstack([traj.alphas.T, np.ones(4)])
+    for got, factor in zip((field.factor, field.coeffs), want):
+        assert got.shape == factor.shape and got.tobytes() == factor.tobytes()
 
 
 @pytest.mark.parametrize("nx, ns, block_bytes", [
